@@ -613,7 +613,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 f"  pid {worker.get('pid')}: "
                 f"{worker.get('requests', 0)} requests, "
                 f"{len(plans)} plan hash(es) "
-                f"({sum(plans.values())} executions), {load}"
+                f"({sum(plans.values())} executions), {load}, "
+                f"{worker.get('sealed_objects', 0)} sealed objects"
             )
         if not payload.get("workers"):
             print("  (no worker processes: thread mode or none primed)")

@@ -67,7 +67,7 @@ class Engine:
         pool_pages: int = DEFAULT_POOL_PAGES,
     ) -> None:
         self.db = db if db is not None else Database(pool_pages)
-        #: (document names, snapshot) — see :meth:`cardinality_stats`
+        #: (db.generation, snapshot) — see :meth:`cardinality_stats`
         self._stats_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -90,15 +90,16 @@ class Engine:
         """A cached tag-count snapshot of the loaded documents.
 
         Documents are load-only (the Database has no update API), so the
-        snapshot stays valid until another document is loaded; the cache
-        key is the set of document names.  This keeps the cost-based
-        planner's per-query overhead at pure arithmetic instead of a
-        per-plan walk over every tag index.
+        snapshot stays valid until the next (re)load; the cache key is
+        ``db.generation``, which every install bumps — reloading a name
+        with different content must not serve the old counts.  This
+        keeps the cost-based planner's per-query overhead at pure
+        arithmetic instead of a per-plan walk over every tag index.
         """
-        names = tuple(sorted(self.db.document_names()))
-        if self._stats_cache is None or self._stats_cache[0] != names:
+        generation = self.db.generation
+        if self._stats_cache is None or self._stats_cache[0] != generation:
             self._stats_cache = (
-                names,
+                generation,
                 CardinalityStats.from_database(self.db),
             )
         return self._stats_cache[1]

@@ -48,6 +48,7 @@ it would have had the work run locally.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
@@ -71,6 +72,7 @@ from ..errors import (
 from ..model.sequence import TreeSequence
 from ..storage.database import Database
 from ..storage.persist import SnapshotHandle, open_snapshot, write_snapshot
+from ..storage.seal import bulk_load
 from ..telemetry import hooks as telemetry
 from ..telemetry.registry import MetricsRegistry, diff_states
 
@@ -174,52 +176,57 @@ def _init_worker(
     fork_token: Optional[str],
     retry_legacy: bool,
 ) -> None:
-    """Materialize this worker's database once, then warm it.
+    """Materialize this worker's database once, then seal the process.
 
     Runs in the child at process start.  Fork workers resolve the
     inherited ``fork_token``; spawn workers load and digest-verify the
     snapshot.  A failure here poisons the executor (every pending
     future breaks), which is the right behaviour: a worker that cannot
     produce a verified database must not answer queries.
+
+    The whole start-up runs as one bulk load, so on exit everything the
+    worker will keep — a spawn worker's private copy, or what a fork
+    worker inherited outside the dispatcher's permanent generation —
+    is frozen: collector passes in the worker then write no GC headers
+    into the copy-on-write pages it shares with the dispatcher.
     """
     load_started = time.perf_counter()
-    if fork_token is not None:
-        with _FORK_DBS_LOCK:
-            db = _FORK_DBS.get(fork_token)
-        if db is None:
+    with bulk_load():
+        if fork_token is not None:
+            with _FORK_DBS_LOCK:
+                db = _FORK_DBS.get(fork_token)
+            if db is None:
+                raise ServiceError(
+                    f"fork handoff token {fork_token!r} not found in "
+                    "worker; was the database released before the pool "
+                    "started?"
+                )
+        elif source is not None:
+            db = open_snapshot(source)
+        else:
             raise ServiceError(
-                f"fork handoff token {fork_token!r} not found in worker; "
-                "was the database released before the pool started?"
+                "worker started with neither snapshot nor token"
             )
-    elif source is not None:
-        db = open_snapshot(source)
-    else:
-        raise ServiceError("worker started with neither snapshot nor token")
-    with _WORKER_STATE_LOCK:
-        _WORKER_STATE["db"] = db
-        _WORKER_STATE["retry_legacy"] = bool(retry_legacy)
-        _WORKER_STATE["started_wall"] = time.time()
-        _WORKER_STATE["requests"] = 0
-        _WORKER_STATE["plan_hashes"] = {}
-        _WORKER_STATE["last_heartbeat"] = time.time()
-    # a fresh registry: fork-inherited parent history must not be
-    # re-shipped to the dispatcher inside this worker's deltas
-    telemetry.set_registry(MetricsRegistry())
-    _warm(db)
-    # snapshot load ms covers materialization *and* index warm-up: both
-    # are start-up cost the first request would otherwise pay
+        with _WORKER_STATE_LOCK:
+            _WORKER_STATE["db"] = db
+            _WORKER_STATE["retry_legacy"] = bool(retry_legacy)
+            _WORKER_STATE["started_wall"] = time.time()
+            _WORKER_STATE["requests"] = 0
+            _WORKER_STATE["plan_hashes"] = {}
+            _WORKER_STATE["last_heartbeat"] = time.time()
+        # a fresh registry: fork-inherited parent history must not be
+        # re-shipped to the dispatcher inside this worker's deltas
+        telemetry.set_registry(MetricsRegistry())
+    # snapshot load ms is materialization plus the seal (for a fork
+    # worker: the token lookup plus the seal); the indexes are built by
+    # the load itself, so there is no separate warm-up.  The freeze
+    # count walks the permanent generation: read it once, here, not per
+    # shipped result.
     with _WORKER_STATE_LOCK:
         _WORKER_STATE["snapshot_load_ms"] = round(
             (time.perf_counter() - load_started) * 1000, 3
         )
-
-
-def _warm(db: Database) -> None:
-    """Touch every document's indexes so first requests pay no lazy cost."""
-    for name in db.document_names():
-        tag_index = db.tag_index(name)
-        for tag in tag_index.tags():
-            tag_index.count(tag)
+        _WORKER_STATE["sealed_objects"] = gc.get_freeze_count()
 
 
 #: Distinct plan hashes a worker tracks before new ones fold into the
@@ -235,6 +242,7 @@ def _worker_info_snapshot() -> Dict[str, Any]:
             "requests": int(_WORKER_STATE.get("requests", 0)),
             "plans": dict(_WORKER_STATE.get("plan_hashes", {})),
             "snapshot_load_ms": _WORKER_STATE.get("snapshot_load_ms"),
+            "sealed_objects": _WORKER_STATE.get("sealed_objects", 0),
             "started_wall": _WORKER_STATE.get("started_wall"),
             "last_heartbeat": _WORKER_STATE.get("last_heartbeat"),
         }

@@ -7,7 +7,7 @@ behaviour of TLC, TAX, GTP and the navigational evaluator is comparable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..errors import StorageError
 from ..model.node_id import NodeId
@@ -16,6 +16,7 @@ from .document import Document
 from .indexes import TagIndex, ValueIndex
 from .page import BufferPool
 from .postings import Postings
+from .seal import bulk_load
 from .stats import Metrics
 from .xml_parser import ParsedElement, parse_xml
 
@@ -44,20 +45,39 @@ class Database:
     # ------------------------------------------------------------------
     def load_xml(self, name: str, text: str) -> Document:
         """Parse ``text`` and store it under ``name`` (replaces existing)."""
-        return self.load_parsed(name, parse_xml(text))
+        return self._install(
+            name,
+            lambda doc_id: Document.from_parsed(name, doc_id, parse_xml(text)),
+        )
 
     def load_parsed(self, name: str, root: ParsedElement) -> Document:
         """Store an already-parsed tree under ``name``."""
-        doc_id = self._by_name[name].doc_id if name in self._by_name else len(
-            self._by_id
+        return self._install(
+            name, lambda doc_id: Document.from_parsed(name, doc_id, root)
         )
-        document = Document.from_parsed(name, doc_id, root)
-        document.attach(self.pool, self.metrics)
-        self._by_name[name] = document
-        self._by_id[doc_id] = document
-        self._tag_indexes[doc_id] = TagIndex(document)
-        self._value_indexes[doc_id] = ValueIndex(document)
-        self.generation += 1
+
+    def _install(
+        self, name: str, build: Callable[[int], Document]
+    ) -> Document:
+        """Build, attach and index a document: the one way in.
+
+        ``build`` receives the document id (a reloaded name keeps its
+        id) and runs inside the :func:`~repro.storage.seal.bulk_load`
+        pause together with the index builds, so parsing or snapshot
+        decoding, the records and both indexes are sealed as one.
+        """
+        with bulk_load():
+            existing = self._by_name.get(name)
+            doc_id = (
+                existing.doc_id if existing is not None else len(self._by_id)
+            )
+            document = build(doc_id)
+            document.attach(self.pool, self.metrics)
+            self._by_name[name] = document
+            self._by_id[doc_id] = document
+            self._tag_indexes[doc_id] = TagIndex(document)
+            self._value_indexes[doc_id] = ValueIndex(document)
+            self.generation += 1
         return document
 
     # ------------------------------------------------------------------

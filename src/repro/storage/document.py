@@ -63,7 +63,7 @@ class Document:
         document element, mirroring the paper's plans whose pattern trees
         start at ``doc_root``.
         """
-        doc = cls(name, doc_id)
+        records: List[NodeRecord] = []
         counter = [0]
 
         def enter() -> int:
@@ -73,8 +73,8 @@ class Document:
         def store(
             tag: str, value: Optional[str], level: int, parent: int
         ) -> int:
-            idx = len(doc.records)
-            doc.records.append(
+            idx = len(records)
+            records.append(
                 NodeRecord(tag, value, 0, 0, level, parent, ())
             )
             return idx
@@ -89,13 +89,13 @@ class Document:
                 )
                 attr_start = enter()
                 attr_end = enter()
-                rec = doc.records[attr_idx]
+                rec = records[attr_idx]
                 rec.start, rec.end = attr_start, attr_end
                 child_idxs.append(attr_idx)
             for child in element.children:
                 child_idxs.append(build(child, level + 1, idx))
             end = enter()
-            rec = doc.records[idx]
+            rec = records[idx]
             rec.start, rec.end = start, end
             rec.children = tuple(child_idxs)
             return idx
@@ -104,10 +104,19 @@ class Document:
         root_start = enter()
         child_idx = build(root, 1, root_idx)
         root_end = enter()
-        rec = doc.records[root_idx]
+        rec = records[root_idx]
         rec.start, rec.end = root_start, root_end
         rec.children = (child_idx,)
-        doc._by_start = {r.start: i for i, r in enumerate(doc.records)}
+        return cls.from_records(name, doc_id, records)
+
+    @classmethod
+    def from_records(
+        cls, name: str, doc_id: int, records: List[NodeRecord]
+    ) -> "Document":
+        """Adopt an already interval-encoded record array."""
+        doc = cls(name, doc_id)
+        doc.records = records
+        doc._by_start = {r.start: i for i, r in enumerate(records)}
         return doc
 
     def attach(self, pool: BufferPool, metrics: Metrics) -> None:

@@ -16,12 +16,13 @@ linear and keeps the format minimal).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import io
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Union
+from typing import BinaryIO, Dict, List, Protocol, Union
 
 from ..errors import StorageError
 from .database import Database
@@ -37,7 +38,13 @@ _HEADER = struct.Struct("<5sBI")
 _RECORD_FIXED = struct.Struct("<IiIIIiI")
 
 
-def _write_u32(stream: BinaryIO, value: int) -> None:
+class _Sink(Protocol):
+    """What the writers need of a stream (a file, or a hashing tee)."""
+
+    def write(self, data: bytes) -> int: ...
+
+
+def _write_u32(stream: _Sink, value: int) -> None:
     stream.write(_U32.pack(value))
 
 
@@ -48,7 +55,7 @@ def _read_u32(stream: BinaryIO) -> int:
     return _U32.unpack(data)[0]
 
 
-def _write_str(stream: BinaryIO, text: str) -> None:
+def _write_str(stream: _Sink, text: str) -> None:
     encoded = text.encode("utf-8")
     _write_u32(stream, len(encoded))
     stream.write(encoded)
@@ -64,14 +71,18 @@ def _read_str(stream: BinaryIO) -> str:
 
 def save_database(db: Database, path: Union[str, Path]) -> None:
     """Write every document of ``db`` to ``path`` in the TLCDB format."""
-    names = db.document_names()
     with open(path, "wb") as stream:
-        stream.write(_HEADER.pack(MAGIC, VERSION, len(names)))
-        for name in names:
-            _save_document(stream, db.document(name))
+        _write_database(db, stream)
 
 
-def _save_document(stream: BinaryIO, document: Document) -> None:
+def _write_database(db: Database, stream: _Sink) -> None:
+    names = db.document_names()
+    stream.write(_HEADER.pack(MAGIC, VERSION, len(names)))
+    for name in names:
+        _save_document(stream, db.document(name))
+
+
+def _save_document(stream: _Sink, document: Document) -> None:
     _write_str(stream, document.name)
     strings: Dict[str, int] = {}
     order: List[str] = []
@@ -134,6 +145,15 @@ def load_database(
 
 def _load_document(stream: BinaryIO, db: Database) -> Document:
     name = _read_str(stream)
+    return db._install(
+        name,
+        lambda doc_id: Document.from_records(
+            name, doc_id, _read_records(stream)
+        ),
+    )
+
+
+def _read_records(stream: BinaryIO) -> List[NodeRecord]:
     n_strings = _read_u32(stream)
     strings = [_read_str(stream) for _ in range(n_strings)]
     n_records = _read_u32(stream)
@@ -156,7 +176,7 @@ def _load_document(stream: BinaryIO, db: Database) -> Document:
                 children,
             )
         )
-    return _register_loaded(db, name, records)
+    return records
 
 
 @dataclass(frozen=True)
@@ -189,12 +209,41 @@ def _digest_file(path: Union[str, Path]) -> str:
     return sha.hexdigest()
 
 
+class _HashingWriter:
+    """A write-only stream that digests the bytes passing through it."""
+
+    def __init__(self, stream: BinaryIO) -> None:
+        self._stream = stream
+        self.sha = hashlib.sha256()
+
+    def write(self, data: bytes) -> int:
+        self.sha.update(data)
+        return self._stream.write(data)
+
+
 def write_snapshot(db: Database, path: Union[str, Path]) -> SnapshotHandle:
-    """Persist ``db`` and return the handle spawn-mode workers load."""
-    save_database(db, path)
+    """Persist ``db`` and return the handle spawn-mode workers load.
+
+    The bytes are digested as they are written and land in
+    ``path + ".tmp"``, which replaces ``path`` only after an ``fsync``:
+    a writer that dies part-way leaves the previous snapshot as it was,
+    and a reader never sees a half-written file under the final name.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as stream:
+            writer = _HashingWriter(stream)
+            _write_database(db, writer)
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return SnapshotHandle(
         path=str(path),
-        digest=_digest_file(path),
+        digest=writer.sha.hexdigest(),
         pool_pages=db.pool.capacity,
     )
 
@@ -209,25 +258,3 @@ def open_snapshot(handle: SnapshotHandle) -> Database:
             "refusing to serve queries against unverified data"
         )
     return load_database(handle.path, pool_pages=handle.pool_pages)
-
-
-def _register_loaded(
-    db: Database, name: str, records: List[NodeRecord]
-) -> Document:
-    """Install a record array as a document and rebuild its indexes."""
-    from .indexes import TagIndex, ValueIndex
-
-    doc_id = (
-        db.document(name).doc_id
-        if name in db.document_names()
-        else len(db._by_id)
-    )
-    document = Document(name, doc_id)
-    document.records = records
-    document._by_start = {r.start: i for i, r in enumerate(records)}
-    document.attach(db.pool, db.metrics)
-    db._by_name[name] = document
-    db._by_id[doc_id] = document
-    db._tag_indexes[doc_id] = TagIndex(document)
-    db._value_indexes[doc_id] = ValueIndex(document)
-    return document

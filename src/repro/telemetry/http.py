@@ -23,6 +23,7 @@ surface, not a public one — and ``port=0`` picks an ephemeral port
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -94,6 +95,24 @@ class TelemetryServer:
                 [(None, float(len(self.service.span_store)))],
             )
         )
+        runtime = _runtime_payload()
+        extras.append(
+            (
+                "repro_store_sealed_objects",
+                "Objects in the collector's permanent generation "
+                "(the sealed store)",
+                "gauge",
+                [(None, float(runtime["store_sealed_objects"]))],
+            )
+        )
+        extras.append(
+            (
+                "repro_gc_gen2_collections_total",
+                "Full (generation-2) collections run by this process",
+                "counter",
+                [(None, float(runtime["gc_gen2_collections"]))],
+            )
+        )
         workers = self.service.workers()
         extras.append(
             (
@@ -138,6 +157,7 @@ class TelemetryServer:
         return {
             "service": self.service.stats().to_dict(),
             "registry": get_registry().snapshot(),
+            "runtime": _runtime_payload(),
             "uptime_seconds": round(time.time() - self._started, 3),
         }
 
@@ -319,6 +339,19 @@ ENDPOINTS: List[str] = [
     "/trace/<id>",
     "/workers",
 ]
+
+
+def _runtime_payload() -> dict:
+    """Collector state, read when asked (no ``gc.callbacks`` hook).
+
+    ``gc.get_freeze_count()`` walks the permanent generation — tens of
+    milliseconds over a large sealed store — so this belongs to scrape
+    time, never to a request.
+    """
+    return {
+        "store_sealed_objects": gc.get_freeze_count(),
+        "gc_gen2_collections": gc.get_stats()[2]["collections"],
+    }
 
 
 def _json_bytes(payload: dict) -> bytes:

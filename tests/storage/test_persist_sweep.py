@@ -8,11 +8,16 @@ from a snapshot answers every XMark benchmark query byte-identically
 to the database it was written from.
 """
 
+import hashlib
+import multiprocessing
+import os
+
 import pytest
 
 from repro import Engine
 from repro.errors import StorageError
 from repro.storage import Database
+from repro.storage import persist
 from repro.storage.persist import (
     SnapshotHandle,
     open_snapshot,
@@ -21,6 +26,15 @@ from repro.storage.persist import (
 from repro.storage.xml_serializer import serialize_stored
 from repro.xmark import FIGURE15_ORDER, QUERIES
 from tests.conftest import TINY_AUCTION
+
+
+def _open_outcome(handle):
+    """What ``open_snapshot`` does in a worker: the error text, or None."""
+    try:
+        open_snapshot(handle)
+    except StorageError as error:
+        return str(error)
+    return None
 
 
 class TestSnapshotHandle:
@@ -55,6 +69,46 @@ class TestSnapshotHandle:
         write_snapshot(tiny_db, str(path))
         with pytest.raises(StorageError, match="unverified"):
             open_snapshot(handle)
+
+    @pytest.mark.parametrize(
+        "start_method",
+        [
+            m for m in ("fork", "spawn")
+            if m in multiprocessing.get_all_start_methods()
+        ],
+    )
+    def test_truncated_snapshot_is_refused_in_a_worker(
+        self, tmp_path, tiny_db, start_method
+    ):
+        path = tmp_path / "db.tlcdb"
+        handle = write_snapshot(tiny_db, str(path))
+        path.write_bytes(path.read_bytes()[:-7])
+        with multiprocessing.get_context(start_method).Pool(1) as pool:
+            outcome = pool.apply(_open_outcome, (handle,))
+        assert outcome is not None and "digest mismatch" in outcome
+
+    def test_digest_is_of_the_bytes_on_disk(self, tmp_path, tiny_db):
+        path = tmp_path / "db.tlcdb"
+        handle = write_snapshot(tiny_db, str(path))
+        assert handle.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert os.listdir(tmp_path) == ["db.tlcdb"]  # no .tmp left behind
+
+    def test_crash_before_replace_keeps_the_previous_snapshot(
+        self, tmp_path, tiny_db, monkeypatch
+    ):
+        path = tmp_path / "db.tlcdb"
+        handle = write_snapshot(tiny_db, str(path))
+        previous = path.read_bytes()
+        tiny_db.load_xml("extra.xml", "<r><x>1</x></r>")
+
+        def crash(src, dst):
+            raise OSError("simulated crash before os.replace")
+
+        monkeypatch.setattr(persist.os, "replace", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            write_snapshot(tiny_db, str(path))
+        assert path.read_bytes() == previous
+        assert open_snapshot(handle).document_names() == ["auction.xml"]
 
     def test_handle_is_picklable(self, tmp_path, tiny_db):
         import pickle

@@ -48,6 +48,10 @@ class TestEndpoints:
         # work counters exported at scrape time, not per increment
         assert "repro_work_pages_read_total" in families
         assert "repro_plan_cache_size" in families
+        # collector state, read at scrape time
+        assert families["repro_store_sealed_objects"].kind == "gauge"
+        assert families["repro_store_sealed_objects"].samples[0][2] > 0
+        assert families["repro_gc_gen2_collections_total"].kind == "counter"
 
     def test_stats_reports_service_and_registry(self, served):
         text, headers = _get(served, "/stats")
@@ -58,6 +62,8 @@ class TestEndpoints:
         assert "p95_ms" in payload["service"]["latency"]["all"]
         assert "counters" in payload["registry"]
         assert payload["uptime_seconds"] >= 0
+        assert payload["runtime"]["store_sealed_objects"] > 0
+        assert payload["runtime"]["gc_gen2_collections"] >= 0
 
     def test_healthz_is_ok(self, served):
         text, _ = _get(served, "/healthz")
