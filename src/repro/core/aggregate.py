@@ -9,12 +9,15 @@ paper leaves the sibling position undefined when the class is empty).
 
 This operator runs entirely on in-memory witness trees — no data access —
 which is why TLC computes counts "without touching the data in a fraction
-of a second" while navigation iterates over all nodes (Section 6.3).
+of a second" while navigation iterates over all nodes (Section 6.3).  The
+output tree is a path copy of its input (DESIGN §10): only the nodes from
+the root down to the result's host are new, so the cost per tree is that
+path plus the fold over the class, not the size of the witness.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..columns.batch import ColumnBatch
 from ..errors import AlgebraError
@@ -47,7 +50,7 @@ class AggregateOp(Operator):
         self.new_lcl = new_lcl
 
     # ------------------------------------------------------------------
-    def _compute(self, nodes: List[TNode]) -> Optional[object]:
+    def _compute(self, nodes: Sequence[TNode]) -> Optional[object]:
         return self._fold(len(nodes), (n.value for n in nodes))
 
     def _fold(self, count: int, contents) -> Optional[object]:
@@ -74,17 +77,22 @@ class AggregateOp(Operator):
     ) -> TreeSequence:
         out = TreeSequence()
         for tree in inputs[0]:
-            copy = tree.clone()
-            nodes = copy.nodes_in_class(self.lcl)
-            result = TNode(self.fname, self._compute(nodes))
-            result.lcls.add(self.new_lcl)
-            if nodes:
-                parents = copy.root.parent_map()
-                host = parents.get(id(nodes[0]), copy.root)
-            else:
-                host = copy.root
-            host.add_child(result)
-            copy.invalidate()
+            nodes = tree.class_nodes(self.lcl)
+            result = TNode(
+                self.fname,
+                self._compute(nodes),
+                lcls={self.new_lcl} if self.new_lcl else None,
+            )
+            # the host is the first class node's parent (the root when
+            # the class is empty or is the root): copy the path down to
+            # it, share everything else with the input tree
+            path = tree.spine(nodes[:1])[:-1]
+            host = path[-1][0] if path else tree.root
+            copy, mapping = tree.path_copy(path)
+            mapping[id(host)].add_child(result)
+            copy.adopt_index(
+                tree, mapping, [(lcl, result) for lcl in result.lcls]
+            )
             out.append(copy)
         return out
 

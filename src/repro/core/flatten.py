@@ -9,16 +9,40 @@ C must map to children of P.
 This is the second half of the Flatten rewrite (Section 4.2): evaluate the
 ``*``-edge once, run the aggregate, then flatten to recover the
 one-pair-per-tree structure the join needs.
+
+Each output tree is a path copy of the input (DESIGN §10): the nodes from
+the root down to ``p`` are new, ``p``'s copy gets the thinned child list,
+and every retained subtree is shared with the input and with the sibling
+outputs.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 from ..errors import AlgebraError
 from ..model.sequence import TreeSequence
-from ..model.tree import XTree
+from ..model.tree import TNode, XTree
 from .base import Context, Operator
+
+
+def cluster(
+    tree: XTree, parent_lcl: int, child_lcl: int, operator: str
+) -> Tuple[TNode, Sequence[TNode]]:
+    """The validated ``(p, C)`` of one tree, for Flatten and Shadow.
+
+    P must bind to a singleton and every visible member of C must be
+    one of its children.
+    """
+    parent = tree.singleton(parent_lcl, operator)
+    members = tree.class_nodes(child_lcl)
+    child_ids = {id(child) for child in parent.children}
+    if not all(id(member) in child_ids for member in members):
+        raise AlgebraError(
+            f"{operator}: class {child_lcl} must map to children "
+            f"of class {parent_lcl}"
+        )
+    return parent, members
 
 
 class FlattenOp(Operator):
@@ -38,27 +62,18 @@ class FlattenOp(Operator):
     ) -> TreeSequence:
         out = TreeSequence()
         for tree in inputs[0]:
-            parent = tree.singleton(self.parent_lcl, self.name)
-            members = tree.nodes_in_class(self.child_lcl)
-            if not all(any(m is c for c in parent.children) for m in members):
-                raise AlgebraError(
-                    f"Flatten: class {self.child_lcl} must map to children "
-                    f"of class {self.parent_lcl}"
-                )
-            for keep_index in range(len(members)):
-                copy = tree.clone()
-                parent_copy = copy.singleton(self.parent_lcl, self.name)
-                member_position = 0
-                survivors = []
-                for child in parent_copy.children:
-                    if self.child_lcl in child.lcls:
-                        if member_position == keep_index:
-                            survivors.append(child)
-                        member_position += 1
-                    else:
-                        survivors.append(child)
-                parent_copy.children = survivors
-                copy.invalidate()
+            parent, members = cluster(
+                tree, self.parent_lcl, self.child_lcl, self.name
+            )
+            member_ids = {id(member) for member in members}
+            spine = tree.spine([parent])
+            for keep in members:
+                copy, mapping = tree.path_copy(spine)
+                mapping[id(parent)].children = [
+                    child
+                    for child in parent.children
+                    if child is keep or id(child) not in member_ids
+                ]
                 out.append(copy)
                 ctx.metrics.trees_built += 1
         return out

@@ -164,8 +164,9 @@ class JoinOp(Operator):
             # share the input trees instead of cloning them: operators
             # never mutate their inputs (memoised results are shared
             # between consumers already), so stitching the roots in
-            # place is safe — anything that needs to modify the output
-            # clones it first, which deep-copies through shared nodes
+            # place is safe — an operator that edits the output
+            # path-copies the nodes it touches (XTree.path_copy) and
+            # keeps sharing the rest
             root.add_child(left.root)
             for right in rights:
                 root.add_child(right.root)

@@ -9,15 +9,21 @@ one class active again; it does not change the number of trees.
 Together they let a plan evaluate a join on the one-pair-per-tree structure
 and afterwards recover *all* clustered members without a second trip to the
 database (Section 4.3's rewrite).
+
+Neither writes to its input: outputs are path copies (DESIGN §10).  Shadow
+copies the root→``p`` path per output tree and swaps in shadowed twins of
+the hidden members (the members' subtrees stay shared); Illuminate copies
+the paths to the shadowed class nodes and clears the flag on the copies.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
-from ..errors import AlgebraError
 from ..model.sequence import TreeSequence
+from ..model.tree import TNode
 from .base import Context, Operator
+from .flatten import cluster
 
 
 class ShadowOp(Operator):
@@ -37,22 +43,22 @@ class ShadowOp(Operator):
     ) -> TreeSequence:
         out = TreeSequence()
         for tree in inputs[0]:
-            parent = tree.singleton(self.parent_lcl, self.name)
-            members = tree.nodes_in_class(self.child_lcl)
-            if not all(any(m is c for c in parent.children) for m in members):
-                raise AlgebraError(
-                    f"Shadow: class {self.child_lcl} must map to children "
-                    f"of class {self.parent_lcl}"
-                )
-            for keep_index in range(len(members)):
-                copy = tree.clone()
-                parent_copy = copy.singleton(self.parent_lcl, self.name)
-                member_position = 0
-                for child in parent_copy.children:
-                    if self.child_lcl in child.lcls:
-                        child.shadowed = member_position != keep_index
-                        member_position += 1
-                copy.invalidate()
+            parent, members = cluster(
+                tree, self.parent_lcl, self.child_lcl, self.name
+            )
+            # one shadowed twin per member, shared by every output tree
+            # of this input that hides it
+            hidden: Dict[int, TNode] = {}
+            for member in members:
+                twin = hidden[id(member)] = member.copy_node()
+                twin.shadowed = True
+            spine = tree.spine([parent])
+            for keep in members:
+                copy, mapping = tree.path_copy(spine)
+                mapping[id(parent)].children = [
+                    child if child is keep else hidden.get(id(child), child)
+                    for child in parent.children
+                ]
                 out.append(copy)
                 ctx.metrics.trees_built += 1
         return out
@@ -78,10 +84,17 @@ class IlluminateOp(Operator):
     ) -> TreeSequence:
         out = TreeSequence()
         for tree in inputs[0]:
-            copy = tree.clone()
-            for node in copy.nodes_in_class(self.lcl, include_shadowed=True):
-                node.shadowed = False
-            copy.invalidate()
+            hidden = [
+                node
+                for node in tree.class_nodes(self.lcl, include_shadowed=True)
+                if node.shadowed
+            ]
+            if not hidden:
+                out.append(tree)
+                continue
+            copy, mapping = tree.path_copy(tree.spine(hidden))
+            for node in hidden:
+                mapping[id(node)].shadowed = False
             out.append(copy)
         return out
 

@@ -28,7 +28,7 @@ from typing import (
     Tuple,
 )
 
-from .node_id import AnyNodeId, new_temp_id
+from .node_id import AnyNodeId, NodeId, new_temp_id
 from .value import Atomic
 
 
@@ -109,6 +109,19 @@ class TNode:
     # ------------------------------------------------------------------
     # copying and equality
     # ------------------------------------------------------------------
+    def copy_node(self) -> "TNode":
+        """Copy of this node alone: the children are shared, not copied.
+
+        Id, classes and shadow flag carry over and the children *list*
+        is fresh, so the copy can be edited (child appended or dropped,
+        class marked, flag flipped) without writing through to a tree
+        that shares the original.
+        """
+        copy = TNode(self.tag, self.value, self.nid, self.lcls)
+        copy.shadowed = self.shadowed
+        copy.children = list(self.children)
+        return copy
+
     def clone(self) -> "TNode":
         """Deep copy preserving node ids, classes and shadow flags."""
         copy = TNode(self.tag, self.value, self.nid, self.lcls)
@@ -178,12 +191,49 @@ def _escape(text: str) -> str:
     )
 
 
+#: One entry of :meth:`XTree.spine`: a node, the index of its parent's
+#: entry (-1 for the root) and its position among the parent's children.
+SpineEntry = Tuple[TNode, int, int]
+
+
+def _derive_index(
+    base_index: Dict[int, List[TNode]],
+    mapping: Dict[int, TNode],
+    recorder: Sequence[Tuple[int, TNode]],
+) -> Dict[int, List[TNode]]:
+    """A path copy's LC index, derived from the input tree's.
+
+    Classes untouched by the path copies share the input's entry list
+    outright (``nodes_in_class`` hands out copies, so shared lists are
+    never mutated by callers); classes of copied nodes are remapped
+    entry by entry, and the recorder's fresh nodes append in attachment
+    order, which is output pre-order among themselves.  The recorder's
+    classes must be absent from ``base_index`` (their entries would
+    land in a shared list, and not necessarily in pre-order).
+    """
+    index: Dict[int, List[TNode]] = dict(base_index)
+    dirty: set = set()
+    for copy in mapping.values():
+        dirty.update(copy.lcls)
+    for lcl in dirty:
+        nodes = base_index.get(lcl)
+        if nodes is not None:
+            index[lcl] = [mapping.get(id(n), n) for n in nodes]
+    for lcl, node in recorder:
+        index.setdefault(lcl, []).append(node)
+    return index
+
+
 class XTree:
     """A single tree of an intermediate result, with its LC index.
 
     The logical-class index (``LCL -> [nodes]``) is derived lazily from node
-    markings and cached; operators that perform structural surgery call
-    :meth:`invalidate` (or construct a fresh ``XTree``).
+    markings and cached.  Trees are immutable once an operator has emitted
+    them — memoised results feed several consumers, and output trees share
+    subtrees with their inputs — so an operator that edits a witness
+    path-copies it (:meth:`spine`, :meth:`path_copy`, :meth:`adopt_index`)
+    and edits the copies: the edit costs the root→target paths, not the
+    tree.  :meth:`clone` is for callers that need a private deep copy.
     """
 
     __slots__ = ("root", "_lc_index", "_lc_index_shadowed", "_saw_shadowed")
@@ -277,6 +327,111 @@ class XTree:
     def clone(self) -> "XTree":
         """Deep copy of the tree (ids, classes and shadow flags preserved)."""
         return XTree(self.root.clone())
+
+    # ------------------------------------------------------------------
+    # path copying: edit a witness for the cost of the edit
+    # ------------------------------------------------------------------
+    def spine(self, targets: Sequence[TNode]) -> List[SpineEntry]:
+        """The nodes on the root→target paths, targets included, pre-order.
+
+        Each entry is ``(node, parent, position)``: ``parent`` indexes
+        the entry of the node's parent (-1 for the root) and ``position``
+        the node among its parent's children — what :meth:`path_copy`
+        needs to rebuild the paths without looking at any other node.
+        Any prefix of a spine is itself a spine.
+
+        Targets are found by identity, shadowed or not, and the search
+        stops at the last one.  When every target is a stored node,
+        stored subtrees whose interval holds no target are skipped
+        without descending: a stored node's interval bounds its
+        structural subtree in every intermediate tree (operators attach
+        only descendants-by-interval, or temporary nodes, below stored
+        nodes).  Raises ``ValueError`` for a target outside the tree.
+        """
+        wanted = {id(target) for target in targets}
+        spans = [
+            nid
+            for nid in (target.nid for target in targets)
+            if isinstance(nid, NodeId)
+        ]
+        prune = len(spans) == len(targets)
+        spine: List[SpineEntry] = []
+        missing = len(wanted)
+
+        def visit(node: TNode, parent: int, position: int) -> bool:
+            nonlocal missing
+            on_path = id(node) in wanted
+            if on_path:
+                missing -= 1
+            elif prune:
+                nid = node.nid
+                if isinstance(nid, NodeId) and not any(
+                    nid.contains(span) for span in spans
+                ):
+                    return False
+            entry = len(spine)
+            spine.append((node, parent, position))
+            for at, child in enumerate(node.children):
+                if not missing:
+                    break
+                if visit(child, entry, at):
+                    on_path = True
+            if not on_path:
+                spine.pop()
+            return on_path
+
+        visit(self.root, -1, 0)
+        if missing:
+            raise ValueError(f"{missing} path-copy target(s) not in the tree")
+        return spine
+
+    def path_copy(
+        self, spine: Sequence[SpineEntry]
+    ) -> Tuple["XTree", Dict[int, TNode]]:
+        """A tree equal to this one that copies only the ``spine`` nodes.
+
+        Every subtree off the spine is shared by reference with this
+        tree; an empty spine copies just the root.  Returns the new
+        tree — no cached index yet, see :meth:`adopt_index` — and the
+        ``id(original) -> copy`` mapping of the copied nodes, through
+        which the caller applies its edit.
+        """
+        twins: List[TNode] = []
+        mapping: Dict[int, TNode] = {}
+        for node, parent, position in spine or [(self.root, -1, 0)]:
+            twin = mapping[id(node)] = node.copy_node()
+            twins.append(twin)
+            if parent >= 0:
+                twins[parent].children[position] = twin
+        return XTree(twins[0]), mapping
+
+    def adopt_index(
+        self,
+        base: "XTree",
+        mapping: Dict[int, TNode],
+        added: Sequence[Tuple[int, TNode]],
+    ) -> None:
+        """Derive this path copy's cached state from ``base``'s.
+
+        For a copy of ``base`` (through ``mapping``) whose only edit was
+        to append the visible ``added`` nodes — ``(class, node)`` in
+        attachment order, not interleaved with existing class members —
+        below copied visible nodes.  Shadow knowledge carries over, and
+        so does each index ``base`` has cached, unless an added class
+        already has entries there (appending would break their
+        pre-order); what is not derived is rebuilt lazily as usual.
+        Edits that drop nodes or flip shadow flags must not call this.
+        """
+        self._saw_shadowed = base._saw_shadowed
+        fresh = {lcl for lcl, _ in added}
+        if base._lc_index is not None and fresh.isdisjoint(base._lc_index):
+            self._lc_index = _derive_index(base._lc_index, mapping, added)
+        if base._lc_index_shadowed is not None and fresh.isdisjoint(
+            base._lc_index_shadowed
+        ):
+            self._lc_index_shadowed = _derive_index(
+                base._lc_index_shadowed, mapping, added
+            )
 
     @property
     def order_key(self) -> Tuple[int, int, int]:

@@ -25,7 +25,7 @@ from ..columns.batch import ColumnBatch
 from ..errors import PatternError
 from ..model.node_id import NodeId, TempId
 from ..model.sequence import TreeSequence
-from ..model.tree import TNode, XTree
+from ..model.tree import SpineEntry, TNode, XTree
 from ..physical.structural_join import (
     child_columns,
     fast_path_enabled,
@@ -316,9 +316,9 @@ class PatternMatcher:
 
         For each input tree and each valid combination of matches of the
         pattern's edges below each anchor node, emit one output tree: a
-        clone of the input with the new branches attached (stored anchors)
-        or with existing nodes marked into the new classes (temporary
-        anchors, matched in memory).
+        path copy of the input (DESIGN §10) with the new branches
+        attached (stored anchors) or with existing nodes marked into the
+        new classes (temporary anchors, matched in memory).
 
         On the columnar fast path all stored anchors are matched in one
         *batch*: every edge runs a single merge-style structural join
@@ -390,9 +390,6 @@ class PatternMatcher:
         edges = root.edges
         mandatory = any(e.mspec in ("-", "+") for e in edges)
         check_content = bool(root.test.comparisons)
-        pattern_lcls = [
-            node.lcl for edge in edges for node in edge.child.walk()
-        ]
         #: anchors per input tree; None marks an anchor-less tree and
         #: False a tree dropped by the root content test
         entries: List[Tuple[XTree, object]] = []
@@ -426,7 +423,8 @@ class PatternMatcher:
                 limits.tick()
             if anchors is None:
                 if not mandatory:
-                    out.append(tree.clone())
+                    # nothing to extend: the output *is* the input tree
+                    out.append(tree)
                 continue
             if anchors is False:
                 continue
@@ -449,44 +447,25 @@ class PatternMatcher:
             if dead:
                 continue
             # the output LC index can be derived from the input's when
-            # grafts only *append* below stored, non-nested anchors and
-            # the pattern's classes are fresh to this tree: existing
-            # entries keep their pre-order positions (remapped through
-            # the copies) and new entries arrive in anchor/edge/match
-            # order, which *is* output pre-order among themselves
-            base_index = tree._lc_index
-            if (
-                base_index is None
-                or not all(isinstance(a.nid, NodeId) for a in anchors)
-                or any(lcl in base_index for lcl in pattern_lcls)
-            ):
-                base_index = None
-            combos = 1
-            for variants in per_anchor:
-                combos *= len(variants)
-            if combos == 1:
-                # the common case: one output tree — fuse path
-                # discovery and copying into a single bottom-up pass
-                combo = tuple(v[0] for v in per_anchor)
-                out.append(
-                    self._graft_once(
-                        tree, anchors, combo, edges, base_index, built_cache
-                    )
-                )
-                self.db.metrics.trees_built += 1
-                continue
-            copy_ids, nested = _graft_copy_ids(tree, anchors)
-            if nested:
-                base_index = None
+            # grafts only *append* below stored, non-nested anchors
+            # (and the pattern's classes are fresh to the tree, which
+            # ``adopt_index`` checks): existing entries keep their
+            # pre-order positions (remapped through the copies) and new
+            # entries arrive in anchor/edge/match order, which *is*
+            # output pre-order among themselves
+            derive = tree._lc_index is not None and all(
+                isinstance(a.nid, NodeId) for a in anchors
+            )
+            spine, nested = _graft_spine(tree, anchors)
             for combo in itertools.product(*per_anchor):
                 out.append(
                     self._graft_shared(
                         tree,
-                        copy_ids,
+                        spine,
                         anchors,
                         combo,
                         edges,
-                        base_index,
+                        derive and not nested,
                         built_cache,
                     )
                 )
@@ -948,150 +927,30 @@ class PatternMatcher:
                     _apply_match(child, edge.child, host, mapping)
         return XTree(root_copy)
 
-    def _graft_once(
-        self,
-        tree: XTree,
-        anchors: List[TNode],
-        combo: Sequence[_MTree],
-        edges: List[APTEdge],
-        base_index: Optional[Dict[int, List[TNode]]] = None,
-        cache: Optional[Dict[int, Tuple[TNode, List[Tuple[int, TNode]]]]] = None,
-    ) -> XTree:
-        """Single-combination graft: find and copy anchor paths in one pass.
-
-        A bottom-up traversal returns a copy for any node that is an
-        anchor or has a copied descendant, and ``None`` for subtrees
-        that can be shared outright; with all anchors stored, subtrees
-        whose stored interval holds no anchor are skipped without
-        descending (a stored node's interval bounds its structural
-        subtree in every intermediate tree).
-        """
-        single = anchors[0] if len(anchors) == 1 else None
-        anchor_ids = (
-            None if single is not None else {id(a) for a in anchors}
-        )
-        spans = [
-            anchor.nid
-            for anchor in anchors
-            if isinstance(anchor.nid, NodeId)
-        ]
-        prune = len(spans) == len(anchors)
-        span = spans[0] if len(spans) == 1 else None
-        if span is not None:
-            span_doc, span_start, span_end = span.doc, span.start, span.end
-        mapping: Dict[int, TNode] = {}
-        nested = False
-
-        def build(node: TNode) -> Optional[TNode]:
-            nonlocal nested
-            is_anchor = (
-                node is single
-                if single is not None
-                else id(node) in anchor_ids
-            )
-            nid = node.nid
-            if not is_anchor and prune and isinstance(nid, NodeId):
-                if span is not None:
-                    if not (
-                        nid.doc == span_doc
-                        and nid.start < span_start
-                        and span_end < nid.end
-                    ):
-                        return None
-                elif not any(
-                    nid.doc == s.doc
-                    and nid.start < s.start
-                    and s.end < nid.end
-                    for s in spans
-                ):
-                    return None
-            if is_anchor and not isinstance(nid, NodeId):
-                # temporary anchor: marking may touch any descendant,
-                # so the whole subtree needs a private copy
-                return _clone_with_map(node, mapping)
-            new_children = None
-            for i, child in enumerate(node.children):
-                built = build(child)
-                if built is not None:
-                    if new_children is None:
-                        new_children = list(node.children[:i])
-                    new_children.append(built)
-                elif new_children is not None:
-                    new_children.append(child)
-            if new_children is None and not is_anchor:
-                return None
-            if is_anchor and new_children is not None:
-                nested = True
-            copy = TNode(node.tag, node.value, nid, node.lcls)
-            copy.shadowed = node.shadowed
-            copy.children = (
-                new_children
-                if new_children is not None
-                else list(node.children)
-            )
-            mapping[id(node)] = copy
-            return copy
-
-        root_copy = build(tree.root)
-        if root_copy is None:  # pragma: no cover - anchors are in-tree
-            root_copy = tree.root.clone()
-        if nested:
-            base_index = None
-        recorder: Optional[List[Tuple[int, TNode]]] = (
-            [] if base_index is not None else None
-        )
-        for anchor, variant in zip(anchors, combo):
-            host = mapping[id(anchor)]
-            for edge, matches in zip(edges, variant.slots):
-                for child in matches:
-                    _apply_match(
-                        child, edge.child, host, mapping, recorder, cache
-                    )
-        result = XTree(root_copy)
-        # grafts never add shadowed nodes and copies keep flags, so the
-        # input's shadow-presence knowledge carries over
-        result._saw_shadowed = tree._saw_shadowed
-        if base_index is not None and recorder is not None:
-            result._lc_index = _derive_index(base_index, mapping, recorder)
-        return result
-
     def _graft_shared(
         self,
         tree: XTree,
-        copy_ids: set,
+        spine: List[SpineEntry],
         anchors: List[TNode],
         combo: Sequence[_MTree],
         edges: List[APTEdge],
-        base_index: Optional[Dict[int, List[TNode]]] = None,
-        cache: Optional[Dict[int, Tuple[TNode, List[Tuple[int, TNode]]]]] = None,
+        derive: bool,
+        cache: Dict[int, Tuple[TNode, List[Tuple[int, TNode]]]],
     ) -> XTree:
         """One output tree, sharing unmodified subtrees with the input.
 
-        Only the nodes in ``copy_ids`` — the root-to-anchor paths, plus
-        whole subtrees of in-memory anchors (whose descendants may be
-        *marked* by the match) — are copied; every other subtree is the
-        input tree's own node, shared structurally.  This is safe
-        because operators never mutate their inputs (the evaluator
-        shares memoised results between consumers, so in-place mutation
-        was already forbidden) — any operator that needs to modify a
-        tree clones it first, which deep-copies through shared nodes.
+        Only the ``spine`` — the root-to-anchor paths, plus whole
+        subtrees of in-memory anchors (whose descendants may be *marked*
+        by the match) — is copied; every other subtree is the input
+        tree's own node, shared structurally.  This is safe because
+        operators never mutate their inputs (the evaluator shares
+        memoised results between consumers, so in-place mutation was
+        already forbidden) — an operator that edits a tree path-copies
+        the nodes it touches (:meth:`XTree.path_copy`) and leaves the
+        shared ones alone.
         """
-        mapping: Dict[int, TNode] = {}
-
-        def copy_node(node: TNode) -> TNode:
-            copy = TNode(node.tag, node.value, node.nid, node.lcls)
-            copy.shadowed = node.shadowed
-            mapping[id(node)] = copy
-            copy.children = [
-                copy_node(c) if id(c) in copy_ids else c
-                for c in node.children
-            ]
-            return copy
-
-        root_copy = copy_node(tree.root)
-        recorder: Optional[List[Tuple[int, TNode]]] = (
-            [] if base_index is not None else None
-        )
+        result, mapping = tree.path_copy(spine)
+        recorder: Optional[List[Tuple[int, TNode]]] = [] if derive else None
         for anchor, variant in zip(anchors, combo):
             host = mapping[id(anchor)]
             for edge, matches in zip(edges, variant.slots):
@@ -1099,10 +958,12 @@ class PatternMatcher:
                     _apply_match(
                         child, edge.child, host, mapping, recorder, cache
                     )
-        result = XTree(root_copy)
-        result._saw_shadowed = tree._saw_shadowed
-        if base_index is not None and recorder is not None:
-            result._lc_index = _derive_index(base_index, mapping, recorder)
+        if recorder is not None:
+            result.adopt_index(tree, mapping, recorder)
+        else:
+            # grafts never add shadowed nodes and copies keep flags, so
+            # the input's shadow-presence knowledge carries over
+            result._saw_shadowed = tree._saw_shadowed
         return result
 
 
@@ -1112,36 +973,10 @@ def _compare_ok(value, op, rhs) -> bool:
     return compare(value, op, rhs)
 
 
-def _derive_index(
-    base_index: Dict[int, List[TNode]],
-    mapping: Dict[int, TNode],
-    recorder: List[Tuple[int, TNode]],
-) -> Dict[int, List[TNode]]:
-    """The grafted tree's LC index, derived from the input tree's.
-
-    Classes untouched by the path copies share the input's entry list
-    outright (``nodes_in_class`` hands out copies, so shared lists are
-    never mutated by callers); classes of copied nodes are remapped
-    entry by entry, and the recorder's fresh nodes append in graft
-    order, which is output pre-order among themselves.
-    """
-    index: Dict[int, List[TNode]] = dict(base_index)
-    dirty: set = set()
-    for copy in mapping.values():
-        dirty.update(copy.lcls)
-    for lcl in dirty:
-        nodes = base_index.get(lcl)
-        if nodes is not None:
-            index[lcl] = [mapping.get(id(n), n) for n in nodes]
-    for lcl, node in recorder:
-        index.setdefault(lcl, []).append(node)
-    return index
-
-
-def _graft_copy_ids(
-    tree: XTree, anchors: List[TNode]
-) -> Tuple[set, bool]:
-    """Ids of the nodes a shared graft must copy, plus a nesting flag.
+def _graft_spine(
+    tree: XTree, anchors: Sequence[TNode]
+) -> Tuple[List[SpineEntry], bool]:
+    """The nodes a shared graft must copy, plus a nesting flag.
 
     Every node on a root-to-anchor path is copied (its children list
     changes, or a descendant's does).  A temporary anchor additionally
@@ -1149,58 +984,26 @@ def _graft_copy_ids(
     descendant nodes into new classes, and marking must never write
     through to the shared input tree.
 
-    The second return value reports whether any anchor sits inside
-    another anchor's subtree — nested anchors interleave appended
-    branches with existing subtrees in pre-order, which disqualifies
-    the incremental LC-index derivation.
+    The second return value reports whether any anchor has a copied
+    node below it — another anchor in its subtree (nested anchors
+    interleave appended branches with existing subtrees in pre-order)
+    or the subtree of a temporary anchor — either of which
+    disqualifies the incremental LC-index derivation.
     """
-    anchor_ids = {id(anchor) for anchor in anchors}
-    copy_ids: set = set()
-    nested = False
-    # with all anchors stored, a stored node's interval bounds its whole
-    # structural subtree in every intermediate tree (grafts and splices
-    # attach only descendants-by-interval under stored nodes), so
-    # subtrees whose interval holds no anchor are skipped wholesale
-    spans = [
-        anchor.nid
+    marked = [
+        node
         for anchor in anchors
-        if isinstance(anchor.nid, NodeId)
+        if not isinstance(anchor.nid, NodeId)
+        for node in anchor.walk(include_shadowed=True)
     ]
-    prune = len(spans) == len(anchors)
-
-    def visit(node: TNode) -> bool:
-        nonlocal nested
-        is_anchor = id(node) in anchor_ids
-        nid = node.nid
-        if (
-            prune
-            and not is_anchor
-            and isinstance(nid, NodeId)
-            and not any(
-                nid.doc == span.doc
-                and nid.start < span.start
-                and span.end < nid.end
-                for span in spans
-            )
-        ):
-            return False
-        below = False
-        for child in node.children:
-            if visit(child):
-                below = True
-        if is_anchor and below:
-            nested = True
-        if is_anchor or below:
-            copy_ids.add(id(node))
-            return True
-        return False
-
-    visit(tree.root)
-    for anchor in anchors:
-        if not isinstance(anchor.nid, NodeId):
-            for node in anchor.walk(include_shadowed=True):
-                copy_ids.add(id(node))
-    return copy_ids, nested
+    spine = tree.spine([*anchors, *marked])
+    on_spine = {id(entry[0]) for entry in spine}
+    nested = any(
+        id(child) in on_spine
+        for anchor in anchors
+        for child in anchor.children
+    )
+    return spine, nested
 
 
 def _clone_with_map(node: TNode, mapping: Dict[int, TNode]) -> TNode:
@@ -1225,7 +1028,7 @@ def _apply_match(
 
     With ``recorder`` every freshly built node is recorded with its
     class label, in attachment (pre-)order, for the incremental
-    LC-index derivation of :meth:`PatternMatcher._graft_shared`.
+    LC-index derivation of :meth:`XTree.adopt_index`.
 
     With ``cache`` the subtree built for a stored match is memoised by
     variant identity and *shared* between every output tree that

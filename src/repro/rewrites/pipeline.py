@@ -17,12 +17,15 @@ from dataclasses import dataclass, field
 from typing import List
 
 from ..core.base import Operator
-from ..core.select import SelectOp
 from ..errors import PlanValidationError
 from ..xquery.translator import TranslationResult
 from .flatten_rewrite import apply_flatten, find_flatten_sites
 from .reuse import share_common_selects
-from .shadow_rewrite import apply_illuminate, find_illuminate_sites
+from .shadow_rewrite import (
+    apply_illuminate,
+    find_illuminate_sites,
+    refetch_edges,
+)
 
 
 @dataclass
@@ -78,21 +81,11 @@ class _StepVerifier:
 
 def _has_refetch(root: Operator, parent_lcl: int, tag: str) -> bool:
     """Is there an extension select re-fetching ``tag`` under the class?"""
-    for op in root.walk():
-        if not isinstance(op, SelectOp):
-            continue
-        apt_root = op.apt.root
-        if apt_root.lc_ref != parent_lcl or len(apt_root.edges) != 1:
-            continue
-        child = apt_root.edges[0].child
-        if (
-            apt_root.edges[0].mspec in ("+", "*")
-            and not child.edges
-            and not child.test.comparisons
-            and child.test.tag == tag
-        ):
-            return True
-    return False
+    return any(
+        edge.child.test.tag == tag
+        for op in root.walk()
+        for edge in refetch_edges(op, parent_lcl)
+    )
 
 
 def optimize(root: Operator, verify: bool = True) -> tuple:

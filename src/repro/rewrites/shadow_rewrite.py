@@ -8,6 +8,12 @@ is therefore pure redundancy: it can be replaced by a single
 **Illuminate**, and downstream references to its fresh class relabelled
 to the shadowed class (Figure 12's transformation, and the combination
 for Q1 the paper sketches at the end of Section 4.3).
+
+The translator fuses a RETURN's paths over one class into one extension
+Select, so the redundant re-fetch is in general one *edge* of a
+multi-edge extension root: that edge is cut out and the Illuminate goes
+below what remains of the Select (a Select left without edges is
+replaced outright).
 """
 
 from __future__ import annotations
@@ -19,46 +25,57 @@ from ..core.base import Operator
 from ..core.project import ProjectOp
 from ..core.select import SelectOp
 from ..core.shadow import IlluminateOp, ShadowOp
+from ..patterns.apt import APTEdge
 from .base import consumers_above, parent_map, rename_lcl
 
 
 @dataclass
 class IlluminateSite:
-    """One extension Select that can become an Illuminate."""
+    """One extension-Select edge that can become an Illuminate."""
 
-    select: SelectOp  # the redundant re-fetching extension select
+    select: SelectOp  # the extension select holding the edge
+    edge: APTEdge  # the redundant re-fetching edge of its root
     shadow: ShadowOp  # the Shadow that retained the nodes
     shadowed_lcl: int  # B: the class Shadow hid
     refetch_lcl: int  # C: the class the redundant select would create
 
 
-def find_illuminate_sites(root: Operator) -> List[IlluminateSite]:
-    """Find extension Selects whose target nodes a Shadow already holds."""
-    shadows = [op for op in root.walk() if isinstance(op, ShadowOp)]
-    if not shadows:
+def refetch_edges(op: Operator, parent_lcl: int) -> List[APTEdge]:
+    """Edges of an extension Select over ``parent_lcl`` that merely re-fetch.
+
+    A re-fetch is a nested (``+``/``*``) edge to a plain leaf: no
+    sub-pattern and no content comparison, so its matches are exactly
+    the children/descendants a Shadow over the same class retained.
+    """
+    if not isinstance(op, SelectOp) or op.apt.root.lc_ref != parent_lcl:
         return []
+    return [
+        edge
+        for edge in op.apt.root.edges
+        if edge.mspec in ("+", "*")
+        and not edge.child.edges
+        and not edge.child.test.comparisons
+    ]
+
+
+def find_illuminate_sites(root: Operator) -> List[IlluminateSite]:
+    """Find extension-Select edges whose targets a Shadow already holds."""
+    shadows = [op for op in root.walk() if isinstance(op, ShadowOp)]
     sites: List[IlluminateSite] = []
     for op in root.walk():
-        if not isinstance(op, SelectOp):
-            continue
-        apt_root = op.apt.root
-        if apt_root.lc_ref is None or len(apt_root.edges) != 1:
-            continue
-        edge = apt_root.edges[0]
-        child = edge.child
-        if edge.mspec not in ("+", "*") or child.edges:
-            continue
-        if child.test.comparisons:
-            continue
         for shadow in shadows:
-            if shadow.parent_lcl != apt_root.lc_ref:
-                continue
-            if not _same_tag(root, shadow, child.test.tag):
-                continue
-            if op not in consumers_above(root, shadow):
+            edges = [
+                edge
+                for edge in refetch_edges(op, shadow.parent_lcl)
+                if _same_tag(root, shadow, edge.child.test.tag)
+            ]
+            if not edges or op not in consumers_above(root, shadow):
                 continue  # the select must sit above the shadow
-            sites.append(
-                IlluminateSite(op, shadow, shadow.child_lcl, child.lcl)
+            sites.extend(
+                IlluminateSite(
+                    op, edge, shadow, shadow.child_lcl, edge.child.lcl
+                )
+                for edge in edges
             )
             break
     return sites
@@ -79,14 +96,18 @@ def _same_tag(root: Operator, shadow: ShadowOp, tag: Optional[str]) -> bool:
 
 
 def apply_illuminate(root: Operator, site: IlluminateSite) -> Operator:
-    """Replace the redundant select with Illuminate; relabel upstream."""
-    parents = parent_map(root)
-    illuminate = IlluminateOp(site.shadowed_lcl, site.select.inputs[0])
-    consumer = parents.get(id(site.select))
-    if consumer is None:
-        root = illuminate
+    """Replace the redundant edge with Illuminate; relabel upstream."""
+    select = site.select
+    illuminate = IlluminateOp(site.shadowed_lcl, select.inputs[0])
+    select.apt.root.edges.remove(site.edge)
+    if select.apt.root.edges:
+        select.replace_input(select.inputs[0], illuminate)
     else:
-        consumer.replace_input(site.select, illuminate)
+        consumer = parent_map(root).get(id(select))
+        if consumer is None:
+            root = illuminate
+        else:
+            consumer.replace_input(select, illuminate)
     # everything that would have referenced the re-fetched class now
     # addresses the illuminated one
     for op in root.walk():

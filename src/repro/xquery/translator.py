@@ -19,8 +19,9 @@ per-reduction cases:
   after the join.
 * **ORDER BY / RETURN** emit Project (keep bound variables + join root +
   classes the return needs), NodeIDDE on FOR variables, one extension
-  Select per return path (``*`` edges), Aggregates for aggregate returns,
-  a Sort, and the final Construct (boxes 6–10 of Figure 7).
+  Select per bound class per run of adjacent return paths (one ``*`` edge
+  per path, in argument order), Aggregates for aggregate returns, a Sort,
+  and the final Construct (boxes 6–10 of Figure 7).
 * **Nested FLWORs** translate recursively and join to the outer plan with
   a ``-`` (FOR) or ``*`` (LET / RETURN) edge; inner projections and the
   inner construct are widened so deferred join classes and
@@ -732,8 +733,13 @@ class _Block:
     # RETURN parsing
     # ------------------------------------------------------------------
     def _parse_return(self, ret) -> dict:
-        """Build the construct tree + the extension selects it needs."""
-        spec = {"selects": [], "keep": [], "ctree": None}
+        """Build the construct tree + the extension selects it needs.
+
+        ``run`` is the extension root still open for more paths: the
+        last builder in ``selects`` extends that root's class, so the
+        next return path over the same class joins it as one more edge.
+        """
+        spec = {"selects": [], "keep": [], "ctree": None, "run": None}
         if ret is None:
             raise TranslationError("FLWOR lacks a RETURN clause")
         spec["ctree"] = self._return_expr(ret, spec)
@@ -778,6 +784,7 @@ class _Block:
                     f, l, n, top
                 )
             )
+            spec["run"] = None  # a later path extends the Aggregate's output
             return CClassRef(new_lcl, text_only=True)
         owner, binding = self.lookup(var_of(expr))
         if owner is not self:
@@ -788,13 +795,21 @@ class _Block:
             spec["keep"].append(binding.label)
             return CClassRef(binding.label, text_only=text)
         if binding.apt_node is not None:
-            ext_root = APTNode(NodeTest(None), 0, lc_ref=binding.label)
+            # each path is its own chain of pattern nodes (no prefix
+            # sharing with its neighbours), grafted on a scratch root
+            # and then moved under the run's extension root
+            chain = APTNode(NodeTest(None), 0, lc_ref=binding.label)
             leaf = graft_steps(
-                ext_root, expr.steps, "*", self.lcls, self.class_tags
+                chain, expr.steps, "*", self.lcls, self.class_tags
             )
-            spec["selects"].append(
-                lambda top, apt=APT(ext_root): SelectOp(apt, top)
-            )
+            ext_root = spec["run"]
+            if ext_root is None or ext_root.lc_ref != binding.label:
+                ext_root = spec["run"] = chain
+                spec["selects"].append(
+                    lambda top, apt=APT(ext_root): SelectOp(apt, top)
+                )
+            else:
+                ext_root.edges.extend(chain.edges)
             spec["keep"].append(binding.label)
             return CClassRef(leaf.lcl, text_only=text)
         lcl = self.resolve_constructed_path(binding, expr)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import Engine
+from repro.core.base import Operator
+from repro.model import XTree
 from repro.storage import Database
 from repro.xmark import load_xmark
 
@@ -65,3 +67,65 @@ def xmark_engine() -> Engine:
 def canonical_sorted(sequence):
     """Order-insensitive content fingerprint of a result forest."""
     return sorted(repr(tree.canonical(True)) for tree in sequence)
+
+
+# ----------------------------------------------------------------------
+# sharing-safety helpers (path-copying operators, DESIGN §10)
+# ----------------------------------------------------------------------
+class Const(Operator):
+    """Leaf operator returning a fixed sequence."""
+
+    name = "Const"
+
+    def __init__(self, sequence):
+        super().__init__([])
+        self.sequence = sequence
+
+    def execute(self, ctx, inputs):
+        return self.sequence
+
+
+def snapshot(tree: XTree) -> dict:
+    """Everything observable about every node, keyed by identity."""
+    return {
+        id(node): (
+            node.tag,
+            node.value,
+            node.nid,
+            frozenset(node.lcls),
+            node.shadowed,
+            tuple(id(child) for child in node.children),
+        )
+        for node in tree.root.walk(include_shadowed=True)
+    }
+
+
+def fresh_nodes(out: XTree, source: XTree) -> list:
+    """Nodes of ``out`` that are not (by identity) nodes of ``source``."""
+    old = {id(node) for node in source.root.walk(include_shadowed=True)}
+    return [
+        node
+        for node in out.root.walk(include_shadowed=True)
+        if id(node) not in old
+    ]
+
+
+def index_ids(index: dict) -> dict:
+    return {lcl: [id(node) for node in nodes] for lcl, nodes in index.items()}
+
+
+def assert_cached_state_exact(tree: XTree) -> None:
+    """Whatever ``tree`` has cached must equal a from-scratch build."""
+    scratch = XTree(tree.root)
+    if tree._lc_index is not None:
+        assert index_ids(tree._lc_index) == index_ids(
+            scratch._build_index(False)
+        )
+    if tree._lc_index_shadowed is not None:
+        assert index_ids(tree._lc_index_shadowed) == index_ids(
+            scratch._build_index(True)
+        )
+    if tree._saw_shadowed is not None:
+        assert tree._saw_shadowed == any(
+            node.shadowed for node in tree.root.walk(include_shadowed=True)
+        )

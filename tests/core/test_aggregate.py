@@ -109,3 +109,27 @@ class TestPlacement:
         AggregateOp("count", 3, 11).execute(ctx2, [base])
         assert tiny_db.metrics.nodes_touched == 0
         assert tiny_db.metrics.pages_read == 0
+
+
+class TestUnlabelledResult:
+    """``new_lcl == 0`` means "no class", not "class 0"."""
+
+    def test_zero_label_marks_nothing(self, tiny_db):
+        ctx = Context(tiny_db)
+        base = evaluate(auction_with_increases(), ctx)
+        op = AggregateOp("count", 3, 0)
+        assert op.lc_produced() == set()
+        for tree in op.execute(ctx, [base]):
+            (node,) = tree.root.find(lambda n: n.tag == "count")
+            assert node.lcls == set()
+            assert tree.nodes_in_class(0) == []
+            assert 0 not in (tree._lc_index or {})
+
+    def test_batch_and_tree_paths_agree(self, tiny_db):
+        plan = AggregateOp("count", 3, 0, auction_with_increases())
+        result = evaluate(plan, Context(tiny_db))
+        nodes = [
+            t.root.find(lambda n: n.tag == "count")[0] for t in result
+        ]
+        assert sorted(n.value for n in nodes) == [0, 1, 3]
+        assert all(not n.lcls for n in nodes)

@@ -32,6 +32,24 @@ QUERIES = [
     'LET $a := FOR $o IN document("a.xml")//auction '
     "          WHERE $o/bid/@by = $p/@id RETURN <t/> "
     "RETURN <n c={count($a)}>{$p/name/text()}</n>",
+    # multi-path RETURN over one class: one fused extension Select with
+    # an optional path, an attribute and a repeated prefix
+    'FOR $p IN document("a.xml")//person '
+    "RETURN <m id={$p/@id}>{$p/name/text()}{$p/age}{$p/name}</m>",
+    # an aggregate in the middle ends the run; the rest is a second Select
+    'FOR $o IN document("a.xml")//auction '
+    "RETURN <m>{$o/@id}{count($o/bid)}{$o/bid}{$o/bid/@by}</m>",
+    # paths over two joined classes, interleaved: three runs
+    'FOR $p IN document("a.xml")//person '
+    'FOR $o IN document("a.xml")//auction '
+    "WHERE $p/@id = $o/bid/@by "
+    "RETURN <m>{$p/name/text()}{$p/age}{$o/@id}{$p/@id}{$o/bid}</m>",
+    # multi-path RETURN inside a correlated LET block and outside it
+    'FOR $p IN document("a.xml")//person '
+    'LET $a := FOR $o IN document("a.xml")//auction '
+    "          WHERE $o/bid/@by = $p/@id "
+    "          RETURN <t id={$o/@id}>{$o/bid}{count($o/bid)}</t> "
+    "RETURN <n c={count($a)} id={$p/@id}>{$p/name/text()}{$p/age}</n>",
 ]
 
 
@@ -91,14 +109,22 @@ def test_engines_agree_on_random_documents(xml):
 def test_rewrites_preserve_results_on_random_documents(xml):
     engine = Engine()
     engine.load_xml("a.xml", xml)
-    query = (
+    head = (
         'FOR $p IN document("a.xml")//person '
         'FOR $o IN document("a.xml")//auction '
         "WHERE count($o/bid) > 1 AND $p/@id = $o/bid/@by "
-        "RETURN <r name={$p/name/text()}> $o/bid </r>"
     )
-    plain = canonical_sorted(engine.run(query, engine="tlc"))
-    optimized = canonical_sorted(
-        engine.run(query, engine="tlc", optimize=True)
-    )
-    assert plain == optimized
+    for ret in (
+        "RETURN <r name={$p/name/text()}> $o/bid </r>",
+        # the re-fetched $o/bid is one edge of a fused three-edge Select:
+        # Illuminate replaces that edge only
+        "RETURN <r name={$p/name/text()}>{$o/@id} $o/bid {$o/bid/@by}</r>",
+    ):
+        plain = canonical_sorted(engine.run(head + ret, engine="tlc"))
+        optimized = canonical_sorted(
+            engine.run(head + ret, engine="tlc", optimize=True)
+        )
+        assert plain == optimized, ret
+        assert plain == canonical_sorted(
+            engine.run(head + ret, engine="nav")
+        ), ret

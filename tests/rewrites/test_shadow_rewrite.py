@@ -97,6 +97,56 @@ class TestIlluminateTransformation:
         assert any(shadow.child_lcl in p.keep_lcls for p in projects)
 
 
+class TestFusedSelectEdge:
+    """The re-fetch as one edge of a fused multi-path extension Select."""
+
+    Q = '''
+    FOR $p IN document("auction.xml")//person
+    FOR $o IN document("auction.xml")//open_auction
+    WHERE count($o/bidder) > 2 AND $p/@id = $o/bidder//@person
+    RETURN <r>{$o/initial/text()} $o/bidder {$o/quantity/text()}</r>
+    '''
+
+    def fused_select(self, plan):
+        (select,) = [
+            op
+            for op in plan.walk()
+            if isinstance(op, SelectOp) and len(op.apt.root.edges) == 3
+        ]
+        return select
+
+    def test_translator_fuses_the_three_paths(self):
+        select = self.fused_select(translate_query(self.Q).plan)
+        assert [e.child.test.tag for e in select.apt.root.edges] == [
+            "initial", "bidder", "quantity",
+        ]
+
+    def test_only_the_refetch_edge_is_cut(self, tiny_db):
+        plain = evaluate(translate_query(self.Q).plan, Context(tiny_db))
+        plan, log = optimize(translate_query(self.Q).plan)
+        assert log.shadowed and log.illuminated
+        (illuminate,) = [
+            op for op in plan.walk() if isinstance(op, IlluminateOp)
+        ]
+        (select,) = [
+            op
+            for op in plan.walk()
+            if isinstance(op, SelectOp) and op.inputs == [illuminate]
+        ]
+        assert [e.child.test.tag for e in select.apt.root.edges] == [
+            "initial", "quantity",
+        ]
+        assert canon(plain) == canon(evaluate(plan, Context(tiny_db)))
+
+    def test_a_select_left_without_edges_is_replaced(self):
+        plan, log = optimize(translate_query(Q1).plan)
+        assert log.illuminated
+        assert not any(
+            isinstance(op, SelectOp) and not op.apt.root.edges
+            for op in plan.walk()
+        )
+
+
 class TestEquivalence:
     def test_q1_shadow_illuminate_preserves_results(self, tiny_db):
         plain = evaluate(translate_query(Q1).plan, Context(tiny_db))
