@@ -1,31 +1,15 @@
-"""CI smoke check for the columnar fast path (guards BENCH_3.json)
-and the batch runtime (guards BENCH_8.json).
-
-Re-runs the before/after fast-path sweep and compares it against the
-committed ``BENCH_3.json`` baseline.  The check fails (exit 1) when
-
-* the geomean of structural_joins-normalised wall time over the
-  join-heavy queries regresses by more than the threshold (default 25%,
-  ``--threshold`` / ``REPRO_BENCH_THRESHOLD``),
-* any work counter (pages, joins, index entries, ...) is higher under
-  the fast path than under the legacy path, or
-* the fast path loses its net speedup on join-heavy queries.
-
-Normalising wall time by structural joins executed makes the check
-tolerant of scale-factor changes and (to first order) machine speed;
-the threshold absorbs the rest.  Run ``python -m repro bench fastpath
---factor 0.005 --out BENCH_3.json`` to refresh the baseline after an
-intentional performance change.
+"""CI smoke checks for the batch runtime (guards BENCH_8.json), the
+cost-based planner (guards BENCH_9.json) and the process-pool service.
 
 With ``--batch-baseline`` (CI passes ``BENCH_8.json``) a batch-runtime
-stage runs after the fast-path gate: every XMark query executes with
-the batch runtime off and on (both column backends) and must produce
-byte-identical XML, then the fresh before/after batch sweep is gated
-against the committed baseline with the same threshold — failing when
-the pure-Python speedup geomean falls more than the threshold below
-the committed number, when the batch runtime goes net slower than the
-per-tree path, or when it increases any work counter.  Refresh with
-``python -m repro bench fastpath --batch --factor 0.005 --out
+stage runs: every XMark query executes with the batch runtime off and
+on (both column backends) and must produce byte-identical XML, then
+the fresh before/after batch sweep is gated against the committed
+baseline (``--threshold`` / ``REPRO_BENCH_THRESHOLD``, default 25%) —
+failing when the pure-Python speedup geomean falls more than the
+threshold below the committed number, when the batch runtime goes net
+slower than the per-tree path, or when it increases any work counter.
+Refresh with ``python -m repro bench batch --factor 0.005 --out
 BENCH_8.json``.
 
 With ``--planner-baseline`` (CI passes ``BENCH_9.json``) a planner
@@ -34,7 +18,7 @@ and on and must produce byte-identical XML, then a fresh static-vs-
 planned sweep is gated against the committed baseline — failing when
 the planned speedup geomean falls more than the threshold below the
 committed number, when planning goes clearly net slower than the
-static fast path, or when no join-order win survives.  Refresh with
+static plans, or when no join-order win survives.  Refresh with
 ``python -m repro bench planner --factor 0.05 --repeats 3 --out
 BENCH_9.json``.
 
@@ -51,7 +35,6 @@ worker-side phases, and the combined Chrome-trace export must pass
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_smoke.py --baseline BENCH_3.json
     PYTHONPATH=src python benchmarks/bench_smoke.py \
         --batch-baseline BENCH_8.json
     PYTHONPATH=src python benchmarks/bench_smoke.py \
@@ -68,14 +51,11 @@ import sys
 from pathlib import Path
 
 from repro.bench import (
+    DEFAULT_FACTOR,
     BatchReport,
-    FastPathReport,
     batch_table,
-    check_against_baseline,
     check_batch_against_baseline,
     compare_batch,
-    compare_fastpath,
-    fastpath_table,
 )
 
 
@@ -173,7 +153,7 @@ def check_planner(baseline_path: Path, factor: float | None,
         return 1
     print(
         f"\nOK: planner sweep ({len(FIGURE15_ORDER)} queries) "
-        "byte-identical to the static fast path"
+        "byte-identical to the static plans"
     )
 
     # stage 2: fresh static-vs-planned measurement vs the baseline.
@@ -290,15 +270,11 @@ def check_process_pool(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--baseline",
-        default="BENCH_3.json",
-        help="committed baseline report (default: BENCH_3.json)",
-    )
-    parser.add_argument(
         "--factor",
         type=float,
         default=None,
-        help="XMark scale factor (default: the baseline's factor)",
+        help="XMark scale factor (default: each baseline's own factor; "
+        f"{DEFAULT_FACTOR} for the --mode process stage)",
     )
     parser.add_argument(
         "--repeats",
@@ -310,12 +286,7 @@ def main(argv=None) -> int:
         "--threshold",
         type=float,
         default=float(os.environ.get("REPRO_BENCH_THRESHOLD", "0.25")),
-        help="allowed fractional regression in normalised wall time",
-    )
-    parser.add_argument(
-        "--out",
-        help="also write the fresh report as JSON (for refreshing "
-        "the baseline)",
+        help="allowed fractional regression vs a committed baseline",
     )
     parser.add_argument(
         "--batch-baseline",
@@ -357,31 +328,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    baseline_path = Path(args.baseline)
-    if not baseline_path.exists():
-        print(f"error: baseline {baseline_path} not found", file=sys.stderr)
-        return 1
-    baseline = FastPathReport.from_json(baseline_path.read_text())
-    factor = args.factor if args.factor is not None else baseline.factor
-
-    current = compare_fastpath(factor=factor, repeats=args.repeats)
-    print(fastpath_table(current))
-    if args.out:
-        Path(args.out).write_text(current.to_json())
-        print(f"wrote {args.out}", file=sys.stderr)
-
-    findings = check_against_baseline(current, baseline, args.threshold)
-    if findings:
-        print("\nFAIL: fast-path smoke check", file=sys.stderr)
-        for finding in findings:
-            print(f"  - {finding}", file=sys.stderr)
-        return 1
-    print(
-        f"\nOK: join-heavy speedup {current.join_heavy_speedup():.2f}x, "
-        f"normalised {current.normalized_after_geomean():.1f} us/join "
-        f"(baseline {baseline.normalized_after_geomean():.1f}, "
-        f"threshold +{args.threshold:.0%})"
-    )
     if args.batch_baseline:
         batch_baseline = Path(args.batch_baseline)
         if not batch_baseline.exists():
@@ -409,6 +355,7 @@ def main(argv=None) -> int:
         if status:
             return status
     if args.mode == "process":
+        factor = args.factor if args.factor is not None else DEFAULT_FACTOR
         return check_process_pool(
             factor, args.workers, args.start_method, spans=args.spans
         )

@@ -21,7 +21,7 @@ Commands:
   Chrome-trace-event JSON (load in Perfetto / ``chrome://tracing``);
 * ``calibrate`` — measure the cost model's constants on this machine:
   run the benchmark queries under the tracer, distil per-operator
-  self-time-per-row and the legacy/batch constants into a calibration
+  self-time-per-row and the batch constants into a calibration
   table the planner loads via ``REPRO_CALIBRATION``;
 * ``prepare``  — compile a query through the service's prepared-plan
   cache and report what the cache would save on re-execution;
@@ -742,7 +742,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     harness = Harness()
     trace = getattr(args, "trace", False)
-    if trace and args.figure in ("17", "fastpath", "service", "planner"):
+    if trace and args.figure in ("17", "batch", "service", "planner"):
         raise ReproError(
             "--trace breaks down Figures 15 and 16; the other benches "
             "have no per-operator report"
@@ -772,21 +772,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.out:
             Path(args.out).write_text(report.to_json())
             print(f"wrote {args.out}", file=sys.stderr)
-    elif args.figure == "fastpath":
-        if getattr(args, "batch", False):
-            from .bench import batch_table, compare_batch
+    elif args.figure == "batch":
+        from .bench import batch_table, compare_batch
 
-            report = compare_batch(
-                factor=args.factor, repeats=args.repeats, harness=harness
-            )
-            print(batch_table(report))
-        else:
-            from .bench import compare_fastpath, fastpath_table
-
-            report = compare_fastpath(
-                factor=args.factor, repeats=args.repeats, harness=harness
-            )
-            print(fastpath_table(report))
+        report = compare_batch(
+            factor=args.factor, repeats=args.repeats, harness=harness
+        )
+        print(batch_table(report))
         if args.out:
             Path(args.out).write_text(report.to_json())
             print(f"wrote {args.out}", file=sys.stderr)
@@ -1036,11 +1028,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="regenerate a paper figure or the fast-path comparison",
+        help="regenerate a paper figure or a before/after comparison",
     )
     bench.add_argument(
         "figure",
-        choices=("15", "16", "17", "fastpath", "service", "planner"),
+        choices=("15", "16", "17", "batch", "service", "planner"),
     )
     bench.add_argument("--factor", type=float, default=0.002)
     bench.add_argument("--repeats", type=int, default=3)
@@ -1066,15 +1058,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run and attribute costs to individual operators",
     )
     bench.add_argument(
-        "--batch", action="store_true",
-        help="fastpath only: compare the batch runtime against the "
-        "per-tree fast path instead (the BENCH_8 experiment; "
-        "--out e.g. BENCH_8.json)",
-    )
-    bench.add_argument(
         "--out",
-        help="fastpath/service/planner only: also write the report as "
-        "JSON (e.g. BENCH_3.json / BENCH_4.json / BENCH_9.json)",
+        help="batch/service/planner only: also write the report as "
+        "JSON (e.g. BENCH_8.json / BENCH_4.json / BENCH_9.json)",
     )
     bench.set_defaults(func=cmd_bench)
 

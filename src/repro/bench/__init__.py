@@ -8,13 +8,6 @@ from .batch import (
     compare_batch,
 )
 from .env import runtime_flags
-from .fastpath import (
-    FastPathReport,
-    FastPathRow,
-    check_against_baseline,
-    compare_fastpath,
-    fastpath_table,
-)
 from .harness import DEFAULT_FACTOR, FIGURE15_ENGINES, Harness
 from .planner_bench import (
     PlannerReport,
@@ -45,8 +38,6 @@ __all__ = [
     "BatchRow",
     "DEFAULT_FACTOR",
     "FIGURE15_ENGINES",
-    "FastPathReport",
-    "FastPathRow",
     "batch_table",
     "check_batch_against_baseline",
     "compare_batch",
@@ -57,9 +48,7 @@ __all__ = [
     "ServiceBenchRow",
     "bench_service",
     "service_table",
-    "check_against_baseline",
     "check_planner_against_baseline",
-    "compare_fastpath",
     "compare_planner",
     "planner_table",
     "runtime_flags",

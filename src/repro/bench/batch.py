@@ -1,18 +1,18 @@
 """Before/after harness for the batch runtime (BENCH_8 experiment).
 
-"Before" is the per-tree fast path (PR 3's optimised stack: shared
-postings, merge cursors, scan cache) with the batch runtime switched
-off; "after" is the same stack evaluating batch-at-a-time over
+"Before" is per-tree evaluation (shared postings, merge cursors, scan
+cache) with the batch runtime switched off; "after" is the same stack
+evaluating batch-at-a-time over
 :class:`~repro.columns.batch.ColumnBatch` columns.  Both configurations
 run the *same* plans over the *same* cached XMark engine, so the only
 variable is the operator currency — trees versus columns.
 
 The sweep runs once per column backend: ``pure`` (plain Python lists,
 the configuration the acceptance gate tracks) and ``numpy`` (recorded
-separately; absent when the container lacks numpy).  As with the
-fast-path harness, absolute seconds belong to this machine — the
-per-query **speedup** is the number that travels, and the committed
-``BENCH_8.json`` baseline is what the CI smoke check compares against.
+separately; absent when the container lacks numpy).  Absolute seconds
+belong to this machine — the per-query **speedup** is the number that
+travels, and the committed ``BENCH_8.json`` baseline is what the CI
+smoke check compares against.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from ..columns.arrays import numpy_available, use_numpy
 from ..columns.batch import use_batch
 from ..xmark.queries import FIGURE15_ORDER
 from .env import runtime_flags
-from .fastpath import WORK_COUNTERS, _geomean
-from .harness import DEFAULT_FACTOR, Harness
+from .harness import DEFAULT_FACTOR, WORK_COUNTERS, Harness, _geomean
 
 #: Column backends the sweep measures, in report order.
 BACKENDS = ("pure", "numpy")
@@ -39,7 +38,7 @@ class BatchRow:
 
     query: str
     backend: str            #: "pure" or "numpy"
-    before_seconds: float   #: per-tree fast path (batch off)
+    before_seconds: float   #: per-tree evaluation (batch off)
     after_seconds: float    #: batch runtime (batch on)
     speedup: float
     batch_ops: int          #: operators that produced columnar output
@@ -123,11 +122,11 @@ def compare_batch(
 ) -> BatchReport:
     """Measure every query before (per-tree) and after (batch runtime).
 
-    Both sides keep the fast path and scan cache on — the comparison
-    isolates the operator currency.  Backends default to ``pure`` plus
-    ``numpy`` when available; requesting ``numpy`` without numpy
-    installed raises (the caller asked for a measurement that cannot
-    run honestly).
+    Both sides keep the scan cache on — the comparison isolates the
+    operator currency.  Backends default to ``pure`` plus ``numpy``
+    when available; requesting ``numpy`` without numpy installed
+    raises (the caller asked for a measurement that cannot run
+    honestly).
     """
     harness = harness or Harness()
     if backends is None:

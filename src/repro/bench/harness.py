@@ -10,6 +10,7 @@ compare (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -30,6 +31,33 @@ FIGURE15_ENGINES = ("tlc", "gtp", "tax", "nav")
 #: Default scale factor for full-grid runs (factor 1 ≈ the paper's 710 MB
 #: document is far beyond interpreted-Python scale; ratios are preserved).
 DEFAULT_FACTOR = 0.005
+
+#: Work counters a before/after sweep requires never to increase.  The
+#: observability counters (scan_cache_hits, postings_reused) are
+#: telemetry, not work, and buffer_hits can only *drop* together with
+#: the scans it measures.
+WORK_COUNTERS = (
+    "pages_read",
+    "pages_written",
+    "nodes_touched",
+    "index_lookups",
+    "index_entries_scanned",
+    "structural_joins",
+    "value_joins",
+    "nest_joins",
+    "groupby_ops",
+    "pattern_matches",
+    "navigation_steps",
+    "trees_built",
+    "sort_ops",
+)
+
+
+def _geomean(values: Sequence[float]) -> float:
+    positive = [v for v in values if v > 0]
+    if not positive:
+        return float("nan")
+    return math.exp(sum(math.log(v) for v in positive) / len(positive))
 
 
 @dataclass
@@ -57,7 +85,6 @@ class Harness:
         optimize: bool = False,
         repeats: int = 1,
         trace: bool = False,
-        scan_cache: bool = True,
     ) -> QueryReport:
         """One measurement: query × engine × factor.
 
@@ -73,10 +100,6 @@ class Harness:
         its final execution (``report.trace``) — the opt-in Figure 15/16
         per-operator breakdown.  Tracing applies to the algebraic
         engines only; ``nav`` measurements ignore the flag.
-
-        ``scan_cache`` is forwarded to :meth:`Engine.measure`; the
-        fast-path comparison harness (:mod:`repro.bench.fastpath`)
-        disables it for its "before" configuration.
         """
         engine = self.engine_for(factor)
         trace = trace and engine_name != "nav"
@@ -86,7 +109,6 @@ class Harness:
             optimize=optimize,
             label=name,
             trace=trace,
-            scan_cache=scan_cache,
         )
         if first.seconds >= self.budget_seconds / 10:
             # too slow to repeat; the single (cold) run is the result
@@ -99,7 +121,6 @@ class Harness:
                 optimize=optimize,
                 label=name,
                 trace=trace,
-                scan_cache=scan_cache,
             )
             for _ in range(max(1, repeats))
         ]

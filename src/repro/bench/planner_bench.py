@@ -1,13 +1,13 @@
-"""Planner-on vs static fast path (the BENCH_9 experiment).
+"""Planner-on vs static plans (the BENCH_9 experiment).
 
 "Before" is the static configuration every earlier baseline measured:
-the translator's plan shape executed as-is on the fast path.  "After"
-runs the same queries with cost-based physical planning
+the translator's plan shape executed as-is.  "After" runs the same
+queries with cost-based physical planning
 (:func:`~repro.planner.plan_physical`) applied before execution — edge
-orders, operator currency and join engine chosen by the cost model.
-Planning time is *included* in the after-side wall time: a planner that
-only wins by hiding its own cost would be lying, and plan-cache
-amortisation is the service's story, not this sweep's.
+orders and operator currency chosen by the cost model.  Planning time
+is *included* in the after-side wall time: a planner that only wins by
+hiding its own cost would be lying, and plan-cache amortisation is the
+service's story, not this sweep's.
 
 Both sides produce byte-identical results (the integration sweep pins
 this); what this harness measures is whether the chosen shapes are
@@ -27,8 +27,7 @@ from typing import Dict, List, Optional, Sequence
 from ..planner import use_planner
 from ..xmark.queries import FIGURE15_ORDER
 from .env import runtime_flags
-from .fastpath import WORK_COUNTERS, _geomean
-from .harness import DEFAULT_FACTOR, Harness
+from .harness import DEFAULT_FACTOR, WORK_COUNTERS, Harness, _geomean
 
 
 @dataclass
@@ -36,7 +35,7 @@ class PlannerRow:
     """One query's static-vs-planned measurement."""
 
     query: str
-    static_seconds: float    #: translator shape, fast path
+    static_seconds: float    #: translator shape
     planned_seconds: float   #: cost-planned shape (planning included)
     speedup: float
     #: pattern nodes whose edge order the planner changed (from the
@@ -44,7 +43,7 @@ class PlannerRow:
     reordered_sites: int
     #: work counters the planned run increased — informational: a
     #: reorder legitimately shifts work between counters, so this is
-    #: recorded but not gated like the fast-path/batch sweeps
+    #: recorded but not gated like the batch sweep
     counters_regressed: List[str] = field(default_factory=list)
 
     @property
@@ -113,10 +112,10 @@ def compare_planner(
 ) -> PlannerReport:
     """Measure every query static (planner off) and cost-planned (on).
 
-    Both sides share the cached XMark engine, the fast path and the
-    scan cache; the planner toggle is the only variable.  The planned
-    side re-plans on every run — planning is statistics arithmetic and
-    its cost belongs in the measurement (see the module docstring).
+    Both sides share the cached XMark engine and the scan cache; the
+    planner toggle is the only variable.  The planned side re-plans on
+    every run — planning is statistics arithmetic and its cost belongs
+    in the measurement (see the module docstring).
     """
     harness = harness or Harness()
     report = PlannerReport(
@@ -221,7 +220,7 @@ def check_planner_against_baseline(
     if not math.isnan(cur) and cur < 1.0 - threshold:
         findings.append(
             "cost-based planning is clearly net slower than the static "
-            f"fast path (geomean speedup {cur:.2f}x, floor "
+            f"plans (geomean speedup {cur:.2f}x, floor "
             f"{1.0 - threshold:.2f}x)"
         )
     if not current.join_order_wins():

@@ -69,7 +69,7 @@ class ServiceBenchReport:
     #: process-pool speedup, recorded so the number can be judged
     cpu_count: int = 0
     #: uniform machine/toggle stamp (includes cpu_count again, plus the
-    #: fast-path/batch/numpy/planner flags) — shared with every BENCH_*
+    #: batch/numpy/planner flags) — shared with every BENCH_*
     environment: Dict[str, object] = field(default_factory=dict)
     rows: List[ServiceBenchRow] = field(default_factory=list)
     #: wall seconds for the concurrent batch on 1 worker vs ``threads``

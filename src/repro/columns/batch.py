@@ -28,9 +28,9 @@ operators without a batch form and for the final result of a plan.
 Trees materialise with their LC index pre-derived from the label
 column, so downstream per-tree operators skip the index-building walk.
 
-The module-level ``batch``/``numpy`` switches mirror the PR 3 fast-path
-switch: :func:`use_batch` pins a configuration for the equivalence
-sweeps and the before/after benchmark.
+The module-level ``batch``/``numpy`` switches are process-wide:
+:func:`use_batch` pins a configuration for the equivalence sweeps and
+the before/after benchmark.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from ..model.sequence import TreeSequence
 from ..model.tree import TNode, XTree
 from .arrays import int_column, numpy_enabled
 
-#: Module switch for the batch-at-a-time runtime (mirrors _FAST_PATH).
+#: Module switch for the batch-at-a-time runtime.
 _BATCH = os.environ.get("REPRO_BATCH", "").strip().lower() not in (
     "0", "false", "no", "off"
 )

@@ -71,12 +71,11 @@ class Operator(ABC):
     name = "operator"
 
     #: Cost-based planner annotations (``repro.planner``): a per-operator
-    #: currency veto, and — on the plan root only — the chosen currency,
-    #: join engine and full decision record.  ``None`` = unplanned; the
-    #: evaluator and EXPLAIN read them with ``getattr`` defaults.
+    #: currency veto, and — on the plan root only — the chosen currency
+    #: and full decision record.  ``None`` = unplanned; the evaluator
+    #: and EXPLAIN read them with ``getattr`` defaults.
     exec_mode: Optional[str] = None
     exec_currency: Optional[str] = None
-    exec_engine: Optional[str] = None
     planner_decision: Optional[object] = None
 
     def __init__(self, inputs: Sequence["Operator"] = ()) -> None:

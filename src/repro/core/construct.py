@@ -32,7 +32,6 @@ from ..columns.batch import ColumnBatch
 from ..model.node_id import NodeId
 from ..model.sequence import TreeSequence
 from ..model.tree import TNode, XTree
-from ..physical.structural_join import fast_path_enabled
 from .base import Context, Operator
 
 
@@ -291,19 +290,17 @@ class ConstructOp(Operator):
                 continue
             if isinstance(node.nid, NodeId):
                 copy = ctx.db.subtree(node.nid, node.lcls)
-            elif fast_path_enabled():
-                if not ref.hidden:
-                    # constructed content needs no private copy: splicing
-                    # only re-parents in the *output* tree and inputs are
-                    # never mutated in place
-                    yield node
-                    continue
+            elif not ref.hidden:
+                # constructed content needs no private copy: splicing
+                # only re-parents in the *output* tree and inputs are
+                # never mutated in place
+                yield node
+                continue
+            else:
                 # hidden splices set the shadow flag, so copy the top
                 # node (its subtree can still be shared)
                 copy = TNode(node.tag, node.value, node.nid, node.lcls)
                 copy.children = node.children
-            else:
-                copy = node.clone()
             if ref.hidden:
                 copy.shadowed = True
             yield copy

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..columns.batch import as_tree_sequence, batch_enabled
 from ..model.sequence import TreeSequence
-from ..physical.structural_join import fast_path_enabled
 from ..storage.database import Database
 from ..telemetry import hooks as telemetry
 from .base import Context, Operator
@@ -65,9 +64,7 @@ def evaluate(
     # per-operator loop, only the whole-plan boundary
     telemetry_on = telemetry.enabled()
     walk_started = time.perf_counter() if telemetry_on else 0.0
-    # batch-at-a-time evaluation rides on the fast path (extension
-    # splicing reuses its anchored-variant machinery), so both switches
-    # must be on; the choice is pinned once per walk.  A cost-planned
+    # the batch-at-a-time choice is pinned once per walk.  A cost-planned
     # plan can narrow it further: ``exec_currency == "tree"`` on the
     # root keeps the whole walk per-tree, and a per-operator
     # ``exec_mode == "tree"`` veto (a stranded columnar operator inside
@@ -76,7 +73,6 @@ def evaluate(
     # boundary cost the planner charged the veto with.
     batch = (
         batch_enabled()
-        and fast_path_enabled()
         and getattr(plan, "exec_currency", None) != "tree"
     )
 

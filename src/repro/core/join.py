@@ -21,7 +21,6 @@ from ..errors import AlgebraError
 from ..model.sequence import TreeSequence
 from ..model.tree import TNode, XTree
 from ..model.value import compare
-from ..physical.structural_join import fast_path_enabled
 from ..physical.value_join import nest_merge, theta_join
 from .base import (
     Context,
@@ -160,39 +159,34 @@ class JoinOp(Operator):
 
     def _make_tree(self, left: XTree, rights: List[XTree]) -> XTree:
         root = TNode("join_root", lcls={self.root_lcl} if self.root_lcl else None)
-        if fast_path_enabled():
-            # share the input trees instead of cloning them: operators
-            # never mutate their inputs (memoised results are shared
-            # between consumers already), so stitching the roots in
-            # place is safe — an operator that edits the output
-            # path-copies the nodes it touches (XTree.path_copy) and
-            # keeps sharing the rest
-            root.add_child(left.root)
-            for right in rights:
-                root.add_child(right.root)
-            result = XTree(root)
-            sources = [left] + rights
-            flags = {t._saw_shadowed for t in sources}
-            if flags == {False}:
-                result._saw_shadowed = False
-            elif True in flags:
-                result._saw_shadowed = True
-            if all(t._lc_index is not None for t in sources):
-                # derive the stitched tree's LC index by concatenation:
-                # the fresh root comes first in pre-order, then every
-                # input subtree in child order
-                index = {}
-                if self.root_lcl:
-                    index[self.root_lcl] = [root]
-                for source in sources:
-                    for lcl, nodes in source._lc_index.items():
-                        index.setdefault(lcl, []).extend(nodes)
-                result._lc_index = index
-            return result
-        root.add_child(left.root.clone())
+        # share the input trees instead of cloning them: operators
+        # never mutate their inputs (memoised results are shared
+        # between consumers already), so stitching the roots in
+        # place is safe — an operator that edits the output
+        # path-copies the nodes it touches (XTree.path_copy) and
+        # keeps sharing the rest
+        root.add_child(left.root)
         for right in rights:
-            root.add_child(right.root.clone())
-        return XTree(root)
+            root.add_child(right.root)
+        result = XTree(root)
+        sources = [left] + rights
+        flags = {t._saw_shadowed for t in sources}
+        if flags == {False}:
+            result._saw_shadowed = False
+        elif True in flags:
+            result._saw_shadowed = True
+        if all(t._lc_index is not None for t in sources):
+            # derive the stitched tree's LC index by concatenation:
+            # the fresh root comes first in pre-order, then every
+            # input subtree in child order
+            index = {}
+            if self.root_lcl:
+                index[self.root_lcl] = [root]
+            for source in sources:
+                for lcl, nodes in source._lc_index.items():
+                    index.setdefault(lcl, []).extend(nodes)
+            result._lc_index = index
+        return result
 
     def lc_produced(self):
         return {self.root_lcl} if self.root_lcl else set()

@@ -49,10 +49,7 @@ class ExecutionLimits:
     created on demand so :meth:`cancel` always works.
 
     A limits object belongs to one execution: it carries the started
-    clock anchor of that run.  Re-running with the same object restarts
-    the deadline (``start`` re-anchors), which is what a retry on the
-    legacy join path wants — the retry inherits the *remaining* budget
-    via :meth:`remaining`, not a fresh one, when the caller asks for it.
+    clock anchor of that run.
     """
 
     __slots__ = ("deadline", "max_trees", "_cancel", "_started", "_ticks")
@@ -81,12 +78,8 @@ class ExecutionLimits:
 
         Idempotent: the first call (from the evaluator as execution
         begins, or from an early :meth:`check`) anchors the budget;
-        later calls keep the original anchor.  This is what makes a
-        legacy-path retry share the *same* budget as the failed fast
-        attempt — the service re-evaluates with the same limits object
-        and the deadline keeps counting from the first execution.
-        A limits object is single-use; budget a fresh run with a fresh
-        object.
+        later calls keep the original anchor.  A limits object is
+        single-use; budget a fresh run with a fresh object.
         """
         if self._started is None:
             self._started = time.monotonic()

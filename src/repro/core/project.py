@@ -20,7 +20,6 @@ from ..columns.batch import ColumnBatch
 from ..model.node_id import NodeId
 from ..model.sequence import TreeSequence
 from ..model.tree import TNode, XTree
-from ..physical.structural_join import fast_path_enabled
 from .base import Context, Operator
 
 
@@ -80,12 +79,9 @@ class ProjectOp(Operator):
             # re-fetched from the database, so a retained constructed
             # element keeps its whole subtree ("inner construct elements
             # referenced in the outer clause should survive the outer
-            # projection", Section 3)
-            if fast_path_enabled():
-                # retained as-is, so the subtree can be shared rather
-                # than cloned (inputs are never mutated in place)
-                return node
-            return node.clone()
+            # projection", Section 3) — shared rather than cloned, since
+            # inputs are never mutated in place
+            return node
         if self.with_subtrees and isinstance(node.nid, NodeId):
             # TAX early materialization: fetch the complete stored subtree,
             # then transfer the class markings of witness descendants onto
@@ -106,9 +102,7 @@ class ProjectOp(Operator):
                 # *retained* in the intermediate result ("a logical means
                 # to retain nodes … but have them not participating"),
                 # awaiting a later Illuminate
-                copy.add_child(
-                    child if fast_path_enabled() else child.clone()
-                )
+                copy.add_child(child)
                 continue
             if child.lcls & keep:
                 copy.add_child(self._copy_node(ctx, child, keep))

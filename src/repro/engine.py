@@ -251,27 +251,10 @@ class Engine:
         scan_cache: bool = True,
         limits: Optional[ExecutionLimits] = None,
     ) -> TreeSequence:
-        """Evaluate an already-built plan against this engine's database.
-
-        A plan the cost-based planner annotated with
-        ``exec_engine == "legacy"`` is evaluated with the fast join path
-        suppressed for the duration of the walk (the planner's engine
-        choice; in practice it always picks ``fast`` — the hook keeps
-        the decision executable rather than advisory).
-        """
+        """Evaluate an already-built plan against this engine's database."""
         if strict:
             _validate_plan(plan)
         ctx = Context(self.db, scan_cache=scan_cache, limits=limits)
-        if getattr(plan, "exec_engine", None) == "legacy":
-            from .physical.structural_join import use_fast_path
-
-            with use_fast_path(False):
-                return self._evaluate(plan, ctx, trace)
-        return self._evaluate(plan, ctx, trace)
-
-    def _evaluate(
-        self, plan: Operator, ctx: Context, trace: bool
-    ) -> TreeSequence:
         if not trace:
             return evaluate(plan, ctx)
         from .trace import Tracer
@@ -288,7 +271,7 @@ class Engine:
         Keyword arguments are forwarded to
         :class:`~repro.service.QueryService` (``threads``, ``mode``,
         ``start_method``, ``cache_size``, ``default_deadline``,
-        ``default_max_trees``, ``retry_legacy``).
+        ``default_max_trees``).
         """
         from .service import QueryService
 

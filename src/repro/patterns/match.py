@@ -28,7 +28,6 @@ from ..model.sequence import TreeSequence
 from ..model.tree import SpineEntry, TNode, XTree
 from ..physical.structural_join import (
     child_columns,
-    fast_path_enabled,
     join_for_mspec,
 )
 from ..storage.database import Database
@@ -320,73 +319,24 @@ class PatternMatcher:
         attached (stored anchors) or with existing nodes marked into the
         new classes (temporary anchors, matched in memory).
 
-        On the columnar fast path all stored anchors are matched in one
-        *batch*: every edge runs a single merge-style structural join
-        over the document-ordered set of distinct anchors (the skip
-        cursor advances monotonically across them), and the per-anchor
-        variants are assembled from the per-edge alternatives — instead
-        of an independent join cascade per anchor per input tree, which
-        paid the per-call join overhead thousands of times on
-        extension-heavy plans.
+        All stored anchors are matched in one *batch*.  Pass 1 collects
+        each tree's anchors and the set of distinct stored anchor ids.
+        Every edge then runs a single merge-style structural join over
+        the document-ordered distinct anchors (the skip cursor advances
+        monotonically across them) and the variant list is memoised per
+        anchor id — input trees sharing an anchor (or repeating one) get
+        the shared, immutable variants — instead of an independent join
+        cascade per anchor per input tree, which paid the per-call join
+        overhead thousands of times on extension-heavy plans.  Pass 2
+        emits the grafted output trees in the original input order.
+        Temporary anchors are still matched per tree against their
+        in-memory host.
         """
         root = apt.root
         if root.lc_ref is None:
             raise PatternError("extension pattern must reference a class")
         apt.validate()
         self.db.metrics.pattern_matches += 1
-        if fast_path_enabled():
-            out = self._extend_fast(root, trees)
-        else:
-            out = self._extend_legacy(root, trees)
-        self._note_match(out)
-        return out
-
-    def _extend_legacy(self, root: APTNode, trees: TreeSequence) -> TreeSequence:
-        """The original per-anchor extension cascade (BENCH_3 baseline)."""
-        memo: Dict[int, List[_MTree]] = {}
-        mandatory = any(e.mspec in ("-", "+") for e in root.edges)
-        out = TreeSequence()
-        limits = self.limits
-        for tree in trees:
-            if limits is not None:
-                limits.tick()
-            anchors = tree.nodes_in_class(root.lc_ref)
-            if not anchors:
-                if not mandatory:
-                    out.append(tree.clone())
-                continue
-            if not all(
-                root.test.matches_content(a.value) for a in anchors
-            ):
-                continue
-            per_anchor: List[List[_MTree]] = []
-            dead = False
-            for anchor in anchors:
-                variants = self._anchor_variants(
-                    anchor, root.edges, memo
-                )
-                if not variants:
-                    dead = True
-                    break
-                per_anchor.append(variants)
-            if dead:
-                continue
-            for combo in itertools.product(*per_anchor):
-                out.append(self._graft(tree, anchors, combo, root.edges))
-                self.db.metrics.trees_built += 1
-        return out
-
-    def _extend_fast(self, root: APTNode, trees: TreeSequence) -> TreeSequence:
-        """Batched extension: one structural join per edge for all anchors.
-
-        Pass 1 collects each tree's anchors and the set of distinct
-        stored anchor ids.  The batch then joins every edge once across
-        all anchors in document order and memoises the variant list per
-        anchor id — input trees sharing an anchor (or repeating one) get
-        the shared, immutable variants.  Pass 2 emits the grafted output
-        trees in the original input order.  Temporary anchors are still
-        matched per tree against their in-memory host.
-        """
         edges = root.edges
         mandatory = any(e.mspec in ("-", "+") for e in edges)
         check_content = bool(root.test.comparisons)
@@ -470,6 +420,7 @@ class PatternMatcher:
                     )
                 )
                 self.db.metrics.trees_built += 1
+        self._note_match(out)
         return out
 
     def extend_batch(
@@ -477,7 +428,7 @@ class PatternMatcher:
     ) -> Optional[ColumnBatch]:
         """Columnar :meth:`extend`: splice matched branches into rows.
 
-        The anchored-variant machinery of the fast path runs unchanged
+        The anchored-variant machinery of :meth:`extend` runs unchanged
         (one structural join per edge across all distinct anchors); what
         changes is the output assembly.  Instead of grafting copies of
         witness *trees*, each match variant's branches flatten once into
@@ -504,7 +455,7 @@ class PatternMatcher:
         src_parents, src_offsets = batch.parents, batch.offsets
         #: anchor positions per row; None marks an anchor-less row and
         #: False a row dropped by the root content test (mirrors
-        #: ``entries`` of :meth:`_extend_fast`)
+        #: ``entries`` of :meth:`extend`)
         entries: List[object] = []
         db_anchors: Dict[NodeId, _MTree] = {}
         for row in range(len(batch)):
@@ -864,69 +815,8 @@ class PatternMatcher:
         return built
 
     # ------------------------------------------------------------------
-    # internals: anchors and grafting for extension patterns
+    # internals: grafting for extension patterns
     # ------------------------------------------------------------------
-    def _anchor_variants(
-        self,
-        anchor: TNode,
-        edges: List[APTEdge],
-        memo: Dict[int, List[_MTree]],
-    ) -> List[_MTree]:
-        """Match variants of the pattern edges below one anchor node.
-
-        The candidate lists of the pattern edges are memoised across
-        anchors (``memo``) and carry their probe columns after the first
-        join (see :func:`~repro.physical.structural_join.child_columns`),
-        so the extension Select — which visits one anchor per input tree
-        — probes each anchor in logarithmic time instead of rebuilding
-        key arrays per anchor (which would make pattern reuse quadratic).
-        """
-        if isinstance(anchor.nid, NodeId):
-            doc_name = self.db.owner(anchor.nid).name
-            partials = [_MTree(anchor.nid, anchor.tag, anchor.value)]
-            for edge in edges:
-                children = self._match_node_db(edge.child, doc_name, memo)
-                # computed once per candidate list (cached on it), probed
-                # once per anchor — logarithmic on both paths
-                starts, levels = child_columns(
-                    children, lambda m: m.nid
-                )
-                joined = join_for_mspec(
-                    partials,
-                    children,
-                    edge.axis,
-                    edge.mspec,
-                    self.db.metrics,
-                    parent_id=lambda m: m.nid,
-                    child_id=lambda m: m.nid,
-                    child_starts=starts,
-                    child_levels=levels,
-                )
-                joined = _expand_nested(joined, edge.mspec, lambda m: m.nid)
-                partials = _combine_edge(partials, joined)
-            return partials
-        # temporary anchor: match inside the in-memory tree
-        return _match_tree_variants(
-            _MTree(anchor.nid, anchor.tag, anchor.value, ref=anchor), edges
-        )
-
-    def _graft(
-        self,
-        tree: XTree,
-        anchors: List[TNode],
-        combo: Sequence[_MTree],
-        edges: List[APTEdge],
-    ) -> XTree:
-        """One output tree: clone the input, attach or mark matches."""
-        mapping: Dict[int, TNode] = {}
-        root_copy = _clone_with_map(tree.root, mapping)
-        for anchor, variant in zip(anchors, combo):
-            host = mapping[id(anchor)]
-            for edge, matches in zip(edges, variant.slots):
-                for child in matches:
-                    _apply_match(child, edge.child, host, mapping)
-        return XTree(root_copy)
-
     def _graft_shared(
         self,
         tree: XTree,
@@ -1004,16 +894,6 @@ def _graft_spine(
         for child in anchor.children
     )
     return spine, nested
-
-
-def _clone_with_map(node: TNode, mapping: Dict[int, TNode]) -> TNode:
-    copy = TNode(node.tag, node.value, node.nid, node.lcls)
-    copy.shadowed = node.shadowed
-    mapping[id(node)] = copy
-    copy.children = [
-        _clone_with_map(child, mapping) for child in node.children
-    ]
-    return copy
 
 
 def _apply_match(

@@ -13,15 +13,9 @@ from .sort import restore_document_order, sort_trees
 from .stack_join import stack_tree_desc
 from .structural_join import (
     child_columns,
-    fast_path_enabled,
     join_for_mspec,
-    join_for_mspec_legacy,
     nest_join,
-    nest_join_legacy,
     pair_join,
-    pair_join_legacy,
-    set_fast_path,
-    use_fast_path,
 )
 from .value_join import merge_equi_join, nest_merge, theta_join
 
@@ -42,15 +36,9 @@ __all__ = [
     "stack_tree_desc",
     "sort_trees",
     "child_columns",
-    "fast_path_enabled",
     "join_for_mspec",
-    "join_for_mspec_legacy",
     "nest_join",
-    "nest_join_legacy",
     "pair_join",
-    "pair_join_legacy",
-    "set_fast_path",
-    "use_fast_path",
     "merge_equi_join",
     "nest_merge",
     "theta_join",

@@ -16,34 +16,24 @@ mSpec     algorithm                function
 ``*``     left-outer-nest-join     :func:`nest_join` (outer)
 ========  =======================  =============================
 
-Two implementations coexist:
+The joins consume precomputed ``(doc, start)`` / ``level`` columns when
+the child input carries them (a :class:`~repro.storage.postings.Postings`
+view from the tag index, or any container with cached ``starts``/``levels``
+attributes — see :func:`child_columns`), and probe with a merge-style
+cursor that skips ahead monotonically across sorted parents (stack-tree
+style: the lower bound of each parent's descendant range never moves
+backwards, so every binary search runs over the unconsumed suffix only).
+Parent-child joins over raw postings probe the ``parent.level + 1`` level
+partition instead of scanning the full ancestor range and filtering.
 
-* the **columnar fast path** (default): consumes precomputed
-  ``(doc, start)`` / ``level`` columns when the child input carries them
-  (a :class:`~repro.storage.postings.Postings` view from the tag index,
-  or any container with cached ``starts``/``levels`` attributes — see
-  :func:`child_columns`), and probes with a merge-style cursor that skips
-  ahead monotonically across sorted parents (stack-tree style: the lower
-  bound of each parent's descendant range never moves backwards, so every
-  binary search runs over the unconsumed suffix only).  Parent-child
-  joins over raw postings probe the ``parent.level + 1`` level partition
-  instead of scanning the full ancestor range and filtering.
-* the **legacy path** (``pair_join_legacy`` and friends): the original
-  per-parent binary search over a per-call key array.  It is kept as the
-  executable specification — the equivalence tests assert both paths
-  produce identical output — and as the "before" configuration of the
-  BENCH_3 fast-path benchmark.  ``use_fast_path(False)`` routes the
-  public functions to it.
-
-Both paths keep the original ``Sequence[Item]`` signatures: items may be
-bare :class:`NodeId` values or any objects with ``parent_id``/``child_id``
-extractors (the pattern matcher passes ``_MTree`` match variants).
+Items may be bare :class:`NodeId` values or any objects with
+``parent_id``/``child_id`` extractors (the pattern matcher passes
+``_MTree`` match variants).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 from typing import (
     Callable,
     Dict,
@@ -58,42 +48,10 @@ from typing import (
 from ..model.node_id import NodeId
 from ..storage.postings import Postings
 from ..storage.stats import Metrics
-from ..telemetry import hooks as telemetry
 
 Item = TypeVar("Item")
 
 _identity: Callable = lambda x: x
-
-#: Module switch between the columnar fast path and the legacy joins.
-_FAST_PATH = True
-
-
-def fast_path_enabled() -> bool:
-    """Whether the public join functions use the columnar fast path."""
-    return _FAST_PATH
-
-
-def set_fast_path(enabled: bool) -> bool:
-    """Switch the fast path on or off; returns the previous setting."""
-    global _FAST_PATH
-    previous = _FAST_PATH
-    _FAST_PATH = bool(enabled)
-    if telemetry.enabled():
-        # the toggle is the fast path's coarse telemetry surface: its
-        # per-join work already flows through the Metrics counters
-        # (structural_joins, postings_reused) exported at scrape time
-        telemetry.instrument("fastpath.enabled", float(_FAST_PATH))
-    return previous
-
-
-@contextmanager
-def use_fast_path(enabled: bool = True) -> Iterator[None]:
-    """Scoped fast-path toggle (benchmarks and equivalence tests)."""
-    previous = set_fast_path(enabled)
-    try:
-        yield
-    finally:
-        set_fast_path(previous)
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +107,7 @@ def _iter_matches(
 ) -> Iterator[Tuple[Item, List[Item]]]:
     """Yield ``(parent, matched_children)`` per parent, in parent order.
 
-    The workhorse of the fast path.  Parents are expected sorted by
+    The workhorse of every join.  Parents are expected sorted by
     ``(doc, start)`` (the documented contract); the cursor then only
     moves forward.  An out-of-order parent is still answered correctly —
     the cursor resets — it merely costs the skip optimisation.
@@ -228,7 +186,7 @@ def _iter_matches_pc_partitioned(
 
 
 # ----------------------------------------------------------------------
-# public joins (fast path with legacy dispatch)
+# public joins
 # ----------------------------------------------------------------------
 def pair_join(
     parents: Sequence[Item],
@@ -247,10 +205,6 @@ def pair_join(
 
     Inputs must be sorted in document order of their node ids.
     """
-    if not _FAST_PATH:
-        return pair_join_legacy(
-            parents, children, axis, metrics, parent_id, child_id, outer
-        )
     if metrics is not None:
         metrics.structural_joins += 1
     out: List[Tuple[Item, Optional[Item]]] = []
@@ -280,10 +234,6 @@ def nest_join(
     no match are dropped (``+``) or kept with an empty cluster when
     ``outer`` is set (``*`` — the left-outer-nest variant).
     """
-    if not _FAST_PATH:
-        return nest_join_legacy(
-            parents, children, axis, metrics, parent_id, child_id, outer
-        )
     if metrics is not None:
         metrics.structural_joins += 1
         metrics.nest_joins += 1
@@ -327,11 +277,6 @@ def join_for_mspec(
     """
     if mspec not in ("-", "?", "+", "*"):
         raise ValueError(f"unknown matching specification: {mspec!r}")
-    if not _FAST_PATH:
-        return join_for_mspec_legacy(
-            parents, children, axis, mspec, metrics,
-            parent_id, child_id, child_starts,
-        )
     if metrics is not None:
         metrics.structural_joins += 1
         if mspec in ("+", "*"):
@@ -354,151 +299,3 @@ def join_for_mspec(
         else:  # "*"
             out.append((parent, [matched]))
     return out
-
-
-# ----------------------------------------------------------------------
-# legacy implementations (executable specification + BENCH_3 baseline)
-# ----------------------------------------------------------------------
-def _descendant_range(
-    parent: NodeId, starts: Sequence[Tuple[int, int]]
-) -> Tuple[int, int]:
-    """Index range of ``starts`` lying strictly inside ``parent``'s interval.
-
-    ``starts`` is a sorted list of ``(doc, start)`` keys.
-    """
-    lo = bisect_right(starts, (parent.doc, parent.start))
-    hi = bisect_left(starts, (parent.doc, parent.end))
-    return lo, hi
-
-
-def _axis_ok(parent: NodeId, child: NodeId, axis: str) -> bool:
-    if axis == "ad":
-        return True  # containment already guaranteed by the range scan
-    if axis == "pc":
-        return child.level == parent.level + 1
-    raise ValueError(f"unknown axis: {axis!r}")
-
-
-def pair_join_legacy(
-    parents: Sequence[Item],
-    children: Sequence[Item],
-    axis: str,
-    metrics: Optional[Metrics] = None,
-    parent_id: Callable[[Item], NodeId] = _identity,
-    child_id: Callable[[Item], NodeId] = _identity,
-    outer: bool = False,
-) -> List[Tuple[Item, Optional[Item]]]:
-    """The original :func:`pair_join`: independent binary search per parent,
-    probe-key array rebuilt on every call."""
-    if metrics is not None:
-        metrics.structural_joins += 1
-    starts = [
-        (child_id(c).doc, child_id(c).start) for c in children
-    ]
-    out: List[Tuple[Item, Optional[Item]]] = []
-    for parent in parents:
-        pid = parent_id(parent)
-        lo, hi = _descendant_range(pid, starts)
-        matched = False
-        for idx in range(lo, hi):
-            child = children[idx]
-            if _axis_ok(pid, child_id(child), axis):
-                out.append((parent, child))
-                matched = True
-        if outer and not matched:
-            out.append((parent, None))
-    return out
-
-
-def nest_join_legacy(
-    parents: Sequence[Item],
-    children: Sequence[Item],
-    axis: str,
-    metrics: Optional[Metrics] = None,
-    parent_id: Callable[[Item], NodeId] = _identity,
-    child_id: Callable[[Item], NodeId] = _identity,
-    outer: bool = False,
-) -> List[Tuple[Item, List[Item]]]:
-    """The original :func:`nest_join` (see :func:`pair_join_legacy`)."""
-    if metrics is not None:
-        metrics.structural_joins += 1
-        metrics.nest_joins += 1
-    starts = [
-        (child_id(c).doc, child_id(c).start) for c in children
-    ]
-    out: List[Tuple[Item, List[Item]]] = []
-    for parent in parents:
-        pid = parent_id(parent)
-        lo, hi = _descendant_range(pid, starts)
-        cluster = [
-            children[idx]
-            for idx in range(lo, hi)
-            if _axis_ok(pid, child_id(children[idx]), axis)
-        ]
-        if cluster or outer:
-            out.append((parent, cluster))
-    return out
-
-
-def join_for_mspec_legacy(
-    parents: Sequence[Item],
-    children: Sequence[Item],
-    axis: str,
-    mspec: str,
-    metrics: Optional[Metrics] = None,
-    parent_id: Callable[[Item], NodeId] = _identity,
-    child_id: Callable[[Item], NodeId] = _identity,
-    child_starts: Optional[Sequence[Tuple[int, int]]] = None,
-) -> List[Tuple[Item, List[List[Item]]]]:
-    """The original :func:`join_for_mspec` over the legacy joins."""
-    if child_starts is not None:
-        if metrics is not None:
-            metrics.structural_joins += 1
-            if mspec in ("+", "*"):
-                metrics.nest_joins += 1
-        out: List[Tuple[Item, List[List[Item]]]] = []
-        for parent in parents:
-            pid = parent_id(parent)
-            lo, hi = _descendant_range(pid, child_starts)
-            matched = [
-                children[idx]
-                for idx in range(lo, hi)
-                if _axis_ok(pid, child_id(children[idx]), axis)
-            ]
-            if mspec == "-":
-                if matched:
-                    out.append((parent, [[m] for m in matched]))
-            elif mspec == "?":
-                out.append(
-                    (parent, [[m] for m in matched] if matched else [[]])
-                )
-            elif mspec == "+":
-                if matched:
-                    out.append((parent, [matched]))
-            else:  # "*"
-                out.append((parent, [matched]))
-        return out
-    if mspec in ("-", "?"):
-        pairs = pair_join_legacy(
-            parents, children, axis, metrics, parent_id, child_id,
-            outer=(mspec == "?"),
-        )
-        grouped: dict = {}
-        order: List[Item] = []
-        for parent, child in pairs:
-            key = id(parent)
-            if key not in grouped:
-                grouped[key] = (parent, [])
-                order.append(parent)
-            if child is not None:
-                grouped[key][1].append([child])
-            else:
-                grouped[key][1].append([])
-        return [grouped[id(p)] for p in order]
-    if mspec in ("+", "*"):
-        nested = nest_join_legacy(
-            parents, children, axis, metrics, parent_id, child_id,
-            outer=(mspec == "*"),
-        )
-        return [(parent, [cluster]) for parent, cluster in nested]
-    raise ValueError(f"unknown matching specification: {mspec!r}")

@@ -1,11 +1,11 @@
 """Cost-based physical planning over index statistics.
 
 The translator fixes the *logical* plan; this package chooses its
-*physical* shape: structural-join edge order per pattern node, operator
-currency (trees vs columns), and join engine (fast path vs legacy) —
-each decision recorded as a chosen-vs-rejected
-:class:`~repro.planner.choice.PlanChoice` with cost estimates, and the
-whole run rolled up into a :class:`~repro.planner.choice.PlanDecision`
+*physical* shape: structural-join edge order per pattern node and
+operator currency (trees vs columns) — each decision recorded as a
+chosen-vs-rejected :class:`~repro.planner.choice.PlanChoice` with cost
+estimates, and the whole run rolled up into a
+:class:`~repro.planner.choice.PlanDecision`
 (what ``explain --cost`` and the ``plan`` subcommand render).
 
 The model (:mod:`repro.planner.cost`) is arithmetic over
@@ -16,8 +16,8 @@ runtime tracer actually measured, evicting cached plans whose shape a
 corrected model no longer picks.  Everything is annotation-only — a
 planned plan evaluates through the same operators and returns
 byte-identical results — and the whole layer sits behind the
-``REPRO_PLANNER`` toggle (default off), like the fast-path and batch
-runtimes before it.  docs/PLANNING.md is the guided tour.
+``REPRO_PLANNER`` toggle (default off), like the batch runtime
+before it.  docs/PLANNING.md is the guided tour.
 """
 
 from .calibration import (
@@ -37,7 +37,6 @@ from .choice import CHOICE_KINDS, Alternative, PlanChoice, PlanDecision
 from .cost import (
     BATCH_CONVERT_PER_ROW,
     BATCH_SAVING_PER_ROW,
-    LEGACY_JOIN_FACTOR,
     MAX_EXHAUSTIVE_EDGES,
     PREDICATE_SELECTIVITY,
     TREE_VETO_MARGIN,
@@ -73,7 +72,6 @@ __all__ = [
     "EdgeEstimate",
     "FEEDBACK_CAPACITY",
     "FeedbackStore",
-    "LEGACY_JOIN_FACTOR",
     "MAX_EXHAUSTIVE_EDGES",
     "PREDICATE_SELECTIVITY",
     "PatternEstimate",

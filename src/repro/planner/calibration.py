@@ -1,8 +1,7 @@
 """Measured cost-model calibration: constants from the traced sweep.
 
 The cost model's tuning constants
-(:data:`~repro.planner.cost.LEGACY_JOIN_FACTOR`,
-:data:`~repro.planner.cost.BATCH_SAVING_PER_ROW`,
+(:data:`~repro.planner.cost.BATCH_SAVING_PER_ROW`,
 :data:`~repro.planner.cost.BATCH_CONVERT_PER_ROW`) are hand-fit against
 committed benchmark sweeps; they are *this machine's* ratios only by
 accident.  ``repro calibrate`` replaces the accident with a measurement:
@@ -12,9 +11,6 @@ it runs the 23-query XMark sweep under the runtime tracer and distils
   operator in the core registry (Shadow/Illuminate included via the
   ``optimize`` pass), the observability half of the table: ``explain
   --cost`` and the drift test read these;
-* **the legacy join factor** — the measured fast-vs-legacy ratio of
-  structural-join time (``Select``/``Join`` self time with the fast
-  path on vs off), clamped to ``[1, 10]``;
 * **the batch constants** — a two-parameter least squares of the
   per-query tree-vs-batch wall-time difference against the *estimated*
   columnar and boundary row flows (estimated on purpose: the planner
@@ -39,11 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from .cost import (
-    BATCH_CONVERT_PER_ROW,
-    BATCH_SAVING_PER_ROW,
-    LEGACY_JOIN_FACTOR,
-)
+from .cost import BATCH_CONVERT_PER_ROW, BATCH_SAVING_PER_ROW
 
 #: Environment toggle: point at a table file to activate it process-wide
 #: (mirrors ``REPRO_PLANNER`` / ``REPRO_SPANS``).
@@ -54,16 +46,14 @@ DEFAULT_CALIBRATION_PATH = "CALIBRATION.json"
 
 #: The hand-fit defaults :func:`calibrated` falls back to.
 DEFAULT_CONSTANTS: Dict[str, float] = {
-    "legacy_join_factor": LEGACY_JOIN_FACTOR,
     "batch_saving_per_row": BATCH_SAVING_PER_ROW,
     "batch_convert_per_row": BATCH_CONVERT_PER_ROW,
 }
 
 #: Sanity clamps on measured constants: a pathological run (timer
 #: resolution, a loaded machine) must not produce a table that makes
-#: the planner absurd.  The legacy ratio is a ratio of like quantities;
-#: the batch constants are work units per row like their defaults.
-LEGACY_FACTOR_RANGE = (1.0, 10.0)
+#: the planner absurd.  The batch constants are work units per row
+#: like their defaults.
 BATCH_SAVING_RANGE = (0.0, 5.0)
 BATCH_CONVERT_RANGE = (0.0, 20.0)
 
@@ -97,7 +87,6 @@ class CalibrationTable:
     cpu_count: int = 0
     queries: int = 0                  #: queries swept
     unit_us: float = 1.0              #: measured µs of one work unit
-    legacy_join_factor: float = LEGACY_JOIN_FACTOR
     batch_saving_per_row: float = BATCH_SAVING_PER_ROW
     batch_convert_per_row: float = BATCH_CONVERT_PER_ROW
     operators: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -112,7 +101,6 @@ class CalibrationTable:
             "queries": self.queries,
             "unit_us": self.unit_us,
             "constants": {
-                "legacy_join_factor": self.legacy_join_factor,
                 "batch_saving_per_row": self.batch_saving_per_row,
                 "batch_convert_per_row": self.batch_convert_per_row,
             },
@@ -138,9 +126,6 @@ class CalibrationTable:
             cpu_count=int(payload.get("cpu_count", 0)),
             queries=int(payload.get("queries", 0)),
             unit_us=float(payload.get("unit_us", 1.0)),
-            legacy_join_factor=float(
-                constants.get("legacy_join_factor", LEGACY_JOIN_FACTOR)
-            ),
             batch_saving_per_row=float(
                 constants.get("batch_saving_per_row", BATCH_SAVING_PER_ROW)
             ),
@@ -182,12 +167,6 @@ def check_table(table: CalibrationTable) -> List[str]:
         problems.append(f"registry operator {name!r} missing from table")
     for name in sorted(present - expected):
         problems.append(f"table operator {name!r} not in the registry")
-    lo, hi = LEGACY_FACTOR_RANGE
-    if not (lo <= table.legacy_join_factor <= hi):
-        problems.append(
-            f"legacy_join_factor {table.legacy_join_factor} outside "
-            f"[{lo}, {hi}]"
-        )
     lo, hi = BATCH_SAVING_RANGE
     if not (lo <= table.batch_saving_per_row <= hi):
         problems.append(
@@ -316,19 +295,17 @@ def run_calibration(
 
     Per query (the Figure 15 set by default) and per rewrite setting
     (off *and* on, so Shadow/Illuminate get exercised), the plan is
-    evaluated ``repeats`` times under the tracer — per-tree, fast path
-    on — and the fastest run's per-operator self times and output rows
-    accumulate into the operator table.  The same plans are then timed
-    with the fast path off (the legacy factor) and with the batch
-    runtime on vs off (the batch least squares).  Telemetry hooks are
-    suppressed throughout: a calibration run must not pollute registry
-    totals.
+    evaluated ``repeats`` times under the tracer, per-tree, and the
+    fastest run's per-operator self times and output rows accumulate
+    into the operator table.  The same plans are then timed with the
+    batch runtime on vs off (the batch least squares).  Telemetry hooks
+    are suppressed throughout: a calibration run must not pollute
+    registry totals.
     """
     from ..columns.batch import use_batch
     from ..core.base import Context
     from ..core.evaluator import evaluate
     from ..engine import Engine
-    from ..physical.structural_join import use_fast_path
     from ..telemetry import hooks as telemetry
     from ..trace import Tracer
     from ..xmark.generator import load_xmark
@@ -351,8 +328,6 @@ def run_calibration(
 
     op_seconds: Dict[str, float] = {}
     op_rows: Dict[str, float] = {}
-    fast_join_seconds = 0.0
-    legacy_join_seconds = 0.0
     modeled_work = 0.0
     measured_seconds = 0.0
     flows: List["tuple[float, float]"] = []
@@ -384,7 +359,6 @@ def run_calibration(
             best_elapsed = min(best_elapsed, run_once(plan, False)[0])
         return best_elapsed
 
-    join_names = ("Select", "Join")
     with telemetry.disabled():
         for position, name in enumerate(names, start=1):
             text = QUERIES[name].text
@@ -393,7 +367,7 @@ def run_calibration(
                 plan = engine.plan(
                     text, "tlc", optimize, planner=False
                 ).plan
-                with use_batch(False), use_fast_path(True):
+                with use_batch(False):
                     trace = best_traced(plan)
                 for record in trace.records:
                     op_seconds[record.name] = (
@@ -407,27 +381,14 @@ def run_calibration(
                 ops = post_order(plan)
                 rows = model.plan_rows(plan)
                 modeled_work += sum(model.op_cost(op, rows) for op in ops)
-                fast_join_seconds += sum(
-                    r.self_seconds
-                    for r in trace.records
-                    if r.name in join_names
-                )
-                with use_batch(False), use_fast_path(False):
-                    legacy_trace = best_traced(plan)
-                legacy_join_seconds += sum(
-                    r.self_seconds
-                    for r in legacy_trace.records
-                    if r.name in join_names
-                )
                 if not optimize:
                     # the batch delta only needs one rewrite setting;
                     # flows come from the same estimates the planner
                     # prices with, so the fitted constants share units
-                    with use_fast_path(True):
-                        with use_batch(False):
-                            tree_seconds = best_plain(plan)
-                        with use_batch(True):
-                            batch_seconds = best_plain(plan)
+                    with use_batch(False):
+                        tree_seconds = best_plain(plan)
+                    with use_batch(True):
+                        batch_seconds = best_plain(plan)
                     _, _, columnar_rows, boundary_rows = currency_flow(
                         ops, rows
                     )
@@ -441,12 +402,6 @@ def run_calibration(
     unit_us = 1.0
     if modeled_work > 0 and measured_seconds > 0:
         unit_us = measured_seconds * 1e6 / modeled_work
-
-    legacy_factor = DEFAULT_CONSTANTS["legacy_join_factor"]
-    if fast_join_seconds > 0 and legacy_join_seconds > 0:
-        legacy_factor = _clamp(
-            legacy_join_seconds / fast_join_seconds, LEGACY_FACTOR_RANGE
-        )
 
     saving = DEFAULT_CONSTANTS["batch_saving_per_row"]
     convert = DEFAULT_CONSTANTS["batch_convert_per_row"]
@@ -483,7 +438,6 @@ def run_calibration(
         cpu_count=os.cpu_count() or 1,
         queries=len(names),
         unit_us=round(unit_us, 4),
-        legacy_join_factor=round(legacy_factor, 4),
         batch_saving_per_row=round(saving, 4),
         batch_convert_per_row=round(convert, 4),
         operators=operators,

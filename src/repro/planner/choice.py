@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 #: Decision kinds a planner run can emit.
-CHOICE_KINDS = ("edge-order", "currency", "engine")
+CHOICE_KINDS = ("edge-order", "currency")
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,6 @@ class PlanDecision:
     reordered_sites: int = 0
     #: chosen operator currency: "batch" or "tree"
     currency: str = "tree"
-    #: chosen join engine: "fast" or "legacy"
-    engine: str = "fast"
     #: per-operator currency vetoes (post-order indexes forced per-tree)
     tree_vetoes: List[int] = field(default_factory=list)
 
@@ -87,7 +85,6 @@ class PlanDecision:
             "total_cost": round(self.total_cost, 1),
             "reordered_sites": self.reordered_sites,
             "currency": self.currency,
-            "engine": self.engine,
             "tree_vetoes": list(self.tree_vetoes),
             "choices": [choice.to_dict() for choice in self.choices],
         }
@@ -101,7 +98,6 @@ class PlanDecision:
             total_cost=payload.get("total_cost", 0.0),
             reordered_sites=payload.get("reordered_sites", 0),
             currency=payload.get("currency", "tree"),
-            engine=payload.get("engine", "fast"),
             tree_vetoes=list(payload.get("tree_vetoes", ())),
         )
         for entry in payload.get("choices", ()):
@@ -122,7 +118,7 @@ class PlanDecision:
     def summary(self) -> str:
         return (
             f"cost {self.total_cost:,.0f} | {self.currency} currency, "
-            f"{self.engine} joins, {self.reordered_sites} of "
+            f"{self.reordered_sites} of "
             f"{len(self.by_kind('edge-order'))} join sites reordered"
         )
 

@@ -73,12 +73,6 @@ UNKNOWN_COUNT = 64.0
 #: the common case and stays trivially cheap (<= 120 orders).
 MAX_EXHAUSTIVE_EDGES = 5
 
-#: Cost multiplier of the legacy structural-join path relative to the
-#: merge-cursor fast path (per-call probe-array rebuilds, no skipping,
-#: no postings reuse).  Calibrated against the committed BENCH_3 sweep:
-#: the fast path wins ~2.5x on join-heavy queries.
-LEGACY_JOIN_FACTOR = 2.5
-
 #: Per-row saving of a columnar operator over its per-tree twin and the
 #: per-row price of crossing a tree<->column boundary, both relative to
 #: one work unit.  Calibrated against BENCH_8: fully-columnar plans win

@@ -74,7 +74,6 @@ class RecostResult:
     current_cost: float       #: cached shape, observed-calibrated model
     best_cost: float          #: planner-best shape, same model
     currency_flip: bool       #: batch<->tree decision changed
-    engine_flip: bool         #: fast<->legacy decision changed
     reorder_flips: int        #: pattern nodes whose best order changed
     changed: bool             #: cheaper shape exists beyond the margin
     decision: PlanDecision    #: the shape the planner would pick now
@@ -120,9 +119,7 @@ def shape_cost(
     ``annotated=True`` costs the shape the plan currently carries (the
     ``planner_order`` annotations, or source order where absent);
     ``annotated=False`` costs the planner-best orders.  ``currency``
-    adds the batch saving/conversion balance when "batch".  The engine
-    dimension is omitted: the planner never chooses the legacy engine,
-    so both sides of every comparison share the fast-path join cost.
+    adds the batch saving/conversion balance when "batch".
     """
 
     def choose(node: APTNode, estimate: Any) -> List[int]:
@@ -164,16 +161,14 @@ def recost(
 
     Pure: the plan is never mutated (the fresh decision is computed with
     ``apply=False``).  ``changed`` is True only when the planner-best
-    shape *differs* from the annotated one — a different currency,
-    engine, or at least one different edge order — *and* its cost beats
+    shape *differs* from the annotated one — a different currency or
+    at least one different edge order — *and* its cost beats
     the annotated shape by more than ``margin``.
     """
     model = CostModel(stats, observed=observed)
     fresh = plan_physical(plan, stats, observed=observed, apply=False)
     current_currency = getattr(plan, "exec_currency", None) or "tree"
-    current_engine = getattr(plan, "exec_engine", None) or "fast"
     currency_flip = fresh.currency != current_currency
-    engine_flip = fresh.engine != current_engine
 
     reorder_flips = 0
     for op in post_order(plan):
@@ -200,7 +195,7 @@ def recost(
     best_cost = shape_cost(
         plan, model, currency=fresh.currency, annotated=False
     )
-    differs = currency_flip or engine_flip or reorder_flips > 0
+    differs = currency_flip or reorder_flips > 0
     cheaper = best_cost < current_cost * (1.0 - margin)
     changed = differs and cheaper
     if changed:
@@ -209,8 +204,6 @@ def recost(
             parts.append(
                 f"currency {current_currency}->{fresh.currency}"
             )
-        if engine_flip:
-            parts.append(f"engine {current_engine}->{fresh.engine}")
         if reorder_flips:
             parts.append(f"{reorder_flips} join-order flip(s)")
         reason = (
@@ -228,7 +221,6 @@ def recost(
         current_cost=current_cost,
         best_cost=best_cost,
         currency_flip=currency_flip,
-        engine_flip=engine_flip,
         reorder_flips=reorder_flips,
         changed=changed,
         decision=fresh,
@@ -283,8 +275,15 @@ class FeedbackStore:
         keys) are skipped — the file format only promises plan-cache
         keys.  Oldest-first, so a load replays insertion order and the
         LRU ends up in the same recency order it was saved in.
+
+        The JSON lands in ``path + ".tmp"``, which replaces ``path``
+        only after an ``fsync``: a writer that dies part-way leaves the
+        previous file loadable (:meth:`load` treats a truncated file as
+        empty, so writing in place would silently lose every verdict).
         """
+        import contextlib
         import json
+        import os
 
         from ..service.cache import PlanCacheKey
 
@@ -303,9 +302,18 @@ class FeedbackStore:
                 if isinstance(key, PlanCacheKey)
             ]
         payload = {"version": 1, "entries": entries}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         return len(entries)
 
     def load(self, path: str) -> int:

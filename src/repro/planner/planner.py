@@ -1,6 +1,6 @@
 """The physical planner: cost the alternatives, annotate the plan.
 
-:func:`plan_physical` walks a translated TLC plan and makes three kinds
+:func:`plan_physical` walks a translated TLC plan and makes two kinds
 of decision, each recorded as a :class:`~repro.planner.choice.PlanChoice`
 (chosen shape, rejected shapes, costs, reason):
 
@@ -18,15 +18,11 @@ of decision, each recorded as a :class:`~repro.planner.choice.PlanChoice`
   runtime only when it pays.  Individual columnar operators stranded
   between per-tree neighbours ("islands") are vetoed back to per-tree
   execution even inside a batch plan.
-* **engine** — fast path or legacy structural joins.  The legacy cost
-  is the fast-path join work times :data:`~repro.planner.cost.LEGACY_JOIN_FACTOR`;
-  the record exists so EXPLAIN can show *why* the fast path wins (and
-  keeps the decision honest if a future change flips the ratio).
 
 Annotations are plain attributes on plan objects (``planner_order`` on
 pattern nodes, ``exec_mode`` on operators, ``exec_currency``/
-``exec_engine``/``planner_decision`` on the root), so a planned plan
-pickles to workers and caches in the prepared-plan LRU unchanged.
+``planner_decision`` on the root), so a planned plan pickles to
+workers and caches in the prepared-plan LRU unchanged.
 Passing ``apply=False`` costs the alternatives without touching the
 plan — the feedback loop's re-costing mode.
 """
@@ -143,8 +139,6 @@ def plan_physical(
     # ------------------------------------------------------------------
     # edge order, one choice per multi-edge pattern node
     # ------------------------------------------------------------------
-    join_work = 0.0
-    scan_work = 0.0
     for op in ops:
         if not isinstance(op, SelectOp):
             continue
@@ -183,7 +177,6 @@ def plan_physical(
                 decision.reordered_sites += 1
             else:
                 best = source
-                best_cost = source_cost
                 chosen = Alternative(
                     label="source order",
                     cost=round(source_cost, 1),
@@ -223,15 +216,6 @@ def plan_physical(
                     node.planner_order = best
                 elif getattr(node, "planner_order", None) is not None:
                     node.planner_order = None
-            join_work += best_cost - estimate.raw_count
-            scan_work += estimate.raw_count
-        if isinstance(op, SelectOp) and not _pattern_sites(op):
-            # single-edge/leaf patterns still contribute join+scan work
-            estimate = model.estimate_pattern(op.apt.root, doc)
-            source = list(range(len(op.apt.root.edges)))
-            cost = model.order_cost(estimate, source)
-            join_work += cost - estimate.raw_count
-            scan_work += estimate.raw_count
 
     # ------------------------------------------------------------------
     # operator currency: trees vs columns, plus per-operator vetoes
@@ -294,38 +278,6 @@ def plan_physical(
         )
     )
 
-    # ------------------------------------------------------------------
-    # join engine: merge-cursor fast path vs legacy
-    # ------------------------------------------------------------------
-    fast_cost = scan_work + join_work
-    legacy_factor = calibrated("legacy_join_factor")
-    legacy_cost = scan_work + join_work * legacy_factor
-    decision.engine = "fast"
-    decision.choices.append(
-        PlanChoice(
-            site="plan",
-            kind="engine",
-            chosen=Alternative(
-                label="fast", cost=round(fast_cost, 1),
-                detail="shared postings + skip-aware merge cursors",
-            ),
-            rejected=[
-                Alternative(
-                    label="legacy", cost=round(legacy_cost, 1),
-                    detail=(
-                        f"per-call probe rebuilds, x{legacy_factor:g} "
-                        "join work"
-                    ),
-                )
-            ],
-            reason=(
-                "no join work: the paths tie"
-                if join_work <= 0
-                else "merge cursors read each postings list once"
-            ),
-        )
-    )
-
     decision.total_cost = sum(model.op_cost(op, rows) for op in ops)
 
     if apply:
@@ -337,7 +289,6 @@ def plan_physical(
             elif getattr(op, "exec_mode", None) is not None:
                 op.exec_mode = None
         plan.exec_currency = decision.currency
-        plan.exec_engine = decision.engine
         plan.planner_decision = decision
         if metrics is not None:
             metrics.planner_plans += 1

@@ -28,13 +28,12 @@ serial execution (the 23-query XMark sweep is the oracle).
 stays request-scoped here: each worker builds a fresh ``Context`` (and
 with it a fresh ScanCache) per plan, cooperative
 :class:`~repro.core.limits.ExecutionLimits` are rebuilt worker-side
-from the *remaining* budget the dispatcher measured at dispatch, and
-the graceful-degradation legacy retry runs inside the worker (the
-fast-path toggle is process-local state).  Exceptions never cross the
-boundary as objects — several carry multi-argument constructors that
-break ``pickle`` round-trips — so :class:`WorkerResult` carries a
-status plus the constructor arguments of the structured errors, and
-the dispatcher re-raises the real exception types.
+from the *remaining* budget the dispatcher measured at dispatch.
+Exceptions never cross the boundary as objects — several carry
+multi-argument constructors that break ``pickle`` round-trips — so
+:class:`WorkerResult` carries a status plus the constructor arguments
+of the structured errors, and the dispatcher re-raises the real
+exception types.
 
 **Why /metrics stays exact.**  Each result ships two deltas: the
 worker database's :class:`~repro.storage.stats.Metrics` window (exact —
@@ -63,7 +62,6 @@ from ..core.base import Context
 from ..core.evaluator import evaluate
 from ..core.limits import ExecutionLimits
 from ..errors import (
-    ExecutionLimitError,
     QueryCancelledError,
     QueryTimeoutError,
     ResourceLimitError,
@@ -136,7 +134,6 @@ class WorkerResult:
     error_text: str = ""
     counters: Dict[str, int] = field(default_factory=dict)
     telemetry: Optional[Dict[str, Any]] = None
-    legacy_retried: bool = False
     pid: int = 0
     #: Worker-side span records (wall-anchored dicts) when the item was
     #: dispatched with ``spans=True``; reconciled by the dispatcher via
@@ -174,7 +171,6 @@ def _fork_token_for(db: Database) -> str:
 def _init_worker(
     source: Optional[SnapshotHandle],
     fork_token: Optional[str],
-    retry_legacy: bool,
 ) -> None:
     """Materialize this worker's database once, then seal the process.
 
@@ -209,7 +205,6 @@ def _init_worker(
             )
         with _WORKER_STATE_LOCK:
             _WORKER_STATE["db"] = db
-            _WORKER_STATE["retry_legacy"] = bool(retry_legacy)
             _WORKER_STATE["started_wall"] = time.time()
             _WORKER_STATE["requests"] = 0
             _WORKER_STATE["plan_hashes"] = {}
@@ -280,7 +275,6 @@ def _execute_item(item: WorkItem) -> WorkerResult:
     """The worker body: evaluate one plan, ship result plus deltas."""
     with _WORKER_STATE_LOCK:
         db = _WORKER_STATE.get("db")
-        retry_legacy = _WORKER_STATE.get("retry_legacy", True)
     if db is None:
         return WorkerResult(
             status="error",
@@ -300,11 +294,11 @@ def _execute_item(item: WorkItem) -> WorkerResult:
     error_type = ""
     error_text = ""
     error_args: Tuple[Any, ...] = ()
-    legacy_retried = False
     try:
-        result, legacy_retried = _evaluate_guarded(
-            db, item.prepared, limits, retry_legacy
-        )
+        # a fresh Context per request, exactly as in thread mode: its
+        # ScanCache is request-scoped and asserts the lifetime contract
+        ctx = Context(db, scan_cache=True, limits=limits)
+        result = evaluate(item.prepared.plan, ctx)
     except QueryTimeoutError as error:
         status = "timeout"
         error_type = type(error).__name__
@@ -335,7 +329,6 @@ def _execute_item(item: WorkItem) -> WorkerResult:
             if v
         },
         telemetry=diff_states(telemetry_before, registry.export_state()),
-        legacy_retried=legacy_retried,
         pid=os.getpid(),
         worker_info=_worker_info_snapshot(),
     )
@@ -399,48 +392,6 @@ def _execute_blob(blob: bytes) -> Tuple[bytes, List[Dict[str, Any]]]:
     return payload, records
 
 
-def _evaluate_guarded(
-    db: Database,
-    prepared: "PreparedQuery",
-    limits: ExecutionLimits,
-    retry_legacy: bool,
-) -> Tuple[TreeSequence, bool]:
-    """Evaluate with the same graceful degradation the thread pool has.
-
-    The fast-path toggle is process-local, so the retry must happen
-    *here* — the dispatcher cannot flip a module global in another
-    address space.  Returns ``(result, retried_on_legacy_path)``.
-    """
-    try:
-        return _evaluate(db, prepared, limits), False
-    except ExecutionLimitError:
-        raise
-    except Exception as error:
-        if not retry_legacy:
-            raise
-        from ..physical.structural_join import fast_path_enabled, use_fast_path
-
-        if not fast_path_enabled():
-            raise
-        with _WORKER_STATE_LOCK:
-            with use_fast_path(False):
-                try:
-                    return _evaluate(db, prepared, limits), True
-                except ExecutionLimitError:
-                    raise
-                except Exception:
-                    raise error from None
-
-
-def _evaluate(
-    db: Database, prepared: "PreparedQuery", limits: ExecutionLimits
-) -> TreeSequence:
-    # a fresh Context per request, exactly as in thread mode: its
-    # ScanCache is request-scoped and asserts the lifetime contract
-    ctx = Context(db, scan_cache=True, limits=limits)
-    return evaluate(prepared.plan, ctx)
-
-
 # ---------------------------------------------------------------------------
 # dispatcher side
 # ---------------------------------------------------------------------------
@@ -457,7 +408,6 @@ class WorkerPool:
         db: Database,
         workers: int,
         start_method: Optional[str] = None,
-        retry_legacy: bool = True,
         snapshot_path: Optional[str] = None,
     ) -> None:
         if workers <= 0:
@@ -489,7 +439,7 @@ class WorkerPool:
             with _FORK_DBS_LOCK:
                 _FORK_DBS[token] = db
             self._fork_token = token
-            initargs: Tuple[Any, ...] = (None, token, retry_legacy)
+            initargs: Tuple[Any, ...] = (None, token)
         else:
             if snapshot_path is None:
                 fd, snapshot_path = tempfile.mkstemp(
@@ -499,7 +449,7 @@ class WorkerPool:
                 self._owns_snapshot = True
             handle = write_snapshot(db, snapshot_path)
             self._snapshot_path = snapshot_path
-            initargs = (handle, None, retry_legacy)
+            initargs = (handle, None)
         self._executor = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context(method),

@@ -32,11 +32,7 @@ single-threaded, and cannot be stopped once started.
   budget raises :class:`~repro.errors.QueryTimeoutError` /
   :class:`~repro.errors.ResourceLimitError` instead of hanging, and
   :meth:`QueryHandle.cancel` aborts an in-flight query at its next
-  check;
-* **graceful degradation** — if the columnar fast path raises an
-  unexpected error, the query is retried once on the legacy join path
-  (the executable specification) under the *same* remaining budget
-  before the failure is surfaced.
+  check.  An evaluation error is raised once, as itself.
 """
 
 from __future__ import annotations
@@ -63,7 +59,6 @@ from ..core.evaluator import evaluate
 from ..core.limits import ExecutionLimits
 from ..engine import Engine
 from ..errors import (
-    ExecutionLimitError,
     QueryCancelledError,
     QueryTimeoutError,
     ResourceLimitError,
@@ -206,7 +201,6 @@ class ServiceStats:
     failed: int = 0
     timeouts: int = 0
     cancelled: int = 0
-    legacy_retries: int = 0
     slow_queries: int = 0
     #: cached plans evicted by the planner's feedback re-costing
     plan_bumps: int = 0
@@ -258,10 +252,6 @@ class QueryService:
         Capacity of the prepared-plan LRU.
     default_deadline / default_max_trees:
         Budgets applied to every query that does not bring its own.
-    retry_legacy:
-        Retry a query once on the legacy join path when the columnar
-        fast path raises an unexpected error (structured aborts —
-        timeout, cardinality, cancellation — are never retried).
     strict:
         Lint every freshly compiled TLC plan with the static LC-flow
         analyzer before it enters the cache (validation is amortised
@@ -311,7 +301,6 @@ class QueryService:
         cache_size: Optional[int] = None,
         default_deadline: Optional[float] = None,
         default_max_trees: Optional[int] = None,
-        retry_legacy: bool = True,
         strict: bool = False,
         slow_threshold: Optional[float] = None,
         slow_log_capacity: int = DEFAULT_SLOW_CAPACITY,
@@ -339,7 +328,6 @@ class QueryService:
                 self.db,
                 workers=threads,
                 start_method=start_method,
-                retry_legacy=retry_legacy,
             )
         self.cache = PlanCache(
             capacity=cache_size if cache_size is not None else 64,
@@ -347,7 +335,6 @@ class QueryService:
         )
         self.default_deadline = default_deadline
         self.default_max_trees = default_max_trees
-        self.retry_legacy = retry_legacy
         self.strict = strict
         self.threads = threads
         self.slow_threshold = slow_threshold
@@ -376,13 +363,11 @@ class QueryService:
             max_workers=threads, thread_name_prefix="repro-query"
         )
         self._lock = threading.Lock()
-        self._degrade_lock = threading.Lock()
         self._closed = False
         self._executed = 0
         self._failed = 0
         self._timeouts = 0
         self._cancelled = 0
-        self._legacy_retries = 0
         self._slow_queries = 0
         #: request-latency distributions backing the percentile stats:
         #: the ``all`` aggregate plus one histogram per query class
@@ -597,9 +582,9 @@ class QueryService:
         try:
             if recorder is not None:
                 with bind_recorder(recorder), recorder.span("execute"):
-                    result = self._run_guarded(prepared, limits, recorder)
+                    result = self._evaluate(prepared, limits, recorder)
             else:
-                result = self._run_guarded(prepared, limits, None)
+                result = self._evaluate(prepared, limits, None)
             result_trees = len(result)
             return result
         except BaseException as error:
@@ -636,49 +621,15 @@ class QueryService:
             with self._lock:
                 self._executed += 1
 
-    def _run_guarded(
+    def _evaluate(
         self,
         prepared: PreparedQuery,
         limits: ExecutionLimits,
         recorder: Optional[SpanRecorder] = None,
     ) -> TreeSequence:
-        """Evaluate with the graceful-degradation retry around it."""
+        """Evaluate in a worker process or on this thread."""
         if self._worker_pool is not None:
             return self._run_process(prepared, limits, recorder)
-        try:
-            return self._evaluate(prepared, limits)
-        except ExecutionLimitError:
-            raise
-        except Exception as error:
-            if not self.retry_legacy:
-                raise
-            from ..physical.structural_join import (
-                fast_path_enabled,
-                use_fast_path,
-            )
-
-            if not fast_path_enabled():
-                raise
-            # graceful degradation: one retry on the legacy join
-            # path, under the same remaining budget.  The toggle is
-            # module-global, so the retry is serialised and any
-            # query racing through the window simply runs legacy
-            # too (identical results, slower).
-            with self._lock:
-                self._legacy_retries += 1
-            telemetry.instrument("service.legacy_retry")
-            with self._degrade_lock:
-                with use_fast_path(False):
-                    try:
-                        return self._evaluate(prepared, limits)
-                    except ExecutionLimitError:
-                        raise
-                    except Exception:
-                        raise error from None
-
-    def _evaluate(
-        self, prepared: PreparedQuery, limits: ExecutionLimits
-    ) -> TreeSequence:
         # a fresh Context per request: its ScanCache is request-scoped
         # (and asserts that — see the ScanCache lifetime contract)
         ctx = Context(self.db, scan_cache=True, limits=limits)
@@ -848,10 +799,6 @@ class QueryService:
             self.db.metrics.merge(wr.counters)
         if wr.telemetry is not None and telemetry.enabled():
             telemetry.get_registry().merge_state(wr.telemetry)
-        if wr.legacy_retried:
-            with self._lock:
-                self._legacy_retries += 1
-            telemetry.instrument("service.legacy_retry")
         if wr.status == "ok":
             assert wr.result is not None
             return wr.result
@@ -1086,7 +1033,6 @@ class QueryService:
                 failed=self._failed,
                 timeouts=self._timeouts,
                 cancelled=self._cancelled,
-                legacy_retries=self._legacy_retries,
                 slow_queries=self._slow_queries,
                 plan_bumps=self._plan_bumps,
                 threads=self.threads,

@@ -6,8 +6,8 @@ pieces, all stdlib-only:
 * a process-wide :class:`MetricsRegistry` of counters, gauges and
   log2-bucketed :class:`Histogram` distributions (p50/p95/p99),
   updated through the :func:`instrument` hook layer that the
-  evaluator, pattern matcher, scan cache, prepared-plan cache,
-  structural-join fast path and service request path call;
+  evaluator, pattern matcher, scan cache, prepared-plan cache and
+  service request path call;
 * a structured :class:`QueryLog` — one JSON event per service request
   (trace id, query hash, engine, cache outcome, status, latency,
   ``Metrics`` counter deltas) — ring-buffered with an optional JSONL

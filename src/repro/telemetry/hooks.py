@@ -1,15 +1,15 @@
 """The single hook layer every instrumented subsystem calls.
 
-The evaluator, pattern matcher, scan cache, prepared-plan cache,
-structural-join fast path and the service request path do not talk to
-the :class:`~repro.telemetry.registry.MetricsRegistry` directly — they
-call :func:`instrument` with a *site* name, and this module maps sites
-to metrics.  That keeps three properties in one place:
+The evaluator, pattern matcher, scan cache, prepared-plan cache and
+the service request path do not talk to the
+:class:`~repro.telemetry.registry.MetricsRegistry` directly — they call
+:func:`instrument` with a *site* name, and this module maps sites to
+metrics.  That keeps three properties in one place:
 
 * **one off-switch** — :func:`set_enabled` (or the scoped
   :func:`disabled` context manager) turns every hook into a single
-  boolean test; the telemetry-off overhead budget (< 5 % on ``bench
-  fastpath``) is enforced by keeping that test first in every hook;
+  boolean test; the telemetry-off overhead budget (< 5 %) is
+  enforced by keeping that test first in every hook;
 * **one catalog** — the site → metric mapping below *is* the metric
   name catalog documented in ``docs/OBSERVABILITY.md``; adding a site
   means adding one line here;
@@ -97,11 +97,6 @@ SITES: Dict[str, Tuple[str, str, str]] = {
         "repro_plan_cache_evictions_total",
         "Prepared plans dropped by capacity or generation",
     ),
-    "fastpath.enabled": (
-        "gauge",
-        "repro_fastpath_enabled",
-        "Whether the columnar structural-join fast path is active",
-    ),
     "service.request": (
         "counter",
         "repro_requests_total",
@@ -116,11 +111,6 @@ SITES: Dict[str, Tuple[str, str, str]] = {
         "counter",
         "repro_slow_queries_total",
         "Requests over the slow-query threshold",
-    ),
-    "service.legacy_retry": (
-        "counter",
-        "repro_legacy_retries_total",
-        "Requests retried on the legacy join path",
     ),
     "planner.bump": (
         "counter",

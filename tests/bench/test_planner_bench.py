@@ -47,7 +47,7 @@ def test_report_round_trips_through_json():
     again = PlannerReport.from_json(report.to_json())
     assert again.rows == report.rows
     assert again.environment == report.environment
-    assert {"cpu_count", "fast_path", "batch", "numpy", "planner"} <= set(
+    assert {"cpu_count", "batch", "numpy", "planner"} <= set(
         again.environment
     )
     assert again.speedup_geomean() == report.speedup_geomean()

@@ -64,7 +64,6 @@ def test_the_documented_constants_match_the_code():
     quoted = {
         "PREDICATE_SELECTIVITY": "0.25",
         "MAX_EXHAUSTIVE_EDGES": "5",
-        "LEGACY_JOIN_FACTOR": "2.5",
         "BATCH_SAVING_PER_ROW": "0.15",
         "BATCH_CONVERT_PER_ROW": "0.5",
         "TREE_VETO_MARGIN": "2.0",

@@ -10,7 +10,7 @@ removes tree builds and index walks, never adds them.
 
 import pytest
 
-from repro.bench.fastpath import WORK_COUNTERS
+from repro.bench.harness import WORK_COUNTERS
 from repro.columns.arrays import numpy_available, use_numpy
 from repro.columns.batch import use_batch
 from repro.xmark import FIGURE15_ORDER, QUERIES

@@ -3,8 +3,10 @@
 import pytest
 
 from repro import Engine
+from repro.bench.harness import WORK_COUNTERS
 from repro.patterns.scan_cache import Candidates, ScanCache
 from repro.storage.stats import Metrics
+from repro.xmark import FIGURE15_ORDER, QUERIES
 from tests.conftest import TINY_AUCTION
 
 QUERY = (
@@ -103,3 +105,30 @@ class TestEngineIntegration:
             "pages_read",
         ):
             assert cached.get(counter, 0) <= uncached.get(counter, 0)
+
+
+def _run_xmark(engine, name, scan_cache):
+    engine.db.reset_metrics()
+    result = engine.run(QUERIES[name].text, engine="tlc", scan_cache=scan_cache)
+    return [tree.to_xml() for tree in result], engine.db.metrics.snapshot()
+
+
+@pytest.mark.parametrize("name", FIGURE15_ORDER)
+def test_xmark_cache_is_invisible_except_in_the_work(xmark_engine, name):
+    """Same trees in the same order, and never more metered work."""
+    uncached, uncached_counters = _run_xmark(xmark_engine, name, False)
+    cached, cached_counters = _run_xmark(xmark_engine, name, True)
+    assert cached == uncached, f"{name}: scan cache changed the result"
+    grew = {
+        key: (uncached_counters.get(key, 0), cached_counters.get(key, 0))
+        for key in WORK_COUNTERS
+        if cached_counters.get(key, 0) > uncached_counters.get(key, 0)
+    }
+    assert not grew, f"{name}: scan cache increased work counters {grew}"
+
+
+def test_cache_hits_observed_on_repeat_scans(xmark_engine):
+    """A query that scans the same tag twice registers cache hits."""
+    xmark_engine.db.reset_metrics()
+    xmark_engine.run(QUERIES["x10"].text, engine="tlc")
+    assert xmark_engine.db.metrics.scan_cache_hits > 0

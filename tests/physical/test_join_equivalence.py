@@ -1,11 +1,12 @@
-"""Property tests: the skip-aware joins equal the legacy per-parent joins.
+"""Property tests: the skip-aware joins equal a nested-loop oracle.
 
-The fast path (:func:`pair_join` and friends with ``_FAST_PATH`` on)
-replaces an independent binary search per parent with one merge-style
-cursor that skips monotonically across the sorted parents.  Same
-contract, same output — these tests pin exact equality (pairs, nesting
-*and* order) against the retained ``*_legacy`` implementations across
-random documents, both axes, all four matching specifications, and the
+The structural joins replace an independent probe per parent with one
+merge-style cursor that skips monotonically across the sorted parents.
+These tests pin exact equality (pairs, nesting *and* order) against a
+nested-loop reference — for every parent, every child: interval
+containment, plus ``level + 1`` for the parent-child axis — that shares
+no code with :mod:`repro.physical.structural_join`, across random
+documents, both axes, all four matching specifications, and the
 precomputed-column entry points.
 """
 
@@ -15,14 +16,46 @@ from hypothesis import strategies as st
 from repro.physical.structural_join import (
     child_columns,
     join_for_mspec,
-    join_for_mspec_legacy,
     nest_join,
-    nest_join_legacy,
     pair_join,
-    pair_join_legacy,
 )
 from repro.storage import Database
 from repro.storage.stats import Metrics
+
+
+def oracle_nest_join(parents, children, axis, outer=False):
+    """Nested loops: one ``(parent, cluster)`` per parent, input order."""
+    out = []
+    for p in parents:
+        cluster = [
+            c
+            for c in children
+            if p.doc == c.doc
+            and p.start < c.start
+            and c.end < p.end
+            and (axis == "ad" or c.level == p.level + 1)
+        ]
+        if cluster or outer:
+            out.append((p, cluster))
+    return out
+
+
+def oracle_pair_join(parents, children, axis, outer=False):
+    return [
+        (p, c)
+        for p, cluster in oracle_nest_join(parents, children, axis, outer)
+        for c in (cluster or [None])
+    ]
+
+
+def oracle_join_for_mspec(parents, children, axis, mspec):
+    nested = oracle_nest_join(parents, children, axis, mspec in "?*")
+    if mspec in "+*":
+        return [(p, [cluster]) for p, cluster in nested]
+    return [
+        (p, [[c] for c in cluster] if cluster else [[]])
+        for p, cluster in nested
+    ]
 
 
 @st.composite
@@ -52,10 +85,10 @@ def _sides(xml):
     st.sampled_from(["pc", "ad"]),
     st.booleans(),
 )
-def test_pair_join_equals_legacy(xml, axis, outer):
+def test_pair_join_equals_oracle(xml, axis, outer):
     parents, children = _sides(xml)
     fast = pair_join(parents, children, axis, outer=outer)
-    slow = pair_join_legacy(parents, children, axis, outer=outer)
+    slow = oracle_pair_join(parents, children, axis, outer=outer)
     assert fast == slow  # identical pairs in identical order
 
 
@@ -64,10 +97,10 @@ def test_pair_join_equals_legacy(xml, axis, outer):
     st.sampled_from(["pc", "ad"]),
     st.booleans(),
 )
-def test_nest_join_equals_legacy(xml, axis, outer):
+def test_nest_join_equals_oracle(xml, axis, outer):
     parents, children = _sides(xml)
     fast = nest_join(parents, children, axis, outer=outer)
-    slow = nest_join_legacy(parents, children, axis, outer=outer)
+    slow = oracle_nest_join(parents, children, axis, outer=outer)
     assert fast == slow  # identical clusters in identical order
 
 
@@ -76,35 +109,40 @@ def test_nest_join_equals_legacy(xml, axis, outer):
     st.sampled_from(["pc", "ad"]),
     st.sampled_from(["-", "?", "+", "*"]),
 )
-def test_join_for_mspec_equals_legacy(xml, axis, mspec):
+def test_join_for_mspec_equals_oracle(xml, axis, mspec):
     parents, children = _sides(xml)
     fast = join_for_mspec(parents, children, axis, mspec)
-    slow = join_for_mspec_legacy(parents, children, axis, mspec)
+    slow = oracle_join_for_mspec(parents, children, axis, mspec)
     assert fast == slow
 
 
-@given(random_document(), st.sampled_from(["pc", "ad"]))
-def test_precomputed_columns_change_nothing(xml, axis):
+@given(
+    random_document(),
+    st.sampled_from(["pc", "ad"]),
+    st.sampled_from(["-", "?", "+", "*"]),
+)
+def test_precomputed_columns_equal_oracle(xml, axis, mspec):
     """Passing the columnar probe arrays must not change the output."""
     parents, children = _sides(xml)
-    plain = join_for_mspec(parents, children, axis, "-")
     starts, levels = child_columns(list(children), lambda n: n)
-    columnar = join_for_mspec(
-        parents,
-        children,
-        axis,
-        "-",
-        child_starts=starts,
-        child_levels=levels,
-    )
-    assert plain == columnar
+    expected = oracle_join_for_mspec(parents, children, axis, mspec)
+    # raw postings (level-partitioned on pc) and a plain candidate list
+    for side in (children, list(children)):
+        columnar = join_for_mspec(
+            parents,
+            side,
+            axis,
+            mspec,
+            child_starts=starts,
+            child_levels=levels,
+        )
+        assert columnar == expected
 
 
 @given(random_document(), st.sampled_from(["pc", "ad"]))
-def test_fast_path_never_scans_more(xml, axis):
-    """The skip cursor's work counter never exceeds the legacy join's."""
+def test_one_metered_join_per_call(xml, axis):
+    """The skip cursor meters one structural join however many parents."""
     parents, children = _sides(xml)
-    fast_metrics, slow_metrics = Metrics(), Metrics()
-    pair_join(parents, children, axis, metrics=fast_metrics)
-    pair_join_legacy(parents, children, axis, metrics=slow_metrics)
-    assert fast_metrics.structural_joins <= slow_metrics.structural_joins
+    metrics = Metrics()
+    pair_join(parents, children, axis, metrics=metrics)
+    assert metrics.structural_joins == 1

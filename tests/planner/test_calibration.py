@@ -8,6 +8,7 @@ byte-identity guarantee (a calibrated planner annotates, never changes
 results).
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -21,13 +22,13 @@ from repro.planner import (
     check_table,
     expected_operator_names,
     plan_physical,
+    run_calibration,
     set_calibration,
     use_calibration,
 )
 from repro.planner.calibration import (
     BATCH_CONVERT_RANGE,
     BATCH_SAVING_RANGE,
-    LEGACY_FACTOR_RANGE,
 )
 from tests.conftest import TINY_AUCTION
 
@@ -48,7 +49,6 @@ def sample_table(**overrides):
         cpu_count=4,
         queries=23,
         unit_us=0.1,
-        legacy_join_factor=1.8,
         batch_saving_per_row=0.2,
         batch_convert_per_row=0.7,
         operators={
@@ -79,6 +79,19 @@ class TestTableRoundTrip:
         with pytest.raises(ValueError):
             CalibrationTable.from_dict([])
 
+    def test_file_with_a_retired_constant_still_loads(self, tmp_path):
+        """A table written when the cost model still priced a second
+        join engine carries ``legacy_join_factor``; the unknown constant
+        is ignored and the table validates."""
+        payload = sample_table().to_dict()
+        payload["constants"]["legacy_join_factor"] = 5.9141
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        loaded = CalibrationTable.load(str(path))
+        assert loaded == sample_table()
+        assert check_table(loaded) == []
+        assert "legacy_join_factor" not in loaded.to_dict()["constants"]
+
 
 class TestCheckTable:
     def test_well_formed_table_has_no_problems(self):
@@ -101,11 +114,10 @@ class TestCheckTable:
 
     def test_constants_outside_their_clamps_are_flagged(self):
         bad = sample_table(
-            legacy_join_factor=LEGACY_FACTOR_RANGE[1] + 1,
             batch_saving_per_row=BATCH_SAVING_RANGE[1] + 1,
             batch_convert_per_row=BATCH_CONVERT_RANGE[1] + 1,
         )
-        assert len(check_table(bad)) >= 3
+        assert len(check_table(bad)) >= 2
 
 
 class TestCommittedTable:
@@ -126,6 +138,24 @@ class TestCommittedTable:
         assert check_table(table) == []
         assert set(table.operators) == set(expected_operator_names())
 
+    def test_constants_are_exactly_the_ones_the_planner_reads(self):
+        payload = json.loads(REPO_TABLE.read_text())
+        assert set(payload["constants"]) == set(DEFAULT_CONSTANTS)
+
+
+class TestMeasurement:
+    def test_sweep_writes_exactly_the_planner_constants(self):
+        """``repro calibrate``'s body on a two-query sweep: a table
+        that validates and carries the constants the planner reads —
+        no more (one join engine, so no engine ratio), no fewer."""
+        table = run_calibration(
+            factor=0.002, repeats=1, queries=["x1", "x9"]
+        )
+        assert check_table(table) == []
+        assert set(table.to_dict()["constants"]) == set(DEFAULT_CONSTANTS)
+        assert table.queries == 2
+        assert table.operators["Select"]["measured"]
+
 
 class TestActivation:
     def test_defaults_without_a_table(self):
@@ -135,18 +165,24 @@ class TestActivation:
 
     def test_unknown_constant_is_a_loud_error(self):
         with pytest.raises(KeyError):
-            calibrated("legacy_join_faktor")
+            calibrated("batch_saving_per_rwo")
+
+    def test_retired_constant_is_unknown(self):
+        with pytest.raises(KeyError):
+            calibrated("legacy_join_factor")
+        with use_calibration(sample_table()):
+            with pytest.raises(KeyError):
+                calibrated("legacy_join_factor")
 
     def test_use_calibration_scopes_the_override(self):
         table = sample_table()
         with use_calibration(table):
             assert active_calibration() is table
-            assert calibrated("legacy_join_factor") == 1.8
             assert calibrated("batch_saving_per_row") == 0.2
             assert calibrated("batch_convert_per_row") == 0.7
         assert active_calibration() is None
-        assert calibrated("legacy_join_factor") == DEFAULT_CONSTANTS[
-            "legacy_join_factor"
+        assert calibrated("batch_saving_per_row") == DEFAULT_CONSTANTS[
+            "batch_saving_per_row"
         ]
 
     def test_set_calibration_returns_previous(self):
@@ -168,7 +204,7 @@ class TestActivation:
         try:
             table = active_calibration()
             assert table is not None
-            assert table.legacy_join_factor == 1.8
+            assert table.batch_saving_per_row == 0.2
         finally:
             set_calibration(None)
 
@@ -185,8 +221,8 @@ class TestActivation:
         try:
             assert active_calibration() is None
             assert (
-                calibrated("legacy_join_factor")
-                == DEFAULT_CONSTANTS["legacy_join_factor"]
+                calibrated("batch_saving_per_row")
+                == DEFAULT_CONSTANTS["batch_saving_per_row"]
             )
         finally:
             set_calibration(None)
@@ -200,7 +236,6 @@ class TestCalibratedPlanning:
         # extreme-but-valid constants: whatever shape they pick, the
         # annotations must not change a single result byte
         table = sample_table(
-            legacy_join_factor=LEGACY_FACTOR_RANGE[1],
             batch_saving_per_row=BATCH_SAVING_RANGE[1],
             batch_convert_per_row=BATCH_CONVERT_RANGE[0],
         )
@@ -221,17 +256,17 @@ class TestCalibratedPlanning:
         default_decision = plan_physical(
             translation.plan, engine.cardinality_stats(), apply=False
         )
-        with use_calibration(sample_table(legacy_join_factor=9.0)):
+        with use_calibration(sample_table(batch_convert_per_row=9.0)):
             calibrated_decision = plan_physical(
                 translation.plan, engine.cardinality_stats(), apply=False
             )
 
-        def legacy_cost(decision):
-            for choice in decision.choices:
-                if choice.kind == "engine":
-                    return choice.rejected[0].cost
-            raise AssertionError("no engine choice recorded")
+        def conversion_balance(decision):
+            """Conversion price minus columnar saving, whichever side
+            of the currency choice carries it."""
+            (choice,) = decision.by_kind("currency")
+            return choice.chosen.cost or choice.rejected[0].cost
 
-        assert legacy_cost(calibrated_decision) > legacy_cost(
+        assert conversion_balance(calibrated_decision) > conversion_balance(
             default_decision
         )

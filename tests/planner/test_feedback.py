@@ -195,6 +195,32 @@ class TestFeedbackPersistence:
         assert fresh.load(str(path)) == 1
         assert fresh.overrides_for(self._key("Q1")) == {0: 2}
 
+    def test_failed_save_keeps_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A write that dies half-way must not truncate the live file."""
+        import json
+
+        path = tmp_path / "feedback.json"
+        store = FeedbackStore()
+        store.remember(self._key("Q1"), {0: 10})
+        assert store.save(str(path)) == 1
+
+        def dump_half_then_die(payload, handle, **kwargs):
+            handle.write('{"version": 1, "entr')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_half_then_die)
+        store.remember(self._key("Q2"), {1: 7})
+        with pytest.raises(OSError, match="disk full"):
+            store.save(str(path))
+        monkeypatch.undo()
+
+        fresh = FeedbackStore()
+        assert fresh.load(str(path)) == 1
+        assert fresh.overrides_for(self._key("Q1")) == {0: 10}
+        assert [p.name for p in tmp_path.iterdir()] == ["feedback.json"]
+
     def test_load_tolerates_missing_and_malformed_files(self, tmp_path):
         store = FeedbackStore()
         assert store.load(str(tmp_path / "nope.json")) == 0

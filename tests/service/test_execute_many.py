@@ -38,7 +38,7 @@ def test_batch_failure_does_not_orphan_siblings(engine, monkeypatch):
 
     finished = []
     lock = threading.Lock()
-    with QueryService(engine, threads=2, retry_legacy=False) as svc:
+    with QueryService(engine, threads=2) as svc:
         bad = svc.prepare(QUERY)
         good = svc.prepare(AUCTIONS)
 
@@ -62,7 +62,7 @@ def test_batch_failure_does_not_orphan_siblings(engine, monkeypatch):
 
 
 def test_first_failure_in_submission_order_wins(engine, monkeypatch):
-    with QueryService(engine, threads=2, retry_legacy=False) as svc:
+    with QueryService(engine, threads=2) as svc:
         slow = svc.prepare(QUERY)
         fast = svc.prepare(AUCTIONS)
 

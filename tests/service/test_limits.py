@@ -75,7 +75,7 @@ class TestDeadline:
         assert len(result) == 0
 
     def test_start_is_idempotent(self):
-        # a legacy-path retry re-enters evaluate() with the same limits;
+        # the evaluator re-anchors limits the service already started;
         # the deadline must keep counting from the first anchor
         limits = ExecutionLimits(deadline=10.0)
         limits.start()

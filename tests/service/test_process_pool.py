@@ -6,6 +6,7 @@ digest-verified snapshot handshake are both exercised where available.
 """
 
 import multiprocessing
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.errors import (
     QueryTimeoutError,
     ResourceLimitError,
     ServiceError,
+    WorkerError,
 )
 from repro.service import (
     SERVICE_MODES,
@@ -32,6 +34,7 @@ AUCTIONS = (
     'FOR $o IN document("auction.xml")//open_auction '
     "RETURN <i>{$o/initial/text()}</i>"
 )
+MISSING_DOCUMENT = 'FOR $p IN document("nope.xml")//person RETURN $p/name'
 
 AVAILABLE = [
     m for m in START_METHODS
@@ -114,6 +117,29 @@ class TestProcessExecution:
         ) as svc:
             with pytest.raises(ResourceLimitError):
                 svc.execute(QUERY, max_trees=1)
+
+    def test_missing_document_is_evaluated_once(self, engine, start_method):
+        """An evaluation error is raised once, as itself — no retry."""
+        with QueryService(
+            engine, threads=2, mode="process", start_method=start_method
+        ) as svc:
+            with pytest.raises(WorkerError, match="nope.xml") as caught:
+                svc.execute(MISSING_DOCUMENT)
+            assert caught.value.worker_error_type == "StorageError"
+            # counted in the worker: its exact per-request counter window
+            # rides back on the result, and every evaluation attempt
+            # enters the pattern matcher exactly once before the lookup
+            # of the missing document fails
+            event = svc.query_log.tail(1)[0]
+            assert event.counters["pattern_matches"] == 1
+            stats = svc.stats()
+            assert stats.failed == 1
+            assert stats.executed == 1
+            # the untrack callback may trail the result by a moment
+            deadline = time.monotonic() + 5.0
+            while svc.workers()["in_flight"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert svc.workers()["in_flight"] == 0
 
 
 class TestConfiguration:

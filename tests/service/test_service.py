@@ -1,4 +1,4 @@
-"""Unit tests for the QueryService: caching, budgets, degradation."""
+"""Unit tests for the QueryService: caching, budgets, error surfacing."""
 
 import threading
 import time
@@ -10,6 +10,7 @@ from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
     ServiceError,
+    StorageError,
 )
 from repro.service import PreparedQuery, QueryService
 from tests.conftest import TINY_AUCTION
@@ -18,6 +19,7 @@ QUERY = (
     'FOR $p IN document("auction.xml")//person '
     "WHERE $p//age > 25 RETURN <o>{$p/name/text()}</o>"
 )
+MISSING_DOCUMENT = 'FOR $p IN document("nope.xml")//person RETURN $p/name'
 
 
 @pytest.fixture
@@ -159,60 +161,43 @@ class TestBudgets:
         assert not handle.cancel()
 
 
-class TestGracefulDegradation:
-    def test_retries_once_on_legacy_path(self, engine, monkeypatch):
-        from repro.physical import structural_join
+class TestEvaluationErrors:
+    def test_missing_document_is_evaluated_once(self, engine, monkeypatch):
+        """An evaluation error is raised once, as itself — no retry."""
+        from repro.core.evaluator import evaluate as real_evaluate
 
-        attempts = []
+        calls = []
 
-        def flaky_evaluate(plan, ctx, tracer=None):
-            attempts.append(structural_join.fast_path_enabled())
-            if structural_join.fast_path_enabled():
-                raise RuntimeError("simulated fast-path defect")
-            from repro.core.evaluator import evaluate as real
-
-            return real(plan, ctx, tracer)
+        def counting_evaluate(plan, ctx, tracer=None):
+            calls.append(plan)
+            return real_evaluate(plan, ctx, tracer)
 
         monkeypatch.setattr(
-            "repro.service.service.evaluate", flaky_evaluate
+            "repro.service.service.evaluate", counting_evaluate
         )
         with QueryService(engine, threads=1) as svc:
-            result = svc.execute(QUERY)
-        assert len(result) == 2
-        assert attempts == [True, False], "one fast try, one legacy retry"
-        assert svc.stats().legacy_retries == 1
-        assert structural_join.fast_path_enabled(), "toggle restored"
+            with pytest.raises(StorageError, match="nope.xml"):
+                svc.execute(MISSING_DOCUMENT)
+            assert len(calls) == 1
+            stats = svc.stats()
+            assert stats.failed == 1
+            assert stats.executed == 1
 
-    def test_retry_disabled_surfaces_the_error(self, engine, monkeypatch):
+    def test_evaluator_defect_surfaces_unchanged(self, engine, monkeypatch):
+        calls = []
+
         def broken_evaluate(plan, ctx, tracer=None):
+            calls.append(plan)
             raise RuntimeError("boom")
 
         monkeypatch.setattr(
             "repro.service.service.evaluate", broken_evaluate
         )
-        with QueryService(engine, threads=1, retry_legacy=False) as svc:
+        with QueryService(engine, threads=1) as svc:
             with pytest.raises(RuntimeError, match="boom"):
                 svc.execute(QUERY)
-
-    def test_original_error_raised_when_legacy_also_fails(
-        self, engine, monkeypatch
-    ):
-        def always_broken(plan, ctx, tracer=None):
-            raise RuntimeError("original defect")
-
-        monkeypatch.setattr(
-            "repro.service.service.evaluate", always_broken
-        )
-        with QueryService(engine, threads=1) as svc:
-            with pytest.raises(RuntimeError, match="original defect"):
-                svc.execute(QUERY)
+            assert len(calls) == 1
             assert svc.stats().failed == 1
-
-    def test_structured_aborts_are_never_retried(self, engine):
-        with QueryService(engine, threads=1) as svc:
-            with pytest.raises(QueryTimeoutError):
-                svc.execute(QUERY, deadline=1e-9)
-            assert svc.stats().legacy_retries == 0
 
 
 class TestLifecycle:
