@@ -39,6 +39,16 @@ class NodeId:
     end: int
     level: int
 
+    # one id object exists per stored node (``Document.ids``), so the
+    # per-instance ``__dict__`` is worth dropping; ``slots=True`` needs
+    # Python 3.10, hence the explicit form ``NodeRecord`` also uses
+    __slots__ = ("doc", "start", "end", "level")
+
+    def __reduce__(self):
+        # default slot pickling restores fields with ``setattr``, which
+        # a frozen dataclass refuses
+        return (NodeId, (self.doc, self.start, self.end, self.level))
+
     def contains(self, other: "NodeId") -> bool:
         """True iff ``self`` is a proper ancestor of ``other``."""
         return (
@@ -79,6 +89,11 @@ class TempId:
     """
 
     seq: int
+
+    __slots__ = ("seq",)
+
+    def __reduce__(self):
+        return (TempId, (self.seq,))
 
     @property
     def order_key(self) -> Tuple[int, int, int]:

@@ -77,6 +77,21 @@ class APTNode:
         self.edges.append(edge)
         return edge
 
+    @property
+    def single_variant(self) -> bool:
+        """Whether a stored node has at most one match variant here.
+
+        True of a leaf, and of a node whose edges are all nested
+        (``+``/``*``) to single-variant children: a nested edge adds one
+        cluster per parent, whereas ``-``/``?`` add one variant per
+        matching child.  A ``+``/``*`` cluster over such a child holds
+        every node once already, so the matcher skips the expansion
+        that de-duplicates cluster members.
+        """
+        return all(
+            edge.nested and edge.child.single_variant for edge in self.edges
+        )
+
     def walk(self) -> Iterator["APTNode"]:
         """Pre-order traversal of this pattern subtree."""
         yield self

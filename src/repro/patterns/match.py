@@ -26,6 +26,7 @@ from ..errors import PatternError
 from ..model.node_id import NodeId, TempId
 from ..model.sequence import TreeSequence
 from ..model.tree import SpineEntry, TNode, XTree
+from ..model.value import compare
 from ..physical.structural_join import (
     child_columns,
     join_for_mspec,
@@ -79,11 +80,12 @@ def _cluster_alternatives(
 
 def _expand_nested(
     joined: List[Tuple[_MTree, List[List[_MTree]]]],
-    mspec: str,
+    edge: APTEdge,
     keyer,
 ) -> List[Tuple[_MTree, List[List[_MTree]]]]:
-    """Post-process join output so nested clusters have unique members."""
-    if mspec not in ("+", "*"):
+    """Post-process join output so nested clusters have unique members
+    (they already do under a statically single-variant child pattern)."""
+    if not edge.nested or edge.child.single_variant:
         return joined
     out = []
     for parent, alternatives in joined:
@@ -653,7 +655,7 @@ class PatternMatcher:
                     child_starts=starts,
                     child_levels=levels,
                 )
-                joined = _expand_nested(joined, edge.mspec, lambda m: m.nid)
+                joined = _expand_nested(joined, edge, lambda m: m.nid)
                 alts_per_edge.append(
                     {parent.nid: alts for parent, alts in joined}
                 )
@@ -694,22 +696,24 @@ class PatternMatcher:
         if test.tag == "doc_root":
             document = db.document(doc_name)
             return Candidates([_MTree(document.root_id, "doc_root", None)])
-        out = Candidates()
         if test.tag is None:
+            # wildcard: one contiguous read of the whole record array
             document = db.document(doc_name)
-            for idx in range(len(document.records)):
-                rec = document.fetch(idx)
-                if test.matches_content(rec.value):
-                    out.append(
-                        _MTree(document.node_id(idx), rec.tag, rec.value)
-                    )
-            return out
+            document.touch_range(0, len(document.records))
+            return Candidates(
+                [
+                    _MTree(nid, rec.tag, rec.value)
+                    for nid, rec in zip(document.ids, document.records)
+                    if test.matches_content(rec.value)
+                ]
+            )
         indexable = tuple(
             (op, val)
             for op, val in test.comparisons
             if op in ("=", "!=", "<", "<=", ">", ">=")
         )
         if indexable:
+            out = Candidates()
             op0, val0 = indexable[0]
             ids = db.value_lookup(doc_name, test.tag, op0, val0)
             rest = tuple(
@@ -718,30 +722,30 @@ class PatternMatcher:
             for nid in ids:
                 rec = db.owner(nid).fetch_by_id(nid)
                 if all(
-                    _compare_ok(rec.value, op, val) for op, val in rest
+                    compare(rec.value, op, val) for op, val in rest
                 ):
                     out.append(_MTree(nid, rec.tag, rec.value))
             return out
-        # tag-only scan: the columnar postings carry the record indexes,
-        # so each fetch skips the per-node id resolution (same metering —
-        # one record touch per posting — just less interpreter work)
-        document = db.document(doc_name)
+        # tag-only scan, a column read: the postings carry every value
+        # and the page runs a front-to-back read of them touches, so no
+        # record is fetched and the metering — one record touch per
+        # posting — is arithmetic per run (DESIGN §10)
         postings = db.tag_lookup(doc_name, test.tag)
-        rest = test.comparisons
-        if postings.record_indexes is not None:
-            for ridx, nid in zip(postings.record_indexes, postings.ids):
-                rec = document.fetch(ridx)
-                if all(
-                    _compare_ok(rec.value, op, val) for op, val in rest
-                ):
-                    out.append(_MTree(nid, rec.tag, rec.value))
-            return out
-        for nid in postings:
-            rec = db.owner(nid).fetch_by_id(nid)
-            if all(
-                _compare_ok(rec.value, op, val) for op, val in rest
-            ):
-                out.append(_MTree(nid, rec.tag, rec.value))
+        ids, values = postings.ids, postings.values
+        db.document(doc_name).touch_runs(postings.run_pages, len(ids))
+        starts, levels = postings.starts, postings.levels
+        if test.comparisons:
+            kept = [
+                position
+                for position, value in enumerate(values)
+                if test.matches_content(value)
+            ]
+            ids, values, starts, levels = (
+                [column[position] for position in kept]
+                for column in (ids, values, starts, levels)
+            )
+        out = Candidates(map(_MTree, ids, itertools.repeat(test.tag), values))
+        out.ready = (starts, levels)
         return out
 
     def _match_node_db(
@@ -773,7 +777,7 @@ class PatternMatcher:
                 parent_id=lambda m: m.nid,
                 child_id=lambda m: m.nid,
             )
-            joined = _expand_nested(joined, edge.mspec, lambda m: m.nid)
+            joined = _expand_nested(joined, edge, lambda m: m.nid)
             partials = _combine_edge(partials, joined, order_keys)
         if reordered_plan:
             # witness building zips slots with node.edges: restore order
@@ -855,12 +859,6 @@ class PatternMatcher:
             # the input's shadow-presence knowledge carries over
             result._saw_shadowed = tree._saw_shadowed
         return result
-
-
-def _compare_ok(value, op, rhs) -> bool:
-    from ..model.value import compare
-
-    return compare(value, op, rhs)
 
 
 def _graft_spine(

@@ -41,12 +41,21 @@ with: a plain ``list`` that can additionally carry the columnar
 ``starts``/``levels`` probe columns a structural join attaches on first
 use (see :func:`repro.physical.structural_join.child_columns`), so a
 cached scan's join columns are computed once per query, not once per
-join.
+join — and not at all when the scan hands over the postings' own.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..storage.stats import Metrics
 from ..telemetry import hooks as telemetry
@@ -56,19 +65,31 @@ ScanKey = Tuple[Hashable, ...]
 
 
 class Candidates(List[Any]):
-    """Candidate-match list that can cache its columnar probe columns."""
+    """Candidate-match list that can cache its columnar probe columns.
 
-    starts: Optional[List[Tuple[int, int]]]
-    levels: Optional[List[int]]
+    ``starts``/``levels`` are the columns a structural join attached
+    (``None`` until the first join over the list).  A scan that already
+    holds them — a tag's postings columns, shared as they are, or taken
+    by surviving position under a predicate — leaves them in ``ready``:
+    the first join adopts those instead of deriving them item by item,
+    and ``postings_reused`` still counts second and later joins only.
+    Nothing ever writes into a column, so sharing one with the index
+    (and, through the scan cache, between joins) is safe.
+    """
 
-    # list subclasses carry a __dict__ unless slotted; keep the two
-    # column attributes explicit so mypy and readers see the contract
-    __slots__ = ("starts", "levels")
+    starts: Optional[Sequence[Tuple[int, int]]]
+    levels: Optional[Sequence[int]]
+    ready: Optional[Tuple[Sequence[Tuple[int, int]], Sequence[int]]]
+
+    # list subclasses carry a __dict__ unless slotted; keep the column
+    # attributes explicit so mypy and readers see the contract
+    __slots__ = ("starts", "levels", "ready")
 
     def __init__(self, *args: Any) -> None:
         super().__init__(*args)
         self.starts = None
         self.levels = None
+        self.ready = None
 
 
 class ScanCache:

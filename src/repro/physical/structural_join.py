@@ -61,15 +61,18 @@ def child_columns(
     children: Sequence[Item],
     child_id: Callable[[Item], NodeId] = _identity,
     metrics: Optional[Metrics] = None,
-) -> Tuple[List[Tuple[int, int]], List[int]]:
+) -> Tuple[Sequence[Tuple[int, int]], Sequence[int]]:
     """The ``(doc, start)`` and ``level`` columns of a child input.
 
     A container that already carries ``starts``/``levels`` attributes (a
     tag-index :class:`Postings` view, or a candidate list a previous join
     annotated) is consumed as-is — metered as ``postings_reused``.
-    Otherwise the columns are computed once and, when the container
-    accepts attributes (the pattern matcher's ``Candidates`` lists do),
-    cached on it so the next join over the same input skips the rebuild.
+    Otherwise the columns are computed once — or adopted from the
+    container's ``ready`` pair when its producer already held them (a
+    tag scan shares its postings' columns this way) — and, when the
+    container accepts attributes (the pattern matcher's ``Candidates``
+    lists do), cached on it so the next join over the same input skips
+    the rebuild.
 
     The columns always describe the *node ids* of the items (whatever
     ``child_id`` extracts), which is well-defined because every caller's
@@ -81,12 +84,16 @@ def child_columns(
         if metrics is not None:
             metrics.postings_reused += 1
         return starts, levels
-    starts = []
-    levels = []
-    for child in children:
-        cid = child_id(child)
-        starts.append((cid.doc, cid.start))
-        levels.append(cid.level)
+    ready = getattr(children, "ready", None)
+    if ready is not None:
+        starts, levels = ready
+    else:
+        starts = []
+        levels = []
+        for child in children:
+            cid = child_id(child)
+            starts.append((cid.doc, cid.start))
+            levels.append(cid.level)
     try:
         children.starts = starts  # type: ignore[union-attr]
         children.levels = levels  # type: ignore[union-attr]

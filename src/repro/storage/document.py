@@ -14,7 +14,15 @@ appear as pattern nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import StorageError
 from ..model.node_id import NodeId
@@ -46,6 +54,10 @@ class Document:
         self.name = name
         self.doc_id = doc_id
         self.records: List[NodeRecord] = []
+        #: the one :class:`NodeId` object of each record, aligned with
+        #: ``records`` — indexes, scans and materialised subtrees all
+        #: hand out these, never a second id for the same node
+        self.ids: Tuple[NodeId, ...] = ()
         self._by_start: Dict[int, int] = {}
         self._pool: Optional[BufferPool] = None
         self._metrics: Optional[Metrics] = None
@@ -116,6 +128,9 @@ class Document:
         """Adopt an already interval-encoded record array."""
         doc = cls(name, doc_id)
         doc.records = records
+        doc.ids = tuple(
+            [NodeId(doc_id, r.start, r.end, r.level) for r in records]
+        )
         doc._by_start = {r.start: i for i, r in enumerate(records)}
         return doc
 
@@ -133,10 +148,41 @@ class Document:
         if self._metrics is not None:
             self._metrics.nodes_touched += 1
 
+    def touch_runs(self, run_pages: Sequence[int], total: int) -> None:
+        """Meter ``total`` record reads whose page runs are ``run_pages``.
+
+        ``run_pages`` is the run-length form of the records' page numbers
+        in read order: one entry per maximal run of consecutive reads
+        that fall on the same page.  This is *exactly* :meth:`_touch`
+        per record: only a run's first read can miss — the page is then
+        the pool's most recent entry, so the rest of the run are hits
+        whose ``move_to_end`` changes nothing — hence residency order,
+        ``pages_read``, ``buffer_hits`` and ``nodes_touched`` come out
+        the same, evictions inside the scan included.
+        """
+        pool = self._pool
+        if pool is not None:
+            doc_id = self.doc_id
+            for page_no in run_pages:
+                pool.access((doc_id, page_no))
+            pool.metrics.buffer_hits += total - len(run_pages)
+        if self._metrics is not None:
+            self._metrics.nodes_touched += total
+
+    def touch_range(self, first: int, stop: int) -> None:
+        """Meter reading the contiguous records ``first..stop-1`` in order."""
+        if first < stop:
+            self.touch_runs(
+                range(
+                    first // NODES_PER_PAGE,
+                    (stop - 1) // NODES_PER_PAGE + 1,
+                ),
+                stop - first,
+            )
+
     def node_id(self, record_idx: int) -> NodeId:
         """Interval id of the record at ``record_idx`` (no page touch)."""
-        rec = self.records[record_idx]
-        return NodeId(self.doc_id, rec.start, rec.end, rec.level)
+        return self.ids[record_idx]
 
     def index_of(self, nid: NodeId) -> int:
         """Record index of a node id belonging to this document."""
@@ -187,7 +233,9 @@ class Document:
         """Tag of ``nid`` (metered)."""
         return self.fetch_by_id(nid).tag
 
-    def subtree(self, nid: NodeId, lcls=None) -> TNode:
+    def subtree(
+        self, nid: NodeId, lcls: Optional[Iterable[int]] = None
+    ) -> TNode:
         """Materialise the full subtree rooted at ``nid`` as in-memory tree.
 
         Every record in the subtree is read through the buffer pool — this
@@ -195,10 +243,17 @@ class Document:
         early for every bound variable, TLC/GTP only at Construct time.
         """
         root_idx = self.index_of(nid)
+        records, ids = self.records, self.ids
+        # a subtree is one contiguous pre-order record range, ending at
+        # its last child's last child ..., and ``build`` reads it in order
+        last_idx = root_idx
+        while records[last_idx].children:
+            last_idx = records[last_idx].children[-1]
+        self.touch_range(root_idx, last_idx + 1)
 
         def build(idx: int) -> TNode:
-            rec = self.fetch(idx)
-            node = TNode(rec.tag, rec.value, self.node_id(idx))
+            rec = records[idx]
+            node = TNode(rec.tag, rec.value, ids[idx])
             for child_idx in rec.children:
                 node.add_child(build(child_idx))
             return node
@@ -210,8 +265,7 @@ class Document:
 
     def iter_ids(self) -> Iterator[NodeId]:
         """All node ids in document order (unmetered; used by index builds)."""
-        for idx in range(len(self.records)):
-            yield self.node_id(idx)
+        return iter(self.ids)
 
     def __len__(self) -> int:
         return len(self.records)

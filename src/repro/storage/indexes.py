@@ -23,7 +23,7 @@ import bisect
 from typing import Dict, List, Optional, Tuple
 
 from ..model.node_id import NodeId
-from ..model.value import sort_key
+from ..model.value import Atomic, sort_key
 from .document import Document
 from .page import BufferPool
 from .postings import EMPTY_POSTINGS, Postings
@@ -38,15 +38,22 @@ class TagIndex:
 
     def __init__(self, document: Document) -> None:
         self._doc = document
-        by_tag: Dict[str, Tuple[List[NodeId], List[int]]] = {}
-        for idx, rec in enumerate(document.records):
-            ids, record_idxs = by_tag.setdefault(rec.tag, ([], []))
-            ids.append(document.node_id(idx))
+        records, ids = document.records, document.ids
+        by_tag: Dict[str, List[int]] = {}
+        for idx, rec in enumerate(records):
+            record_idxs = by_tag.get(rec.tag)
+            if record_idxs is None:
+                record_idxs = by_tag[rec.tag] = []
             record_idxs.append(idx)
-        # document order == record order, already sorted
+        # document order == record order, already sorted; every column a
+        # tag scan reads is frozen here, next to the document's own ids
         self._postings: Dict[str, Postings] = {
-            tag: Postings(ids, record_idxs)
-            for tag, (ids, record_idxs) in by_tag.items()
+            tag: Postings(
+                [ids[idx] for idx in record_idxs],
+                record_idxs,
+                [records[idx].value for idx in record_idxs],
+            )
+            for tag, record_idxs in by_tag.items()
         }
 
     def lookup(
@@ -90,11 +97,11 @@ class ValueIndex:
     def __init__(self, document: Document) -> None:
         self._doc = document
         self._by_tag: Dict[str, List[Tuple[tuple, NodeId]]] = {}
-        for idx, rec in enumerate(document.records):
+        for nid, rec in zip(document.ids, document.records):
             if rec.value is None:
                 continue
             self._by_tag.setdefault(rec.tag, []).append(
-                (sort_key(rec.value), document.node_id(idx))
+                (sort_key(rec.value), nid)
             )
         for entries in self._by_tag.values():
             entries.sort(key=lambda pair: (pair[0], pair[1].order_key))
@@ -108,7 +115,7 @@ class ValueIndex:
         self,
         tag: str,
         op: str,
-        value,
+        value: Atomic,
         pool: Optional[BufferPool] = None,
         metrics: Optional[Metrics] = None,
     ) -> List[NodeId]:

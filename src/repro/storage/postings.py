@@ -9,14 +9,24 @@ hottest primitive.  A :class:`Postings` object fixes both: it is an
 ``starts`` / ``ends`` / ``levels`` arrays, so joins binary-search
 ready-made columns instead of rebuilding them per call.
 
-The columns are built **lazily** and stored compactly: ``ends`` and
-``levels`` are C-typed integer columns (``array('l')``, or numpy arrays
-when the batch runtime's numpy flag is on — see
-:mod:`repro.columns.arrays`), and nothing is derived until a consumer
-first touches it, so callers that only iterate ``ids`` (containment
-checks, the value index's sorted probes) never pay for columns they do
-not read.  ``starts`` stays a list of ``(doc, start)`` tuples because
-the join cursors probe it with tuple keys through ``bisect``.
+The join columns are built **lazily** and stored compactly: ``ends`` is
+a C-typed integer column (``array('l')``, or a numpy array when the
+batch runtime's numpy flag is on — see :mod:`repro.columns.arrays`),
+``levels`` always an ``array('l')`` (the join cursor indexes it element
+by element, which numpy is slower at than the list it would replace),
+and nothing is derived until a consumer first touches it, so callers
+that only iterate ``ids`` (containment checks, the value index's sorted
+probes) never pay for columns they do not read.  ``starts`` stays a
+list of ``(doc, start)`` tuples because the join cursors probe it with
+tuple keys through ``bisect``.
+
+The *storage* columns of a tag-index view are built with it:
+``record_indexes`` and ``values`` are aligned with ``ids``, and
+``run_pages`` is the run-length form of the postings' page numbers —
+everything a tag scan reads, so it touches no node record and meters
+its page accesses once per run (:meth:`Document.touch_runs
+<repro.storage.document.Document.touch_runs>`) instead of once per
+posting.
 
 ``at_level`` additionally partitions the postings by tree level (lazily,
 cached), which lets a parent-child join probe only the ``parent.level + 1``
@@ -29,11 +39,23 @@ re-deriving every column from the node ids.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import groupby
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..columns.arrays import int_column, take
 from ..model.node_id import NodeId
+from .page import NODES_PER_PAGE
 
 
 class Postings(Sequence[NodeId]):
@@ -48,29 +70,51 @@ class Postings(Sequence[NodeId]):
     * ``starts``  — ``(doc, start)`` probe keys, sorted ascending;
     * ``ends``    — interval ends, aligned with ``ids``;
     * ``levels``  — tree levels, aligned with ``ids``;
-    * ``record_indexes`` — optional document record indexes aligned with
-      ``ids``, letting scans fetch records without per-node id resolution.
+    * ``record_indexes`` / ``values`` — the document record index and
+      the atomic content of each posting, aligned with ``ids``;
+    * ``run_pages`` — one page number per maximal run of consecutive
+      postings stored on the same page (what a scan of the postings
+      meters, see :meth:`Document.touch_runs`).
 
+    The last three are the storage columns of a tag-index view; an
+    id-only view (``Postings(ids)``, a join input) has ``None`` there.
     ``starts``/``ends``/``levels`` are properties over lazily-built
     compact columns; reading them is idempotent and cheap after the
     first touch.
     """
 
-    __slots__ = ("ids", "record_indexes",
+    __slots__ = ("ids", "record_indexes", "values", "run_pages",
                  "_starts", "_ends", "_levels", "_by_level")
 
     def __init__(
         self,
         ids: Sequence[NodeId],
         record_indexes: Optional[Sequence[int]] = None,
+        values: Optional[Sequence[Any]] = None,
     ) -> None:
         self.ids: Tuple[NodeId, ...] = tuple(ids)
-        self.record_indexes: Optional[Tuple[int, ...]] = (
-            tuple(record_indexes) if record_indexes is not None else None
-        )
+        self.record_indexes: Optional[array] = None
+        self.values: Optional[Tuple[Any, ...]] = None
+        self.run_pages: Optional[array] = None
+        if record_indexes is not None:
+            self.record_indexes = array("l", record_indexes)
+            self.values = tuple(values or ())
+            if not (
+                len(self.ids) == len(self.record_indexes) == len(self.values)
+            ):
+                raise ValueError("posting columns must align with the ids")
+            self.run_pages = array(
+                "l",
+                [
+                    page
+                    for page, _ in groupby(
+                        [idx // NODES_PER_PAGE for idx in self.record_indexes]
+                    )
+                ],
+            )
         self._starts: Optional[List[Tuple[int, int]]] = None
         self._ends = None
-        self._levels = None
+        self._levels: Optional[array] = None
         self._by_level: Optional[Dict[int, "Postings"]] = None
 
     # ------------------------------------------------------------------
@@ -91,10 +135,10 @@ class Postings(Sequence[NodeId]):
         return self._ends
 
     @property
-    def levels(self):
-        """Tree levels as a compact integer column (lazy)."""
+    def levels(self) -> array:
+        """Tree levels as an ``array('l')`` column (lazy)."""
         if self._levels is None:
-            self._levels = int_column([n.level for n in self.ids])
+            self._levels = array("l", [n.level for n in self.ids])
         return self._levels
 
     # ------------------------------------------------------------------
@@ -108,23 +152,19 @@ class Postings(Sequence[NodeId]):
         never touched stay lazy in the child too.
         """
         ids = self.ids
-        child = Postings.__new__(Postings)
-        child.ids = tuple(ids[i] for i in positions)
-        child.record_indexes = (
-            tuple(self.record_indexes[i] for i in positions)
-            if self.record_indexes is not None
-            else None
+        record_indexes, values = self.record_indexes, self.values
+        child = Postings(
+            [ids[i] for i in positions],
+            [record_indexes[i] for i in positions]
+            if record_indexes is not None
+            else None,
+            [values[i] for i in positions] if values is not None else None,
         )
-        child._starts = (
-            [self._starts[i] for i in positions]
-            if self._starts is not None
-            else None
-        )
-        child._ends = (
-            take(self._ends, positions) if self._ends is not None else None
-        )
-        child._levels = None  # constant within a partition; rarely read
-        child._by_level = None
+        if self._starts is not None:
+            child._starts = [self._starts[i] for i in positions]
+        if self._ends is not None:
+            child._ends = take(self._ends, positions)
+        # levels are constant within a partition and rarely read: lazy
         return child
 
     def at_level(self, level: int) -> "Postings":
@@ -136,7 +176,7 @@ class Postings(Sequence[NodeId]):
         if self._by_level is None:
             groups: Dict[int, List[int]] = {}
             for position, node_level in enumerate(self.levels):
-                groups.setdefault(int(node_level), []).append(position)
+                groups.setdefault(node_level, []).append(position)
             self._by_level = {
                 node_level: self._partition(positions)
                 for node_level, positions in groups.items()
@@ -145,7 +185,7 @@ class Postings(Sequence[NodeId]):
 
     def levels_present(self) -> List[int]:
         """Distinct tree levels with at least one posting (ascending)."""
-        return sorted({int(level) for level in self.levels})
+        return sorted(set(self.levels))
 
     # ------------------------------------------------------------------
     # Sequence protocol (read-only)
@@ -202,5 +242,6 @@ class Postings(Sequence[NodeId]):
         return f"<Postings n={len(self.ids)}>"
 
 
-#: Shared empty view (missing tags, empty level partitions).
-EMPTY_POSTINGS = Postings(())
+#: Shared empty view (missing tags, empty level partitions); scannable,
+#: so its storage columns are present and empty.
+EMPTY_POSTINGS = Postings((), (), ())

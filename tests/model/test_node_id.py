@@ -1,5 +1,8 @@
 """Unit and property tests for interval node ids (Section 5.1)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +15,28 @@ from repro.model.node_id import (
 )
 from repro.storage import Database
 from repro.storage.xml_parser import parse_xml
+
+
+class TestCompactIds:
+    """Slotted ids (no ``__dict__``) that still pickle and copy."""
+
+    @pytest.mark.parametrize("nid", [NodeId(3, 7, 12, 2), TempId(41)])
+    def test_round_trips(self, nid):
+        assert not hasattr(nid, "__dict__")
+        clones = [copy.copy(nid), copy.deepcopy(nid)] + [
+            pickle.loads(pickle.dumps(nid, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in clones:
+            assert type(clone) is type(nid)
+            assert clone == nid and hash(clone) == hash(nid)
+            assert clone.order_key == nid.order_key
+
+    def test_still_frozen(self):
+        with pytest.raises(AttributeError):
+            NodeId(0, 1, 2, 0).start = 5
+        with pytest.raises(AttributeError):
+            TempId(1).other = 5
 
 
 class TestNodeId:

@@ -64,6 +64,9 @@ class TestCandidates:
         assert candidates.levels is None
         assert list(candidates) == [1, 2]
 
+    def test_ready_columns_start_unset(self):
+        assert Candidates([1]).ready is None
+
     def test_slots_reject_arbitrary_attributes(self):
         candidates = Candidates()
         with pytest.raises(AttributeError):
@@ -132,3 +135,46 @@ def test_cache_hits_observed_on_repeat_scans(xmark_engine):
     xmark_engine.db.reset_metrics()
     xmark_engine.run(QUERIES["x10"].text, engine="tlc")
     assert xmark_engine.db.metrics.scan_cache_hits > 0
+
+
+def test_shared_columns_survive_every_query(xmark_engine):
+    """Scans hand the index's own columns to the joins (and the cache
+    hands one candidate list to several joins): after all 23 queries,
+    cached and uncached, no index column may have been written to."""
+    for name in FIGURE15_ORDER:
+        for scan_cache in (True, False):
+            _run_xmark(xmark_engine, name, scan_cache)
+    document = xmark_engine.db.document("auction.xml")
+    index = xmark_engine.db.tag_index("auction.xml")
+    for tag in index.tags():
+        postings = index.postings(tag)
+        idxs = list(postings.record_indexes)
+        assert list(postings.ids) == [document.ids[i] for i in idxs]
+        assert postings.starts == [(n.doc, n.start) for n in postings.ids]
+        assert list(postings.levels) == [n.level for n in postings.ids]
+        assert list(postings.values) == [
+            document.records[i].value for i in idxs
+        ]
+
+
+def test_cached_scan_columns_are_never_a_join_output(tiny_db):
+    """Combination builds fresh lists: the cached candidates (whose
+    columns alias the index) are not what a join's result is written to."""
+    from repro.patterns import APT, PatternMatcher, pattern_node
+
+    cache = ScanCache(tiny_db.metrics)
+    matcher = PatternMatcher(tiny_db, scan_cache=cache)
+    root = pattern_node("open_auction", 1)
+    root.add_edge(pattern_node("bidder", 2), "pc", "*")
+    memo = {}
+    variants = matcher._match_node_db(root, "auction.xml", memo)
+    index = tiny_db.tag_index("auction.xml")
+    parents = cache.candidates(
+        ("auction.xml", "open_auction", ()), lambda: None
+    )
+    children = cache.candidates(("auction.xml", "bidder", ()), lambda: None)
+    assert children.starts is index.postings("bidder").starts
+    assert children.levels is index.postings("bidder").levels
+    assert variants is not parents and variants.starts is None
+    assert [len(m.slots[0]) for m in variants] == [3, 1, 0]
+    assert all(m.slots == [] for m in [*parents, *children])

@@ -115,6 +115,38 @@ class TestScanMetering:
         assert self._scanned(db, "!=", -1) == 4
 
 
+class TestOneIdPerStoredNode:
+    """Indexes hand out the document's own id objects, never copies."""
+
+    def test_postings_columns_align_with_the_records(self, db):
+        document = db.document("inv.xml")
+        index = db.tag_index("inv.xml")
+        for tag in index.tags():
+            postings = index.postings(tag)
+            for nid, idx, value in zip(
+                postings.ids, postings.record_indexes, postings.values
+            ):
+                assert nid is document.node_id(idx)
+                assert document.records[idx].tag == tag
+                assert value is document.records[idx].value
+
+    def test_value_index_hits_are_the_same_objects(self, db):
+        document = db.document("inv.xml")
+        hits = db.value_lookup("inv.xml", "price", ">=", 0)
+        assert hits
+        for nid in hits:
+            assert nid is document.node_id(document.index_of(nid))
+
+    def test_document_accessors_share_the_ids(self, db):
+        document = db.document("inv.xml")
+        assert list(document.iter_ids()) == list(document.ids)
+        assert document.root_id is document.ids[0]
+        item = db.tag_lookup("inv.xml", "item")[0]
+        tree = db.subtree(item)
+        for node in tree.walk():
+            assert node.nid is document.node_id(document.index_of(node.nid))
+
+
 class TestImmutableViews:
     def test_tag_lookup_returns_shared_view(self, db):
         first = db.tag_lookup("inv.xml", "item")

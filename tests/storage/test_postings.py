@@ -72,6 +72,42 @@ class TestLevelPartitions:
         assert part.record_indexes is not None
         assert len(part.record_indexes) == len(part)
 
+    def test_partition_keeps_storage_columns_aligned(self, db):
+        doc = db.document("t.xml")
+        postings = db.tag_index("t.xml").postings("b")
+        for level in postings.levels_present():
+            part = postings.at_level(level)
+            assert [doc.node_id(i) for i in part.record_indexes] == list(part)
+            assert len(part.values) == len(part)
+            assert list(part.run_pages) == [0]
+
+
+class TestStorageColumns:
+    def test_values_and_runs_built_with_the_index(self, db):
+        doc = db.document("t.xml")
+        postings = db.tag_index("t.xml").postings("b")
+        assert postings.values == tuple(
+            doc.records[i].value for i in postings.record_indexes
+        )
+        assert list(postings.run_pages) == [0]  # one page holds them all
+
+    def test_id_only_view_has_no_storage_columns(self, db):
+        view = Postings(db.tag_index("t.xml").postings("b").ids)
+        assert view.record_indexes is None
+        assert view.values is None
+        assert view.run_pages is None
+
+    def test_empty_view_is_scannable(self):
+        assert len(EMPTY_POSTINGS.record_indexes) == 0
+        assert EMPTY_POSTINGS.values == ()
+        assert len(EMPTY_POSTINGS.run_pages) == 0
+        assert EMPTY_POSTINGS.starts == []
+
+    def test_misaligned_columns_rejected(self, db):
+        ids = db.tag_index("t.xml").postings("b").ids
+        with pytest.raises(ValueError):
+            Postings(ids, [0], [None])
+
 
 class TestSequenceProtocol:
     def test_len_iter_getitem_contains(self, db):
