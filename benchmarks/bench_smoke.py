@@ -17,8 +17,9 @@ stage runs: every XMark query executes with the cost-based planner off
 and on and must produce byte-identical XML, then a fresh static-vs-
 planned sweep is gated against the committed baseline — failing when
 the planned speedup geomean falls more than the threshold below the
-committed number, when planning goes clearly net slower than the
-static plans, or when no join-order win survives.  Refresh with
+committed number, or when planning goes clearly net slower than the
+static plans (join-order wins are printed, not gated: which reordered
+query reads faster is sub-noise).  Refresh with
 ``python -m repro bench planner --factor 0.05 --repeats 3 --out
 BENCH_9.json``.
 
@@ -173,7 +174,7 @@ def check_planner(baseline_path: Path, factor: float | None,
         f"\nOK: planned speedup {current.speedup_geomean():.2f}x "
         f"(baseline {baseline.speedup_geomean():.2f}x, threshold "
         f"-{threshold:.0%}); join-order wins: "
-        f"{', '.join(current.join_order_wins())}"
+        f"{', '.join(current.join_order_wins()) or 'none'}"
     )
     return 0
 

@@ -198,13 +198,20 @@ def check_planner_against_baseline(
     """Regression findings of ``current`` vs a committed baseline.
 
     Findings are produced when the speedup geomean fell more than
-    ``threshold`` (fractional) below the baseline's, when the planner is
-    *clearly* net slower than static execution (below ``1 - threshold``
-    — the committed baseline sits near break-even at 1.01x, so a hard
-    ``>= 1.0`` gate would flap on single-sample CI noise), or when no
-    join-order win survives.  Per-row counter growth stays informational
-    (a reorder shifts work between counters by design).  Empty list ==
-    pass.
+    ``threshold`` (fractional) below the baseline's, or when the planner
+    is *clearly* net slower than static execution (below ``1 -
+    threshold`` — the committed baseline sits near break-even at 1.01x,
+    so a hard ``>= 1.0`` gate would flap on single-sample CI noise).
+    Per-row counter growth stays informational (a reorder shifts work
+    between counters by design).  Empty list == pass.
+
+    "No join-order win survives" is deliberately **not** a finding any
+    more.  A win needs one reordered query to read faster planned than
+    static, and the five reordered queries run at 0.9-1.1x either way:
+    with nothing on the planner path changed the condition passed 4 of
+    6 runs (PR 26), and every PR that makes both sides cheaper makes it
+    flip more.  :meth:`PlannerReport.join_order_wins` is still reported
+    (table, JSON, the smoke job's OK line) — as information, not a gate.
     """
     findings: List[str] = []
     base = baseline.speedup_geomean()
@@ -222,10 +229,5 @@ def check_planner_against_baseline(
             "cost-based planning is clearly net slower than the static "
             f"plans (geomean speedup {cur:.2f}x, floor "
             f"{1.0 - threshold:.2f}x)"
-        )
-    if not current.join_order_wins():
-        findings.append(
-            "no join-order win: every query where the planner changed "
-            "the join order came out slower (or none was changed)"
         )
     return findings

@@ -56,9 +56,9 @@ class SelectOp(Operator):
 
         Leaf Selects flatten match variants straight into a
         :class:`~repro.columns.batch.ColumnBatch`; extension Selects
-        splice branch segments into input rows.  Each mode keeps a
-        per-tree escape hatch (holistic matching, temporary anchors,
-        in-memory matching) through the base fallback semantics.
+        splice branch segments into input rows.  Temporary anchors and
+        in-memory matching keep a per-tree escape hatch through the
+        base fallback semantics.
         """
         if self.apt.root.lc_ref is not None:
             if not inputs:
@@ -75,10 +75,8 @@ class SelectOp(Operator):
             if self.apt.doc is None:
                 raise AlgebraError("leaf Select needs a bound document")
             out = ctx.matcher.match_batch(self.apt)
-            if out is not None:
-                self.note_batch(ctx, out)
-                return out
-            return ctx.matcher.match(self.apt)
+            self.note_batch(ctx, out)
+            return out
         # in-memory matching walks real trees
         return self.execute(
             ctx, [as_tree_sequence(inputs[0], ctx.metrics, fallback=True)]

@@ -14,46 +14,47 @@ Two matchers share the combination logic:
 Both produce the heterogeneous witness trees of Definition 3: one witness
 per valid mapping *h*, with every matched node tagged by its pattern node's
 Logical Class Label.
+
+The stored-document matcher **materialises on keep** (DESIGN §10): a
+scan's candidates are a column view, every edge's structural join reads
+candidate *positions* and columns, and a match-variant object is built
+only for a candidate every edge kept — its leaf-pattern children staying
+``(view, lo, hi)`` runs of the child scan's columns until a witness tree
+or a batch row copies them out.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..columns.arrays import positions_where_equal, tolist
 from ..columns.batch import ColumnBatch
 from ..errors import PatternError
-from ..model.node_id import NodeId, TempId
+from ..model.node_id import NodeId
 from ..model.sequence import TreeSequence
 from ..model.tree import SpineEntry, TNode, XTree
 from ..model.value import compare
-from ..physical.structural_join import (
-    child_columns,
-    join_for_mspec,
-)
+from ..physical.structural_join import child_columns, probe
 from ..storage.database import Database
+from ..storage.postings import is_flat
 from ..telemetry import hooks as telemetry
 from .apt import APT, APTEdge, APTNode
 from .predicates import NodeTest
 from .scan_cache import Candidates, ScanCache
+from .scan_cache import MatchVariant as _MTree
+
+#: One alternative of an edge: the variants placed under the parent, or
+#: a ``(view, lo, hi)`` run of a leaf child's candidate columns.
+Alternative = object
+#: The five column builders of a batch (tags, values, nids, labels,
+#: parents).
+Columns = Tuple[List[str], list, list, List[int], List[int]]
 
 
-class _MTree:
-    """One match variant of a pattern node: identity plus per-edge slots.
-
-    ``ref`` is set when the match lives in an in-memory tree (the node is
-    marked rather than copied); otherwise ``nid/tag/value`` describe a
-    stored node to materialise.
-    """
-
-    __slots__ = ("nid", "tag", "value", "slots", "ref")
-
-    def __init__(self, nid, tag, value, slots=None, ref=None):
-        self.nid = nid
-        self.tag = tag
-        self.value = value
-        self.slots: List[List["_MTree"]] = slots if slots is not None else []
-        self.ref: Optional[TNode] = ref
+def _nid(variant: _MTree) -> object:
+    return variant.nid
 
 
 def _cluster_alternatives(
@@ -78,66 +79,6 @@ def _cluster_alternatives(
     return [list(combo) for combo in itertools.product(*(groups[k] for k in order))]
 
 
-def _expand_nested(
-    joined: List[Tuple[_MTree, List[List[_MTree]]]],
-    edge: APTEdge,
-    keyer,
-) -> List[Tuple[_MTree, List[List[_MTree]]]]:
-    """Post-process join output so nested clusters have unique members
-    (they already do under a statically single-variant child pattern)."""
-    if not edge.nested or edge.child.single_variant:
-        return joined
-    out = []
-    for parent, alternatives in joined:
-        expanded: List[List[_MTree]] = []
-        for cluster in alternatives:
-            if cluster:
-                expanded.extend(_cluster_alternatives(cluster, keyer))
-            else:
-                expanded.append(cluster)
-        out.append((parent, expanded))
-    return out
-
-
-def _combine_edge(
-    partials: List[_MTree],
-    joined: List[Tuple[_MTree, List[List[_MTree]]]],
-    order_keys: Optional[Dict[int, tuple]] = None,
-) -> "Candidates":
-    """Extend each partial with its alternatives for one more edge.
-
-    Returns a fresh :class:`Candidates` list (never the input), so the
-    next edge's structural join can attach its probe columns to it.
-
-    ``order_keys`` (when edges run out of source order) maps each
-    partial's identity to its enumeration key — the candidate index
-    followed by one alternative index per processed edge.  Each new
-    partial extends its parent's key with this edge's alternative index,
-    so the caller can sort the final variants back into the order
-    source-order processing would have enumerated them in.
-    """
-    by_parent = {id(parent): alts for parent, alts in joined}
-    out: Candidates = Candidates()
-    for partial in partials:
-        alternatives = by_parent.get(id(partial))
-        if alternatives is None:
-            continue  # parent dropped by a mandatory edge
-        for alt_index, alt in enumerate(alternatives):
-            extended = _MTree(
-                partial.nid,
-                partial.tag,
-                partial.value,
-                partial.slots + [alt],
-                partial.ref,
-            )
-            if order_keys is not None:
-                order_keys[id(extended)] = order_keys[id(partial)] + (
-                    alt_index,
-                )
-            out.append(extended)
-    return out
-
-
 class PatternMatcher:
     """Matches annotated pattern trees against a :class:`Database`."""
 
@@ -145,7 +86,6 @@ class PatternMatcher:
         self,
         db: Database,
         order_edges: bool = False,
-        strategy: str = "binary",
         scan_cache: Optional[ScanCache] = None,
         limits=None,
     ) -> None:
@@ -167,13 +107,6 @@ class PatternMatcher:
         #: our implementation we used a simple bottom-up approach"); the
         #: default reproduces the paper's unordered behaviour.
         self.order_edges = order_edges
-        #: ``strategy="holistic"`` matches eligible patterns (all edges
-        #: ``-``, no content predicates) with the TwigStack holistic join
-        #: of reference [3] instead of cascaded binary structural joins;
-        #: ineligible patterns fall back to the binary cascade.
-        if strategy not in ("binary", "holistic"):
-            raise PatternError(f"unknown match strategy {strategy!r}")
-        self.strategy = strategy
 
     def _edge_plan(self, node: APTNode, doc_name: str) -> list:
         """The edge processing order for one pattern node."""
@@ -203,69 +136,47 @@ class PatternMatcher:
     # ------------------------------------------------------------------
     # document-rooted matching
     # ------------------------------------------------------------------
-    def match(self, apt: APT) -> TreeSequence:
-        """All witness trees of ``apt`` against its bound document."""
+    def _root_matches(self, apt: APT) -> Candidates:
+        """Validate a document-rooted pattern and match it."""
         if apt.doc is None:
             raise PatternError("document-rooted match needs apt.doc")
         if apt.root.lc_ref is not None:
             raise PatternError("use extend() for class-referencing patterns")
         apt.validate()
         self.db.metrics.pattern_matches += 1
-        if self.strategy == "holistic" and _holistic_eligible(apt.root):
-            out = self._match_holistic(apt)
-            self._note_match(out)
-            return out
-        memo: Dict[int, List[_MTree]] = {}
-        matches = self._match_node_db(apt.root, apt.doc, memo)
+        return self._match_node_db(apt.root, apt.doc, {})
+
+    def match(self, apt: APT) -> TreeSequence:
+        """All witness trees of ``apt`` against its bound document."""
         out = TreeSequence()
         limits = self.limits
-        for mtree in matches:
+        for mtree in self._root_matches(apt):
             if limits is not None:
                 limits.tick()
-            out.append(XTree(self._build(mtree, apt.root)))
+            out.append(XTree(_build(mtree, apt.root)))
             self.db.metrics.trees_built += 1
         self._note_match(out)
         return out
 
-    def match_batch(self, apt: APT) -> Optional[ColumnBatch]:
+    def match_batch(self, apt: APT) -> ColumnBatch:
         """Columnar :meth:`match`: witness rows, no tree objects built.
 
         Match variants flatten straight into a
         :class:`~repro.columns.batch.ColumnBatch` — the ``_build`` walk
         and its per-node ``TNode`` construction are skipped entirely;
         downstream batch operators (or the eventual materialisation
-        boundary) decide if trees are ever needed.  Returns ``None``
-        when the pattern takes the holistic (TwigStack) route, which
-        stays per-tree; the caller falls back to :meth:`match`.
+        boundary) decide if trees are ever needed.
         """
-        if apt.doc is None:
-            raise PatternError("document-rooted match needs apt.doc")
-        if apt.root.lc_ref is not None:
-            raise PatternError("use extend() for class-referencing patterns")
-        apt.validate()
-        if self.strategy == "holistic" and _holistic_eligible(apt.root):
-            return None
-        self.db.metrics.pattern_matches += 1
-        memo: Dict[int, List[_MTree]] = {}
-        matches = self._match_node_db(apt.root, apt.doc, memo)
         offsets = [0]
-        tags: List[str] = []
-        values: list = []
-        nids: list = []
-        labels: List[int] = []
-        parents: List[int] = []
+        columns: Columns = ([], [], [], [], [])
+        tags = columns[0]
         limits = self.limits
-        for mtree in matches:
+        for mtree in self._root_matches(apt):
             if limits is not None:
                 limits.tick()
-            _flatten_variant(
-                mtree, apt.root, tags, values, nids, labels, parents,
-                len(tags), -1,
-            )
+            _flatten_variant(mtree, apt.root, columns, len(tags), -1)
             offsets.append(len(tags))
-        out = ColumnBatch.from_lists(
-            offsets, tags, values, nids, labels, parents
-        )
+        out = ColumnBatch.from_lists(offsets, *columns)
         self._note_match(out)
         return out
 
@@ -274,40 +185,6 @@ class PatternMatcher:
         if telemetry.enabled():
             telemetry.instrument("matcher.match")
             telemetry.instrument("matcher.trees", len(out))
-
-    def _match_holistic(self, apt: APT) -> TreeSequence:
-        """Match a '-'-only predicate-free pattern with TwigStack."""
-        from ..physical.twigstack import TwigNode, twig_stack
-
-        def to_twig(node: APTNode, axis: str) -> TwigNode:
-            if node.test.tag == "doc_root":
-                stream = [self.db.document(apt.doc).root_id]
-            else:
-                stream = self.db.tag_lookup(apt.doc, node.test.tag)
-            twig = TwigNode(str(node.lcl), stream, axis)
-            for edge in node.edges:
-                twig.children.append(to_twig(edge.child, edge.axis))
-            return twig
-
-        twig_root = to_twig(apt.root, "ad")
-        matches = twig_stack(twig_root, self.db.metrics)
-        out = TreeSequence()
-        for assignment in matches:
-            out.append(XTree(self._build_assignment(apt.root, assignment)))
-            self.db.metrics.trees_built += 1
-        return TreeSequence(
-            sorted(out, key=lambda tree: tree.order_key)
-        )
-
-    def _build_assignment(self, node: APTNode, assignment) -> TNode:
-        nid = assignment[str(node.lcl)]
-        record = self.db.owner(nid).fetch_by_id(nid)
-        built = TNode(record.tag, record.value, nid, {node.lcl})
-        for edge in node.edges:
-            built.add_child(
-                self._build_assignment(edge.child, assignment)
-            )
-        return built
 
     # ------------------------------------------------------------------
     # extension matching (pattern-tree reuse)
@@ -345,7 +222,7 @@ class PatternMatcher:
         #: anchors per input tree; None marks an anchor-less tree and
         #: False a tree dropped by the root content test
         entries: List[Tuple[XTree, object]] = []
-        db_anchors: Dict[NodeId, TNode] = {}
+        db_anchors: Dict[NodeId, Tuple[str, object]] = {}
         for tree in trees:
             anchors = tree.class_nodes(root.lc_ref)
             if not anchors:
@@ -359,15 +236,18 @@ class PatternMatcher:
             entries.append((tree, anchors))
             for anchor in anchors:
                 if isinstance(anchor.nid, NodeId):
-                    db_anchors.setdefault(anchor.nid, anchor)
-        variants_by_nid = (
-            self._batch_anchor_variants(db_anchors, edges)
-            if db_anchors
-            else {}
-        )
-        #: built-subtree memo shared by every graft of this batch (see
-        #: the ``cache`` parameter of :func:`_apply_match`)
-        built_cache: Dict[int, Tuple[TNode, List[Tuple[int, TNode]]]] = {}
+                    db_anchors.setdefault(
+                        anchor.nid, (anchor.tag, anchor.value)
+                    )
+        #: per stored anchor, the branches of each of its variants, built
+        #: once and shared by every graft of this batch (see
+        #: :meth:`_graft_shared`)
+        branches_by_nid = {
+            nid: [_build_branches(variant, edges) for variant in variants]
+            for nid, variants in self._batch_anchor_variants(
+                db_anchors, edges
+            ).items()
+        }
         out = TreeSequence()
         limits = self.limits
         for tree, anchors in entries:
@@ -380,11 +260,11 @@ class PatternMatcher:
                 continue
             if anchors is False:
                 continue
-            per_anchor: List[List[_MTree]] = []
+            per_anchor: List[list] = []
             dead = False
             for anchor in anchors:
                 if isinstance(anchor.nid, NodeId):
-                    variants = variants_by_nid[anchor.nid]
+                    variants = branches_by_nid[anchor.nid]
                 else:
                     variants = _match_tree_variants(
                         _MTree(
@@ -418,7 +298,6 @@ class PatternMatcher:
                         combo,
                         edges,
                         derive and not nested,
-                        built_cache,
                     )
                 )
                 self.db.metrics.trees_built += 1
@@ -434,11 +313,14 @@ class PatternMatcher:
         (one structural join per edge across all distinct anchors); what
         changes is the output assembly.  Instead of grafting copies of
         witness *trees*, each match variant's branches flatten once into
-        a column *segment* (memoised by variant identity), and every
+        a column *segment* (once per distinct anchor), and every
         output row is the input row with each anchor's segment spliced
         in at the end of the anchor's subtree slice — pre-order stays
-        pre-order, and parents are row-relative so only the splice
-        points need arithmetic.
+        pre-order, and parents are row-relative, so everything in front
+        of the first splice point is copied as five column slices and
+        only what follows one needs arithmetic.  In the common row — the
+        anchor is the row root, or its subtree closes the row — nothing
+        follows one.
 
         Returns ``None`` when any anchor is a temporary node (in-memory
         matching marks existing nodes, which needs real trees); the
@@ -449,22 +331,28 @@ class PatternMatcher:
             raise PatternError("extension pattern must reference a class")
         apt.validate()
         edges = root.edges
-        lc_ref = root.lc_ref
         mandatory = any(e.mspec in ("-", "+") for e in edges)
         check_content = bool(root.test.comparisons)
-        src_tags, src_values = batch.tags, batch.values
-        src_nids, src_labels = batch.nids, batch.labels
-        src_parents, src_offsets = batch.parents, batch.offsets
+        src_tags, src_values, src_nids = batch.tags, batch.values, batch.nids
+        src_labels, src_parents = tolist(batch.labels), tolist(batch.parents)
+        src_offsets = batch.offsets
+        # every anchor of the batch in one pass over the label column,
+        # then split by row: ``anchor_cols[lo:hi]`` are one row's
+        anchor_cols = positions_where_equal(batch.labels, root.lc_ref)
         #: anchor positions per row; None marks an anchor-less row and
         #: False a row dropped by the root content test (mirrors
         #: ``entries`` of :meth:`extend`)
         entries: List[object] = []
-        db_anchors: Dict[NodeId, _MTree] = {}
+        db_anchors: Dict[NodeId, Tuple[str, object]] = {}
+        hi, total = 0, len(anchor_cols)
         for row in range(len(batch)):
-            positions = batch.class_positions(row, lc_ref)
-            if not positions:
+            lo, end = hi, src_offsets[row + 1]
+            while hi < total and anchor_cols[hi] < end:
+                hi += 1
+            if lo == hi:
                 entries.append(None)
                 continue
+            positions = anchor_cols[lo:hi]
             if check_content and not all(
                 root.test.matches_content(src_values[p]) for p in positions
             ):
@@ -476,24 +364,27 @@ class PatternMatcher:
                 if not isinstance(nid, NodeId):
                     # temporary anchor: in-memory matching needs trees
                     return None
-                db_anchors.setdefault(
-                    nid, _MTree(nid, src_tags[p], src_values[p])
-                )
+                db_anchors.setdefault(nid, (src_tags[p], src_values[p]))
         self.db.metrics.pattern_matches += 1
-        variants_by_nid = (
-            self._batch_anchor_variants(db_anchors, edges)
-            if db_anchors
-            else {}
-        )
-        #: flattened branch segments, memoised by variant identity —
-        #: the columnar counterpart of the graft's built-subtree cache
-        segments: Dict[int, tuple] = {}
+        #: per anchor, the flattened branch segment of each of its
+        #: variants — the columnar counterpart of the grafts' built
+        #: branches, flattened once however many rows splice it in
+        segments = {
+            nid: [_segment(variant, edges) for variant in variants]
+            for nid, variants in self._batch_anchor_variants(
+                db_anchors, edges
+            ).items()
+        }
         offsets = [0]
-        tags: List[str] = []
-        values: list = []
-        nids: list = []
-        labels: List[int] = []
-        parents: List[int] = []
+        columns: Columns = ([], [], [], [], [])
+        tags, values, nids, labels, parents = columns
+        data = columns[:4]
+        sources = (src_tags, src_values, src_nids, src_labels)
+
+        def copy_base(first: int, stop: int) -> None:
+            for column, source in zip(data, sources):
+                column.extend(source[first:stop])
+
         limits = self.limits
         for row, positions in enumerate(entries):
             if limits is not None:
@@ -501,171 +392,124 @@ class PatternMatcher:
             start, end = src_offsets[row], src_offsets[row + 1]
             if positions is None:
                 if not mandatory:
-                    tags.extend(src_tags[start:end])
-                    values.extend(src_values[start:end])
-                    nids.extend(src_nids[start:end])
-                    for j in range(start, end):
-                        labels.append(src_labels[j])
-                        parents.append(src_parents[j])
+                    copy_base(start, end)
+                    parents.extend(src_parents[start:end])
                     offsets.append(len(tags))
                 continue
             if positions is False:
                 continue
-            per_anchor = []
-            dead = False
-            for p in positions:
-                variants = variants_by_nid[src_nids[p]]
-                if not variants:
-                    dead = True
-                    break
-                per_anchor.append(
-                    [
-                        _segment_for(variant, edges, segments)
-                        for variant in variants
-                    ]
-                )
-            if dead:
-                continue
+            per_anchor = [segments[src_nids[p]] for p in positions]
+            if not all(per_anchor):
+                continue  # an anchor some mandatory edge dropped
             n = end - start
-            # end of each node's subtree, row-relative: every node
-            # extends the span of its whole ancestor chain
-            subtree_ends = [0] * n
-            for j in range(n):
-                subtree_ends[j] = j + 1
-                parent = src_parents[start + j]
-                while parent >= 0:
-                    subtree_ends[parent] = j + 1
-                    parent = src_parents[start + parent]
-            anchor_rels = [p - start for p in positions]
-            base_parents = list(src_parents[start:end])
+            # splice points: the end of each anchor's subtree (the row's
+            # end for its root; otherwise the first later node whose
+            # parent lies in front of the anchor); on ties the deeper
+            # anchor's branches come first (its subtree closes inside
+            # the shallower one's)
+            points = []
+            for p in positions:
+                anchor = p - start
+                stop = anchor + 1 if anchor else n
+                while stop < n and src_parents[start + stop] >= anchor:
+                    stop += 1
+                points.append((stop, -anchor))
+            order = sorted(range(len(points)), key=points.__getitem__)
+            first_point = points[order[0]][0]
             for combo in itertools.product(*per_anchor):
-                # splice points: the end of each anchor's subtree; on
-                # ties the deeper anchor's branches come first (its
-                # subtree closes inside the shallower one's)
-                inserts = sorted(
-                    zip(
-                        (subtree_ends[a] for a in anchor_rels),
-                        (-a for a in anchor_rels),
-                        combo,
-                    )
-                )
                 # base node j lands at j + shift[j], where shift is the
-                # total segment length spliced in before j — bulk-copy
-                # every column and rewrite only the parents
-                shift = [0] * n
-                cursor = 0
-                shifted = 0
-                for ins, neg_a, seg in inserts:
-                    if shifted:
-                        for j in range(cursor, ins):
-                            shift[j] = shifted
-                    cursor = ins
-                    shifted += len(seg[0])
-                if shifted and cursor < n:
-                    for j in range(cursor, n):
-                        shift[j] = shifted
+                # total segment length spliced in before j; nothing is
+                # spliced in before the first point, so shift is only
+                # tabulated when base nodes follow it
+                shift = None
+                if first_point < n:
+                    shift = [0] * n
+                    shifted = 0
+                    for index in order:
+                        shifted += len(combo[index][0])
+                        ins = points[index][0]
+                        shift[ins:] = [shifted] * (n - ins)
                 row_base = len(tags)
-                cursor = 0
-                for ins, neg_a, seg in inserts:
+                copy_base(start, start + first_point)
+                parents.extend(src_parents[start:start + first_point])
+                cursor = first_point
+                for index in order:
+                    ins, neg_anchor = points[index]
+                    seg = combo[index]
                     if cursor < ins:
-                        tags.extend(src_tags[start + cursor:start + ins])
-                        values.extend(
-                            src_values[start + cursor:start + ins]
+                        copy_base(start + cursor, start + ins)
+                        parents.extend(
+                            [
+                                parent + shift[parent]
+                                for parent in src_parents[
+                                    start + cursor:start + ins
+                                ]
+                            ]
                         )
-                        nids.extend(src_nids[start + cursor:start + ins])
-                        labels.extend(
-                            src_labels[start + cursor:start + ins]
-                        )
-                        for j in range(cursor, ins):
-                            parent = base_parents[j]
-                            parents.append(
-                                parent + shift[parent] if parent >= 0
-                                else -1
-                            )
                         cursor = ins
-                    seg_tags, seg_values, seg_nids, seg_labels, \
-                        seg_parents = seg
                     seg_base = len(tags) - row_base
-                    anchor = -neg_a
-                    anchor_new = anchor + shift[anchor]
-                    tags.extend(seg_tags)
-                    values.extend(seg_values)
-                    nids.extend(seg_nids)
-                    labels.extend(seg_labels)
-                    for parent in seg_parents:
-                        parents.append(
-                            seg_base + parent if parent >= 0 else anchor_new
+                    anchor_new = -neg_anchor
+                    if shift is not None:
+                        anchor_new += shift[anchor_new]
+                    for column, seg_column in zip(data, seg):
+                        column.extend(seg_column)
+                    if seg[5]:
+                        parents.extend(repeat(anchor_new, len(seg[0])))
+                    else:
+                        parents.extend(
+                            [
+                                seg_base + parent if parent >= 0
+                                else anchor_new
+                                for parent in seg[4]
+                            ]
                         )
                 if cursor < n:
-                    tags.extend(src_tags[start + cursor:end])
-                    values.extend(src_values[start + cursor:end])
-                    nids.extend(src_nids[start + cursor:end])
-                    labels.extend(src_labels[start + cursor:end])
-                    for j in range(cursor, n):
-                        parent = base_parents[j]
-                        parents.append(
-                            parent + shift[parent] if parent >= 0 else -1
-                        )
+                    copy_base(start + cursor, end)
+                    parents.extend(
+                        [
+                            parent + shift[parent]
+                            for parent in src_parents[start + cursor:end]
+                        ]
+                    )
                 offsets.append(len(tags))
-        out = ColumnBatch.from_lists(
-            offsets, tags, values, nids, labels, parents
-        )
+        out = ColumnBatch.from_lists(offsets, *columns)
         self._note_match(out)
         return out
 
     def _batch_anchor_variants(
         self,
-        db_anchors: Dict[NodeId, TNode],
+        db_anchors: Dict[NodeId, Tuple[str, object]],
         edges: List[APTEdge],
     ) -> Dict[NodeId, List[_MTree]]:
         """Match variants for every distinct stored anchor, in one batch.
 
         The per-anchor alternatives of one edge depend only on the
-        anchor's node id, so each edge is answered by a single
-        structural join over all anchors sorted in document order — the
-        merge cursor then probes the shared candidate columns strictly
-        forward.  An anchor's variants are the cross product of its
-        per-edge alternatives (same order the sequential cascade
-        produced: later edges vary fastest).
+        anchor's node id, so the distinct anchors of each document,
+        sorted in document order, are one candidate view and each edge
+        is answered by a single structural join over it — the merge
+        cursor then probes the shared child columns strictly forward.
+        An anchor's variants are the cross product of its per-edge
+        alternatives (later edges vary fastest).
         """
-        memo: Dict[int, List[_MTree]] = {}
-        result: Dict[NodeId, List[_MTree]] = {}
+        result: Dict[NodeId, List[_MTree]] = {nid: [] for nid in db_anchors}
+        memo: Dict[int, Candidates] = {}
         by_doc: Dict[int, List[NodeId]] = {}
         for nid in db_anchors:
             by_doc.setdefault(nid.doc, []).append(nid)
-        for doc, nids in by_doc.items():
-            nids.sort(key=lambda n: (n.doc, n.start))
+        for nids in by_doc.values():
+            nids.sort(key=lambda n: n.start)
+            described = [db_anchors[nid] for nid in nids]
+            view = Candidates(
+                nids,
+                [tag for tag, _ in described],
+                [value for _, value in described],
+                flat=is_flat(nids),
+            )
             doc_name = self.db.owner(nids[0]).name
-            bases = [
-                _MTree(nid, db_anchors[nid].tag, db_anchors[nid].value)
-                for nid in nids
-            ]
-            alts_per_edge: List[Dict[NodeId, List[List[_MTree]]]] = []
-            for edge in edges:
-                children = self._match_node_db(edge.child, doc_name, memo)
-                starts, levels = child_columns(children, lambda m: m.nid)
-                joined = join_for_mspec(
-                    bases,
-                    children,
-                    edge.axis,
-                    edge.mspec,
-                    self.db.metrics,
-                    parent_id=lambda m: m.nid,
-                    child_id=lambda m: m.nid,
-                    child_starts=starts,
-                    child_levels=levels,
-                )
-                joined = _expand_nested(joined, edge, lambda m: m.nid)
-                alts_per_edge.append(
-                    {parent.nid: alts for parent, alts in joined}
-                )
-            for base in bases:
-                result[base.nid] = [
-                    _MTree(base.nid, base.tag, base.value, list(combo))
-                    for combo in itertools.product(
-                        *(alts.get(base.nid, ()) for alts in alts_per_edge)
-                    )
-                ]
+            for variant in self._variants(
+                view, edges, edges, doc_name, memo, True
+            ):
+                result[variant.nid].append(variant)
         return result
 
     # ------------------------------------------------------------------
@@ -679,8 +523,8 @@ class PatternMatcher:
         the query-scoped memo: the index probe, per-posting record
         fetches and predicate filtering run once per query instead of
         once per pattern node (``Metrics.scan_cache_hits`` counts the
-        repeats).  The cached list and its match variants are shared and
-        never mutated (combination always builds fresh variants).
+        repeats).  The cached view is shared and never mutated (variants
+        are built fresh, and only read its columns).
         """
         test = node.test
         if self.scan_cache is None:
@@ -691,41 +535,47 @@ class PatternMatcher:
         )
 
     def _scan_candidates(self, test: NodeTest, doc_name: str) -> Candidates:
-        """One actual index/record scan for a node test (uncached)."""
+        """One actual index/record scan for a node test (uncached).
+
+        Every branch returns the column view; none builds a variant.
+        """
         db = self.db
         if test.tag == "doc_root":
-            document = db.document(doc_name)
-            return Candidates([_MTree(document.root_id, "doc_root", None)])
+            return Candidates(
+                [db.document(doc_name).root_id], "doc_root", [None], flat=True
+            )
         if test.tag is None:
             # wildcard: one contiguous read of the whole record array
             document = db.document(doc_name)
             document.touch_range(0, len(document.records))
-            return Candidates(
-                [
-                    _MTree(nid, rec.tag, rec.value)
-                    for nid, rec in zip(document.ids, document.records)
-                    if test.matches_content(rec.value)
-                ]
-            )
+            ids, tags, values = [], [], []
+            for nid, rec in zip(document.ids, document.records):
+                if test.matches_content(rec.value):
+                    ids.append(nid)
+                    tags.append(rec.tag)
+                    values.append(rec.value)
+            return Candidates(ids, tags, values)
         indexable = tuple(
             (op, val)
             for op, val in test.comparisons
             if op in ("=", "!=", "<", "<=", ">", ">=")
         )
         if indexable:
-            out = Candidates()
             op0, val0 = indexable[0]
-            ids = db.value_lookup(doc_name, test.tag, op0, val0)
             rest = tuple(
                 c for c in test.comparisons if c != indexable[0]
             )
-            for nid in ids:
+            ids, values = [], []
+            for nid in db.value_lookup(doc_name, test.tag, op0, val0):
                 rec = db.owner(nid).fetch_by_id(nid)
                 if all(
                     compare(rec.value, op, val) for op, val in rest
                 ):
-                    out.append(_MTree(nid, rec.tag, rec.value))
-            return out
+                    ids.append(nid)
+                    values.append(rec.value)
+            # a subset of the tag's postings is as flat as they are
+            flat = db.tag_index(doc_name).postings(test.tag).flat
+            return Candidates(ids, test.tag, values, flat=flat)
         # tag-only scan, a column read: the postings carry every value
         # and the page runs a front-to-back read of them touches, so no
         # record is fetched and the metering — one record touch per
@@ -744,79 +594,115 @@ class PatternMatcher:
                 [column[position] for position in kept]
                 for column in (ids, values, starts, levels)
             )
-        out = Candidates(map(_MTree, ids, itertools.repeat(test.tag), values))
-        out.ready = (starts, levels)
-        return out
+        return Candidates(
+            ids, test.tag, values, (starts, levels), postings.flat
+        )
 
     def _match_node_db(
-        self, node: APTNode, doc_name: str, memo: Dict[int, List[_MTree]]
-    ) -> List[_MTree]:
-        """All match variants of a pattern subtree, document order."""
+        self, node: APTNode, doc_name: str, memo: Dict[int, Candidates]
+    ) -> Candidates:
+        """All match variants of a pattern subtree, document order.
+
+        A leaf pattern's result *is* its scan's view; a node with edges
+        wraps the variants its joins kept.
+        """
         key = id(node)
         if key in memo:
             return memo[key]
-        partials = self._candidates(node, doc_name)
-        planned = self._edge_plan(node, doc_name)
-        reordered_plan = planned != node.edges
-        # out-of-source-order processing also enumerates the variants in
-        # a different sequence; track each partial's enumeration key so
-        # the final list can be sorted back into source-order sequence
-        order_keys: Optional[Dict[int, tuple]] = (
-            {id(partial): (index,) for index, partial in enumerate(partials)}
-            if reordered_plan
-            else None
-        )
+        matches = self._candidates(node, doc_name)
+        if node.edges:
+            matches = Candidates.of(
+                self._variants(
+                    matches,
+                    node.edges,
+                    self._edge_plan(node, doc_name),
+                    doc_name,
+                    memo,
+                    False,
+                )
+            )
+        memo[key] = matches
+        return matches
+
+    def _variants(
+        self,
+        view: Candidates,
+        edges: List[APTEdge],
+        planned: List[APTEdge],
+        doc_name: str,
+        memo: Dict[int, Candidates],
+        anchored: bool,
+    ) -> List[_MTree]:
+        """Join a candidate view with every edge; build what survives.
+
+        Each edge (in ``planned`` order) is one structural join over the
+        candidate *positions* still alive — a mandatory edge prunes them
+        for the edges after it — and yields, per position, the edge's
+        alternatives.  Those depend only on the (candidate, edge) pair,
+        so whatever order the joins ran in, a candidate's variants are
+        the cross product of its alternatives in *source* edge order
+        (later edges vary fastest) and the result enumerates them in
+        candidate order: exactly the sequence source-order processing
+        produces, with no variant built for a candidate some edge drops.
+
+        ``anchored`` marks an extension batch, whose joins have always
+        metered their child columns as reused.
+        """
+        metrics = self.db.metrics
+        ids = view.ids
+        #: the candidates' own probe keys when they are flat: what lets
+        #: a join skip childless stretches of them (see ``probe``)
+        starts = None
+        if view.flat:
+            starts = view.ready[0] if view.ready is not None else [
+                (nid.doc, nid.start) for nid in ids
+            ]
+        #: candidate positions still alive (None: all of them)
+        alive: Optional[List[int]] = None
+        alternatives: Dict[int, Dict[int, List[Alternative]]] = {}
         for edge in planned:
             children = self._match_node_db(edge.child, doc_name, memo)
-            joined = join_for_mspec(
-                partials,
+            metrics.structural_joins += 1
+            if edge.nested:
+                metrics.nest_joins += 1
+            if anchored:
+                child_starts, child_levels = child_columns(children)
+                metrics.postings_reused += 1
+            else:
+                child_starts, child_levels = child_columns(
+                    children, metrics=metrics
+                )
+            if alive is None:
+                parent_ids, flat_starts = ids, starts
+            else:
+                parent_ids = [ids[position] for position in alive]
+                flat_starts = None if starts is None else [
+                    starts[position] for position in alive
+                ]
+            found = _edge_alternatives(
+                probe(
+                    parent_ids, child_starts, child_levels, edge.axis,
+                    edge.mspec in ("?", "*"), flat_starts,
+                ),
                 children,
-                edge.axis,
-                edge.mspec,
-                self.db.metrics,
-                parent_id=lambda m: m.nid,
-                child_id=lambda m: m.nid,
+                edge,
+                alive,
             )
-            joined = _expand_nested(joined, edge, lambda m: m.nid)
-            partials = _combine_edge(partials, joined, order_keys)
-        if reordered_plan:
-            # witness building zips slots with node.edges: restore order
-            original_position = {
-                id(edge): index for index, edge in enumerate(node.edges)
-            }
-            perm = [original_position[id(edge)] for edge in planned]
-            for partial in partials:
-                reordered = [None] * len(node.edges)
-                for processed_index, edge in enumerate(planned):
-                    reordered[
-                        original_position[id(edge)]
-                    ] = partial.slots[processed_index]
-                partial.slots = reordered
-            # variant order: source-order processing enumerates variants
-            # lexicographically by (candidate, alt per edge in source
-            # position); the alternatives of one (candidate, edge) pair
-            # are plan-order-invariant, so permuting each key back to
-            # source positions and sorting reproduces that sequence
-            assert order_keys is not None
-
-            def source_sequence(partial: _MTree) -> tuple:
-                enum_key = order_keys[id(partial)]
-                restored = [0] * (len(enum_key) - 1)
-                for processed_index, alt_index in enumerate(enum_key[1:]):
-                    restored[perm[processed_index]] = alt_index
-                return (enum_key[0], *restored)
-
-            partials.sort(key=source_sequence)
-        memo[key] = partials
-        return partials
-
-    def _build(self, mtree: _MTree, node: APTNode) -> TNode:
-        """Materialise one match variant as a witness tree."""
-        built = TNode(mtree.tag, mtree.value, mtree.nid, {node.lcl})
-        for edge, matches in zip(node.edges, mtree.slots):
-            for child in matches:
-                built.add_child(self._build(child, edge.child))
-        return built
+            if edge.mspec in ("-", "+"):
+                alive = list(found)
+            alternatives[id(edge)] = found
+        per_edge = [alternatives[id(edge)] for edge in edges]
+        tags, values = view.tag, view.values
+        one_tag = isinstance(tags, str)
+        out: List[_MTree] = []
+        for position in range(len(ids)) if alive is None else alive:
+            nid, value = ids[position], values[position]
+            tag = tags if one_tag else tags[position]
+            for combo in itertools.product(
+                *[found[position] for found in per_edge]
+            ):
+                out.append(_MTree(nid, tag, value, list(combo)))
+        return out
 
     # ------------------------------------------------------------------
     # internals: grafting for extension patterns
@@ -826,10 +712,9 @@ class PatternMatcher:
         tree: XTree,
         spine: List[SpineEntry],
         anchors: List[TNode],
-        combo: Sequence[_MTree],
+        combo: Sequence[object],
         edges: List[APTEdge],
         derive: bool,
-        cache: Dict[int, Tuple[TNode, List[Tuple[int, TNode]]]],
     ) -> XTree:
         """One output tree, sharing unmodified subtrees with the input.
 
@@ -842,16 +727,27 @@ class PatternMatcher:
         already forbidden) — an operator that edits a tree path-copies
         the nodes it touches (:meth:`XTree.path_copy`) and leaves the
         shared ones alone.
+
+        ``combo`` holds, per anchor, what to apply: for a stored anchor
+        the ``(branches, records)`` :func:`_build_branches` built for
+        one of its variants — the same node objects in every output
+        tree that applies that variant, which is safe because built
+        nodes are never mutated in place (marking and shadowing always
+        copy first); for a temporary anchor an in-memory match variant,
+        whose nodes' tree-private copies are marked.
         """
         result, mapping = tree.path_copy(spine)
         recorder: Optional[List[Tuple[int, TNode]]] = [] if derive else None
-        for anchor, variant in zip(anchors, combo):
-            host = mapping[id(anchor)]
-            for edge, matches in zip(edges, variant.slots):
+        for anchor, applied in zip(anchors, combo):
+            if isinstance(anchor.nid, NodeId):
+                branches, recs = applied
+                mapping[id(anchor)].children.extend(branches)
+                if recorder is not None:
+                    recorder.extend(recs)
+                continue
+            for edge, matches in zip(edges, applied.slots):
                 for child in matches:
-                    _apply_match(
-                        child, edge.child, host, mapping, recorder, cache
-                    )
+                    _mark_match(child, edge.child, mapping)
         if recorder is not None:
             result.adopt_index(tree, mapping, recorder)
         else:
@@ -859,6 +755,107 @@ class PatternMatcher:
             # the input's shadow-presence knowledge carries over
             result._saw_shadowed = tree._saw_shadowed
         return result
+
+
+def _edge_alternatives(
+    probed: Iterable[Tuple[int, Sequence[int]]],
+    children: Candidates,
+    edge: APTEdge,
+    alive: Optional[List[int]],
+) -> Dict[int, List[Alternative]]:
+    """The alternatives of one edge per surviving candidate position.
+
+    Each alternative is what goes under the parent for this edge:
+
+    * ``-``  one alternative per matching child (cross-product semantics),
+    * ``?``  like ``-`` plus one empty alternative when nothing matched,
+    * ``+``  exactly one alternative holding the whole cluster,
+    * ``*``  one alternative holding the (possibly empty) cluster.
+
+    Children of a leaf pattern stay ``(view, lo, hi)`` runs of their
+    view's columns; existing variants (``children.items``) are placed as
+    they are, clusters expanded so that each holds a node once.
+    ``alive`` translates probe positions back to candidate positions.
+    """
+    items = children.items
+    nested = edge.nested
+    expand = nested and not edge.child.single_variant
+    out: Dict[int, List[Alternative]] = {}
+    for position, matched in probed:
+        if alive is not None:
+            position = alive[position]
+        if not matched:
+            out[position] = [[]]
+        elif not nested:
+            out[position] = (
+                [(children, idx, idx + 1) for idx in matched]
+                if items is None
+                else [[items[idx]] for idx in matched]
+            )
+        elif items is None and type(matched) is range:
+            out[position] = [(children, matched.start, matched.stop)]
+        else:
+            cluster = (
+                children[matched.start:matched.stop]
+                if type(matched) is range
+                else [children[idx] for idx in matched]
+            )
+            out[position] = (
+                _cluster_alternatives(cluster, _nid) if expand else [cluster]
+            )
+    return out
+
+
+def _build_matches(
+    matches: Alternative,
+    pattern: APTNode,
+    recs: Optional[List[Tuple[int, TNode]]] = None,
+) -> List[TNode]:
+    """Materialise one alternative as witness nodes of ``pattern``.
+
+    With ``recs`` every built node is recorded with its class label, in
+    pre-order, for the incremental LC-index derivation of
+    :meth:`XTree.adopt_index`.
+    """
+    lcl = pattern.lcl
+    if type(matches) is tuple:
+        view, lo, hi = matches
+        built = [
+            TNode(tag, value, nid, (lcl,))
+            for tag, value, nid in zip(
+                view.run_tags(lo, hi), view.values[lo:hi], view.ids[lo:hi]
+            )
+        ]
+        if recs is not None:
+            recs.extend(zip(repeat(lcl), built))
+        return built
+    built = []
+    for mtree in matches:
+        node = TNode(mtree.tag, mtree.value, mtree.nid, (lcl,))
+        built.append(node)
+        if recs is not None:
+            recs.append((lcl, node))
+        for edge, below in zip(pattern.edges, mtree.slots):
+            node.children.extend(_build_matches(below, edge.child, recs))
+    return built
+
+
+def _build(mtree: _MTree, pattern: APTNode) -> TNode:
+    """Materialise one match variant as a witness tree."""
+    return _build_matches([mtree], pattern)[0]
+
+
+def _build_branches(
+    variant: _MTree, edges: List[APTEdge]
+) -> Tuple[List[TNode], List[Tuple[int, TNode]]]:
+    """The branches an anchor's variant grafts, with their records."""
+    recs: List[Tuple[int, TNode]] = []
+    branches = [
+        built
+        for edge, matches in zip(edges, variant.slots)
+        for built in _build_matches(matches, edge.child, recs)
+    ]
+    return branches, recs
 
 
 def _graft_spine(
@@ -894,83 +891,36 @@ def _graft_spine(
     return spine, nested
 
 
-def _apply_match(
-    mtree: _MTree,
-    pattern: APTNode,
-    host: TNode,
-    mapping: Dict[int, TNode],
-    recorder: Optional[List[Tuple[int, TNode]]] = None,
-    cache: Optional[Dict[int, Tuple[TNode, List[Tuple[int, TNode]]]]] = None,
+def _mark_match(
+    mtree: _MTree, pattern: APTNode, mapping: Dict[int, TNode]
 ) -> None:
-    """Attach a stored match under ``host``, or mark an in-memory match.
+    """Mark an in-memory match into its pattern classes.
 
-    With ``recorder`` every freshly built node is recorded with its
-    class label, in attachment (pre-)order, for the incremental
-    LC-index derivation of :meth:`XTree.adopt_index`.
-
-    With ``cache`` the subtree built for a stored match is memoised by
-    variant identity and *shared* between every output tree that
-    applies the same variant — variants are immutable and the built
-    nodes are never mutated in place (marking and shadowing always
-    copy first), so the trees of one extension batch may hold the same
-    grafted branch object.  In-memory matches (``ref`` set) mark
-    tree-private copies and are never cached; their slots only ever
-    hold further in-memory matches, so a cached subtree is ref-free.
+    The match's nodes exist already (``ref``); their tree-private copies
+    join the classes of the pattern nodes that matched them.  The slots
+    of an in-memory match only ever hold further in-memory matches.
     """
-    if mtree.ref is not None:
-        target = mapping[id(mtree.ref)]
-        target.lcls.add(pattern.lcl)
-        for edge, matches in zip(pattern.edges, mtree.slots):
-            for child in matches:
-                _apply_match(
-                    child, edge.child, target, mapping, recorder, cache
-                )
-        return
-    if cache is not None:
-        hit = cache.get(id(mtree))
-        if hit is None:
-            recs: List[Tuple[int, TNode]] = []
-            built = TNode(mtree.tag, mtree.value, mtree.nid, {pattern.lcl})
-            recs.append((pattern.lcl, built))
-            for edge, matches in zip(pattern.edges, mtree.slots):
-                for child in matches:
-                    _apply_match(
-                        child, edge.child, built, mapping, recs, cache
-                    )
-            cache[id(mtree)] = (built, recs)
-        else:
-            built, recs = hit
-        host.add_child(built)
-        if recorder is not None:
-            recorder.extend(recs)
-        return
-    built = TNode(mtree.tag, mtree.value, mtree.nid, {pattern.lcl})
-    if recorder is not None:
-        recorder.append((pattern.lcl, built))
-    host.add_child(built)
+    mapping[id(mtree.ref)].lcls.add(pattern.lcl)
     for edge, matches in zip(pattern.edges, mtree.slots):
         for child in matches:
-            _apply_match(child, edge.child, built, mapping, recorder)
+            _mark_match(child, edge.child, mapping)
 
 
 def _flatten_variant(
     mtree: _MTree,
     pattern: APTNode,
-    tags: List[str],
-    values: list,
-    nids: list,
-    labels: List[int],
-    parents: List[int],
+    columns: Columns,
     base: int,
     parent_rel: int,
 ) -> None:
     """Append one match variant to column builders, pre-order.
 
-    The columnar counterpart of :meth:`PatternMatcher._build`: node
-    first, then each edge's matches in slot order — the exact order
-    ``add_child`` would have produced.  ``base`` is the row's first
-    column, so recorded parents are row-relative.
+    The columnar counterpart of :func:`_build`: node first, then each
+    edge's matches in slot order — the exact order ``add_child`` would
+    have produced.  ``base`` is the row's first column, so recorded
+    parents are row-relative.
     """
+    tags, values, nids, labels, parents = columns
     rel = len(tags) - base
     tags.append(mtree.tag)
     values.append(mtree.value)
@@ -978,57 +928,52 @@ def _flatten_variant(
     labels.append(pattern.lcl)
     parents.append(parent_rel)
     for edge, matches in zip(pattern.edges, mtree.slots):
-        for child in matches:
-            _flatten_variant(
-                child, edge.child, tags, values, nids, labels, parents,
-                base, rel,
-            )
+        _flatten_matches(matches, edge.child, columns, base, rel)
 
 
-def _segment_for(
-    variant: _MTree, edges: List[APTEdge], memo: Dict[int, tuple]
-) -> tuple:
+def _flatten_matches(
+    matches: Alternative,
+    pattern: APTNode,
+    columns: Columns,
+    base: int,
+    parent_rel: int,
+) -> None:
+    """Append one alternative: a run as five slices, variants one by one."""
+    if type(matches) is tuple:
+        view, lo, hi = matches
+        tags, values, nids, labels, parents = columns
+        if hi - lo == 1:
+            # the one child of a "-"/"?" edge (every FOR binding is
+            # one): five appends cost an eighth of five slice copies
+            tag = view.tag
+            tags.append(tag if isinstance(tag, str) else tag[lo])
+            values.append(view.values[lo])
+            nids.append(view.ids[lo])
+            labels.append(pattern.lcl)
+            parents.append(parent_rel)
+            return
+        tags.extend(view.run_tags(lo, hi))
+        values.extend(view.values[lo:hi])
+        nids.extend(view.ids[lo:hi])
+        labels.extend(repeat(pattern.lcl, hi - lo))
+        parents.extend(repeat(parent_rel, hi - lo))
+        return
+    for child in matches:
+        _flatten_variant(child, pattern, columns, base, parent_rel)
+
+
+def _segment(variant: _MTree, edges: List[APTEdge]) -> tuple:
     """Flatten a variant's *branches* into a reusable column segment.
 
     Segment parents are segment-relative, with ``-1`` marking the
-    branch roots (they attach to the anchor at splice time).  Variants
-    are shared across rows through the per-nid variant lists, so the
-    memo — keyed by variant identity, like the graft's built-subtree
-    cache — flattens each one once per extension call.
+    branch roots (they attach to the anchor at splice time); the sixth
+    entry says every node is one.
     """
-    key = id(variant)
-    segment = memo.get(key)
-    if segment is None:
-        tags: List[str] = []
-        values: list = []
-        nids: list = []
-        labels: List[int] = []
-        parents: List[int] = []
-        for edge, matches in zip(edges, variant.slots):
-            for child in matches:
-                _flatten_variant(
-                    child, edge.child, tags, values, nids, labels,
-                    parents, 0, -1,
-                )
-        segment = (tags, values, nids, labels, parents)
-        memo[key] = segment
-    return segment
-
-
-def _holistic_eligible(root: APTNode) -> bool:
-    """Is a pattern in TwigStack's supported fragment?
-
-    All edges must be mandatory (``-``) and no node may carry content
-    comparisons — the classic twig-join setting.  Anything richer uses
-    the binary cascade.
-    """
-    for node in root.walk():
-        if node.test.comparisons or node.test.tag is None:
-            return False
-        for edge in node.edges:
-            if edge.mspec != "-":
-                return False
-    return True
+    columns: Columns = ([], [], [], [], [])
+    for edge, matches in zip(edges, variant.slots):
+        _flatten_matches(matches, edge.child, columns, 0, -1)
+    parents = columns[4]
+    return (*columns, parents.count(-1) == len(parents))
 
 
 # ----------------------------------------------------------------------
@@ -1100,15 +1045,6 @@ def _match_tree_variants(
     return partials
 
 
-def _build_witness(mtree: _MTree, pattern: APTNode) -> TNode:
-    """Copy one in-memory match variant into a fresh witness tree."""
-    built = TNode(mtree.tag, mtree.value, mtree.nid, {pattern.lcl})
-    for edge, matches in zip(pattern.edges, mtree.slots):
-        for child in matches:
-            built.add_child(_build_witness(child, edge.child))
-    return built
-
-
 def match_in_tree(apt: APT, tree: XTree) -> TreeSequence:
     """Match an APT against one in-memory tree, yielding witness trees.
 
@@ -1126,5 +1062,5 @@ def match_in_tree(apt: APT, tree: XTree) -> TreeSequence:
     ]
     for candidate in candidates:
         for variant in _match_tree_node(apt.root, candidate):
-            out.append(XTree(_build_witness(variant, apt.root)))
+            out.append(XTree(_build(variant, apt.root)))
     return out

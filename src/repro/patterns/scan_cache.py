@@ -36,25 +36,31 @@ This is exactly the trap a service layer could fall into by handing one
 cache to its thread pool; :class:`repro.service.QueryService` creates a
 fresh cache per request, and this assertion keeps it honest.
 
-:class:`Candidates` is the list type the matcher builds candidate lists
-with: a plain ``list`` that can additionally carry the columnar
-``starts``/``levels`` probe columns a structural join attaches on first
-use (see :func:`repro.physical.structural_join.child_columns`), so a
-cached scan's join columns are computed once per query, not once per
-join — and not at all when the scan hands over the postings' own.
+:class:`Candidates` is the one candidate type of the matcher — what a
+scan returns, what this cache holds and what a pattern node's match
+result is.  A scan's candidates are a *column view* (``ids`` / ``tag`` /
+``values`` plus the probe columns): structural joins read the columns,
+and a :class:`MatchVariant` object exists only for what a join kept
+("materialise on keep", DESIGN §10).  A cached scan's join columns are
+computed once per query, not once per join — and not at all when the
+scan hands over the postings' own.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import (
     Any,
     Callable,
     Dict,
     Hashable,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from ..storage.stats import Metrics
@@ -64,32 +70,117 @@ from ..telemetry import hooks as telemetry
 ScanKey = Tuple[Hashable, ...]
 
 
-class Candidates(List[Any]):
-    """Candidate-match list that can cache its columnar probe columns.
+class MatchVariant:
+    """One match variant of a pattern node: identity plus per-edge slots.
 
-    ``starts``/``levels`` are the columns a structural join attached
-    (``None`` until the first join over the list).  A scan that already
-    holds them — a tag's postings columns, shared as they are, or taken
-    by surviving position under a predicate — leaves them in ``ready``:
-    the first join adopts those instead of deriving them item by item,
-    and ``postings_reused`` still counts second and later joins only.
-    Nothing ever writes into a column, so sharing one with the index
-    (and, through the scan cache, between joins) is safe.
+    ``slots`` holds one *alternative* per pattern edge — the children
+    placed under this node for that edge: a list of variants, or for a
+    leaf child pattern a ``(view, lo, hi)`` run of a candidate view's
+    columns (no object per child).  ``ref`` is set when the match lives
+    in an in-memory tree (the node is marked rather than copied);
+    otherwise ``nid/tag/value`` describe a stored node to materialise.
     """
 
-    starts: Optional[Sequence[Tuple[int, int]]]
-    levels: Optional[Sequence[int]]
-    ready: Optional[Tuple[Sequence[Tuple[int, int]], Sequence[int]]]
+    __slots__ = ("nid", "tag", "value", "slots", "ref")
 
-    # list subclasses carry a __dict__ unless slotted; keep the column
-    # attributes explicit so mypy and readers see the contract
-    __slots__ = ("starts", "levels", "ready")
+    def __init__(
+        self,
+        nid: Any,
+        tag: str,
+        value: Any,
+        slots: Optional[List[Any]] = None,
+        ref: Any = None,
+    ) -> None:
+        self.nid = nid
+        self.tag = tag
+        self.value = value
+        self.slots: List[Any] = slots if slots is not None else []
+        self.ref = ref
 
-    def __init__(self, *args: Any) -> None:
-        super().__init__(*args)
-        self.starts = None
-        self.levels = None
-        self.ready = None
+
+class Candidates(Sequence[MatchVariant]):
+    """Candidate matches of one pattern node, as columns.
+
+    A scan builds the view over ``ids`` (document order), ``tag`` — one
+    string, or a column under a wildcard test — and ``values``; indexing,
+    slicing or iterating it creates fresh slot-less variants, which is
+    what a consumer that reads columns instead never pays for.  The
+    match result of a pattern node *with* edges wraps the variants the
+    joins kept (:meth:`of`): ``items`` holds them and ``ids`` their node
+    ids, and indexing returns those objects.
+
+    ``starts``/``levels`` are the probe columns a structural join
+    attached (``None`` until the first join over the view as the child
+    side).  A scan leaves the columns it holds — a tag's postings
+    columns, shared as they are, or taken by surviving position under a
+    predicate — in ``ready``: the first join adopts those instead of
+    deriving them, and ``postings_reused`` still counts second and later
+    joins only.  ``flat`` says no candidate contains another (see
+    :func:`repro.physical.structural_join.probe`).  Nothing ever writes
+    into a column, so sharing one with the index (and, through the scan
+    cache, between joins) is safe.
+    """
+
+    __slots__ = (
+        "ids", "tag", "values", "items", "starts", "levels", "ready", "flat"
+    )
+
+    def __init__(
+        self,
+        ids: Sequence[Any] = (),
+        tag: Union[str, Sequence[str]] = "",
+        values: Sequence[Any] = (),
+        ready: Optional[
+            Tuple[Sequence[Tuple[int, int]], Sequence[int]]
+        ] = None,
+        flat: bool = False,
+    ) -> None:
+        self.ids = ids
+        self.tag = tag
+        self.values = values
+        self.items: Optional[List[MatchVariant]] = None
+        self.starts: Optional[Sequence[Tuple[int, int]]] = None
+        self.levels: Optional[Sequence[int]] = None
+        self.ready = ready
+        self.flat = flat
+
+    @classmethod
+    def of(cls, items: List[MatchVariant]) -> "Candidates":
+        """The view over variants that already exist (a join's output)."""
+        view = cls([item.nid for item in items])
+        view.items = items
+        return view
+
+    def run_tags(self, lo: int, hi: int) -> Iterable[str]:
+        """The tags of candidates ``lo:hi`` (a repeat, or a column slice)."""
+        tag = self.tag
+        return repeat(tag, hi - lo) if isinstance(tag, str) else tag[lo:hi]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index: Union[int, slice]) -> Any:
+        if self.items is not None:
+            return self.items[index]
+        if isinstance(index, slice):
+            lo, hi, _ = index.indices(len(self.ids))
+            return list(
+                map(
+                    MatchVariant,
+                    self.ids[lo:hi],
+                    self.run_tags(lo, hi),
+                    self.values[lo:hi],
+                )
+            )
+        tag = self.tag
+        return MatchVariant(
+            self.ids[index],
+            tag if isinstance(tag, str) else tag[index],
+            self.values[index],
+        )
+
+    def __iter__(self) -> Iterator[MatchVariant]:
+        return iter(self[:])
 
 
 class ScanCache:
@@ -143,10 +234,10 @@ class ScanCache:
     ) -> Candidates:
         """The cached candidate list for ``key``, building it on miss.
 
-        The returned list is shared between all scans with the same key:
-        callers treat it (and the match variants inside) as immutable,
-        which the matcher guarantees — combination always builds fresh
-        variant objects.
+        The returned view is shared between all scans with the same key:
+        callers treat it and its columns as immutable, which the matcher
+        guarantees — it only reads them, and every variant it builds is
+        a fresh object.
         """
         hit = self._entries.get(key)
         if hit is not None:

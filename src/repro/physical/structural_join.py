@@ -16,19 +16,25 @@ mSpec     algorithm                function
 ``*``     left-outer-nest-join     :func:`nest_join` (outer)
 ========  =======================  =============================
 
-The joins consume precomputed ``(doc, start)`` / ``level`` columns when
-the child input carries them (a :class:`~repro.storage.postings.Postings`
-view from the tag index, or any container with cached ``starts``/``levels``
-attributes — see :func:`child_columns`), and probe with a merge-style
-cursor that skips ahead monotonically across sorted parents (stack-tree
-style: the lower bound of each parent's descendant range never moves
-backwards, so every binary search runs over the unconsumed suffix only).
-Parent-child joins over raw postings probe the ``parent.level + 1`` level
-partition instead of scanning the full ancestor range and filtering.
+Every join runs the one probe loop, :func:`probe`, which works on
+*positions*: it reads the parents' node ids and the children's
+``(doc, start)`` / ``level`` columns (see :func:`child_columns`) and
+yields, per parent position, the positions of its matching children — a
+``range`` whenever they are contiguous, so a consumer can keep the
+cluster as a column slice.  The pattern matcher consumes it directly and
+materialises a match only for what a join kept; the public joins below
+wrap it and return items.
+
+The probe is merge-style (stack-tree lineage): across sorted parents the
+lower bound of each descendant range never moves backwards, so every
+binary search runs over the unconsumed suffix only, and when the parents
+are *flat* — no parent contains another, a per-tag fact
+:class:`~repro.storage.postings.Postings` carries — a parent without
+descendants jumps straight to the last parent that starts before the
+next child instead of visiting the stretch between.
 
 Items may be bare :class:`NodeId` values or any objects with
-``parent_id``/``child_id`` extractors (the pattern matcher passes
-``_MTree`` match variants).
+``parent_id``/``child_id`` extractors.
 """
 
 from __future__ import annotations
@@ -36,22 +42,27 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import (
     Callable,
-    Dict,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
     TypeVar,
+    Union,
+    cast,
 )
 
 from ..model.node_id import NodeId
-from ..storage.postings import Postings
 from ..storage.stats import Metrics
 
 Item = TypeVar("Item")
 
 _identity: Callable = lambda x: x
+
+#: Child positions one parent matched: a ``range`` when contiguous.
+Matched = Union[range, List[int]]
+
+_NO_MATCH = range(0)
 
 
 # ----------------------------------------------------------------------
@@ -65,18 +76,18 @@ def child_columns(
     """The ``(doc, start)`` and ``level`` columns of a child input.
 
     A container that already carries ``starts``/``levels`` attributes (a
-    tag-index :class:`Postings` view, or a candidate list a previous join
+    tag-index :class:`Postings` view, or a candidate view a previous join
     annotated) is consumed as-is — metered as ``postings_reused``.
     Otherwise the columns are computed once — or adopted from the
     container's ``ready`` pair when its producer already held them (a
     tag scan shares its postings' columns this way) — and, when the
     container accepts attributes (the pattern matcher's ``Candidates``
-    lists do), cached on it so the next join over the same input skips
+    views do), cached on it so the next join over the same input skips
     the rebuild.
 
-    The columns always describe the *node ids* of the items (whatever
-    ``child_id`` extracts), which is well-defined because every caller's
-    extractor returns the item's one node id.
+    The columns always describe the *node ids* of the items: the
+    container's own ``ids`` column when it has one (reading it creates
+    no item), else whatever ``child_id`` extracts.
     """
     starts = getattr(children, "starts", None)
     levels = getattr(children, "levels", None)
@@ -88,108 +99,134 @@ def child_columns(
     if ready is not None:
         starts, levels = ready
     else:
-        starts = []
-        levels = []
-        for child in children:
-            cid = child_id(child)
-            starts.append((cid.doc, cid.start))
-            levels.append(cid.level)
+        ids = getattr(children, "ids", None)
+        if ids is None:
+            ids = [child_id(child) for child in children]
+        starts = [(cid.doc, cid.start) for cid in ids]
+        levels = [cid.level for cid in ids]
     try:
-        children.starts = starts  # type: ignore[union-attr]
-        children.levels = levels  # type: ignore[union-attr]
+        children.starts = starts  # type: ignore[attr-defined]
+        children.levels = levels  # type: ignore[attr-defined]
     except AttributeError:
         pass  # plain lists/tuples cannot cache; nothing lost but the reuse
     return starts, levels
 
 
-def _iter_matches(
+def probe(
+    parent_ids: Sequence[NodeId],
+    child_starts: Sequence[Tuple[int, int]],
+    child_levels: Sequence[int],
+    axis: str,
+    outer: bool = False,
+    flat_starts: Optional[Sequence[Tuple[int, int]]] = None,
+) -> Iterator[Tuple[int, Matched]]:
+    """Yield ``(parent position, matching child positions)``.
+
+    The workhorse of every join.  Positions come in parent order; a
+    parent that matched nothing is yielded (with an empty ``range``)
+    only under ``outer``.  On the ``pc`` axis the descendant range is
+    filtered by level — and still reported as a ``range`` when every
+    descendant in it is a child.
+
+    Parents are expected sorted by ``(doc, start)`` (the documented
+    contract); the cursor then only moves forward.  An out-of-order
+    parent is still answered correctly — the cursor resets — it merely
+    costs the skip optimisation.
+
+    ``flat_starts`` is the parents' own ``(doc, start)`` column, passed
+    only when they are *flat* (sorted, none contains another).  Then a
+    parent with no descendant among the children lets the loop jump:
+    every parent that starts before the next child ``c`` ends before the
+    parent after it starts, hence before ``c`` — except the last of
+    them, the only one that can still contain ``c``.  One ``bisect``
+    over ``flat_starts`` finds it; the parents in between are exactly
+    the childless ones, reported under ``outer`` and otherwise never
+    visited.  With the children exhausted that stretch is the rest.
+    """
+    if axis not in ("ad", "pc"):
+        raise ValueError(f"unknown axis: {axis!r}")
+    pc = axis == "pc"
+    total = len(parent_ids)
+    n_children = len(child_starts)
+    cursor = 0
+    prev_key: Optional[Tuple[int, int]] = None
+    position = 0
+    while position < total:
+        pid = parent_ids[position]
+        key = (pid.doc, pid.start)
+        if prev_key is not None and key < prev_key:
+            cursor = 0  # unsorted parent: fall back to a full probe
+        prev_key = key
+        lo = bisect_right(child_starts, key, cursor)
+        cursor = lo
+        hi = bisect_left(child_starts, (pid.doc, pid.end), lo)
+        if lo < hi:
+            matched: Matched = range(lo, hi)
+            if pc:
+                want = pid.level + 1
+                if child_levels[lo:hi].count(want) != hi - lo:
+                    matched = [
+                        idx for idx in matched if child_levels[idx] == want
+                    ]
+            if matched or outer:
+                yield position, matched
+            position += 1
+            continue
+        after = position + 1
+        if flat_starts is not None:
+            if lo == n_children:
+                after = total
+            else:
+                after = max(
+                    after,
+                    bisect_left(flat_starts, child_starts[lo], after) - 1,
+                )
+        if outer:
+            for skipped in range(position, after):
+                yield skipped, _NO_MATCH
+        position = after
+
+
+def _matches(
     parents: Sequence[Item],
     children: Sequence[Item],
     axis: str,
     metrics: Optional[Metrics],
     parent_id: Callable[[Item], NodeId],
     child_id: Callable[[Item], NodeId],
+    outer: bool,
     child_starts: Optional[Sequence[Tuple[int, int]]] = None,
     child_levels: Optional[Sequence[int]] = None,
-) -> Iterator[Tuple[Item, List[Item]]]:
-    """Yield ``(parent, matched_children)`` per parent, in parent order.
-
-    The workhorse of every join.  Parents are expected sorted by
-    ``(doc, start)`` (the documented contract); the cursor then only
-    moves forward.  An out-of-order parent is still answered correctly —
-    the cursor resets — it merely costs the skip optimisation.
-    """
-    if axis not in ("ad", "pc"):
-        raise ValueError(f"unknown axis: {axis!r}")
-    if axis == "pc" and isinstance(children, Postings):
-        yield from _iter_matches_pc_partitioned(
-            parents, children, parent_id, metrics
-        )
-        return
-    if child_starts is not None:
-        starts: Sequence[Tuple[int, int]] = child_starts
-        levels = child_levels
+) -> List[Tuple[Item, List[Item]]]:
+    """:func:`probe` over items: ``(parent, matched_children)`` pairs."""
+    if child_starts is not None and child_levels is not None:
+        starts, levels = child_starts, child_levels
         if metrics is not None:
             metrics.postings_reused += 1
     else:
         starts, levels = child_columns(children, child_id, metrics)
-    cursor = 0
-    prev_key: Optional[Tuple[int, int]] = None
-    for parent in parents:
-        pid = parent_id(parent)
-        key = (pid.doc, pid.start)
-        if prev_key is not None and key < prev_key:
-            cursor = 0  # unsorted parent: fall back to a full probe
-        prev_key = key
-        lo = bisect_right(starts, key, cursor)
-        cursor = lo
-        hi = bisect_left(starts, (pid.doc, pid.end), lo)
-        if axis == "ad":
-            matched = list(children[lo:hi])
-        elif levels is not None:
-            want = pid.level + 1
-            matched = [
-                children[idx] for idx in range(lo, hi)
-                if levels[idx] == want
-            ]
-        else:
-            want = pid.level + 1
-            matched = [
-                children[idx] for idx in range(lo, hi)
-                if child_id(children[idx]).level == want
-            ]
-        yield parent, matched
-
-
-def _iter_matches_pc_partitioned(
-    parents: Sequence[Item],
-    children: Postings,
-    parent_id: Callable[[Item], NodeId],
-    metrics: Optional[Metrics],
-) -> Iterator[Tuple[Item, List[Item]]]:
-    """Parent-child matching against level-partitioned raw postings.
-
-    For each parent only the ``parent.level + 1`` partition is probed:
-    containment plus the level equality is exactly the parent-child test,
-    so no per-child axis filter runs at all.  One forward-only cursor per
-    partition preserves the stack-tree skipping within each level.
-    """
-    if metrics is not None:
-        metrics.postings_reused += 1
-    cursors: Dict[int, int] = {}
-    prev_key: Optional[Tuple[int, int]] = None
-    for parent in parents:
-        pid = parent_id(parent)
-        key = (pid.doc, pid.start)
-        if prev_key is not None and key < prev_key:
-            cursors.clear()
-        prev_key = key
-        level = pid.level + 1
-        part = children.at_level(level)
-        lo = bisect_right(part.starts, key, cursors.get(level, 0))
-        cursors[level] = lo
-        hi = bisect_left(part.starts, (pid.doc, pid.end), lo)
-        yield parent, list(part.ids[lo:hi])
+    items = list(parents)  # one C-speed copy; indexed per parent below
+    parent_ids: Sequence[NodeId] = (
+        cast(List[NodeId], items)
+        if parent_id is _identity
+        else [parent_id(parent) for parent in items]
+    )
+    flat_starts: Optional[Sequence[Tuple[int, int]]] = (
+        getattr(parents, "starts", None)
+        if getattr(parents, "flat", False)
+        else None
+    )
+    return [
+        (
+            items[position],
+            list(children[matched.start:matched.stop])
+            if type(matched) is range
+            else [children[idx] for idx in matched],
+        )
+        for position, matched in probe(
+            parent_ids, starts, levels, axis, outer, flat_starts
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -215,13 +252,13 @@ def pair_join(
     if metrics is not None:
         metrics.structural_joins += 1
     out: List[Tuple[Item, Optional[Item]]] = []
-    for parent, matched in _iter_matches(
-        parents, children, axis, metrics, parent_id, child_id
+    for parent, matched in _matches(
+        parents, children, axis, metrics, parent_id, child_id, outer
     ):
         if matched:
             for child in matched:
                 out.append((parent, child))
-        elif outer:
+        else:
             out.append((parent, None))
     return out
 
@@ -244,13 +281,9 @@ def nest_join(
     if metrics is not None:
         metrics.structural_joins += 1
         metrics.nest_joins += 1
-    out: List[Tuple[Item, List[Item]]] = []
-    for parent, matched in _iter_matches(
-        parents, children, axis, metrics, parent_id, child_id
-    ):
-        if matched or outer:
-            out.append((parent, matched))
-    return out
+    return _matches(
+        parents, children, axis, metrics, parent_id, child_id, outer
+    )
 
 
 def join_for_mspec(
@@ -288,21 +321,12 @@ def join_for_mspec(
         metrics.structural_joins += 1
         if mspec in ("+", "*"):
             metrics.nest_joins += 1
-    out: List[Tuple[Item, List[List[Item]]]] = []
-    for parent, matched in _iter_matches(
-        parents, children, axis, metrics, parent_id, child_id,
-        child_starts, child_levels,
-    ):
-        if mspec == "-":
-            if matched:
-                out.append((parent, [[m] for m in matched]))
-        elif mspec == "?":
-            out.append(
-                (parent, [[m] for m in matched] if matched else [[]])
-            )
-        elif mspec == "+":
-            if matched:
-                out.append((parent, [matched]))
-        else:  # "*"
-            out.append((parent, [matched]))
-    return out
+    nested = mspec in ("+", "*")
+    return [
+        (parent, [matched] if nested or not matched
+         else [[m] for m in matched])
+        for parent, matched in _matches(
+            parents, children, axis, metrics, parent_id, child_id,
+            mspec in ("?", "*"), child_starts, child_levels,
+        )
+    ]

@@ -10,8 +10,9 @@ of decision, each recorded as a :class:`~repro.planner.choice.PlanChoice`
   when a cheaper order than the translator's source order exists, the
   node is annotated (``planner_order``) and the matcher processes its
   edges in that order — the witness trees are byte-identical because
-  the matcher restores both slot order and variant order (see
-  ``PatternMatcher._match_node_db``).
+  the order only decides how soon a mandatory edge prunes candidates:
+  variants are always the per-edge alternatives multiplied in source
+  edge order (see ``PatternMatcher._variants``).
 * **currency** — trees or columns.  Operators with a native columnar
   form save per row, crossing a tree<->column boundary costs per row;
   the planner sums both over the estimated row flow and keeps the batch

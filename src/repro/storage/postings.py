@@ -26,22 +26,27 @@ The *storage* columns of a tag-index view are built with it:
 everything a tag scan reads, so it touches no node record and meters
 its page accesses once per run (:meth:`Document.touch_runs
 <repro.storage.document.Document.touch_runs>`) instead of once per
-posting.
+posting.  ``flat`` — no posting contains another — is computed with
+them: it is what lets a structural join over these postings as
+*parents* skip a childless stretch with one binary search
+(:func:`repro.physical.structural_join.probe`), and it is eager
+because a view shared between threads must not cache it lazily.
 
 ``at_level`` additionally partitions the postings by tree level (lazily,
-cached), which lets a parent-child join probe only the ``parent.level + 1``
-slice instead of scanning the parent's whole descendant range and filtering
-— the level-split trick of the structural-join lineage (Al-Khalifa et al.,
-survey in "A Survey of XML Tree Patterns").  Partitions are carved out of
-the parent's already-built columns by index positions instead of
-re-deriving every column from the node ids.
+cached) — the level-split trick of the structural-join lineage
+(Al-Khalifa et al., survey in "A Survey of XML Tree Patterns").  The
+joins no longer need it (their one probe loop filters the ``levels``
+column, a C-speed ``count`` when the whole range is children); it stays
+as the storage-level way to ask for one level's postings.  Partitions
+are carved out of the parent's already-built columns by index positions
+instead of re-deriving every column from the node ids.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import groupby
+from itertools import groupby, islice
 from typing import (
     Any,
     Dict,
@@ -56,6 +61,20 @@ from typing import (
 from ..columns.arrays import int_column, take
 from ..model.node_id import NodeId
 from .page import NODES_PER_PAGE
+
+
+def is_flat(ids: Sequence[NodeId]) -> bool:
+    """Whether each id ends before the next one starts.
+
+    Tree intervals nest or are disjoint, so for ids in document order
+    this is exactly "no id contains another" (a container would contain
+    its immediate successor too); ids out of document order are never
+    flat, so a flat sequence is also a sorted one.
+    """
+    return all(
+        (a.doc, a.end) < (b.doc, b.start)
+        for a, b in zip(ids, islice(ids, 1, None))
+    )
 
 
 class Postings(Sequence[NodeId]):
@@ -74,16 +93,20 @@ class Postings(Sequence[NodeId]):
       the atomic content of each posting, aligned with ``ids``;
     * ``run_pages`` — one page number per maximal run of consecutive
       postings stored on the same page (what a scan of the postings
-      meters, see :meth:`Document.touch_runs`).
+      meters, see :meth:`Document.touch_runs`);
+    * ``flat``    — whether every posting ends before the next one
+      starts (:func:`is_flat`), true of most tags and of every subset
+      of a flat view.
 
-    The last three are the storage columns of a tag-index view; an
-    id-only view (``Postings(ids)``, a join input) has ``None`` there.
+    The three before ``flat`` are the storage columns of a tag-index
+    view; an id-only view (``Postings(ids)``, a join input) has ``None``
+    there.
     ``starts``/``ends``/``levels`` are properties over lazily-built
     compact columns; reading them is idempotent and cheap after the
     first touch.
     """
 
-    __slots__ = ("ids", "record_indexes", "values", "run_pages",
+    __slots__ = ("ids", "record_indexes", "values", "run_pages", "flat",
                  "_starts", "_ends", "_levels", "_by_level")
 
     def __init__(
@@ -96,6 +119,7 @@ class Postings(Sequence[NodeId]):
         self.record_indexes: Optional[array] = None
         self.values: Optional[Tuple[Any, ...]] = None
         self.run_pages: Optional[array] = None
+        self.flat: bool = is_flat(self.ids)
         if record_indexes is not None:
             self.record_indexes = array("l", record_indexes)
             self.values = tuple(values or ())
@@ -142,7 +166,7 @@ class Postings(Sequence[NodeId]):
         return self._levels
 
     # ------------------------------------------------------------------
-    # level partitions (the pc-axis fast path)
+    # level partitions
     # ------------------------------------------------------------------
     def _partition(self, positions: List[int]) -> "Postings":
         """A sub-view at the given index positions, sharing built columns.

@@ -86,11 +86,14 @@ def test_baseline_check_catches_net_slower_planning():
     assert not any("net slower" in finding for finding in findings)
 
 
-def test_baseline_check_requires_a_join_order_win():
+def test_baseline_check_does_not_gate_on_join_order_wins():
+    """A sub-noise condition (one reordered query reading faster) is
+    reported, not gated: it flipped with nothing on the planner path
+    changed."""
     baseline = _report([1.1, 1.0], reordered=("q0",))
     current = _report([1.1, 1.0])  # fast, but nothing was reordered
-    findings = check_planner_against_baseline(current, baseline)
-    assert any("no join-order win" in finding for finding in findings)
+    assert current.join_order_wins() == []
+    assert check_planner_against_baseline(current, baseline) == []
 
 
 def test_compare_planner_measures_both_sides():

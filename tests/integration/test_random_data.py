@@ -3,13 +3,17 @@
 Hypothesis generates small random auction documents (random bidder
 fan-outs, optional elements, random content values); a fixed set of
 queries covering each WHERE/RETURN feature must produce content-identical
-results under TLC, TAX, GTP and navigation.
+results under TLC, TAX, GTP and navigation — with TLC evaluated in both
+currencies (column batches, the default, and trees: the per-tree
+``extend`` also runs below every operator without a batch form).
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Engine
+from repro.columns.batch import use_batch
 from tests.conftest import canonical_sorted
 
 QUERIES = [
@@ -90,14 +94,49 @@ def auction_documents(draw):
 )
 @given(auction_documents())
 def test_engines_agree_on_random_documents(xml):
+    _engines_agree(xml, QUERIES)
+
+
+def _engines_agree(xml, queries):
     engine = Engine()
     engine.load_xml("a.xml", xml)
-    for query in QUERIES:
-        reference = canonical_sorted(engine.run(query, engine="tlc"))
-        for name in ("gtp", "tax", "nav"):
-            assert reference == canonical_sorted(
-                engine.run(query, engine=name)
-            ), f"{name} diverged on: {query}\n{xml}"
+    for query in queries:
+        others = {
+            name: canonical_sorted(engine.run(query, engine=name))
+            for name in ("gtp", "tax", "nav")
+        }
+        for batch in (True, False):
+            with use_batch(batch):
+                tlc = canonical_sorted(engine.run(query, engine="tlc"))
+            for name, result in others.items():
+                assert tlc == result, (
+                    f"{name} diverged (batch={batch}) on: {query}\n{xml}"
+                )
+
+
+@pytest.fixture
+def one_person_document():
+    """What Hypothesis shrank the per-tree divergence of PR 26 to: one
+    ``name`` node matched by two edges of one fused extension Select."""
+    return (
+        '<site><people><person id="p0"><name>n0</name></person></people>'
+        "<auctions></auctions></site>"
+    )
+
+
+def test_two_edges_over_one_scan_keep_their_classes(one_person_document):
+    """``$p/name/text()`` and ``$p/name`` share the cached ``name`` scan;
+    the branch built for one edge must never be attached, with its class
+    label, for the other (the tree currency used to memoise built
+    subtrees by match-variant identity alone and returned
+    ``<m id="p0">n0 n0</m>``)."""
+    _engines_agree(one_person_document, [QUERIES[5]])
+    engine = Engine()
+    engine.load_xml("a.xml", one_person_document)
+    for batch in (True, False):
+        with use_batch(batch):
+            (tree,) = engine.run(QUERIES[5])
+        assert tree.to_xml() == '<m id="p0">n0<name>n0</name></m>'
 
 
 @settings(
@@ -120,11 +159,14 @@ def test_rewrites_preserve_results_on_random_documents(xml):
         # Illuminate replaces that edge only
         "RETURN <r name={$p/name/text()}>{$o/@id} $o/bid {$o/bid/@by}</r>",
     ):
-        plain = canonical_sorted(engine.run(head + ret, engine="tlc"))
-        optimized = canonical_sorted(
-            engine.run(head + ret, engine="tlc", optimize=True)
-        )
-        assert plain == optimized, ret
-        assert plain == canonical_sorted(
-            engine.run(head + ret, engine="nav")
-        ), ret
+        reference = canonical_sorted(engine.run(head + ret, engine="nav"))
+        for batch in (True, False):
+            with use_batch(batch):
+                plain = canonical_sorted(
+                    engine.run(head + ret, engine="tlc")
+                )
+                optimized = canonical_sorted(
+                    engine.run(head + ret, engine="tlc", optimize=True)
+                )
+            assert plain == optimized, (ret, batch)
+            assert plain == reference, (ret, batch)

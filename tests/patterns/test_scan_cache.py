@@ -22,7 +22,7 @@ class TestScanCache:
 
         def build():
             built.append(1)
-            return Candidates([1, 2, 3])
+            return Candidates([1, 2, 3], "t", [None] * 3)
 
         first = cache.candidates(("doc", "tag", ()), build)
         second = cache.candidates(("doc", "tag", ()), build)
@@ -34,7 +34,7 @@ class TestScanCache:
         cache = ScanCache()
         a = cache.candidates(("doc", "a", ()), lambda: Candidates([1]))
         b = cache.candidates(("doc", "b", ()), lambda: Candidates([2]))
-        assert a != b
+        assert a is not b and (a.ids, b.ids) == ([1], [2])
         assert len(cache) == 2
 
     def test_hits_are_metered(self):
@@ -59,10 +59,10 @@ class TestScanCache:
 
 class TestCandidates:
     def test_columns_start_unset(self):
-        candidates = Candidates([1, 2])
+        candidates = Candidates([1, 2], "t", ["a", "b"])
         assert candidates.starts is None
         assert candidates.levels is None
-        assert list(candidates) == [1, 2]
+        assert candidates.items is None and not candidates.flat
 
     def test_ready_columns_start_unset(self):
         assert Candidates([1]).ready is None
@@ -71,6 +71,36 @@ class TestCandidates:
         candidates = Candidates()
         with pytest.raises(AttributeError):
             candidates.extra = 1
+
+    def test_variants_are_created_on_access_only(self):
+        """Index, slice and iteration build fresh slot-less variants off
+        the columns; the view itself holds none."""
+        candidates = Candidates([7, 8, 9], "t", ["a", "b", "c"])
+        assert len(candidates) == 3
+        one = candidates[1]
+        assert (one.nid, one.tag, one.value, one.slots) == (8, "t", "b", [])
+        assert candidates[1] is not one
+        assert [m.nid for m in candidates[1:]] == [8, 9]
+        assert [(m.nid, m.value) for m in candidates] == [
+            (7, "a"), (8, "b"), (9, "c")
+        ]
+        assert candidates[-1].nid == 9
+
+    def test_a_tag_column_serves_a_wildcard_scan(self):
+        candidates = Candidates([1, 2], ["x", "y"], [None, "v"])
+        assert [m.tag for m in candidates] == ["x", "y"]
+        assert candidates[1].tag == "y"
+        assert list(candidates.run_tags(0, 2)) == ["x", "y"]
+        assert list(Candidates([1, 2], "t", [0, 0]).run_tags(0, 2)) == [
+            "t", "t"
+        ]
+
+    def test_a_view_of_existing_variants_hands_them_out(self):
+        items = list(Candidates([5, 6], "t", [None, None]))
+        view = Candidates.of(items)
+        assert view.ids == [5, 6] and view.items is items
+        assert view[0] is items[0] and view[:] == items
+        assert list(view) == items
 
 
 class TestEngineIntegration:
@@ -175,6 +205,12 @@ def test_cached_scan_columns_are_never_a_join_output(tiny_db):
     children = cache.candidates(("auction.xml", "bidder", ()), lambda: None)
     assert children.starts is index.postings("bidder").starts
     assert children.levels is index.postings("bidder").levels
+    assert children.ids is index.postings("bidder").ids
+    assert children.values is index.postings("bidder").values
     assert variants is not parents and variants.starts is None
-    assert [len(m.slots[0]) for m in variants] == [3, 1, 0]
+    assert parents.items is None and children.items is None
+    # a leaf child's cluster is a run over the cached view's columns
+    assert [m.slots[0] for m in variants] == [
+        (children, 0, 3), (children, 3, 4), []
+    ]
     assert all(m.slots == [] for m in [*parents, *children])

@@ -119,8 +119,8 @@ def test_wildcard_scan(db):
 
 
 def test_missing_tag_scans_empty(db):
-    assert _check(db, "no-such-tag", ()) == []
-    assert _check(db, "no-such-tag", (("contains", "x"),)) == []
+    assert list(_check(db, "no-such-tag", ())) == []
+    assert list(_check(db, "no-such-tag", (("contains", "x"),))) == []
 
 
 def test_unfiltered_scan_shares_the_postings_columns(db):
@@ -130,7 +130,10 @@ def test_unfiltered_scan_shares_the_postings_columns(db):
     candidates = _check(db, tag, ())
     assert candidates.starts is postings.starts
     assert candidates.levels is postings.levels
-    assert all(m.nid is nid for m, nid in zip(candidates, postings.ids))
+    assert candidates.ids is postings.ids
+    assert candidates.values is postings.values
+    assert candidates.tag == tag and candidates.flat is postings.flat
+    assert candidates.items is None
 
 
 def test_scan_under_a_small_pool_evicts_identically():

@@ -1,6 +1,8 @@
 """Unit tests for the columnar Postings view."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.columns.arrays import tolist
 from repro.storage import Database
@@ -178,3 +180,73 @@ class TestImmutability:
         postings = db.tag_index("t.xml").postings("a")
         with pytest.raises(AttributeError):
             postings.extra = 1
+
+
+# ----------------------------------------------------------------------
+# ``flat``: no posting contains another (what lets a join skip parents)
+# ----------------------------------------------------------------------
+def _brute_force_flat(ids):
+    return not any(
+        a.contains(b) for a in ids for b in ids if a is not b
+    )
+
+
+@st.composite
+def _random_document(draw):
+    """A random tree over two tags that both occur at every depth."""
+
+    def element(depth):
+        tag = draw(st.sampled_from("pq"))
+        if depth >= 4:
+            return f"<{tag}/>"
+        kids = "".join(
+            element(depth + 1) for _ in range(draw(st.integers(0, 3)))
+        )
+        return f"<{tag}>{kids}</{tag}>"
+
+    return f"<r>{element(0)}{element(0)}</r>"
+
+
+class TestFlat:
+    @given(_random_document(), st.data())
+    def test_equals_brute_force_containment(self, xml, data):
+        database = Database()
+        database.load_xml("t.xml", xml)
+        index = database.tag_index("t.xml")
+        for tag in index.tags():
+            postings = index.postings(tag)
+            assert postings.flat == _brute_force_flat(postings.ids), tag
+            # an id-only view of any subset computes its own answer, and
+            # a subset of flat postings is flat (what a filtered scan and
+            # a pruned join side rely on when they inherit the flag)
+            kept = [n for n in postings.ids if data.draw(st.booleans())]
+            subset = Postings(kept)
+            assert subset.flat == _brute_force_flat(kept), tag
+            assert subset.flat or not postings.flat
+
+    def test_every_xmark_tag(self, xmark_engine):
+        index = xmark_engine.db.tag_index("auction.xml")
+        for tag in index.tags():
+            postings = index.postings(tag)
+            assert postings.flat == _brute_force_flat(postings.ids), tag
+            for level in postings.levels_present():
+                assert postings.at_level(level).flat  # one level never nests
+
+    def test_nesting_and_disorder_are_not_flat(self, db):
+        index = db.tag_index("t.xml")
+        assert index.postings("a").flat and index.postings("b").flat
+        nested = Postings([*index.postings("a"), *index.postings("c")])
+        assert not nested.flat  # c inside a, and out of document order
+        in_order = sorted(nested.ids, key=lambda n: n.start)
+        assert not Postings(in_order).flat
+        assert not Postings(list(reversed(index.postings("b").ids))).flat
+        assert EMPTY_POSTINGS.flat and Postings(in_order[:1]).flat
+
+    def test_flat_is_eager_and_read_only(self, db):
+        postings = db.tag_index("t.xml").postings("b")
+        assert "flat" in Postings.__slots__
+        assert "_flat" not in Postings.__slots__
+        assert postings._starts is None  # computing it built no column
+        db.load_xml("u.xml", XML)
+        both = Postings([*postings.ids, *db.tag_index("u.xml").postings("b")])
+        assert both.flat  # documents never contain each other
