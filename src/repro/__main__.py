@@ -742,47 +742,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     harness = Harness()
     trace = getattr(args, "trace", False)
-    if trace and args.figure in ("17", "batch", "service", "planner"):
+    if trace and args.figure == "17":
         raise ReproError(
-            "--trace breaks down Figures 15 and 16; the other benches "
-            "have no per-operator report"
+            "--trace breaks down Figures 15 and 16; Figure 17 has no "
+            "per-operator report"
         )
-    if args.figure == "service":
-        from .bench import bench_service, service_table
-
-        report = bench_service(
-            factor=args.factor,
-            repeats=args.repeats,
-            threads=args.threads,
-            harness=harness,
-            mode=args.mode,
-            start_method=args.start_method,
-        )
-        print(service_table(report))
-        if args.out:
-            Path(args.out).write_text(report.to_json())
-            print(f"wrote {args.out}", file=sys.stderr)
-    elif args.figure == "planner":
-        from .bench import compare_planner, planner_table
-
-        report = compare_planner(
-            factor=args.factor, repeats=args.repeats, harness=harness
-        )
-        print(planner_table(report))
-        if args.out:
-            Path(args.out).write_text(report.to_json())
-            print(f"wrote {args.out}", file=sys.stderr)
-    elif args.figure == "batch":
-        from .bench import batch_table, compare_batch
-
-        report = compare_batch(
-            factor=args.factor, repeats=args.repeats, harness=harness
-        )
-        print(batch_table(report))
-        if args.out:
-            Path(args.out).write_text(report.to_json())
-            print(f"wrote {args.out}", file=sys.stderr)
-    elif args.figure == "15":
+    if args.figure == "15":
         reports = harness.figure15(
             factor=args.factor, repeats=args.repeats, trace=trace
         )
@@ -1028,39 +993,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="regenerate a paper figure or a before/after comparison",
+        help="regenerate one of the paper's figures",
     )
-    bench.add_argument(
-        "figure",
-        choices=("15", "16", "17", "batch", "service", "planner"),
-    )
+    bench.add_argument("figure", choices=("15", "16", "17"))
     bench.add_argument("--factor", type=float, default=0.002)
     bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument(
-        "--threads", type=int, default=8,
-        help="service only: workers for the concurrent batch "
-        "(threads or processes, per --mode)",
-    )
-    bench.add_argument(
-        "--mode", choices=("thread", "process"), default="thread",
-        help="service only: execution backend for the pooled batch "
-        "(process = one worker process per --threads, the multi-core "
-        "configuration)",
-    )
-    bench.add_argument(
-        "--start-method", choices=("fork", "spawn"), default=None,
-        help="service only, with --mode process: how workers get the "
-        "database (fork inherits it; spawn loads a verified snapshot)",
-    )
     bench.add_argument(
         "--trace", action="store_true",
         help="per-operator breakdown (Figures 15 and 16): trace every "
         "run and attribute costs to individual operators",
-    )
-    bench.add_argument(
-        "--out",
-        help="batch/service/planner only: also write the report as "
-        "JSON (e.g. BENCH_8.json / BENCH_4.json / BENCH_9.json)",
     )
     bench.set_defaults(func=cmd_bench)
 

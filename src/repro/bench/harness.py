@@ -10,7 +10,6 @@ compare (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -51,13 +50,6 @@ WORK_COUNTERS = (
     "trees_built",
     "sort_ops",
 )
-
-
-def _geomean(values: Sequence[float]) -> float:
-    positive = [v for v in values if v > 0]
-    if not positive:
-        return float("nan")
-    return math.exp(sum(math.log(v) for v in positive) / len(positive))
 
 
 @dataclass

@@ -10,18 +10,11 @@ objects.  Operators without a batch form fall back transparently: the
 evaluator materialises the batch at the boundary (metered as
 ``batch_fallbacks``) and runs the per-tree ``execute``.
 
-:mod:`repro.columns.arrays` is the array backend: compact
-``array('l')`` columns by default, numpy when enabled (DESIGN permits
-numpy; behaviour is identical with numpy absent).
+Integer columns are plain ``list``s (a batch's ``labels``/``parents``)
+or ``array('l')`` (the postings' storage columns); DESIGN §15 records
+why there is no array backend to choose.
 """
 
-from .arrays import (
-    int_column,
-    numpy_available,
-    numpy_enabled,
-    set_numpy,
-    use_numpy,
-)
 from .batch import (
     ColumnBatch,
     as_tree_sequence,
@@ -36,9 +29,4 @@ __all__ = [
     "batch_enabled",
     "set_batch",
     "use_batch",
-    "int_column",
-    "numpy_available",
-    "numpy_enabled",
-    "set_numpy",
-    "use_numpy",
 ]

@@ -28,9 +28,8 @@ operators without a batch form and for the final result of a plan.
 Trees materialise with their LC index pre-derived from the label
 column, so downstream per-tree operators skip the index-building walk.
 
-The module-level ``batch``/``numpy`` switches are process-wide:
-:func:`use_batch` pins a configuration for the equivalence sweeps and
-the before/after benchmark.
+The module-level ``batch`` switch is process-wide: :func:`use_batch`
+pins a configuration for the equivalence sweeps.
 """
 
 from __future__ import annotations
@@ -38,12 +37,10 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..model.node_id import NodeId
 from ..model.sequence import TreeSequence
 from ..model.tree import TNode, XTree
-from .arrays import int_column, numpy_enabled
 
 #: Module switch for the batch-at-a-time runtime.
 _BATCH = os.environ.get("REPRO_BATCH", "").strip().lower() not in (
@@ -105,28 +102,7 @@ class ColumnBatch:
     @classmethod
     def empty(cls) -> "ColumnBatch":
         """A batch of zero rows."""
-        return cls.from_lists([0], [], [], [], [], [])
-
-    @classmethod
-    def from_lists(
-        cls,
-        offsets: List[int],
-        tags: List[str],
-        values: list,
-        nids: list,
-        labels: List[int],
-        parents: List[int],
-    ) -> "ColumnBatch":
-        """Seal builder lists into a batch.
-
-        Under numpy acceleration the integer columns convert to int64
-        arrays; the pure-Python configuration keeps the builder lists
-        as-is — operators hand columns to each other without a copy.
-        """
-        if numpy_enabled():
-            labels = int_column(labels)
-            parents = int_column(parents)
-        return cls(offsets, tags, values, nids, labels, parents)
+        return cls([0], [], [], [], [], [])
 
     # ------------------------------------------------------------------
     # row access
@@ -136,10 +112,6 @@ class ColumnBatch:
 
     def __bool__(self) -> bool:
         return len(self) > 0
-
-    def row_slice(self, row: int) -> Tuple[int, int]:
-        """The ``(start, end)`` column span of one row."""
-        return self.offsets[row], self.offsets[row + 1]
 
     def row_order_key(self, row: int):
         """Document-order key of the row's root node."""
@@ -197,7 +169,7 @@ class ColumnBatch:
             node.nid = nids[j]
             node.children = []
             node.shadowed = False
-            node.lcls = {int(label)} if label else set()
+            node.lcls = {label} if label else set()
             if j > position:
                 # row-relative parents always land inside the slice here:
                 # a subtree is contiguous and self-contained
@@ -269,9 +241,7 @@ class ColumnBatch:
             base = offsets[-1] - src_offsets[first]
             for row in range(first, last + 1):
                 offsets.append(src_offsets[row + 1] + base)
-        return ColumnBatch.from_lists(
-            offsets, tags, values, nids, labels, parents
-        )
+        return ColumnBatch(offsets, tags, values, nids, labels, parents)
 
     @classmethod
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
@@ -292,31 +262,7 @@ class ColumnBatch:
             offsets.extend(
                 offset + base for offset in batch.offsets[1:]
             )
-        return cls.from_lists(offsets, tags, values, nids, labels, parents)
-
-    # ------------------------------------------------------------------
-    # derived interval columns (the ISSUE's starts/ends/levels view)
-    # ------------------------------------------------------------------
-    def interval_columns(self):
-        """``(starts, ends, levels)`` of stored nodes' interval ids.
-
-        Temporary ids contribute ``(-1, -1, -1)`` placeholders; batch
-        rows are overwhelmingly stored nodes (witness matches), so the
-        columns are directly useful for order keys and joins.
-        """
-        starts: List[int] = []
-        ends: List[int] = []
-        levels: List[int] = []
-        for nid in self.nids:
-            if isinstance(nid, NodeId):
-                starts.append(nid.start)
-                ends.append(nid.end)
-                levels.append(nid.level)
-            else:
-                starts.append(-1)
-                ends.append(-1)
-                levels.append(-1)
-        return int_column(starts), int_column(ends), int_column(levels)
+        return cls(offsets, tags, values, nids, labels, parents)
 
     # ------------------------------------------------------------------
     # boundary adapter
@@ -349,7 +295,6 @@ class ColumnBatch:
                 node.children = []
                 node.shadowed = False
                 if label:
-                    label = int(label)
                     node.lcls = {label}
                     index.setdefault(label, []).append(node)
                 else:

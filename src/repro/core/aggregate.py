@@ -153,9 +153,7 @@ class AggregateOp(Operator):
                 parent = src_parents[j]
                 parents.append(parent + 1 if parent >= insert else parent)
             offsets.append(len(tags))
-        out = ColumnBatch.from_lists(
-            offsets, tags, values, nids, labels, parents
-        )
+        out = ColumnBatch(offsets, tags, values, nids, labels, parents)
         self.note_batch(ctx, out)
         return out
 

@@ -226,9 +226,7 @@ class ProjectOp(Operator):
                     for j in top:
                         emit(j, 0)
             offsets.append(len(tags))
-        out = ColumnBatch.from_lists(
-            offsets, tags, values, nids, labels, parents
-        )
+        out = ColumnBatch(offsets, tags, values, nids, labels, parents)
         self.note_batch(ctx, out)
         return out
 

@@ -29,7 +29,6 @@ import itertools
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..columns.arrays import positions_where_equal, tolist
 from ..columns.batch import ColumnBatch
 from ..errors import PatternError
 from ..model.node_id import NodeId
@@ -176,7 +175,7 @@ class PatternMatcher:
                 limits.tick()
             _flatten_variant(mtree, apt.root, columns, len(tags), -1)
             offsets.append(len(tags))
-        out = ColumnBatch.from_lists(offsets, *columns)
+        out = ColumnBatch(offsets, *columns)
         self._note_match(out)
         return out
 
@@ -334,11 +333,14 @@ class PatternMatcher:
         mandatory = any(e.mspec in ("-", "+") for e in edges)
         check_content = bool(root.test.comparisons)
         src_tags, src_values, src_nids = batch.tags, batch.values, batch.nids
-        src_labels, src_parents = tolist(batch.labels), tolist(batch.parents)
+        src_labels, src_parents = batch.labels, batch.parents
         src_offsets = batch.offsets
         # every anchor of the batch in one pass over the label column,
         # then split by row: ``anchor_cols[lo:hi]`` are one row's
-        anchor_cols = positions_where_equal(batch.labels, root.lc_ref)
+        lc_ref = root.lc_ref
+        anchor_cols = [
+            j for j, label in enumerate(src_labels) if label == lc_ref
+        ]
         #: anchor positions per row; None marks an anchor-less row and
         #: False a row dropped by the root content test (mirrors
         #: ``entries`` of :meth:`extend`)
@@ -472,7 +474,7 @@ class PatternMatcher:
                         ]
                     )
                 offsets.append(len(tags))
-        out = ColumnBatch.from_lists(offsets, *columns)
+        out = ColumnBatch(offsets, *columns)
         self._note_match(out)
         return out
 

@@ -75,20 +75,22 @@ MAX_EXHAUSTIVE_EDGES = 5
 
 #: Per-row saving of a columnar operator over its per-tree twin and the
 #: per-row price of crossing a tree<->column boundary, both relative to
-#: one work unit.  Calibrated against BENCH_8: fully-columnar plans win
-#: ~1.2x, plans that convert at every other operator do not.
+#: one work unit.  Calibrated against the batch on/off sweep recorded in
+#: EXPERIMENTS E20: fully-columnar plans win ~1.2x, plans that convert
+#: at every other operator do not.
 BATCH_SAVING_PER_ROW = 0.15
 BATCH_CONVERT_PER_ROW = 0.5
 
 #: How decisively the estimated conversion price must beat the estimated
 #: columnar saving before the planner abandons the batch runtime for
-#: per-tree execution.  Batch is the *measured* default: the committed
-#: BENCH_8 sweep shows it winning on 22 of 23 queries, including plans
-#: where this model prices conversion up to ~1.8x the saving (x9), while
-#: the one genuine batch loser (x12, 0.93x) sits at ~1.1x — inside the
-#: winners' range, so no price/saving threshold can single it out.  The
-#: margin therefore errs on the side of the measured default and only
-#: vetoes plans whose boundary traffic clearly dominates.
+#: per-tree execution.  Batch is the *measured* default: the batch
+#: on/off sweep (EXPERIMENTS E20) shows it winning on 22 of 23 queries,
+#: including plans where this model prices conversion up to ~1.8x the
+#: saving (x9), while the one genuine batch loser (x12, 0.93x) sits at
+#: ~1.1x — inside the winners' range, so no price/saving threshold can
+#: single it out.  The margin therefore errs on the side of the measured
+#: default and only vetoes plans whose boundary traffic clearly
+#: dominates.
 TREE_VETO_MARGIN = 2.0
 
 #: Estimated rows for an unbounded interval: the cardinality pass says

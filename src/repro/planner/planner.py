@@ -226,8 +226,8 @@ def plan_physical(
     )
     batch_saving = calibrated("batch_saving_per_row") * columnar_rows
     batch_price = calibrated("batch_convert_per_row") * boundary_rows
-    # batch is the measured default (BENCH_8); the veto to per-tree
-    # execution needs the conversion price to *clearly* dominate
+    # batch is the measured default (EXPERIMENTS E20); the veto to
+    # per-tree execution needs the conversion price to *clearly* dominate
     batch_wins = batch_price <= batch_saving * TREE_VETO_MARGIN
     decision.currency = "batch" if batch_wins else "tree"
     vetoes: List[int] = []

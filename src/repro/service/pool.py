@@ -1,8 +1,8 @@
 """Process-pool worker backend: query execution across address spaces.
 
-BENCH_4/5 measured the thread pool running *slower* than serial — TLC
-plan evaluation is CPU-bound pure Python, so threads serialise on the
-GIL.  This module is the other side of that wall: a
+EXPERIMENTS E12/E13 measured the thread pool running *slower* than
+serial — TLC plan evaluation is CPU-bound pure Python, so threads
+serialise on the GIL.  This module is the other side of that wall: a
 :class:`WorkerPool` owns N worker *processes*, each holding its own
 materialization of the one immutable :class:`~repro.storage.database.
 Database`, and the dispatcher (the :class:`~repro.service.service.

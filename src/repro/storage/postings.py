@@ -6,19 +6,15 @@ call rebuilt a ``(doc, start)`` key array from its input node ids and every
 index lookup copied its posting list — pure interpreter overhead on the
 hottest primitive.  A :class:`Postings` object fixes both: it is an
 **immutable, columnar view** of one tag's node ids, carrying the parallel
-``starts`` / ``ends`` / ``levels`` arrays, so joins binary-search
-ready-made columns instead of rebuilding them per call.
+``starts`` / ``levels`` columns, so joins binary-search ready-made
+columns instead of rebuilding them per call.
 
-The join columns are built **lazily** and stored compactly: ``ends`` is
-a C-typed integer column (``array('l')``, or a numpy array when the
-batch runtime's numpy flag is on — see :mod:`repro.columns.arrays`),
-``levels`` always an ``array('l')`` (the join cursor indexes it element
-by element, which numpy is slower at than the list it would replace),
-and nothing is derived until a consumer first touches it, so callers
-that only iterate ``ids`` (containment checks, the value index's sorted
-probes) never pay for columns they do not read.  ``starts`` stays a
-list of ``(doc, start)`` tuples because the join cursors probe it with
-tuple keys through ``bisect``.
+The join columns are built **lazily**: ``levels`` is an ``array('l')``,
+``starts`` a list of ``(doc, start)`` tuples because the join cursors
+probe it with tuple keys through ``bisect``, and neither is derived
+until a consumer first touches it, so callers that only iterate ``ids``
+(containment checks, the value index's sorted probes) never pay for
+columns they do not read.
 
 The *storage* columns of a tag-index view are built with it:
 ``record_indexes`` and ``values`` are aligned with ``ids``, and
@@ -31,15 +27,6 @@ them: it is what lets a structural join over these postings as
 *parents* skip a childless stretch with one binary search
 (:func:`repro.physical.structural_join.probe`), and it is eager
 because a view shared between threads must not cache it lazily.
-
-``at_level`` additionally partitions the postings by tree level (lazily,
-cached) — the level-split trick of the structural-join lineage
-(Al-Khalifa et al., survey in "A Survey of XML Tree Patterns").  The
-joins no longer need it (their one probe loop filters the ``levels``
-column, a C-speed ``count`` when the whole range is children); it stays
-as the storage-level way to ask for one level's postings.  Partitions
-are carved out of the parent's already-built columns by index positions
-instead of re-deriving every column from the node ids.
 """
 
 from __future__ import annotations
@@ -47,18 +34,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import groupby, islice
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..columns.arrays import int_column, take
 from ..model.node_id import NodeId
 from .page import NODES_PER_PAGE
 
@@ -87,7 +64,6 @@ class Postings(Sequence[NodeId]):
 
     * ``ids``     — the node ids themselves, document order;
     * ``starts``  — ``(doc, start)`` probe keys, sorted ascending;
-    * ``ends``    — interval ends, aligned with ``ids``;
     * ``levels``  — tree levels, aligned with ``ids``;
     * ``record_indexes`` / ``values`` — the document record index and
       the atomic content of each posting, aligned with ``ids``;
@@ -101,13 +77,12 @@ class Postings(Sequence[NodeId]):
     The three before ``flat`` are the storage columns of a tag-index
     view; an id-only view (``Postings(ids)``, a join input) has ``None``
     there.
-    ``starts``/``ends``/``levels`` are properties over lazily-built
-    compact columns; reading them is idempotent and cheap after the
-    first touch.
+    ``starts``/``levels`` are properties over lazily-built columns;
+    reading them is idempotent and cheap after the first touch.
     """
 
     __slots__ = ("ids", "record_indexes", "values", "run_pages", "flat",
-                 "_starts", "_ends", "_levels", "_by_level")
+                 "_starts", "_levels")
 
     def __init__(
         self,
@@ -137,9 +112,7 @@ class Postings(Sequence[NodeId]):
                 ],
             )
         self._starts: Optional[List[Tuple[int, int]]] = None
-        self._ends = None
         self._levels: Optional[array] = None
-        self._by_level: Optional[Dict[int, "Postings"]] = None
 
     # ------------------------------------------------------------------
     # lazy columns
@@ -152,64 +125,11 @@ class Postings(Sequence[NodeId]):
         return self._starts
 
     @property
-    def ends(self):
-        """Interval ends as a compact integer column (lazy)."""
-        if self._ends is None:
-            self._ends = int_column([n.end for n in self.ids])
-        return self._ends
-
-    @property
     def levels(self) -> array:
         """Tree levels as an ``array('l')`` column (lazy)."""
         if self._levels is None:
             self._levels = array("l", [n.level for n in self.ids])
         return self._levels
-
-    # ------------------------------------------------------------------
-    # level partitions
-    # ------------------------------------------------------------------
-    def _partition(self, positions: List[int]) -> "Postings":
-        """A sub-view at the given index positions, sharing built columns.
-
-        Columns the parent has already materialised are *sliced* (taken
-        by position) rather than re-derived from the node ids; columns
-        never touched stay lazy in the child too.
-        """
-        ids = self.ids
-        record_indexes, values = self.record_indexes, self.values
-        child = Postings(
-            [ids[i] for i in positions],
-            [record_indexes[i] for i in positions]
-            if record_indexes is not None
-            else None,
-            [values[i] for i in positions] if values is not None else None,
-        )
-        if self._starts is not None:
-            child._starts = [self._starts[i] for i in positions]
-        if self._ends is not None:
-            child._ends = take(self._ends, positions)
-        # levels are constant within a partition and rarely read: lazy
-        return child
-
-    def at_level(self, level: int) -> "Postings":
-        """The sub-postings at exactly ``level``, document order.
-
-        Partitions are built lazily on first use and cached; a level with
-        no postings returns the shared empty view.
-        """
-        if self._by_level is None:
-            groups: Dict[int, List[int]] = {}
-            for position, node_level in enumerate(self.levels):
-                groups.setdefault(node_level, []).append(position)
-            self._by_level = {
-                node_level: self._partition(positions)
-                for node_level, positions in groups.items()
-            }
-        return self._by_level.get(level, EMPTY_POSTINGS)
-
-    def levels_present(self) -> List[int]:
-        """Distinct tree levels with at least one posting (ascending)."""
-        return sorted(set(self.levels))
 
     # ------------------------------------------------------------------
     # Sequence protocol (read-only)
@@ -266,6 +186,6 @@ class Postings(Sequence[NodeId]):
         return f"<Postings n={len(self.ids)}>"
 
 
-#: Shared empty view (missing tags, empty level partitions); scannable,
-#: so its storage columns are present and empty.
+#: Shared empty view (missing tags); scannable, so its storage columns
+#: are present and empty.
 EMPTY_POSTINGS = Postings((), (), ())

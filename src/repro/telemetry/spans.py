@@ -24,8 +24,9 @@ epoch with the parent.
 
 **Overhead model.**  Like the metric hooks, spans sit behind one
 process-wide flag: with spans disabled the service's per-request cost
-is a single boolean test (no recorder is allocated), which is what
-keeps the spans-off ``bench service`` overhead inside the ≤2% budget.
+is a single boolean test (no recorder is allocated); what armed spans
+cost is the ``telemetry.spans_overhead_ratio`` row of
+``benchmarks/layers`` (workload ``serve_thread``).
 """
 
 from __future__ import annotations

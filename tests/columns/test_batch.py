@@ -1,19 +1,5 @@
-"""Unit tests for the columnar batch currency and its array backend."""
+"""Unit tests for the columnar batch currency."""
 
-import pytest
-
-from repro.columns.arrays import (
-    backend_name,
-    concat_columns,
-    int_column,
-    numpy_available,
-    numpy_enabled,
-    positions_where_equal,
-    shift_column,
-    take,
-    tolist,
-    use_numpy,
-)
 from repro.columns.batch import (
     ColumnBatch,
     as_tree_sequence,
@@ -36,7 +22,7 @@ def two_row_batch() -> ColumnBatch:
           b(lcl=2, "v1")      y(lcl=3, "v3")
           c("v2")
     """
-    return ColumnBatch.from_lists(
+    return ColumnBatch(
         offsets=[0, 3, 5],
         tags=["a", "b", "c", "x", "y"],
         values=[None, "v1", "v2", None, "v3"],
@@ -47,43 +33,6 @@ def two_row_batch() -> ColumnBatch:
         labels=[1, 2, 0, 1, 3],
         parents=[-1, 0, 0, -1, 0],
     )
-
-
-class TestArrays:
-    def test_int_column_roundtrip(self):
-        column = int_column([3, 1, 2])
-        assert tolist(column) == [3, 1, 2]
-        assert len(column) == 3
-
-    def test_take_and_positions(self):
-        column = int_column([5, 7, 5, 9])
-        assert tolist(take(column, [0, 3])) == [5, 9]
-        assert positions_where_equal(column, 5) == [0, 2]
-
-    def test_shift_and_concat(self):
-        column = int_column([1, 2])
-        assert tolist(shift_column(column, 10)) == [11, 12]
-        assert shift_column(column, 0) is column
-        merged = concat_columns([int_column([1]), int_column([2, 3])])
-        assert tolist(merged) == [1, 2, 3]
-
-    def test_backend_switch_is_scoped(self):
-        before = numpy_enabled()
-        with use_numpy(False):
-            assert not numpy_enabled()
-            assert backend_name() == "array"
-        assert numpy_enabled() == before
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_backend_agrees_with_pure(self):
-        with use_numpy(True):
-            accel = int_column([4, 5, 6])
-            assert backend_name() == "numpy"
-        with use_numpy(False):
-            pure = int_column([4, 5, 6])
-        assert tolist(accel) == tolist(pure)
-        assert positions_where_equal(accel, 5) == \
-            positions_where_equal(pure, 5)
 
 
 class TestBatchSwitch:
@@ -108,8 +57,7 @@ class TestColumnBatch:
         batch = two_row_batch()
         assert len(batch) == 2
         assert bool(batch)
-        assert batch.row_slice(0) == (0, 3)
-        assert batch.row_slice(1) == (3, 5)
+        assert batch.offsets == [0, 3, 5]
         assert not ColumnBatch.empty()
 
     def test_class_positions_and_values(self):
@@ -161,16 +109,6 @@ class TestColumnBatch:
         assert node.children[0].lcls == {2}
         assert node.children[1].lcls == set()
 
-    def test_interval_columns_mark_temp_ids(self):
-        batch = ColumnBatch.from_lists(
-            [0, 2], ["r", "t"], [None, None],
-            [nid(1, 4, 0), None], [0, 0], [-1, 0],
-        )
-        starts, ends, levels = batch.interval_columns()
-        assert tolist(starts) == [1, -1]
-        assert tolist(ends) == [4, -1]
-        assert tolist(levels) == [0, -1]
-
     def test_materialize_builds_indexed_trees_once(self):
         batch = two_row_batch()
         metrics = Metrics()
@@ -198,13 +136,6 @@ class TestColumnBatch:
         assert as_tree_sequence(trees) is trees
 
     def test_pure_python_columns_are_plain_lists(self):
-        with use_numpy(False):
-            batch = two_row_batch()
-            assert isinstance(batch.labels, list)
-            assert isinstance(batch.parents, list)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_numpy_columns_are_arrays(self):
-        with use_numpy(True):
-            batch = two_row_batch()
-        assert type(batch.labels).__module__ == "numpy"
+        batch = two_row_batch()
+        assert isinstance(batch.labels, list)
+        assert isinstance(batch.parents, list)

@@ -67,11 +67,11 @@ def random_forest(rng, rows=None):
 def batch_and_trees(rng, rows=None):
     """The same random forest as a batch and as an independent sequence."""
     built = random_forest(rng, rows)
-    batch = ColumnBatch.from_lists(*[
+    batch = ColumnBatch(*[
         list(column) if isinstance(column, list) else column
         for column in built
     ])
-    trees = ColumnBatch.from_lists(*[list(c) for c in built]).materialize()
+    trees = ColumnBatch(*[list(c) for c in built]).materialize()
     return batch, trees
 
 

@@ -1,23 +1,21 @@
 """Integration sweep: the batch runtime is invisible except in the clock.
 
-Every XMark benchmark query runs in three configurations — batch off
-(the per-tree fast path), batch on with pure-Python columns, and batch
-on with numpy columns — and must produce the *same trees in the same
-order*.  On top of output equality, the batch configurations must never
-do more metered work than the per-tree path: staying columnar only ever
-removes tree builds and index walks, never adds them.
+Every XMark benchmark query runs with the batch runtime off (the
+per-tree path) and on, and must produce the *same trees in the same
+order*.  On top of output equality, the batch run must never do more
+metered work than the per-tree path: staying columnar only ever removes
+tree builds and index walks, never adds them.
 """
 
 import pytest
 
 from repro.bench.harness import WORK_COUNTERS
-from repro.columns.arrays import numpy_available, use_numpy
 from repro.columns.batch import use_batch
 from repro.xmark import FIGURE15_ORDER, QUERIES
 
 
-def _run(engine, name, batch, numpy=False, optimize=False):
-    with use_batch(batch), use_numpy(numpy and numpy_available()):
+def _run(engine, name, batch, optimize=False):
+    with use_batch(batch):
         engine.db.reset_metrics()
         result = engine.run(
             QUERIES[name].text, engine="tlc", optimize=optimize
@@ -29,15 +27,12 @@ def _run(engine, name, batch, numpy=False, optimize=False):
 @pytest.mark.parametrize("name", FIGURE15_ORDER)
 def test_batch_configurations_match_per_tree(xmark_engine, name):
     per_tree, tree_counters = _run(xmark_engine, name, batch=False)
-    pure, pure_counters = _run(xmark_engine, name, batch=True)
-    assert pure == per_tree, f"{name}: batch runtime changed the result"
-    if numpy_available():
-        accel, _ = _run(xmark_engine, name, batch=True, numpy=True)
-        assert accel == per_tree, f"{name}: numpy columns changed the result"
+    batched, batch_counters = _run(xmark_engine, name, batch=True)
+    assert batched == per_tree, f"{name}: batch runtime changed the result"
     grew = {
-        key: (tree_counters.get(key, 0), pure_counters.get(key, 0))
+        key: (tree_counters.get(key, 0), batch_counters.get(key, 0))
         for key in WORK_COUNTERS
-        if pure_counters.get(key, 0) > tree_counters.get(key, 0)
+        if batch_counters.get(key, 0) > tree_counters.get(key, 0)
     }
     assert not grew, f"{name}: batch runtime increased work counters {grew}"
 
@@ -46,12 +41,8 @@ def test_batch_configurations_match_per_tree(xmark_engine, name):
 def test_optimized_pipeline_equivalence(xmark_engine, name):
     """The -O pipeline (Shadow/Illuminate, Flatten) stays equivalent too."""
     per_tree, _ = _run(xmark_engine, name, batch=False, optimize=True)
-    pure, _ = _run(xmark_engine, name, batch=True, optimize=True)
-    assert pure == per_tree
-    if numpy_available():
-        accel, _ = _run(xmark_engine, name, batch=True, numpy=True,
-                        optimize=True)
-        assert accel == per_tree
+    batched, _ = _run(xmark_engine, name, batch=True, optimize=True)
+    assert batched == per_tree
 
 
 def test_batch_counters_meter_columnar_execution(xmark_engine):

@@ -246,7 +246,7 @@ class TestTemporaryAnchors:
         """The columnar splice needs stored anchors: ``None`` = fall back."""
         box = TNode("box", lcls=[40])
         box.add_child(TNode("bidder", "b"))
-        batch = ColumnBatch.from_lists(
+        batch = ColumnBatch(
             [0, 2],
             ["box", "bidder"],
             [None, "b"],

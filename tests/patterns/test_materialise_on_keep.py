@@ -21,7 +21,7 @@ node for node and class for class, and leave every ``Metrics`` counter
 where the eager matcher leaves it.  ``extend_batch`` is additionally
 pinned to the per-tree ``extend`` on rows with no, one and several
 anchors, nested anchors, anchors below the row root and several
-variants per anchor, with numpy columns on and off.
+variants per anchor.
 """
 
 import itertools
@@ -31,7 +31,6 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from repro.columns.arrays import numpy_available, use_numpy
 from repro.columns.batch import ColumnBatch
 from repro.model.node_id import NodeId
 from repro.model.sequence import TreeSequence
@@ -465,24 +464,23 @@ def _check_trees(scenario, cached, order_edges):
     return len(want), len(want_ext)
 
 
-def _check_batches(scenario, cached, numpy):
+def _check_batches(scenario, cached):
     kind, base, extension = scenario
     db = _DBS[kind]
     eager, lazy = _both(db, cached, False)
-    with use_numpy(numpy and numpy_available()):
-        want, want_counters = _observe(db, lambda: eager.match(base, True))
-        got, counters = _observe(db, lambda: lazy.match_batch(base))
-        assert isinstance(got, ColumnBatch)
-        assert counters == want_counters
-        assert _shape(got.materialize()) == _shape(want)
-        want_ext, want_counters = _observe(
-            db, lambda: eager.extend(extension, want, True)
-        )
-        got_ext, counters = _observe(
-            db, lambda: lazy.extend_batch(extension, got)
-        )
-        assert counters == want_counters
-        assert _shape(got_ext.materialize()) == _shape(want_ext)
+    want, want_counters = _observe(db, lambda: eager.match(base, True))
+    got, counters = _observe(db, lambda: lazy.match_batch(base))
+    assert isinstance(got, ColumnBatch)
+    assert counters == want_counters
+    assert _shape(got.materialize()) == _shape(want)
+    want_ext, want_counters = _observe(
+        db, lambda: eager.extend(extension, want, True)
+    )
+    got_ext, counters = _observe(
+        db, lambda: lazy.extend_batch(extension, got)
+    )
+    assert counters == want_counters
+    assert _shape(got_ext.materialize()) == _shape(want_ext)
 
 
 @settings(max_examples=120, deadline=None)
@@ -492,9 +490,9 @@ def test_trees_equal_the_eager_matcher(scenario, cached, order_edges):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_scenario(), st.booleans(), st.booleans())
-def test_batches_equal_the_eager_matcher(scenario, cached, numpy):
-    _check_batches(scenario, cached, numpy)
+@given(_scenario(), st.booleans())
+def test_batches_equal_the_eager_matcher(scenario, cached):
+    _check_batches(scenario, cached)
 
 
 def _written(kind, base_spec, anchor_lcl, ext_edges):
@@ -576,8 +574,7 @@ def test_written_cases_equal_the_eager_matcher(scenario, cached):
     matched, extended = _check_trees(scenario, cached, False)
     assert matched and extended
     _check_trees(scenario, cached, True)
-    for numpy in (False, True):
-        _check_batches(scenario, cached, numpy)
+    _check_batches(scenario, cached)
 
 
 # ----------------------------------------------------------------------
@@ -604,16 +601,13 @@ def _rows(anchor_shape):
     return APT(root, DOC)
 
 
-@pytest.mark.parametrize("numpy", [False, True])
 @pytest.mark.parametrize(
     "anchor_shape",
     ["root-of-row", "several-nested", "below-with-siblings", "none"],
 )
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_extend_batch_equals_per_tree_extend(anchor_shape, numpy, data):
-    if numpy and not numpy_available():
-        pytest.skip("numpy not installed")
+def test_extend_batch_equals_per_tree_extend(anchor_shape, data):
     db = _DBS["nested"]
     labels = iter(range(20, 1000))
     ext_root = pattern_node(None, 0, lc_ref=9)
@@ -626,13 +620,12 @@ def test_extend_batch_equals_per_tree_extend(anchor_shape, numpy, data):
         )
     extension = APT(ext_root)
     matcher = PatternMatcher(db)
-    with use_numpy(numpy):
-        base = _rows(anchor_shape)
-        trees, batch = matcher.match(base), matcher.match_batch(base)
-        assert len(trees) > 0
-        want = matcher.extend(extension, trees)
-        got = matcher.extend_batch(extension, batch)
-        assert _shape(got.materialize()) == _shape(want)
+    base = _rows(anchor_shape)
+    trees, batch = matcher.match(base), matcher.match_batch(base)
+    assert len(trees) > 0
+    want = matcher.extend(extension, trees)
+    got = matcher.extend_batch(extension, batch)
+    assert _shape(got.materialize()) == _shape(want)
 
 
 def test_temporary_anchors_send_the_batch_to_the_tree_path():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.columns.arrays import tolist
 from repro.storage import Database
 
 XML = """
@@ -163,4 +162,4 @@ class TestImmutableViews:
     def test_columns_available_without_rebuild(self, db):
         postings = db.tag_lookup("inv.xml", "price")
         assert postings.starts == [(n.doc, n.start) for n in postings]
-        assert tolist(postings.levels) == [n.level for n in postings]
+        assert list(postings.levels) == [n.level for n in postings]

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.columns.arrays import tolist
 from repro.storage import Database
 from repro.storage.postings import EMPTY_POSTINGS, Postings
 
@@ -28,8 +27,7 @@ class TestColumns:
         postings = db.tag_index("t.xml").postings("b")
         assert len(postings) == 3
         assert postings.starts == [(n.doc, n.start) for n in postings.ids]
-        assert tolist(postings.ends) == [n.end for n in postings.ids]
-        assert tolist(postings.levels) == [n.level for n in postings.ids]
+        assert list(postings.levels) == [n.level for n in postings.ids]
 
     def test_starts_sorted_ascending(self, db):
         postings = db.tag_index("t.xml").postings("a")
@@ -42,46 +40,6 @@ class TestColumns:
         assert all(
             doc.records[idx].tag == "c" for idx in postings.record_indexes
         )
-
-
-class TestLevelPartitions:
-    def test_at_level_filters_exactly(self, db):
-        postings = db.tag_index("t.xml").postings("b")
-        shallow, deep = postings.levels_present()
-        direct = postings.at_level(shallow)
-        assert all(n.level == shallow for n in direct)
-        deeper = postings.at_level(deep)
-        assert len(direct) + len(deeper) == len(postings)
-
-    def test_empty_level_is_shared_empty_view(self, db):
-        postings = db.tag_index("t.xml").postings("b")
-        assert postings.at_level(99) is EMPTY_POSTINGS
-
-    def test_partitions_cached(self, db):
-        postings = db.tag_index("t.xml").postings("b")
-        level = postings.levels_present()[0]
-        assert postings.at_level(level) is postings.at_level(level)
-
-    def test_levels_present(self, db):
-        postings = db.tag_index("t.xml").postings("b")
-        assert postings.levels_present() == sorted(
-            {n.level for n in postings}
-        )
-
-    def test_partition_keeps_record_indexes(self, db):
-        postings = db.tag_index("t.xml").postings("b")
-        part = postings.at_level(postings.levels_present()[0])
-        assert part.record_indexes is not None
-        assert len(part.record_indexes) == len(part)
-
-    def test_partition_keeps_storage_columns_aligned(self, db):
-        doc = db.document("t.xml")
-        postings = db.tag_index("t.xml").postings("b")
-        for level in postings.levels_present():
-            part = postings.at_level(level)
-            assert [doc.node_id(i) for i in part.record_indexes] == list(part)
-            assert len(part.values) == len(part)
-            assert list(part.run_pages) == [0]
 
 
 class TestStorageColumns:
@@ -136,28 +94,17 @@ class TestLazyColumns:
     def test_columns_not_built_until_touched(self, db):
         postings = db.tag_index("t.xml").postings("b")
         assert postings._starts is None
-        assert postings._ends is None
         assert postings._levels is None
         list(postings)  # iterating ids derives nothing
-        assert postings._ends is None
-        postings.ends
-        assert postings._ends is not None
         assert postings._levels is None
+        postings.levels
+        assert postings._levels is not None
+        assert postings._starts is None
 
     def test_column_reads_idempotent(self, db):
         postings = db.tag_index("t.xml").postings("b")
-        assert postings.ends is postings.ends
         assert postings.levels is postings.levels
         assert postings.starts is postings.starts
-
-    def test_partition_shares_built_columns(self, db):
-        postings = db.tag_index("t.xml").postings("b")
-        postings.ends  # force the parent column
-        level = postings.levels_present()[0]
-        part = postings.at_level(level)
-        assert tolist(part.ends) == [n.end for n in part.ids]
-        # a column the parent never built stays lazy in the child too
-        assert part._starts is None
 
     def test_contains_with_duplicate_free_starts(self, db):
         postings = db.tag_index("t.xml").postings("b")
@@ -229,8 +176,6 @@ class TestFlat:
         for tag in index.tags():
             postings = index.postings(tag)
             assert postings.flat == _brute_force_flat(postings.ids), tag
-            for level in postings.levels_present():
-                assert postings.at_level(level).flat  # one level never nests
 
     def test_nesting_and_disorder_are_not_flat(self, db):
         index = db.tag_index("t.xml")
