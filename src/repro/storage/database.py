@@ -7,18 +7,19 @@ behaviour of TLC, TAX, GTP and the navigational evaluator is comparable.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..errors import StorageError
 from ..model.node_id import NodeId
 from ..model.tree import TNode
+from ..model.value import Atomic
 from .document import Document
 from .indexes import TagIndex, ValueIndex
 from .page import BufferPool
 from .postings import Postings
 from .seal import bulk_load
 from .stats import Metrics
-from .xml_parser import ParsedElement, parse_xml
+from .xml_parser import ParsedElement
 
 #: Default pool size: 2048 pages × 64 records ≈ 128k resident records,
 #: the spirit of the paper's 128 MB pool scaled to the simulation.
@@ -46,8 +47,7 @@ class Database:
     def load_xml(self, name: str, text: str) -> Document:
         """Parse ``text`` and store it under ``name`` (replaces existing)."""
         return self._install(
-            name,
-            lambda doc_id: Document.from_parsed(name, doc_id, parse_xml(text)),
+            name, lambda doc_id: Document.from_xml(name, doc_id, text)
         )
 
     def load_parsed(self, name: str, root: ParsedElement) -> Document:
@@ -120,7 +120,9 @@ class Database:
         """Parent of a stored node (None for a doc_root)."""
         return self.owner(nid).parent_id(nid)
 
-    def subtree(self, nid: NodeId, lcls=None) -> TNode:
+    def subtree(
+        self, nid: NodeId, lcls: Optional[Iterable[int]] = None
+    ) -> TNode:
         """Materialise the full subtree under ``nid`` (pays full I/O)."""
         return self.owner(nid).subtree(nid, lcls)
 
@@ -142,7 +144,7 @@ class Database:
         )
 
     def value_lookup(
-        self, doc_name: str, tag: str, op: str, value
+        self, doc_name: str, tag: str, op: str, value: Atomic
     ) -> List[NodeId]:
         """Node ids with ``tag`` whose content satisfies ``op value``."""
         document = self.document(doc_name)

@@ -29,7 +29,7 @@ from ..model.node_id import NodeId
 from ..model.tree import TNode
 from .page import NODES_PER_PAGE, BufferPool
 from .stats import Metrics
-from .xml_parser import ParsedElement
+from .xml_parser import ParsedElement, parse_events
 
 
 @dataclass
@@ -45,6 +45,70 @@ class NodeRecord:
     children: Tuple[int, ...]  # record indexes of children, document order
 
     __slots__ = ("tag", "value", "start", "end", "level", "parent", "children")
+
+
+class RecordBuilder:
+    """The one sink that turns element events into interval-encoded records.
+
+    ``start(tag, attrs)`` / ``end(value)`` per element, from either event
+    source: :func:`~repro.storage.xml_parser.parse_events` over XML text
+    or :meth:`Document.from_parsed`'s walk of a parse tree.  The stored
+    root is a synthetic ``doc_root`` element wrapping the document
+    element, mirroring the paper's plans whose pattern trees start at
+    ``doc_root``; attributes become ``@name`` children ahead of the
+    element children.
+
+    Interval ids are the enter/exit counter of the pre-order walk,
+    computed from positions: before record *i* at level *L* the walk
+    has entered *i* nodes and left *i − L*, so its start is
+    ``2i − L + 1``; when it closes with *n* records stored, its end is
+    ``2n − L``.
+    """
+
+    __slots__ = ("records", "_open", "_children")
+
+    def __init__(self) -> None:
+        self.records: List[NodeRecord] = [
+            NodeRecord("doc_root", None, 1, 0, 0, -1, ())
+        ]
+        #: record indexes of the open elements, ``doc_root`` first
+        self._open: List[int] = [0]
+        #: child record indexes of each open element
+        self._children: List[List[int]] = [[]]
+
+    def start(self, tag: str, attrs: Dict[str, str]) -> None:
+        records, open_ = self.records, self._open
+        idx = len(records)
+        level = len(open_)
+        self._children[-1].append(idx)
+        records.append(
+            NodeRecord(tag, None, 2 * idx - level + 1, 0, level, open_[-1], ())
+        )
+        open_.append(idx)
+        children: List[int] = []
+        level += 1
+        for name, value in attrs.items():
+            attr_idx = len(records)
+            attr_start = 2 * attr_idx - level + 1
+            children.append(attr_idx)
+            records.append(
+                NodeRecord(
+                    "@" + name, value, attr_start, attr_start + 1, level,
+                    idx, (),
+                )
+            )
+        self._children.append(children)
+
+    def end(self, value: Optional[str]) -> None:
+        rec = self.records[self._open.pop()]
+        rec.value = value
+        rec.end = 2 * len(self.records) - rec.level
+        rec.children = tuple(self._children.pop())
+
+    def finish(self) -> List[NodeRecord]:
+        """Close ``doc_root`` and hand over the records."""
+        self.end(None)
+        return self.records
 
 
 class Document:
@@ -66,60 +130,35 @@ class Document:
     # construction
     # ------------------------------------------------------------------
     @classmethod
+    def from_xml(cls, name: str, doc_id: int, text: str) -> "Document":
+        """Build a document from XML text in one pass of parse events."""
+        builder = RecordBuilder()
+        parse_events(text, builder.start, builder.end)
+        return cls.from_records(name, doc_id, builder.finish())
+
+    @classmethod
     def from_parsed(
         cls, name: str, doc_id: int, root: ParsedElement
     ) -> "Document":
-        """Build a document from a parse tree, assigning interval ids.
-
-        The stored root is a synthetic ``doc_root`` element wrapping the
-        document element, mirroring the paper's plans whose pattern trees
-        start at ``doc_root``.
-        """
-        records: List[NodeRecord] = []
-        counter = [0]
-
-        def enter() -> int:
-            counter[0] += 1
-            return counter[0]
-
-        def store(
-            tag: str, value: Optional[str], level: int, parent: int
-        ) -> int:
-            idx = len(records)
-            records.append(
-                NodeRecord(tag, value, 0, 0, level, parent, ())
-            )
-            return idx
-
-        def build(element: ParsedElement, level: int, parent: int) -> int:
-            idx = store(element.tag, element.text, level, parent)
-            start = enter()
-            child_idxs: List[int] = []
-            for attr_name, attr_value in element.attrs.items():
-                attr_idx = store(
-                    "@" + attr_name, attr_value, level + 1, idx
-                )
-                attr_start = enter()
-                attr_end = enter()
-                rec = records[attr_idx]
-                rec.start, rec.end = attr_start, attr_end
-                child_idxs.append(attr_idx)
-            for child in element.children:
-                child_idxs.append(build(child, level + 1, idx))
-            end = enter()
-            rec = records[idx]
-            rec.start, rec.end = start, end
-            rec.children = tuple(child_idxs)
-            return idx
-
-        root_idx = store("doc_root", None, 0, -1)
-        root_start = enter()
-        child_idx = build(root, 1, root_idx)
-        root_end = enter()
-        rec = records[root_idx]
-        rec.start, rec.end = root_start, root_end
-        rec.children = (child_idx,)
-        return cls.from_records(name, doc_id, records)
+        """Build a document from a parse tree, walked without recursion."""
+        builder = RecordBuilder()
+        start, end = builder.start, builder.end
+        # ``None`` on the to-do stack closes the innermost open element
+        todo: List[Optional[ParsedElement]] = [root]
+        opened: List[ParsedElement] = []
+        while todo:
+            element = todo.pop()
+            if element is None:
+                end(opened.pop().text)
+                continue
+            start(element.tag, element.attrs)
+            if element.children:
+                opened.append(element)
+                todo.append(None)
+                todo.extend(reversed(element.children))
+            else:
+                end(element.text)
+        return cls.from_records(name, doc_id, builder.finish())
 
     @classmethod
     def from_records(

@@ -20,6 +20,7 @@ postings).
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..model.node_id import NodeId
@@ -103,8 +104,10 @@ class ValueIndex:
             self._by_tag.setdefault(rec.tag, []).append(
                 (sort_key(rec.value), nid)
             )
+        # entries arrive in document order and the sort is stable, so
+        # equal keys stay in document order
         for entries in self._by_tag.values():
-            entries.sort(key=lambda pair: (pair[0], pair[1].order_key))
+            entries.sort(key=itemgetter(0))
         #: per-tag sorted key column, parallel to the entry list
         self._keys: Dict[str, List[tuple]] = {
             tag: [e[0] for e in entries]

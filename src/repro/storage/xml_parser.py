@@ -1,27 +1,46 @@
-"""A small, dependency-free XML parser.
+"""The XML front end: stdlib expat events under one text rule.
 
-The reproduction builds its own substrate, including parsing: this module
-turns XML text into a lightweight parse tree of :class:`ParsedElement`.
-Supported: elements, attributes, character data, entity references
-(named + numeric), comments, processing instructions, CDATA sections and an
-optional XML declaration.  Not supported (not needed for XMark):
-namespaces, DTDs, external entities.
+:func:`parse_events` drives a sink's ``start(tag, attrs)`` /
+``end(value)`` calls from ``xml.parsers.expat`` (C, no third-party
+dependency).  :meth:`~repro.storage.document.Document.from_xml` feeds
+the record builder from it directly; :func:`parse_xml` feeds a
+:class:`ParsedElement` sink, for callers that want a parse tree.
+Neither recurses, so nesting depth is bounded by memory only.
 
-Whitespace-only text between elements is dropped; other text is attached to
-the enclosing element (concatenated if interleaved with children — the
-single-text-value node model used throughout the paper's figures).
+**The text rule** (the single-text-value node model of the paper's
+figures): a maximal run of character data between two markup events is
+stripped and dropped if empty; a CDATA section's content is its own
+part and is not stripped; comments and processing instructions end a
+run; an element's value is its parts joined with one space, ``None``
+when it has none.  So ``<a>one<b/>two</a>`` gives ``a`` the value
+``"one two"`` and whitespace between elements vanishes.
+
+Rejected, as :class:`~repro.errors.XMLParseError` with a 1-based line
+and column: anything expat finds not well-formed (including NUL, the
+non-characters U+FFFE/U+FFFF, a truncated document, an undefined
+entity), a lone surrogate, and a DOCTYPE with an internal subset or an
+external id — so no entity is ever declared, let alone expanded.  A
+bare ``<!DOCTYPE name>`` is accepted and ignored.  Namespaces are not
+processed: ``:`` is an ordinary name character.
+
+XML 1.0 behaviour that differs from the earlier hand-rolled scanner:
+attribute values have their whitespace characters normalised to
+spaces; ``\\r\\n`` and ``\\r`` become ``\\n``; character references
+are decoded before a run is stripped, so ``&#32;`` at a run's edge is
+stripped too; a duplicate attribute is an error (the scanner kept the
+last); ``:`` and non-ASCII letters are allowed in names.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
+from xml.parsers import expat
 
 from ..errors import XMLParseError
 
-_NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*")
-_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+StartHandler = Callable[[str, Dict[str, str]], None]
+EndHandler = Callable[[Optional[str]], None]
 
 
 @dataclass
@@ -55,188 +74,100 @@ class ParsedElement:
         return total
 
 
-class _Scanner:
-    """Cursor over the XML text with line/column tracking for errors."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str) -> XMLParseError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        column = self.pos - self.text.rfind("\n", 0, self.pos)
-        return XMLParseError(message, line, column)
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, n: int = 1) -> str:
-        return self.text[self.pos : self.pos + n]
-
-    def startswith(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def expect(self, literal: str) -> None:
-        if not self.startswith(literal):
-            raise self.error(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def read_name(self) -> str:
-        match = _NAME_RE.match(self.text, self.pos)
-        if not match:
-            raise self.error("expected a name")
-        self.pos = match.end()
-        return match.group()
-
-    def read_until(self, terminator: str) -> str:
-        idx = self.text.find(terminator, self.pos)
-        if idx < 0:
-            raise self.error(f"unterminated construct, expected {terminator!r}")
-        chunk = self.text[self.pos : idx]
-        self.pos = idx + len(terminator)
-        return chunk
+class _Rejected(Exception):
+    """Raised by a handler; located and re-raised by :func:`parse_events`."""
 
 
-def decode_entities(text: str) -> str:
-    """Replace XML entity and character references with their characters."""
-    if "&" not in text:
-        return text
+def parse_events(text: str, start: StartHandler, end: EndHandler) -> None:
+    """Parse ``text``, calling ``start``/``end`` once per element.
 
-    def _sub(match: "re.Match[str]") -> str:
-        body = match.group(1)
-        if body.startswith("#x") or body.startswith("#X"):
-            return chr(int(body[2:], 16))
-        if body.startswith("#"):
-            return chr(int(body[1:]))
-        if body in _ENTITIES:
-            return _ENTITIES[body]
-        raise XMLParseError(f"unknown entity &{body};")
+    ``start(tag, attrs)`` fires in document order with the attributes in
+    document order; ``end(value)`` fires when the element closes, with
+    its value under the text rule of this module.
+    """
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    run: List[str] = []  # character data of the run being read
+    parts: List[str] = []  # closed text parts of all open elements
+    marks: List[int] = []  # where each open element's parts begin
 
-    return re.sub(r"&([^;&\s]+);", _sub, text)
+    def close_run(*_: object) -> None:
+        if run:
+            value = "".join(run).strip()
+            run.clear()
+            if value:
+                parts.append(value)
+
+    def start_element(tag: str, attrs: Dict[str, str]) -> None:
+        close_run()
+        marks.append(len(parts))
+        start(tag, attrs)
+
+    def end_element(_tag: str) -> None:
+        close_run()
+        mark = marks.pop()
+        if len(parts) > mark:
+            end(" ".join(parts[mark:]))
+            del parts[mark:]
+        else:
+            end(None)
+
+    def end_cdata() -> None:
+        parts.append("".join(run))
+        run.clear()
+
+    def doctype(
+        _name: str,
+        system_id: Optional[str],
+        public_id: Optional[str],
+        has_internal_subset: int,
+    ) -> None:
+        if system_id or public_id or has_internal_subset:
+            raise _Rejected(
+                "DOCTYPE with an internal subset or external id"
+            )
+
+    parser.StartElementHandler = start_element
+    parser.EndElementHandler = end_element
+    parser.CharacterDataHandler = run.append
+    parser.CommentHandler = close_run
+    parser.ProcessingInstructionHandler = close_run
+    parser.StartCdataSectionHandler = close_run
+    parser.EndCdataSectionHandler = end_cdata
+    parser.StartDoctypeDeclHandler = doctype
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as error:
+        raise XMLParseError(
+            expat.ErrorString(error.code), error.lineno, error.offset + 1
+        ) from None
+    except _Rejected as error:
+        raise XMLParseError(
+            str(error),
+            parser.CurrentLineNumber,
+            parser.CurrentColumnNumber + 1,
+        ) from None
+    except UnicodeEncodeError as error:  # e.g. a lone surrogate
+        pos = error.start
+        raise XMLParseError(
+            f"unencodable character {text[pos]!r}",
+            text.count("\n", 0, pos) + 1,
+            pos - text.rfind("\n", 0, pos),
+        ) from None
 
 
 def parse_xml(text: str) -> ParsedElement:
     """Parse XML text and return the root :class:`ParsedElement`."""
-    scanner = _Scanner(text)
-    _skip_prolog(scanner)
-    root = _parse_element(scanner)
-    _skip_misc(scanner)
-    if not scanner.eof():
-        raise scanner.error("content after document element")
-    return root
+    holder = ParsedElement("")  # parent of the document element
+    open_elements = [holder]
 
+    def start(tag: str, attrs: Dict[str, str]) -> None:
+        element = ParsedElement(tag, attrs)
+        open_elements[-1].children.append(element)
+        open_elements.append(element)
 
-def _skip_prolog(scanner: _Scanner) -> None:
-    scanner.skip_ws()
-    while True:
-        if scanner.startswith("<?"):
-            scanner.pos += 2
-            scanner.read_until("?>")
-        elif scanner.startswith("<!--"):
-            scanner.pos += 4
-            scanner.read_until("-->")
-        elif scanner.startswith("<!DOCTYPE"):
-            # skip a simple (bracket-free or internal-subset) doctype
-            depth = 0
-            while not scanner.eof():
-                ch = scanner.text[scanner.pos]
-                scanner.pos += 1
-                if ch == "[":
-                    depth += 1
-                elif ch == "]":
-                    depth -= 1
-                elif ch == ">" and depth <= 0:
-                    break
-        else:
-            break
-        scanner.skip_ws()
+    def end(value: Optional[str]) -> None:
+        open_elements.pop().text = value
 
-
-def _skip_misc(scanner: _Scanner) -> None:
-    scanner.skip_ws()
-    while scanner.startswith("<!--") or scanner.startswith("<?"):
-        if scanner.startswith("<!--"):
-            scanner.pos += 4
-            scanner.read_until("-->")
-        else:
-            scanner.pos += 2
-            scanner.read_until("?>")
-        scanner.skip_ws()
-
-
-def _parse_attrs(scanner: _Scanner) -> Dict[str, str]:
-    attrs: Dict[str, str] = {}
-    while True:
-        scanner.skip_ws()
-        ch = scanner.peek()
-        if ch in (">", "/") or not ch:
-            return attrs
-        name = scanner.read_name()
-        scanner.skip_ws()
-        scanner.expect("=")
-        scanner.skip_ws()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            raise scanner.error("attribute value must be quoted")
-        scanner.pos += 1
-        value = scanner.read_until(quote)
-        attrs[name] = decode_entities(value)
-
-
-def _parse_element(scanner: _Scanner) -> ParsedElement:
-    scanner.expect("<")
-    tag = scanner.read_name()
-    attrs = _parse_attrs(scanner)
-    element = ParsedElement(tag, attrs)
-    scanner.skip_ws()
-    if scanner.startswith("/>"):
-        scanner.pos += 2
-        return element
-    scanner.expect(">")
-    _parse_content(scanner, element)
-    return element
-
-
-def _parse_content(scanner: _Scanner, element: ParsedElement) -> None:
-    text_parts: List[str] = []
-    while True:
-        if scanner.eof():
-            raise scanner.error(f"unclosed element <{element.tag}>")
-        if scanner.startswith("</"):
-            scanner.pos += 2
-            closing = scanner.read_name()
-            if closing != element.tag:
-                raise scanner.error(
-                    f"mismatched close tag </{closing}> for <{element.tag}>"
-                )
-            scanner.skip_ws()
-            scanner.expect(">")
-            break
-        if scanner.startswith("<!--"):
-            scanner.pos += 4
-            scanner.read_until("-->")
-            continue
-        if scanner.startswith("<![CDATA["):
-            scanner.pos += 9
-            text_parts.append(scanner.read_until("]]>"))
-            continue
-        if scanner.startswith("<?"):
-            scanner.pos += 2
-            scanner.read_until("?>")
-            continue
-        if scanner.startswith("<"):
-            element.children.append(_parse_element(scanner))
-            continue
-        idx = scanner.text.find("<", scanner.pos)
-        if idx < 0:
-            raise scanner.error(f"unclosed element <{element.tag}>")
-        raw = scanner.text[scanner.pos : idx]
-        scanner.pos = idx
-        if raw.strip():
-            text_parts.append(decode_entities(raw.strip()))
-    if text_parts:
-        element.text = " ".join(text_parts)
+    parse_events(text, start, end)
+    return holder.children[0]
