@@ -5,6 +5,11 @@ order-preserving nested-loop joins with sort–merge–sort: sort by join
 value, merge, then re-sort the output by the left root's node id.  This
 ablation times both physical strategies on the same join workload and
 verifies the document-order guarantee holds either way.
+
+The inequality case is x11's join (``profile/@income > initial``): the
+band join (right side sorted once, one bisection per left item) against
+the nested loop, with the pair *sequences* required to be identical —
+the Nest-Value-Join builds its clusters from that order.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.model.value import atomize, compare
-from repro.physical.value_join import merge_equi_join
+from repro.physical.value_join import BAND_OPS, merge_equi_join, theta_join
 
 
 def _workload(harness, factor):
@@ -74,3 +79,54 @@ def test_strategies_agree_and_order_restored(harness, bench_factor):
     }
     keys = [l[1].order_key for l, _ in merged]
     assert keys == sorted(keys)
+
+
+# ----------------------------------------------------------------------
+# inequality: band join vs nested loop
+# ----------------------------------------------------------------------
+def _band_workload(harness, factor):
+    """(person @income values, open_auction initial values), x11's join."""
+    db = harness.engine_for(factor).db
+
+    def column(tag):
+        return [
+            (db.value_of(nid), nid)
+            for nid in db.tag_lookup("auction.xml", tag)
+        ]
+
+    return column("@income"), column("initial")
+
+
+def _nested_loop_theta(left, right, op):
+    return [
+        (l, r)
+        for l in left
+        for r in right
+        if compare(atomize(l[0]), op, atomize(r[0]))
+    ]
+
+
+def _band(left, right, op):
+    return theta_join(left, right, op, lambda x: x[0], lambda x: x[0])
+
+
+@pytest.mark.parametrize("strategy", ["band", "nested-loop"])
+def test_inequality_join_strategies(
+    benchmark, harness, bench_factor, strategy
+):
+    left, right = _band_workload(harness, bench_factor)
+    benchmark.group = "ablation-valuejoin-inequality"
+    join = _band if strategy == "band" else _nested_loop_theta
+    result = benchmark.pedantic(
+        lambda: join(left, right, ">"), rounds=3, iterations=1
+    )
+    assert result
+
+
+@pytest.mark.parametrize("op", BAND_OPS)
+def test_band_join_pair_sequence_is_the_nested_loops(
+    harness, bench_factor, op
+):
+    left, right = _band_workload(harness, bench_factor)
+    assert left and right
+    assert _band(left, right, op) == _nested_loop_theta(left, right, op)

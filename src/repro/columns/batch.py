@@ -127,6 +127,20 @@ class ColumnBatch:
         labels = self.labels
         return [j for j in range(start, end) if labels[j] == lcl]
 
+    def row_classes(self, row: int) -> Dict[int, List[int]]:
+        """Column positions of each labelled class of the row, pre-order:
+        one read of the row's labels for a consumer of many classes."""
+        classes: Dict[int, List[int]] = {}
+        labels = self.labels
+        for position in range(self.offsets[row], self.offsets[row + 1]):
+            label = labels[position]
+            if label:
+                if label in classes:
+                    classes[label].append(position)
+                else:
+                    classes[label] = [position]
+        return classes
+
     def class_values(self, row: int, lcl: int) -> list:
         """Content of the row's class-``lcl`` nodes, pre-order."""
         return [self.values[j] for j in self.class_positions(row, lcl)]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Union
 
 from ..columns.batch import as_tree_sequence
+from ..errors import CardinalityError
 from ..model.sequence import TreeSequence
 from ..model.tree import TNode, XTree
 from ..model.value import Atomic, compare
@@ -199,8 +200,6 @@ class JoinPredicate:
 
 def class_node_id(tree: XTree, lcl: int, operator: str):
     """Node id of the singleton node of ``lcl`` (None when empty)."""
-    from ..errors import CardinalityError
-
     nodes = tree.class_nodes(lcl)
     if not nodes:
         return None
@@ -218,8 +217,6 @@ def class_value(tree: XTree, lcl: int, operator: str) -> Optional[Atomic]:
     a join may read the hidden correlation classes a nested query's
     construct carries for its benefit (see ``CClassRef.hidden``).
     """
-    from ..errors import CardinalityError
-
     nodes = tree.class_nodes(lcl, include_shadowed=True)
     if not nodes:
         return None

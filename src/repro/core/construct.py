@@ -26,7 +26,7 @@ the outer projection").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..columns.batch import ColumnBatch
 from ..model.node_id import NodeId
@@ -129,13 +129,15 @@ class ConstructOp(Operator):
         for tree in inputs[0]:
             if isinstance(self.ctree, CClassRef):
                 for spliced in self._materialize(ctx, tree, self.ctree):
-                    if self.ctree.text_only:
-                        out.append(XTree(TNode("text", spliced)))
-                    else:
-                        out.append(XTree(spliced))
+                    out.append(self._spliced_tree(spliced))
                     ctx.metrics.trees_built += 1
             else:
-                out.append(XTree(self._build_element(ctx, self.ctree, tree)))
+                index: Dict[int, List[TNode]] = {}
+                odd: List[TNode] = []
+                element = self._build_element(
+                    ctx, self.ctree, tree, index, odd
+                )
+                out.append(_indexed(element, index, odd))
                 ctx.metrics.trees_built += 1
         return out
 
@@ -148,56 +150,72 @@ class ConstructOp(Operator):
         spliced stored subtrees fetch through the buffer pool exactly
         as the per-tree path does, class text reads off the value
         column, and only content without a stored id (nested construct
-        output) builds nodes from its column slice.
+        output) builds nodes from its column slice.  Each row's labels
+        are read once, into one class → positions map.
         """
         source = inputs[0]
         if not isinstance(source, ColumnBatch):
             return self.execute(ctx, inputs)
         out = TreeSequence()
+        ctree = self.ctree
         for row in range(len(source)):
-            if isinstance(self.ctree, CClassRef):
-                spliced_nodes = self._splice_columns(
-                    ctx, source, row, self.ctree
-                )
-                for spliced in spliced_nodes:
-                    if self.ctree.text_only:
-                        out.append(XTree(TNode("text", spliced)))
-                    else:
-                        out.append(XTree(spliced))
+            if isinstance(ctree, CClassRef):
+                for spliced in self._splice_columns(
+                    ctx, source, source.class_positions(row, ctree.lcl), ctree
+                ):
+                    out.append(self._spliced_tree(spliced))
                     ctx.metrics.trees_built += 1
             else:
-                out.append(
-                    XTree(
-                        self._build_element_columns(
-                            ctx, self.ctree, source, row
-                        )
-                    )
+                index: Dict[int, List[TNode]] = {}
+                odd: List[TNode] = []
+                element = self._build_element_columns(
+                    ctx, ctree, source, source.row_classes(row), index, odd
                 )
+                out.append(_indexed(element, index, odd))
                 ctx.metrics.trees_built += 1
         self.note_batch(ctx, out)
         return out
 
+    def _spliced_tree(self, spliced) -> XTree:
+        """One output tree of a bare class reference."""
+        index: Dict[int, List[TNode]] = {}
+        odd: List[TNode] = []
+        if self.ctree.text_only:
+            return _indexed(TNode("text", spliced), index, odd)
+        _record(spliced, index, odd)
+        return _indexed(spliced, index, odd)
+
     # ------------------------------------------------------------------
     def _build_element_columns(
-        self, ctx: Context, spec: CElement, source: ColumnBatch, row: int
+        self,
+        ctx: Context,
+        spec: CElement,
+        source: ColumnBatch,
+        classes: Dict[int, List[int]],
+        index: Dict[int, List[TNode]],
+        odd: List[TNode],
     ) -> TNode:
-        """The columnar twin of :meth:`_build_element`."""
+        """The columnar twin of :meth:`_build_element`; ``classes`` is
+        the row's :meth:`~repro.columns.batch.ColumnBatch.row_classes`."""
         element = TNode(spec.tag)
         if spec.lcl:
             element.lcls.add(spec.lcl)
+            index.setdefault(spec.lcl, []).append(element)
+        values = source.values
         for attr_name, attr_value in spec.attrs:
             if isinstance(attr_value, CClassRef):
-                texts = source.class_values(row, attr_value.lcl)
-                value = (
-                    "" if not texts or texts[0] is None else str(texts[0])
-                )
+                positions = classes.get(attr_value.lcl)
+                text = values[positions[0]] if positions else None
+                value = "" if text is None else str(text)
             else:
                 value = attr_value
             element.add_child(TNode("@" + attr_name, value))
         for child in spec.children:
             if isinstance(child, CElement):
                 element.add_child(
-                    self._build_element_columns(ctx, child, source, row)
+                    self._build_element_columns(
+                        ctx, child, source, classes, index, odd
+                    )
                 )
             elif isinstance(child, CText):
                 element.value = (
@@ -207,7 +225,7 @@ class ConstructOp(Operator):
                 )
             else:
                 for spliced in self._splice_columns(
-                    ctx, source, row, child
+                    ctx, source, classes.get(child.lcl, ()), child
                 ):
                     if child.text_only:
                         element.value = (
@@ -217,14 +235,20 @@ class ConstructOp(Operator):
                         )
                     else:
                         element.add_child(spliced)
+                        _record(spliced, index, odd)
         return element
 
     def _splice_columns(
-        self, ctx: Context, source: ColumnBatch, row: int, ref: CClassRef
+        self,
+        ctx: Context,
+        source: ColumnBatch,
+        positions: Sequence[int],
+        ref: CClassRef,
     ):
-        """Yield the spliced content for one class reference, columnar."""
+        """Yield the spliced content for one class reference, columnar:
+        ``positions`` are the referenced class's column positions."""
         values, nids, labels = source.values, source.nids, source.labels
-        for position in source.class_positions(row, ref.lcl):
+        for position in positions:
             if ref.text_only:
                 value = values[position]
                 if value is not None:
@@ -243,11 +267,17 @@ class ConstructOp(Operator):
 
     # ------------------------------------------------------------------
     def _build_element(
-        self, ctx: Context, spec: CElement, tree: XTree
+        self,
+        ctx: Context,
+        spec: CElement,
+        tree: XTree,
+        index: Dict[int, List[TNode]],
+        odd: List[TNode],
     ) -> TNode:
         element = TNode(spec.tag)
         if spec.lcl:
             element.lcls.add(spec.lcl)
+            index.setdefault(spec.lcl, []).append(element)
         for attr_name, attr_value in spec.attrs:
             if isinstance(attr_value, CClassRef):
                 value = self._class_text(tree, attr_value.lcl)
@@ -256,7 +286,9 @@ class ConstructOp(Operator):
             element.add_child(TNode("@" + attr_name, value))
         for child in spec.children:
             if isinstance(child, CElement):
-                element.add_child(self._build_element(ctx, child, tree))
+                element.add_child(
+                    self._build_element(ctx, child, tree, index, odd)
+                )
             elif isinstance(child, CText):
                 element.value = (
                     child.text
@@ -273,6 +305,7 @@ class ConstructOp(Operator):
                         )
                     else:
                         element.add_child(spliced)
+                        _record(spliced, index, odd)
         return element
 
     def _class_text(self, tree: XTree, lcl: int) -> str:
@@ -315,6 +348,55 @@ class ConstructOp(Operator):
         if isinstance(self.ctree, CClassRef):
             return f"splice {self.ctree.describe()}"
         return f"<{self.ctree.tag}> lcl={self.ctree.lcl}"
+
+
+def _record(
+    spliced: TNode, index: Dict[int, List[TNode]], odd: List[TNode]
+) -> None:
+    """Index one spliced subtree root as it joins the constructed tree.
+
+    A fetched stored subtree is marked at its root only, so its entries
+    are the root's classes.  A hidden splice (shadowed) or constructed
+    content (whose marks lie below the root) goes to ``odd`` for
+    :func:`_indexed` to sort out.
+    """
+    if spliced.shadowed or not isinstance(spliced.nid, NodeId):
+        odd.append(spliced)
+    else:
+        for lcl in spliced.lcls:
+            index.setdefault(lcl, []).append(spliced)
+
+
+def _indexed(
+    root: TNode, index: Dict[int, List[TNode]], odd: List[TNode]
+) -> XTree:
+    """The constructed tree, with the LC index recorded while building it.
+
+    Construct makes every node it marks — its elements and the roots of
+    fetched stored subtrees — in pre-order, so ``index`` is the visible
+    index, for one entry per marked node instead of a walk (DESIGN §10,
+    the path-copy rule).  Hidden stored splices add the shadow-inclusive
+    index, which is the visible one plus their entries when their
+    classes are their own (the hidden correlation classes).  Spliced
+    constructed content brings marks no one recorded: that tree's index
+    stays lazy.
+    """
+    tree = XTree(root)
+    if not odd:
+        tree._lc_index = index
+        tree._saw_shadowed = False
+        return tree
+    hidden: Dict[int, List[TNode]] = {}
+    for node in odd:
+        if not isinstance(node.nid, NodeId):
+            return tree
+        for lcl in node.lcls:
+            hidden.setdefault(lcl, []).append(node)
+    tree._lc_index = index
+    tree._saw_shadowed = True
+    if hidden.keys().isdisjoint(index):
+        tree._lc_index_shadowed = {**index, **hidden}
+    return tree
 
 
 def construct_refs(spec):

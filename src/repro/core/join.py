@@ -8,20 +8,33 @@ specifications: ``-`` pairs one left tree with one right tree per output,
 (the Nest-Value-Join of Section 5.2), and ``?``/``*`` keep left trees with
 no match (left-outer variants).
 
-Physical strategy: sort–merge–sort (Section 5.1) — sort both sides by join
-value, merge, then re-sort the output by the node id of the left input's
-root to restore document order without a nested-loop join.
+Physical strategy: sort–merge–sort (Section 5.1) — equality sorts both
+sides by join value and merges, the inequalities sort the right side once
+and bisect it per left tree (a band join), and only ``!=`` / ``contains``
+compare every pair; the output is then re-sorted by the node id of the
+left input's root to restore document order.  The nest variants take
+their clusters straight from the join.
+
+Output trees share their input trees' roots, and their LC indexes are
+concatenated from the inputs' (DESIGN §10, the path-copy rule), so no
+reader re-walks a stitched tree.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import AlgebraError
 from ..model.sequence import TreeSequence
-from ..model.tree import TNode, XTree
+from ..model.tree import (
+    IndexState,
+    TNode,
+    XTree,
+    forest_state,
+    tree_state,
+)
 from ..model.value import compare
-from ..physical.value_join import nest_merge, theta_join
+from ..physical.value_join import nest_merge, theta_clusters, theta_join
 from .base import (
     Context,
     JoinPredicate,
@@ -43,6 +56,23 @@ def _key_fn(lcl: int, by_id: bool):
         return "#" + ":".join(str(part) for part in nid.order_key)
 
     return key
+
+
+def _pair_test(pred: JoinPredicate):
+    """A secondary predicate as a test on one ``(left, right)`` pair.
+
+    NULL never matches: an empty class pairs with nothing, by content
+    or by id (two empty classes are not the same node).
+    """
+    lkey = _key_fn(pred.left_lcl, pred.by_id)
+    rkey = _key_fn(pred.right_lcl, pred.by_id)
+    if pred.by_id:
+        def test(left: XTree, right: XTree) -> bool:
+            key = lkey(left)
+            return key is not None and key == rkey(right)
+
+        return test
+    return lambda left, right: compare(lkey(left), pred.op, rkey(right))
 
 
 class JoinOp(Operator):
@@ -70,36 +100,39 @@ class JoinOp(Operator):
         self, ctx: Context, inputs: List[TreeSequence]
     ) -> TreeSequence:
         left, right = inputs
+        nest = self.right_mspec in ("+", "*")
         if not self.predicates:
+            if nest:
+                everything = list(right)
+                return self._stitch(
+                    ctx, left, [(tree, everything) for tree in left]
+                )
             pairs = [(l, r) for l in left for r in right]
-        else:
-            first = self.predicates[0]
-            left_key = _key_fn(first.left_lcl, first.by_id)
-            right_key = _key_fn(first.right_lcl, first.by_id)
-            # joins never pair trees with NULL join values
-            lefts = [t for t in left if left_key(t) is not None]
-            rights = [t for t in right if right_key(t) is not None]
-            pairs = theta_join(
-                lefts,
-                rights,
-                first.op,
-                left_key=left_key,
-                right_key=right_key,
-                metrics=ctx.metrics,
+            return self._stitch(ctx, left, pairs)
+        first, rest = self.predicates[0], self.predicates[1:]
+        left_key = _key_fn(first.left_lcl, first.by_id)
+        right_key = _key_fn(first.right_lcl, first.by_id)
+        # joins never pair trees with NULL join values
+        lefts = [t for t in left if left_key(t) is not None]
+        rights = [t for t in right if right_key(t) is not None]
+        tests = [_pair_test(pred) for pred in rest]
+        if nest:
+            # the clusters come straight from the join, in right order
+            clusters = theta_clusters(
+                lefts, rights, first.op, left_key, right_key, ctx.metrics
             )
-            for pred in self.predicates[1:]:
-                lkey = _key_fn(pred.left_lcl, pred.by_id)
-                rkey = _key_fn(pred.right_lcl, pred.by_id)
-                if pred.by_id:
-                    pairs = [
-                        (l, r) for l, r in pairs if lkey(l) == rkey(r)
-                    ]
-                else:
-                    pairs = [
-                        (l, r)
-                        for l, r in pairs
-                        if compare(lkey(l), pred.op, rkey(r))
-                    ]
+            matched = list(zip(lefts, clusters))
+            for test in tests:
+                matched = [
+                    (l, [r for r in cluster if test(l, r)])
+                    for l, cluster in matched
+                ]
+            return self._stitch(ctx, left, matched)
+        pairs = theta_join(
+            lefts, rights, first.op, left_key, right_key, ctx.metrics
+        )
+        for test in tests:
+            pairs = [(l, r) for l, r in pairs if test(l, r)]
         return self._stitch(ctx, left, pairs)
 
     # ------------------------------------------------------------------
@@ -107,23 +140,24 @@ class JoinOp(Operator):
         self,
         ctx: Context,
         all_left: TreeSequence,
-        pairs: List[Tuple[XTree, XTree]],
+        matches: list,
     ) -> TreeSequence:
         """Build join_root output trees per the right-edge mSpec.
 
-        The pairs arrive in join-value order (the merge output); we sort
-        them back into document order *before* constructing the output
-        trees, so the fresh join_root temporary ids ascend in document
-        order — Property 4 of Section 5.1, which is what lets subsequent
+        ``matches`` holds ``(left, cluster)`` entries in left order for
+        the nest variants and ``(left, right)`` pairs otherwise.  Pairs
+        arrive in join-value order (the merge output); we sort them back
+        into document order *before* constructing the output trees, so
+        the fresh join_root temporary ids ascend in document order —
+        Property 4 of Section 5.1, which is what lets subsequent
         operators re-establish order by sorting on root ids.
         """
         outer = self.right_mspec in ("?", "*")
         decorated: List[Tuple[tuple, tuple, XTree, List[XTree]]] = []
         if self.right_mspec in ("+", "*"):
-            clusters = nest_merge(
-                pairs, list(all_left), outer=outer, metrics=ctx.metrics
-            )
-            for left_tree, cluster in clusters:
+            for left_tree, cluster in nest_merge(
+                matches, all_left, outer=outer, metrics=ctx.metrics
+            ):
                 first_right = (
                     cluster[0].order_key if cluster else (2, 0, 0)
                 )
@@ -132,7 +166,7 @@ class JoinOp(Operator):
                 )
         else:
             matched = set()
-            for left_tree, right_tree in pairs:
+            for left_tree, right_tree in matches:
                 matched.add(id(left_tree))
                 decorated.append(
                     (
@@ -152,12 +186,23 @@ class JoinOp(Operator):
         ctx.metrics.sort_ops += 1
         decorated.sort(key=lambda item: (item[0], item[1]))
         result = TreeSequence()
+        #: per cluster list, its roots and LC state: a nest join hands
+        #: many left trees the same cluster, gathered once
+        parts: dict = {}
         for _, _, left_tree, rights in decorated:
-            result.append(self._make_tree(left_tree, rights))
+            part = parts.get(id(rights))
+            if part is None:
+                part = parts[id(rights)] = (
+                    [tree.root for tree in rights],
+                    forest_state([tree_state(tree) for tree in rights]),
+                )
+            result.append(self._make_tree(left_tree, *part))
             ctx.metrics.trees_built += 1
         return result
 
-    def _make_tree(self, left: XTree, rights: List[XTree]) -> XTree:
+    def _make_tree(
+        self, left: XTree, right_roots: List[TNode], rights_state: IndexState
+    ) -> XTree:
         root = TNode("join_root", lcls={self.root_lcl} if self.root_lcl else None)
         # share the input trees instead of cloning them: operators
         # never mutate their inputs (memoised results are shared
@@ -165,27 +210,17 @@ class JoinOp(Operator):
         # place is safe — an operator that edits the output
         # path-copies the nodes it touches (XTree.path_copy) and
         # keeps sharing the rest
-        root.add_child(left.root)
-        for right in rights:
-            root.add_child(right.root)
+        root.children = [left.root] + right_roots
         result = XTree(root)
-        sources = [left] + rights
-        flags = {t._saw_shadowed for t in sources}
-        if flags == {False}:
-            result._saw_shadowed = False
-        elif True in flags:
-            result._saw_shadowed = True
-        if all(t._lc_index is not None for t in sources):
-            # derive the stitched tree's LC index by concatenation:
-            # the fresh root comes first in pre-order, then every
-            # input subtree in child order
-            index = {}
-            if self.root_lcl:
-                index[self.root_lcl] = [root]
-            for source in sources:
-                for lcl, nodes in source._lc_index.items():
-                    index.setdefault(lcl, []).extend(nodes)
-            result._lc_index = index
+        # derive the stitched tree's LC indexes by concatenation: the
+        # fresh root comes first in pre-order, then every input subtree
+        # in child order
+        result.adopt_state(
+            forest_state(
+                [tree_state(left), rights_state],
+                {self.root_lcl: [root]} if self.root_lcl else None,
+            )
+        )
         return result
 
     def lc_produced(self):

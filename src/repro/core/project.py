@@ -14,12 +14,12 @@ cost the paper charges TAX for.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..columns.batch import ColumnBatch
 from ..model.node_id import NodeId
 from ..model.sequence import TreeSequence
-from ..model.tree import TNode, XTree
+from ..model.tree import TNode, XTree, tree_state
 from .base import Context, Operator
 
 
@@ -48,79 +48,114 @@ class ProjectOp(Operator):
         return out
 
     def _project_tree(self, ctx: Context, tree: XTree, keep: set) -> XTree:
-        def retained_below(node: TNode) -> List[TNode]:
-            """Projected forest of retained nodes in node's subtree."""
-            collected: List[TNode] = []
+        """Project one tree; its LC index follows by the path-copy rule.
+
+        The scan visits the nodes it copies (retained stored nodes and
+        join roots) and the visible nodes it drops, and records the
+        copies' index entries as it makes them, in pre-order.  A
+        retained constructed node is kept whole and not entered, and so
+        is a retained shadowed child: when the output holds such a
+        subtree, its index is instead the input's with the visited
+        nodes' entries remapped or dropped (:func:`_derive`).
+        """
+        index: Dict[int, List[TNode]] = {}
+        dropped: List[TNode] = []
+        whole = kept_hidden = left_hidden = fetched = False
+        with_subtrees = self.with_subtrees
+        unkept = keep.isdisjoint
+
+        def copy_node(node: TNode) -> TNode:
+            """Copy a retained stored node, continuing the scan below."""
+            nonlocal whole, kept_hidden, fetched
+            if with_subtrees and isinstance(node.nid, NodeId):
+                fetched = True
+                return _fetch_subtree(ctx, node)
+            copy = TNode(node.tag, node.value, node.nid, node.lcls)
+            for lcl in copy.lcls:
+                index.setdefault(lcl, []).append(copy)
+            children = copy.children
             for child in node.children:
                 if child.shadowed:
-                    continue
-                if child.lcls & keep:
-                    collected.append(self._copy_node(ctx, child, keep))
+                    # shadowed nodes are invisible to the operator but are
+                    # *retained* in the intermediate result ("a logical
+                    # means to retain nodes … but have them not
+                    # participating"), awaiting a later Illuminate
+                    children.append(child)
+                    whole = kept_hidden = True
+                elif unkept(child.lcls):
+                    dropped.append(child)
+                    descend(child, children)
+                elif (
+                    isinstance(child.nid, NodeId) or child.tag == "join_root"
+                ):
+                    children.append(copy_node(child))
                 else:
-                    collected.extend(retained_below(child))
-            return collected
+                    # constructed content is atomic for projection: it
+                    # cannot be re-fetched from the database, so a
+                    # retained constructed element keeps its whole
+                    # subtree ("inner construct elements referenced in
+                    # the outer clause should survive the outer
+                    # projection", Section 3) — shared, since inputs are
+                    # never mutated in place
+                    children.append(child)
+                    whole = True
+            return copy
+
+        def descend(node: TNode, into: List[TNode]) -> None:
+            """Hang the retained nodes below a dropped one onto ``into``."""
+            nonlocal whole, left_hidden
+            for child in node.children:
+                if child.shadowed:
+                    left_hidden = True
+                elif unkept(child.lcls):
+                    dropped.append(child)
+                    descend(child, into)
+                elif (
+                    isinstance(child.nid, NodeId) or child.tag == "join_root"
+                ):
+                    into.append(copy_node(child))
+                else:
+                    into.append(child)
+                    whole = True
 
         root = tree.root
-        if root.lcls & keep:
-            projected = self._copy_node(ctx, root, keep)
-            return XTree(projected)
-        top = retained_below(root)
-        if len(top) == 1:
-            return XTree(top[0])
-        # not a tree: retain the input root as the connector
-        new_root = TNode(root.tag, root.value, root.nid, root.lcls)
-        new_root.add_children(top)
-        return XTree(new_root)
-
-    def _copy_node(self, ctx: Context, node: TNode, keep: set) -> TNode:
-        """Copy a retained node, continuing the scan below it."""
-        if not isinstance(node.nid, NodeId) and node.tag != "join_root":
-            # constructed content is atomic for projection: it cannot be
-            # re-fetched from the database, so a retained constructed
-            # element keeps its whole subtree ("inner construct elements
-            # referenced in the outer clause should survive the outer
-            # projection", Section 3) — shared rather than cloned, since
-            # inputs are never mutated in place
-            return node
-        if self.with_subtrees and isinstance(node.nid, NodeId):
-            # TAX early materialization: fetch the complete stored subtree,
-            # then transfer the class markings of witness descendants onto
-            # the matching fetched nodes so joins can still address them
-            copy = ctx.db.subtree(node.nid, node.lcls)
-            by_nid = {n.nid: n for n in copy.walk()}
-            for descendant in node.walk():
-                if descendant is node or not descendant.lcls:
-                    continue
-                target = by_nid.get(descendant.nid)
-                if target is not None:
-                    target.lcls.update(descendant.lcls)
-            return copy
-        copy = TNode(node.tag, node.value, node.nid, node.lcls)
-        for child in node.children:
-            if child.shadowed:
-                # shadowed nodes are invisible to the operator but are
-                # *retained* in the intermediate result ("a logical means
-                # to retain nodes … but have them not participating"),
-                # awaiting a later Illuminate
-                copy.add_child(child)
-                continue
-            if child.lcls & keep:
-                copy.add_child(self._copy_node(ctx, child, keep))
+        if not unkept(root.lcls):
+            if not isinstance(root.nid, NodeId) and root.tag != "join_root":
+                # a constructed root keeps the whole tree
+                out = XTree(root)
+                out.adopt_state(tree_state(tree))
+                return out
+            projected = copy_node(root)
+        else:
+            top: List[TNode] = []
+            descend(root, top)
+            if len(top) == 1:
+                dropped.append(root)
+                projected = top[0]
             else:
-                for kept in self._descend(ctx, child, keep):
-                    copy.add_child(kept)
-        return copy
-
-    def _descend(self, ctx: Context, node: TNode, keep: set) -> List[TNode]:
-        collected: List[TNode] = []
-        for child in node.children:
-            if child.shadowed:
-                continue
-            if child.lcls & keep:
-                collected.append(self._copy_node(ctx, child, keep))
-            else:
-                collected.extend(self._descend(ctx, child, keep))
-        return collected
+                # not a tree: retain the input root as the connector
+                projected = TNode(root.tag, root.value, root.nid, root.lcls)
+                projected.children = top
+                for lcl in root.lcls:
+                    index.setdefault(lcl, []).insert(0, projected)
+        out = XTree(projected)
+        if fetched:
+            return out
+        if not whole:
+            # every output node is a fresh copy, recorded in pre-order
+            out._lc_index = index
+            out._saw_shadowed = False
+            return out
+        if tree._lc_index is None or root.shadowed:
+            return out
+        out._lc_index = _derive(tree._lc_index, index, dropped)
+        if kept_hidden:
+            out._saw_shadowed = True
+        elif not left_hidden:
+            # every shadowed node of the input is in a kept subtree
+            out._saw_shadowed = tree._saw_shadowed
+        # else unknown: a kept constructed subtree may still hide one
+        return out
 
     def execute_batch(self, ctx: Context, inputs: list):
         """Batch form: retention runs on the columns, rows stay columnar.
@@ -236,3 +271,48 @@ class ProjectOp(Operator):
     def params(self) -> str:
         kind = " +subtrees" if self.with_subtrees else ""
         return f"keep {sorted(self.keep_lcls)}{kind}"
+
+
+def _fetch_subtree(ctx: Context, node: TNode) -> TNode:
+    """TAX early materialization: fetch the complete stored subtree,
+    then transfer the class markings of witness descendants onto the
+    matching fetched nodes so joins can still address them."""
+    copy = ctx.db.subtree(node.nid, node.lcls)
+    by_nid = {n.nid: n for n in copy.walk()}
+    for descendant in node.walk():
+        if descendant is node or not descendant.lcls:
+            continue
+        target = by_nid.get(descendant.nid)
+        if target is not None:
+            target.lcls.update(descendant.lcls)
+    return copy
+
+
+def _derive(
+    base: Dict[int, List[TNode]],
+    index: Dict[int, List[TNode]],
+    dropped: List[TNode],
+) -> Optional[Dict[int, List[TNode]]]:
+    """A projection's visible LC index from its input's, or None.
+
+    ``index`` holds the copies' entries in pre-order and ``dropped``
+    the visible nodes left out; every other visible node is in a kept
+    subtree, carried over unchanged.  A class no visited node belongs
+    to shares the input's entry list; a class whose entries were all
+    visited is its copies.  A class mixing both (no plan makes one)
+    leaves the index to a lazy build.
+    """
+    counts: Dict[int, int] = {}
+    for node in dropped:
+        for lcl in node.lcls:
+            counts[lcl] = counts.get(lcl, 0) + 1
+    out = dict(base)
+    for lcl in counts.keys() | index.keys():
+        mine = index.get(lcl, ())
+        if len(mine) + counts.get(lcl, 0) != len(base.get(lcl, ())):
+            return None
+        if mine:
+            out[lcl] = mine
+        else:
+            del out[lcl]
+    return out

@@ -17,7 +17,12 @@ from .structural_join import (
     nest_join,
     pair_join,
 )
-from .value_join import merge_equi_join, nest_merge, theta_join
+from .value_join import (
+    merge_equi_join,
+    nest_merge,
+    theta_clusters,
+    theta_join,
+)
 
 __all__ = [
     "group_by_node",
@@ -41,5 +46,6 @@ __all__ = [
     "pair_join",
     "merge_equi_join",
     "nest_merge",
+    "theta_clusters",
     "theta_join",
 ]

@@ -154,6 +154,38 @@ class TestThetaAndContracts:
         result = evaluate(plan, Context(tiny_db))
         assert len(result) == 0
 
+    def test_secondary_id_predicate_pairs_the_same_node(self, tiny_db):
+        plan = JoinOp(
+            person_select(), person_select(),
+            [JoinPredicate(3, "=", 3), JoinPredicate(2, "=", 2, by_id=True)],
+            root_lcl=9,
+        )
+        assert len(evaluate(plan, Context(tiny_db))) == 3
+
+    def test_secondary_id_predicate_never_pairs_empty_classes(self, tiny_db):
+        # classes 98 and 99 are empty in every tree; two empty classes
+        # are not "the same node", so the four pairs the first predicate
+        # finds all fail the second
+        plan = JoinOp(
+            person_select(), ref_select(),
+            [
+                JoinPredicate(3, "=", 6),
+                JoinPredicate(98, "=", 99, by_id=True),
+            ],
+            root_lcl=9,
+        )
+        assert len(evaluate(plan, Context(tiny_db))) == 0
+        nested = JoinOp(
+            person_select(), ref_select(),
+            [
+                JoinPredicate(3, "=", 6),
+                JoinPredicate(98, "=", 99, by_id=True),
+            ],
+            root_lcl=9, right_mspec="*",
+        )
+        result = evaluate(nested, Context(tiny_db))
+        assert [len(t.root.children) for t in result] == [1, 1, 1]
+
     def test_none_join_values_never_match(self, tiny_db):
         # class 5 (the auction element) has no content: a predicate
         # against it pairs nothing, even under '='

@@ -160,6 +160,65 @@ class TestAggregate:
 
 
 # ----------------------------------------------------------------------
+# Project: the index by the path-copy rule
+# ----------------------------------------------------------------------
+class TestProjectIndex:
+    def project(self, db, tree, keep=(2, 8, 12)):
+        (out,) = run(ProjectOp(list(keep), Const(TreeSequence([tree]))), db)
+        return out
+
+    def test_kept_constructed_class_shares_the_input_list(self, tiny_db):
+        tree = prime(x11_tree())
+        out = self.project(tiny_db, tree)
+        assert out._lc_index is not None
+        assert_cached_state_exact(out)
+        # the 120 <it/> children were kept whole, never visited
+        assert out._lc_index[8] is tree._lc_index[8]
+        assert set(out._lc_index) == {2, 8, 12}
+
+    def test_copies_only_is_recorded_without_an_input_index(self, tiny_db):
+        tree = x11_tree(items=0)
+        out = self.project(tiny_db, tree, keep=(2, 5))
+        assert out._lc_index is not None and out._saw_shadowed is False
+        assert_cached_state_exact(out)
+        assert [n.value for n in out.class_nodes(5)] == [0, 1, 2]
+
+    def test_connector_root_comes_first(self, tiny_db):
+        tree = x11_tree(items=0)
+        # class 7 marks the root and the interests, which alone are kept
+        tree.root.lcls.add(7)
+        for interest in tree.root.children[0].children[1].children:
+            interest.lcls.add(7)
+        out = self.project(tiny_db, tree, keep=(5,))
+        assert out.root.tag == "join_root"  # three interests: a forest
+        assert_cached_state_exact(out)
+        assert out.class_nodes(7)[0] is out.root
+        assert len(out.class_nodes(7)) == 4
+
+    def test_class_mixing_copies_and_kept_subtrees_stays_lazy(self, tiny_db):
+        tree = x11_tree(items=2)
+        inner = TNode("person", nid=NodeId(0, 50, 51, 3), lcls=[2])
+        tree.root.children[1].add_child(inner)  # inside a kept <it/>
+        prime(tree)
+        out = self.project(tiny_db, tree)
+        assert out._lc_index is None
+        assert len(out.class_nodes(2)) == 2
+
+    @pytest.mark.parametrize("hidden_kept", [False, True])
+    def test_shadow_knowledge(self, tiny_db, hidden_kept):
+        tree = x11_tree(items=3)
+        person = tree.root.children[0]
+        if hidden_kept:
+            person.children[0].shadowed = True  # name: kept under person
+        else:
+            person.children[1].children[0].shadowed = True  # dropped
+        prime(tree)
+        out = self.project(tiny_db, tree)
+        assert_cached_state_exact(out)
+        assert out._saw_shadowed is (True if hidden_kept else None)
+
+
+# ----------------------------------------------------------------------
 # Flatten / Shadow
 # ----------------------------------------------------------------------
 def cluster_tree(members: int, stray: bool = False) -> XTree:

@@ -1,10 +1,16 @@
 """Unit and property tests for the value-join primitives."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.model.value import compare, sort_key
-from repro.physical.value_join import merge_equi_join, nest_merge, theta_join
+from repro.model.value import atomize, compare, sort_key
+from repro.physical.value_join import (
+    merge_equi_join,
+    nest_merge,
+    theta_clusters,
+    theta_join,
+)
 from repro.storage.stats import Metrics
 
 
@@ -146,8 +152,7 @@ class TestThetaJoin:
 class TestNestMerge:
     def test_clusters_preserve_left_order(self):
         l1, l2, l3 = "l1", "l2", "l3"
-        pairs = [(l2, "a"), (l1, "b"), (l2, "c")]
-        clusters = nest_merge(pairs, [l1, l2, l3])
+        clusters = nest_merge([(l1, ["b"]), (l2, ["a", "c"])], [l1, l2, l3])
         assert clusters == [(l1, ["b"]), (l2, ["a", "c"])]
 
     def test_outer_includes_unmatched(self):
@@ -158,32 +163,96 @@ class TestNestMerge:
         clusters = nest_merge([], ["x"], outer=False)
         assert clusters == []
 
+    def test_empty_cluster_counts_as_unmatched(self):
+        # a secondary predicate can empty a cluster the join produced
+        assert nest_merge([("x", [])], ["x"], outer=False) == []
+        assert nest_merge([("x", [])], ["w", "x"], outer=True) == [
+            ("w", []), ("x", []),
+        ]
+
+    def test_counts_one_nest_join(self):
+        metrics = Metrics()
+        nest_merge([("x", ["r"])], ["x"], metrics=metrics)
+        assert metrics.nest_joins == 1
+
 
 # ----------------------------------------------------------------------
 # property: theta join == naive nested loop, for every operator
 # ----------------------------------------------------------------------
+#: Untyped content as documents and constructors produce it: numbers,
+#: numeric text in several spellings, the texts float() reads as NaN or
+#: infinity, empty and plain strings, and NULL.
 _values = st.one_of(
+    st.integers(-5, 5),
     st.integers(-5, 5).map(str),
-    st.sampled_from(["a", "b", "gold"]),
+    st.floats(-6, 6, allow_nan=False).map(lambda f: round(f, 1)),
+    st.sampled_from(
+        ["007", "7.0", " 7 ", "-0", "0.0", "1e1", "nan", "NaN", "inf",
+         "-inf", "", " ", "a", "b", "gold", "10a", "7"]
+    ),
+    st.none(),
 )
+OPS = ["=", "!=", "<", "<=", ">", ">=", "contains"]
 
 
-@given(
-    st.lists(_values, max_size=8),
-    st.lists(_values, max_size=8),
-    st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
-)
-def test_theta_join_matches_naive(left_vals, right_vals, op):
-    left = list(enumerate(left_vals))
-    right = list(enumerate(right_vals))
-    pairs = theta_join(
-        left, right, op, lambda x: x[1], lambda x: x[1]
-    )
-    fast = sorted((l[0], r[0]) for l, r in pairs)
-    naive = sorted(
+def _naive(left, right, op):
+    return [
         (l[0], r[0])
         for l in left
         for r in right
-        if compare(l[1], op, r[1])
+        if compare(atomize(l[1]), op, atomize(r[1]))
+    ]
+
+
+@given(
+    st.lists(_values, max_size=10),
+    st.lists(_values, max_size=10),
+    st.sampled_from(OPS),
+)
+def test_theta_join_matches_naive(left_vals, right_vals, op):
+    """The exact pair *sequence* of the nested loop: nest-join clusters
+    are built from it, so order matters, not just the set.  Equality is
+    the merge, in join-value order; per left item its matches still
+    come in right order, which a stable sort by left position shows."""
+    left = list(enumerate(left_vals))
+    right = list(enumerate(right_vals))
+    pairs = [
+        (l[0], r[0])
+        for l, r in theta_join(left, right, op, lambda x: x[1], lambda x: x[1])
+    ]
+    if op == "=":
+        pairs.sort(key=lambda pair: pair[0])
+    assert pairs == _naive(left, right, op)
+
+
+@given(
+    st.lists(_values, max_size=10),
+    st.lists(_values, max_size=10),
+    st.sampled_from(OPS),
+)
+def test_theta_clusters_match_naive(left_vals, right_vals, op):
+    left = list(enumerate(left_vals))
+    right = list(enumerate(right_vals))
+    clusters = theta_clusters(
+        left, right, op, lambda x: x[1], lambda x: x[1]
     )
-    assert fast == naive
+    assert len(clusters) == len(left)
+    flat = [
+        (l[0], r[0]) for l, cluster in zip(left, clusters) for r in cluster
+    ]
+    assert flat == _naive(left, right, op)
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_clusters_and_pairs_count_the_same_work(op):
+    left = [(v,) for v in ("3", "a", None, "7.0")]
+    right = [(v,) for v in ("4", "b", "3", None)]
+    by_pairs, by_clusters = Metrics(), Metrics()
+    theta_join(left, right, op, lambda x: x[0], lambda x: x[0], by_pairs)
+    theta_clusters(
+        left, right, op, lambda x: x[0], lambda x: x[0], by_clusters
+    )
+    assert by_pairs.value_joins == by_clusters.value_joins == 1
+    assert by_pairs.sort_ops == by_clusters.sort_ops == (
+        2 if op == "=" else 0
+    )
