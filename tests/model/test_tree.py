@@ -1,5 +1,7 @@
 """Unit tests for in-memory result trees and logical-class indexing."""
 
+import pickle
+
 import pytest
 
 from repro.errors import CardinalityError
@@ -137,6 +139,19 @@ class TestXTree:
         copy.invalidate()
         assert len(tree.nodes_in_class(6)) == 2
         assert len(copy.nodes_in_class(6)) == 1
+
+    def test_pickle_ships_the_root_not_the_index(self):
+        tree = build_sample()
+        tree.root.children[3].shadowed = True
+        tree.nodes_in_class(6)
+        tree.nodes_in_class(6, include_shadowed=True)
+        copy = pickle.loads(pickle.dumps(tree, pickle.HIGHEST_PROTOCOL))
+        assert copy._lc_index is None
+        assert copy._lc_index_shadowed is None
+        assert copy._saw_shadowed is None
+        assert copy.root.canonical() == tree.root.canonical()
+        assert len(copy.nodes_in_class(6)) == 1
+        assert len(copy.nodes_in_class(6, include_shadowed=True)) == 2
 
     def test_multi_class_membership(self):
         tree = build_sample()
