@@ -19,10 +19,6 @@ Commands:
   cardinalities and work-counter deltas; ``--spans`` runs it through
   the traced service instead and prints the request's span tree as
   Chrome-trace-event JSON (load in Perfetto / ``chrome://tracing``);
-* ``calibrate`` — measure the cost model's constants on this machine:
-  run the benchmark queries under the tracer, distil per-operator
-  self-time-per-row and the batch constants into a calibration
-  table the planner loads via ``REPRO_CALIBRATION``;
 * ``prepare``  — compile a query through the service's prepared-plan
   cache and report what the cache would save on re-execution;
 * ``serve``    — run queries from stdin through the concurrent
@@ -144,48 +140,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 "--cost is the cost-based planner's report; only tlc "
                 "plans carry the pattern statistics it prices"
             )
-        from contextlib import nullcontext
+        from .planner import plan_physical
 
-        from .planner import (
-            DEFAULT_CONSTANTS,
-            CalibrationTable,
-            active_calibration,
-            calibrated,
-            plan_physical,
-            use_calibration,
-        )
-
-        scope = (
-            use_calibration(CalibrationTable.load(args.calibration))
-            if getattr(args, "calibration", None)
-            else nullcontext()
-        )
-        with scope:
-            decision = plan_physical(
-                translation.plan, engine.cardinality_stats()
-            )
-            print(translation.explain())
-            print()
-            print(decision.render())
-            print()
-            table = active_calibration()
-            if table is None:
-                print("cost constants: hand-fit defaults "
-                      "(no calibration table loaded)")
-            else:
-                print(
-                    "cost constants: calibrated on XMark factor "
-                    f"{table.factor:g} ({table.queries} queries, "
-                    f"unit {table.unit_us:g} us/work-unit)"
-                )
-            for name in sorted(DEFAULT_CONSTANTS):
-                value = calibrated(name)
-                default = DEFAULT_CONSTANTS[name]
-                suffix = (
-                    "" if value == default
-                    else f"  (default {default:g})"
-                )
-                print(f"  {name} = {value:g}{suffix}")
+        decision = plan_physical(translation.plan, engine.cardinality_stats())
+        print(translation.explain())
+        print()
+        print(decision.render())
     else:
         print(translation.explain())
     return 0
@@ -347,47 +307,6 @@ def _profile_spans(args: argparse.Namespace, engine, query: str) -> int:
         f"-- trace {capture.trace_id}: {len(capture.spans)} spans over "
         f"{len(result)} result trees under {mode} mode "
         "(load the JSON in Perfetto / chrome://tracing)",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    from .planner import DEFAULT_CONSTANTS, check_table, run_calibration
-
-    def progress(message: str) -> None:
-        print(f"-- {message}", file=sys.stderr, flush=True)
-
-    table = run_calibration(
-        factor=args.factor,
-        repeats=args.repeats,
-        queries=args.queries or None,
-        progress=progress,
-    )
-    problems = check_table(table)
-    if problems:
-        for problem in problems:
-            print(f"error: calibration table invalid: {problem}",
-                  file=sys.stderr)
-        return 1
-    table.save(args.output)
-    measured = sum(
-        1 for entry in table.operators.values() if entry.get("measured")
-    )
-    print(f"wrote {args.output}")
-    print(
-        f"swept XMark factor {table.factor:g}: {table.queries} queries "
-        f"x {table.repeats} repeats, {measured}/{len(table.operators)} "
-        f"operators measured, unit {table.unit_us:g} us/work-unit"
-    )
-    for name in sorted(DEFAULT_CONSTANTS):
-        print(
-            f"  {name} = {getattr(table, name):g} "
-            f"(default {DEFAULT_CONSTANTS[name]:g})"
-        )
-    print(
-        f"activate with: REPRO_CALIBRATION={args.output} "
-        "(or planner.set_calibration)",
         file=sys.stderr,
     )
     return 0
@@ -823,13 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
             command.add_argument(
                 "--cost", action="store_true",
                 help="append the cost-based planner's report: chosen "
-                "vs rejected physical shapes with cost estimates, plus "
-                "the calibrated-vs-default cost constants (TLC only)",
-            )
-            command.add_argument(
-                "--calibration", default=None, metavar="FILE",
-                help="with --cost: plan under this calibration table "
-                "(default: REPRO_CALIBRATION / hand-fit constants)",
+                "vs rejected edge orders with cost estimates (TLC only)",
             )
         command.set_defaults(func=func)
 
@@ -965,31 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
         "worker-side spans (serialize, IPC, execute) to the trace",
     )
     profile.set_defaults(func=cmd_profile)
-
-    calibrate = sub.add_parser(
-        "calibrate",
-        help="measure the cost model's constants on a traced XMark "
-        "sweep and write a calibration table for REPRO_CALIBRATION",
-    )
-    calibrate.add_argument(
-        "--factor", type=float, default=0.05,
-        help="XMark scale factor to sweep (default 0.05)",
-    )
-    calibrate.add_argument(
-        "--repeats", type=int, default=3,
-        help="timing repetitions per configuration; the fastest run "
-        "counts (default 3)",
-    )
-    calibrate.add_argument(
-        "--queries", nargs="+", default=None, metavar="XQUERY",
-        help="calibrate on these query texts instead of the paper's "
-        "benchmark set",
-    )
-    calibrate.add_argument(
-        "-o", "--output", default="CALIBRATION.json",
-        help="where to write the table (default CALIBRATION.json)",
-    )
-    calibrate.set_defaults(func=cmd_calibrate)
 
     bench = sub.add_parser(
         "bench",

@@ -6,27 +6,16 @@ The package generalises the PR 3 structural-join fast path (columnar
 interval starts/ends/levels and LC labels — flows between operators, and
 the core operators gain vectorised ``execute_batch`` implementations
 that transform whole columns instead of per-tree ``TreeSequence``
-objects.  Operators without a batch form fall back transparently: the
-evaluator materialises the batch at the boundary (metered as
-``batch_fallbacks``) and runs the per-tree ``execute``.
+objects.  The evaluator dispatches every operator through
+``execute_batch``; operators without a batch form fall back
+transparently: the batch is materialised at the boundary (metered as
+``batch_fallbacks``) and the per-tree ``execute`` runs.
 
 Integer columns are plain ``list``s (a batch's ``labels``/``parents``)
 or ``array('l')`` (the postings' storage columns); DESIGN §15 records
 why there is no array backend to choose.
 """
 
-from .batch import (
-    ColumnBatch,
-    as_tree_sequence,
-    batch_enabled,
-    set_batch,
-    use_batch,
-)
+from .batch import ColumnBatch, as_tree_sequence
 
-__all__ = [
-    "ColumnBatch",
-    "as_tree_sequence",
-    "batch_enabled",
-    "set_batch",
-    "use_batch",
-]
+__all__ = ["ColumnBatch", "as_tree_sequence"]

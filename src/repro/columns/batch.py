@@ -1,4 +1,4 @@
-"""The batch currency of the columnar runtime: flattened tree columns.
+"""The currency of the columnar runtime: flattened tree columns.
 
 A :class:`ColumnBatch` represents a sequence of result trees without
 building a single :class:`~repro.model.tree.TNode`.  Every tree is
@@ -27,48 +27,15 @@ adapter: it builds the actual ``XTree`` objects — once, cached — for
 operators without a batch form and for the final result of a plan.
 Trees materialise with their LC index pre-derived from the label
 column, so downstream per-tree operators skip the index-building walk.
-
-The module-level ``batch`` switch is process-wide: :func:`use_batch`
-pins a configuration for the equivalence sweeps.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..model.sequence import TreeSequence
 from ..model.tree import TNode, XTree
-
-#: Module switch for the batch-at-a-time runtime.
-_BATCH = os.environ.get("REPRO_BATCH", "").strip().lower() not in (
-    "0", "false", "no", "off"
-)
-
-
-def batch_enabled() -> bool:
-    """Whether operators evaluate batch-at-a-time when possible."""
-    return _BATCH
-
-
-def set_batch(enabled: bool) -> bool:
-    """Switch the batch runtime on or off; returns the previous setting."""
-    global _BATCH
-    previous = _BATCH
-    _BATCH = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_batch(enabled: bool = True) -> Iterator[None]:
-    """Scoped :func:`set_batch` (equivalence sweeps, benchmarks)."""
-    previous = set_batch(enabled)
-    try:
-        yield
-    finally:
-        set_batch(previous)
 
 
 class ColumnBatch:
@@ -354,10 +321,4 @@ def as_tree_sequence(
     return result
 
 
-__all__ = [
-    "ColumnBatch",
-    "as_tree_sequence",
-    "batch_enabled",
-    "set_batch",
-    "use_batch",
-]
+__all__ = ["ColumnBatch", "as_tree_sequence"]

@@ -71,12 +71,8 @@ class Operator(ABC):
     #: Operator name used by the plan pretty-printer.
     name = "operator"
 
-    #: Cost-based planner annotations (``repro.planner``): a per-operator
-    #: currency veto, and — on the plan root only — the chosen currency
-    #: and full decision record.  ``None`` = unplanned; the evaluator
-    #: and EXPLAIN read them with ``getattr`` defaults.
-    exec_mode: Optional[str] = None
-    exec_currency: Optional[str] = None
+    #: Cost-based planner annotation (``repro.planner``), on the plan
+    #: root only: the full decision record.  ``None`` = unplanned.
     planner_decision: Optional[object] = None
 
     def __init__(self, inputs: Sequence["Operator"] = ()) -> None:

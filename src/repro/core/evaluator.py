@@ -13,6 +13,11 @@ shared operator's first expansion finishes before any later reference
 pops, so every later reference is a memo hit, exactly as in the
 recursive formulation.
 
+Every operator runs through ``execute_batch``: column batches flow
+between operators with a columnar form, and the base-class fallback
+materialises trees for the rest (DESIGN §15).  The per-tree ``execute``
+bodies serve those tree inputs and the operator differential tests.
+
 Passing a :class:`~repro.trace.record.Tracer` records per-operator wall
 time, cardinalities and counter deltas; the default ``tracer=None`` path
 is a separate loop that does no trace bookkeeping at all.
@@ -23,7 +28,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..columns.batch import as_tree_sequence, batch_enabled
+from ..columns.batch import as_tree_sequence
 from ..model.sequence import TreeSequence
 from ..storage.database import Database
 from ..telemetry import hooks as telemetry
@@ -64,31 +69,6 @@ def evaluate(
     # per-operator loop, only the whole-plan boundary
     telemetry_on = telemetry.enabled()
     walk_started = time.perf_counter() if telemetry_on else 0.0
-    # the batch-at-a-time choice is pinned once per walk.  A cost-planned
-    # plan can narrow it further: ``exec_currency == "tree"`` on the
-    # root keeps the whole walk per-tree, and a per-operator
-    # ``exec_mode == "tree"`` veto (a stranded columnar operator inside
-    # a batch plan) forces just that operator onto its per-tree body —
-    # its columnar inputs are materialised first, which is exactly the
-    # boundary cost the planner charged the veto with.
-    batch = (
-        batch_enabled()
-        and getattr(plan, "exec_currency", None) != "tree"
-    )
-
-    def run_op(op: Operator, inputs: List[TreeSequence]) -> TreeSequence:
-        if batch:
-            if getattr(op, "exec_mode", None) == "tree":
-                return op.execute(
-                    ctx,
-                    [
-                        as_tree_sequence(seq, ctx.metrics)
-                        for seq in inputs
-                    ],
-                )
-            return op.execute_batch(ctx, inputs)
-        return op.execute(ctx, inputs)
-
     try:
         if tracer is None:
             while stack:
@@ -100,7 +80,7 @@ def evaluate(
                     inputs = [memo[id(child)] for child in op.inputs]
                     if limits is not None:
                         limits.check(op.name)
-                    result = run_op(op, inputs)
+                    result = op.execute_batch(ctx, inputs)
                     if limits is not None:
                         limits.check_output(op.name, len(result))
                     memo[key] = result
@@ -121,7 +101,7 @@ def evaluate(
                         limits.check(op.name)
                     before = tracer.counters_before()
                     started = time.perf_counter()
-                    result = run_op(op, inputs)
+                    result = op.execute_batch(ctx, inputs)
                     elapsed = time.perf_counter() - started
                     tracer.record(op, inputs, result, elapsed, before)
                     if limits is not None:

@@ -118,8 +118,8 @@ class Engine:
 
         ``planner`` runs cost-based physical planning on the TLC plan
         (``None`` follows the process-wide ``REPRO_PLANNER`` toggle):
-        edge orders, operator currency and join engine are chosen by the
-        cost model and the :class:`~repro.planner.PlanDecision` lands on
+        structural-join edge orders are chosen by the cost model and
+        the :class:`~repro.planner.PlanDecision` lands on
         ``translation.plan.planner_decision``.  ``observed`` optionally
         feeds measured cardinalities into the model (the telemetry
         feedback loop; see :mod:`repro.planner.feedback`).

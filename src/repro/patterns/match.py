@@ -146,19 +146,12 @@ class PatternMatcher:
         return self._match_node_db(apt.root, apt.doc, {})
 
     def match(self, apt: APT) -> TreeSequence:
-        """All witness trees of ``apt`` against its bound document."""
-        out = TreeSequence()
-        limits = self.limits
-        for mtree in self._root_matches(apt):
-            if limits is not None:
-                limits.tick()
-            out.append(XTree(_build(mtree, apt.root)))
-            self.db.metrics.trees_built += 1
-        self._note_match(out)
-        return out
+        """All witness trees of ``apt`` against its bound document: the
+        :meth:`match_batch` rows, materialised."""
+        return self.match_batch(apt).materialize(self.db.metrics)
 
     def match_batch(self, apt: APT) -> ColumnBatch:
-        """Columnar :meth:`match`: witness rows, no tree objects built.
+        """All witness rows of ``apt``, no tree objects built.
 
         Match variants flatten straight into a
         :class:`~repro.columns.batch.ColumnBatch` — the ``_build`` walk

@@ -15,14 +15,14 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 #: Decision kinds a planner run can emit.
-CHOICE_KINDS = ("edge-order", "currency")
+CHOICE_KINDS = ("edge-order",)
 
 
 @dataclass(frozen=True)
 class Alternative:
     """One candidate shape at a decision site, with its cost estimate."""
 
-    label: str         #: e.g. "reserve, bidder" or "batch"
+    label: str         #: e.g. "reserve, bidder" or "source order"
     cost: float        #: abstract work units under the cost model
     detail: str = ""   #: how the label maps onto the plan
 
@@ -71,10 +71,6 @@ class PlanDecision:
     total_cost: float = 0.0
     #: number of pattern nodes whose edge order differs from the source
     reordered_sites: int = 0
-    #: chosen operator currency: "batch" or "tree"
-    currency: str = "tree"
-    #: per-operator currency vetoes (post-order indexes forced per-tree)
-    tree_vetoes: List[int] = field(default_factory=list)
 
     def by_kind(self, kind: str) -> List[PlanChoice]:
         return [c for c in self.choices if c.kind == kind]
@@ -84,8 +80,6 @@ class PlanDecision:
             "version": 1,
             "total_cost": round(self.total_cost, 1),
             "reordered_sites": self.reordered_sites,
-            "currency": self.currency,
-            "tree_vetoes": list(self.tree_vetoes),
             "choices": [choice.to_dict() for choice in self.choices],
         }
 
@@ -97,8 +91,6 @@ class PlanDecision:
         decision = cls(
             total_cost=payload.get("total_cost", 0.0),
             reordered_sites=payload.get("reordered_sites", 0),
-            currency=payload.get("currency", "tree"),
-            tree_vetoes=list(payload.get("tree_vetoes", ())),
         )
         for entry in payload.get("choices", ()):
             decision.choices.append(
@@ -117,8 +109,7 @@ class PlanDecision:
 
     def summary(self) -> str:
         return (
-            f"cost {self.total_cost:,.0f} | {self.currency} currency, "
-            f"{self.reordered_sites} of "
+            f"cost {self.total_cost:,.0f} | {self.reordered_sites} of "
             f"{len(self.by_kind('edge-order'))} join sites reordered"
         )
 

@@ -56,7 +56,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.cardinality import Interval, bound_plan
 from ..core.base import Operator
-from ..core.join import JoinOp
 from ..core.select import SelectOp
 from ..patterns.apt import APTNode
 from ..storage.stats import CardinalityStats
@@ -72,26 +71,6 @@ UNKNOWN_COUNT = 64.0
 #: XMark plans top out at 4 edges per node, so the exhaustive search is
 #: the common case and stays trivially cheap (<= 120 orders).
 MAX_EXHAUSTIVE_EDGES = 5
-
-#: Per-row saving of a columnar operator over its per-tree twin and the
-#: per-row price of crossing a tree<->column boundary, both relative to
-#: one work unit.  Calibrated against the batch on/off sweep recorded in
-#: EXPERIMENTS E20: fully-columnar plans win ~1.2x, plans that convert
-#: at every other operator do not.
-BATCH_SAVING_PER_ROW = 0.15
-BATCH_CONVERT_PER_ROW = 0.5
-
-#: How decisively the estimated conversion price must beat the estimated
-#: columnar saving before the planner abandons the batch runtime for
-#: per-tree execution.  Batch is the *measured* default: the batch
-#: on/off sweep (EXPERIMENTS E20) shows it winning on 22 of 23 queries,
-#: including plans where this model prices conversion up to ~1.8x the
-#: saving (x9), while the one genuine batch loser (x12, 0.93x) sits at
-#: ~1.1x — inside the winners' range, so no price/saving threshold can
-#: single it out.  The margin therefore errs on the side of the measured
-#: default and only vetoes plans whose boundary traffic clearly
-#: dominates.
-TREE_VETO_MARGIN = 2.0
 
 #: Estimated rows for an unbounded interval: the cardinality pass says
 #: "anything"; the planner needs a number and uses a small multiple of
@@ -252,7 +231,7 @@ class CostModel:
         return greedy, self.order_cost(estimate, greedy)
 
     # ------------------------------------------------------------------
-    # operator-level estimates (the currency and engine decisions)
+    # operator-level estimates (the plan's total cost)
     # ------------------------------------------------------------------
     def interval_rows(self, interval: Interval) -> float:
         """A single row estimate from a ``[lo, hi]`` interval."""
@@ -285,10 +264,8 @@ class CostModel:
             estimate = self.estimate_pattern(op.apt.root, op.apt.doc)
             order, cost = self.best_order(estimate)
             return cost + estimate.subtree_cost()
-        if isinstance(op, JoinOp):
-            # merge or nested pairing: read both sides, write the output
-            return ins + out
-        # linear operators: one pass over the input, one over the output
+        # joins and linear operators alike: read the inputs, write the
+        # output
         return ins + out
 
 

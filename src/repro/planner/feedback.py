@@ -20,27 +20,25 @@ This module closes the loop:
 
 A uniform miss (every estimate off by the same factor) scales every
 alternative's cost equally and flips nothing — by design.  The loop
-fires on *differential* misses: a join that produced far fewer (or more)
-rows than its interval bound, which moves the batch-vs-tree break-even,
-or statistics that were unknown at plan time (document loaded after the
-plan was cached).
+fires on *differential* misses: a pattern whose statistics were unknown
+at plan time (document loaded after the plan was cached), so a
+different edge order is now cheaper.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.base import Operator
 from ..core.select import SelectOp
 from ..patterns.apt import APTNode
 from ..storage.stats import CardinalityStats
-from .calibration import calibrated
 from .choice import PlanDecision
 from .cost import CostModel, post_order
-from .planner import DECISION_MARGIN, currency_flow, plan_physical
+from .planner import DECISION_MARGIN, plan_physical
 
 #: Fractional cost advantage the planner-best shape must show over the
 #: cached shape before the feedback loop evicts a prepared plan.  Wider
@@ -71,9 +69,8 @@ def observed_from_trace(payload: Dict[str, Any]) -> Dict[int, int]:
 class RecostResult:
     """Outcome of re-costing one cached plan against observations."""
 
-    current_cost: float       #: cached shape, observed-calibrated model
+    current_cost: float       #: cached shape, observation-corrected model
     best_cost: float          #: planner-best shape, same model
-    currency_flip: bool       #: batch<->tree decision changed
     reorder_flips: int        #: pattern nodes whose best order changed
     changed: bool             #: cheaper shape exists beyond the margin
     decision: PlanDecision    #: the shape the planner would pick now
@@ -111,15 +108,13 @@ def _select_cost(
 def shape_cost(
     plan: Operator,
     model: CostModel,
-    currency: str,
     annotated: bool,
 ) -> float:
     """Whole-plan work estimate for one physical shape.
 
     ``annotated=True`` costs the shape the plan currently carries (the
     ``planner_order`` annotations, or source order where absent);
-    ``annotated=False`` costs the planner-best orders.  ``currency``
-    adds the batch saving/conversion balance when "batch".
+    ``annotated=False`` costs the planner-best orders.
     """
 
     def choose(node: APTNode, estimate: Any) -> List[int]:
@@ -142,12 +137,6 @@ def shape_cost(
             total += rows[id(op)] + sum(
                 rows[id(child)] for child in op.inputs
             )
-    if currency == "batch":
-        _, _, columnar_rows, boundary_rows = currency_flow(ops, rows)
-        total += (
-            calibrated("batch_convert_per_row") * boundary_rows
-            - calibrated("batch_saving_per_row") * columnar_rows
-        )
     return total
 
 
@@ -161,14 +150,12 @@ def recost(
 
     Pure: the plan is never mutated (the fresh decision is computed with
     ``apply=False``).  ``changed`` is True only when the planner-best
-    shape *differs* from the annotated one — a different currency or
-    at least one different edge order — *and* its cost beats
-    the annotated shape by more than ``margin``.
+    shape *differs* from the annotated one — at least one different
+    edge order — *and* its cost beats the annotated shape by more than
+    ``margin``.
     """
     model = CostModel(stats, observed=observed)
     fresh = plan_physical(plan, stats, observed=observed, apply=False)
-    current_currency = getattr(plan, "exec_currency", None) or "tree"
-    currency_flip = fresh.currency != current_currency
 
     reorder_flips = 0
     for op in post_order(plan):
@@ -189,26 +176,15 @@ def recost(
             if wants != _annotated_order(node):
                 reorder_flips += 1
 
-    current_cost = shape_cost(
-        plan, model, currency=current_currency, annotated=True
-    )
-    best_cost = shape_cost(
-        plan, model, currency=fresh.currency, annotated=False
-    )
-    differs = currency_flip or reorder_flips > 0
+    current_cost = shape_cost(plan, model, annotated=True)
+    best_cost = shape_cost(plan, model, annotated=False)
+    differs = reorder_flips > 0
     cheaper = best_cost < current_cost * (1.0 - margin)
     changed = differs and cheaper
     if changed:
-        parts = []
-        if currency_flip:
-            parts.append(
-                f"currency {current_currency}->{fresh.currency}"
-            )
-        if reorder_flips:
-            parts.append(f"{reorder_flips} join-order flip(s)")
         reason = (
-            f"observed cardinalities favour {', '.join(parts)}: "
-            f"{best_cost:,.0f} vs {current_cost:,.0f} work units"
+            f"observed cardinalities favour {reorder_flips} join-order "
+            f"flip(s): {best_cost:,.0f} vs {current_cost:,.0f} work units"
         )
     elif differs:
         reason = (
@@ -220,7 +196,6 @@ def recost(
     return RecostResult(
         current_cost=current_cost,
         best_cost=best_cost,
-        currency_flip=currency_flip,
         reorder_flips=reorder_flips,
         changed=changed,
         decision=fresh,

@@ -1,7 +1,7 @@
 """The physical planner: cost the alternatives, annotate the plan.
 
-:func:`plan_physical` walks a translated TLC plan and makes two kinds
-of decision, each recorded as a :class:`~repro.planner.choice.PlanChoice`
+:func:`plan_physical` walks a translated TLC plan and makes one kind of
+decision, each recorded as a :class:`~repro.planner.choice.PlanChoice`
 (chosen shape, rejected shapes, costs, reason):
 
 * **edge-order** — for every pattern node with two or more edges, the
@@ -13,24 +13,17 @@ of decision, each recorded as a :class:`~repro.planner.choice.PlanChoice`
   the order only decides how soon a mandatory edge prunes candidates:
   variants are always the per-edge alternatives multiplied in source
   edge order (see ``PatternMatcher._variants``).
-* **currency** — trees or columns.  Operators with a native columnar
-  form save per row, crossing a tree<->column boundary costs per row;
-  the planner sums both over the estimated row flow and keeps the batch
-  runtime only when it pays.  Individual columnar operators stranded
-  between per-tree neighbours ("islands") are vetoed back to per-tree
-  execution even inside a batch plan.
 
 Annotations are plain attributes on plan objects (``planner_order`` on
-pattern nodes, ``exec_mode`` on operators, ``exec_currency``/
-``planner_decision`` on the root), so a planned plan pickles to
-workers and caches in the prepared-plan LRU unchanged.
+pattern nodes, ``planner_decision`` on the root), so a planned plan
+pickles to workers and caches in the prepared-plan LRU unchanged.
 Passing ``apply=False`` costs the alternatives without touching the
 plan — the feedback loop's re-costing mode.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..analysis.visitor import describe_op
 from ..core.base import Operator
@@ -38,15 +31,8 @@ from ..core.select import SelectOp
 from ..patterns.apt import APTNode
 from ..storage.database import Database
 from ..storage.stats import CardinalityStats
-from .calibration import active as active_calibration
-from .calibration import calibrated
 from .choice import Alternative, PlanChoice, PlanDecision
-from .cost import (
-    TREE_VETO_MARGIN,
-    CostModel,
-    PatternEstimate,
-    post_order,
-)
+from .cost import CostModel, PatternEstimate, post_order
 
 #: Fractional cost advantage a different shape must show before the
 #: planner (or the feedback re-coster) prefers it; absorbs model noise.
@@ -57,48 +43,11 @@ def _order_label(estimate: PatternEstimate, order: List[int]) -> str:
     return ", ".join(estimate.edges[i].describe() for i in order)
 
 
-def _has_native_batch(op: Operator) -> bool:
-    """Whether ``op`` overrides the materialising ``execute_batch``."""
-    return type(op).execute_batch is not Operator.execute_batch
-
-
 def _pattern_sites(op: SelectOp) -> List[APTNode]:
     """Pattern nodes of one Select with a join order to choose."""
     return [
         node for node in op.apt.root.walk() if len(node.edges) >= 2
     ]
-
-
-def currency_flow(
-    ops: List[Operator], rows: Dict[int, float]
-) -> Tuple[Dict[int, bool], Dict[int, List[Operator]], float, float]:
-    """Row flow of the currency decision, shared with the re-coster.
-
-    Returns ``(native, consumers, columnar_rows, boundary_rows)``:
-    which operators have a native columnar form, who consumes whom, how
-    many estimated rows flow through native operators (the saving side)
-    and how many cross a tree<->column boundary (the conversion side).
-    """
-    native = {id(op): _has_native_batch(op) for op in ops}
-    consumers: Dict[int, List[Operator]] = {id(op): [] for op in ops}
-    for op in ops:
-        for child in op.inputs:
-            consumers[id(child)].append(op)
-    columnar_rows = sum(rows[id(op)] for op in ops if native[id(op)])
-    boundary_rows = 0.0
-    for op in ops:
-        if native[id(op)]:
-            # a per-tree (or absent) consumer materialises this output
-            if any(not native[id(c)] for c in consumers[id(op)]):
-                boundary_rows += rows[id(op)]
-        else:
-            # a fallback operator materialises its columnar inputs
-            boundary_rows += sum(
-                rows[id(child)]
-                for child in op.inputs
-                if native[id(child)]
-            )
-    return native, consumers, columnar_rows, boundary_rows
 
 
 def plan_physical(
@@ -128,14 +77,9 @@ def plan_physical(
         if metrics is None:
             metrics = database.metrics
     model = CostModel(stats, observed=observed)
-    if active_calibration() is not None:
-        from ..telemetry.hooks import instrument
-
-        instrument("calibration.applied")
     decision = PlanDecision()
     ops = post_order(plan)
     op_index = {id(op): i for i, op in enumerate(ops)}
-    rows = model.plan_rows(plan)
 
     # ------------------------------------------------------------------
     # edge order, one choice per multi-edge pattern node
@@ -218,78 +162,10 @@ def plan_physical(
                 elif getattr(node, "planner_order", None) is not None:
                     node.planner_order = None
 
-    # ------------------------------------------------------------------
-    # operator currency: trees vs columns, plus per-operator vetoes
-    # ------------------------------------------------------------------
-    native, consumers, columnar_rows, boundary_rows = currency_flow(
-        ops, rows
-    )
-    batch_saving = calibrated("batch_saving_per_row") * columnar_rows
-    batch_price = calibrated("batch_convert_per_row") * boundary_rows
-    # batch is the measured default (EXPERIMENTS E20); the veto to
-    # per-tree execution needs the conversion price to *clearly* dominate
-    batch_wins = batch_price <= batch_saving * TREE_VETO_MARGIN
-    decision.currency = "batch" if batch_wins else "tree"
-    vetoes: List[int] = []
-    if batch_wins:
-        for op in ops:
-            if not native[id(op)] or not op.inputs:
-                continue
-            stranded = all(not native[id(c)] for c in op.inputs) and (
-                consumers[id(op)]
-                and all(not native[id(c)] for c in consumers[id(op)])
-            )
-            if stranded:
-                vetoes.append(op_index[id(op)])
-    decision.tree_vetoes = vetoes
-    decision.choices.append(
-        PlanChoice(
-            site="plan",
-            kind="currency",
-            chosen=Alternative(
-                label=decision.currency,
-                cost=round(
-                    batch_price - batch_saving if batch_wins else 0.0, 1
-                ),
-                detail=(
-                    f"{len(vetoes)} stranded columnar operator(s) "
-                    "vetoed to per-tree"
-                    if vetoes
-                    else "whole plan"
-                ),
-            ),
-            rejected=[
-                Alternative(
-                    label="tree" if batch_wins else "batch",
-                    cost=round(
-                        0.0 if batch_wins else batch_price - batch_saving,
-                        1,
-                    ),
-                    detail=(
-                        f"columnar rows {columnar_rows:,.0f}, "
-                        f"boundary rows {boundary_rows:,.0f}"
-                    ),
-                )
-            ],
-            reason=(
-                f"columnar saving {batch_saving:,.0f} vs conversion "
-                f"price {batch_price:,.0f} work units "
-                f"(veto margin {TREE_VETO_MARGIN:g}x)"
-            ),
-        )
-    )
-
+    rows = model.plan_rows(plan)
     decision.total_cost = sum(model.op_cost(op, rows) for op in ops)
 
     if apply:
-        veto_set = set(vetoes)
-        for index, op in enumerate(ops):
-            wants_tree = index in veto_set or not batch_wins
-            if wants_tree and native[id(op)]:
-                op.exec_mode = "tree"
-            elif getattr(op, "exec_mode", None) is not None:
-                op.exec_mode = None
-        plan.exec_currency = decision.currency
         plan.planner_decision = decision
         if metrics is not None:
             metrics.planner_plans += 1

@@ -1,4 +1,4 @@
-"""The planner's process-wide switch (mirrors ``_BATCH``).
+"""The planner's process-wide switch.
 
 Off by default: plan shape stays exactly what the translator emitted,
 which is the configuration every committed baseline was measured under.
@@ -13,7 +13,7 @@ import os
 from contextlib import contextmanager
 from typing import Iterator
 
-#: Module switch for cost-based physical planning (mirrors _BATCH).
+#: Module switch for cost-based physical planning.
 _PLANNER = os.environ.get("REPRO_PLANNER", "").strip().lower() in (
     "1", "true", "yes", "on"
 )

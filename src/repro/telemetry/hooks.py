@@ -132,16 +132,6 @@ SITES: Dict[str, Tuple[str, str, str]] = {
         "repro_span_exports_total",
         "Chrome-trace exports rendered (/trace and profile --spans)",
     ),
-    "calibration.loaded": (
-        "gauge",
-        "repro_calibration_loaded",
-        "Whether a measured cost-model calibration table is active",
-    ),
-    "calibration.applied": (
-        "counter",
-        "repro_calibration_applied_total",
-        "Plans costed with calibrated (measured) constants",
-    ),
 }
 
 _CARDINALITY_SITES = frozenset({"evaluator.trees", "matcher.trees"})
@@ -206,23 +196,21 @@ def instrument(
 ) -> None:
     """Record one observation at ``site`` (see :data:`SITES`).
 
-    Counter sites add ``value``; histogram sites observe it; gauge
-    sites set it.  Unknown sites raise ``KeyError`` — a typo in an
-    instrumented layer should fail tests, not silently drop data.
-    A disabled hook is one boolean test and a thread-local read.
+    Counter sites add ``value``; histogram sites observe it.  Unknown
+    sites raise ``KeyError`` — a typo in an instrumented layer should
+    fail tests, not silently drop data.  A disabled hook is one boolean
+    test and a thread-local read.
     """
     if not _enabled or getattr(_tls, "suppress", 0):
         return
     kind, name, help = SITES[site]
     if kind == "counter":
         _registry.counter(name, labels, help).inc(value)
-    elif kind == "histogram":
+    else:
         base = (
             _CARDINALITY_BASE if site in _CARDINALITY_SITES else 1e-4
         )
         _registry.histogram(name, labels, help, base=base).observe(value)
-    else:
-        _registry.gauge(name, labels, help).set(value)
 
 
 def new_latency_histogram() -> Histogram:

@@ -47,7 +47,7 @@ DEFAULT_SPAN_CAPACITY = 256
 DEFAULT_SLOW_SPAN_CAPACITY = 32
 
 #: Environment toggle: ``REPRO_SPANS=1`` arms span recording without
-#: touching call sites (mirrors ``REPRO_BATCH`` / ``REPRO_PLANNER``).
+#: touching call sites (mirrors ``REPRO_PLANNER``).
 _ENV_FLAG = "REPRO_SPANS"
 
 _enabled = os.environ.get(_ENV_FLAG, "0").lower() in ("1", "true", "yes")

@@ -1,12 +1,6 @@
 """Unit tests for the columnar batch currency."""
 
-from repro.columns.batch import (
-    ColumnBatch,
-    as_tree_sequence,
-    batch_enabled,
-    set_batch,
-    use_batch,
-)
+from repro.columns.batch import ColumnBatch, as_tree_sequence
 from repro.model.node_id import NodeId
 from repro.storage.stats import Metrics
 
@@ -33,23 +27,6 @@ def two_row_batch() -> ColumnBatch:
         labels=[1, 2, 0, 1, 3],
         parents=[-1, 0, 0, -1, 0],
     )
-
-
-class TestBatchSwitch:
-    def test_use_batch_is_scoped(self):
-        before = batch_enabled()
-        with use_batch(False):
-            assert not batch_enabled()
-            with use_batch(True):
-                assert batch_enabled()
-        assert batch_enabled() == before
-
-    def test_set_batch_returns_previous(self):
-        previous = set_batch(False)
-        try:
-            assert set_batch(previous) is False
-        finally:
-            set_batch(previous)
 
 
 class TestColumnBatch:

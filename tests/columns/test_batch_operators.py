@@ -1,21 +1,24 @@
-"""Randomized equivalence: each batch operator form vs its per-tree twin.
+"""Differential equivalence: each batch operator form vs its per-tree twin.
 
-Random labelled forests are flattened into :class:`ColumnBatch` rows and
-pushed through ``execute_batch``; the same forests as materialised trees
-go through ``execute``.  The two paths must agree on the serialised
-output for every operator, seed and parameter choice — the property the
-hand-written XMark sweep cannot cover (it only sees the label shapes the
-query translator emits).
+The evaluator runs every operator through ``execute_batch``; the
+per-tree ``execute`` is the reference.  Random labelled forests are
+flattened into :class:`ColumnBatch` rows and pushed through
+``execute_batch``; the same forests as materialised trees go through
+``execute``.  The two paths must agree on the serialised output for
+every operator, seed and parameter choice — including label shapes the
+query translator never emits.  Construct fetches stored subtrees, so
+its cases run over witness rows of the tiny auction document instead.
 """
 
 import random
 
 import pytest
 
-from repro.columns.batch import ColumnBatch, use_batch
+from repro.columns.batch import ColumnBatch
 from repro.core import (
     AggregateOp,
     ClassPredicate,
+    ConstructOp,
     Context,
     DedupOp,
     FilterOp,
@@ -23,9 +26,17 @@ from repro.core import (
     SortOp,
     UnionOp,
 )
+from repro.core.construct import CClassRef, CElement, CText
+from repro.core.filter import (
+    CrossClassPredicate,
+    DisjunctivePredicate,
+    TreeFilterOp,
+)
 from repro.errors import CardinalityError
 from repro.model.node_id import NodeId
+from repro.patterns import APT, PatternMatcher, pattern_node
 from repro.storage import Database
+from tests.conftest import assert_cached_state_exact
 
 SEEDS = range(8)
 
@@ -93,15 +104,17 @@ def assert_equivalent(op, batch, trees, extra=()):
     ctx = Context(Database())
     tree_inputs = [trees] + [item.materialize() for item in extra]
     batch_inputs = [batch] + list(extra)
-    with use_batch(True):
-        assert outcome(op, ctx, batch_inputs, batched=True) == \
-            outcome(op, ctx, tree_inputs, batched=False)
+    assert outcome(op, ctx, batch_inputs, batched=True) == \
+        outcome(op, ctx, tree_inputs, batched=False)
+
+
+FILTER_MODES = ("E", "ALO", "EX", "FIRST")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("mode", ("E", "ALO", "EX", "FIRST"))
+@pytest.mark.parametrize("mode", FILTER_MODES)
 def test_filter_equivalence(seed, mode):
-    rng = random.Random(seed * 31 + hash(mode) % 1000)
+    rng = random.Random(seed * 31 + FILTER_MODES.index(mode))
     batch, trees = batch_and_trees(rng)
     predicate = ClassPredicate(
         rng.choice((1, 2, 3)), rng.choice(("=", "!=", ">", "<")),
@@ -170,3 +183,166 @@ def test_fallback_adapter_equivalence(seed):
     direct = op.execute(ctx, [trees])
     assert [t.to_xml() for t in fallback] == [t.to_xml() for t in direct]
     assert ctx.metrics.batch_fallbacks == 1
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", ("cross", "disjunctive"))
+def test_tree_filter_equivalence(seed, shape):
+    """The two declared predicate shapes evaluate off the columns."""
+    rng = random.Random(seed * 19 + len(shape))
+    batch, trees = batch_and_trees(rng)
+    ops = ("=", "!=", ">", "<")
+    if shape == "cross":
+        predicate = CrossClassPredicate(
+            rng.choice((1, 2, 3)), rng.choice(ops), rng.choice((1, 2, 3))
+        )
+    else:
+        predicate = DisjunctivePredicate([
+            ClassPredicate(
+                rng.choice((1, 2, 3)), rng.choice(ops),
+                rng.choice((1, 7, "a")),
+            )
+            for _ in range(rng.randint(1, 3))
+        ])
+    op = TreeFilterOp(predicate, shape, lcls=(1, 2, 3))
+    ctx = Context(Database())
+    assert isinstance(op.execute_batch(ctx, [batch]), ColumnBatch)
+    assert ctx.metrics.batch_fallbacks == 0
+    assert_equivalent(op, batch, trees)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_tree_filter_opaque_callable_falls_back(seed):
+    """An opaque predicate needs real trees: one metered fallback."""
+    rng = random.Random(seed * 23)
+    batch, trees = batch_and_trees(rng)
+
+    def predicate(tree):
+        return len(tree.nodes_in_class(1)) > len(tree.nodes_in_class(2))
+
+    op = TreeFilterOp(predicate, "more ones than twos", lcls=(1, 2))
+    ctx = Context(Database())
+    fallback = op.execute_batch(ctx, [batch])
+    direct = op.execute(ctx, [trees])
+    assert [t.to_xml() for t in fallback] == [t.to_xml() for t in direct]
+    assert ctx.metrics.batch_fallbacks == 1
+
+
+# ----------------------------------------------------------------------
+# Construct: stored subtrees, so witness rows of a loaded document
+# ----------------------------------------------------------------------
+def auction_witnesses(db):
+    """``//open_auction`` (2) with ``initial`` (3, ``-``), every
+    ``bidder`` (4, ``*``), an optional ``reserve`` (5, ``?``) and its
+    ``@id`` (6), as the batch and as independently materialised
+    trees."""
+    def apt():
+        root = pattern_node("doc_root", 1)
+        auction = pattern_node("open_auction", 2)
+        root.add_edge(auction, "ad", "-")
+        auction.add_edge(pattern_node("initial", 3), "pc", "-")
+        auction.add_edge(pattern_node("bidder", 4), "pc", "*")
+        auction.add_edge(pattern_node("reserve", 5), "pc", "?")
+        auction.add_edge(pattern_node("@id", 6), "pc", "-")
+        return APT(root, "auction.xml")
+
+    batch = PatternMatcher(db).match_batch(apt())
+    trees = PatternMatcher(db).match_batch(apt()).materialize()
+    assert len(batch) == 3
+    return batch, trees
+
+
+def flatten(trees):
+    """Trees as one batch: pre-order rows, one label per node."""
+    offsets, tags, values, nids, labels, parents = [0], [], [], [], [], []
+    for tree in trees:
+        base = len(tags)
+        stack = [(tree.root, -1)]
+        while stack:
+            node, parent = stack.pop()
+            assert len(node.lcls) <= 1 and not node.shadowed
+            position = len(tags) - base
+            tags.append(node.tag)
+            values.append(node.value)
+            nids.append(node.nid)
+            labels.append(next(iter(node.lcls), 0))
+            parents.append(parent)
+            stack.extend(
+                (child, position) for child in reversed(node.children)
+            )
+        offsets.append(len(tags))
+    return ColumnBatch(offsets, tags, values, nids, labels, parents)
+
+
+def shape(node):
+    """Everything observable below ``node``, hidden nodes included."""
+    return (
+        node.tag, node.value, node.shadowed, sorted(node.lcls),
+        [shape(child) for child in node.children],
+    )
+
+
+def assert_construct_equivalent(op, db, batch, trees):
+    ctx = Context(db)
+    db.reset_metrics()
+    columnar = op.execute_batch(ctx, [batch])
+    built = ctx.metrics.trees_built
+    per_tree = op.execute(ctx, [trees])
+    assert ctx.metrics.trees_built == 2 * built == 2 * len(per_tree)
+    assert ctx.metrics.batch_fallbacks == 0
+    assert [shape(t.root) for t in columnar] == [
+        shape(t.root) for t in per_tree
+    ]
+    for tree in list(columnar) + list(per_tree):
+        assert_cached_state_exact(tree)
+    return columnar
+
+
+NESTED = CElement(
+    "auction", 40,
+    attrs=[("id", CClassRef(6, text_only=True)), ("kind", "open")],
+    children=[
+        CText("bids:"),
+        CElement("bids", 41, children=[
+            CClassRef(4), CClassRef(5, text_only=True),
+        ]),
+        CClassRef(3, hidden=True),
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "ctree",
+    [
+        pytest.param(CClassRef(4), id="splice"),
+        pytest.param(CClassRef(4, hidden=True), id="splice-hidden"),
+        pytest.param(CClassRef(3, text_only=True), id="text-only"),
+        pytest.param(NESTED, id="nested-and-hidden"),
+    ],
+)
+def test_construct_equivalence(tiny_db, ctree):
+    batch, trees = auction_witnesses(tiny_db)
+    op = ConstructOp(ctree)
+    assert assert_construct_equivalent(op, tiny_db, batch, trees)
+
+
+def test_construct_over_constructed_rows(tiny_db):
+    """Rows holding temporary nodes: the batch form rebuilds each
+    spliced slice, the per-tree form splices the nodes themselves."""
+    batch, trees = auction_witnesses(tiny_db)
+    inner = ConstructOp(
+        CElement("box", 40, children=[
+            CElement("first", 41, children=[CClassRef(3)]),
+            CClassRef(4),
+        ])
+    )
+    constructed = inner.execute(Context(tiny_db), [trees])
+    rows = flatten(constructed)
+    outer = ConstructOp(
+        CElement("wrap", 50, children=[
+            CClassRef(41), CClassRef(4), CClassRef(40, hidden=True),
+        ])
+    )
+    assert_construct_equivalent(
+        outer, tiny_db, rows, flatten(constructed).materialize()
+    )

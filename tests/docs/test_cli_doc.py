@@ -61,7 +61,6 @@ def test_the_page_documents_every_subcommand():
         "stats",
         "tail",
         "check",
-        "calibrate",
     }
 
 
@@ -75,14 +74,6 @@ def test_documented_invocation_runs(stdin_text, argv, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)  # generate writes auction.xml / auction.tlcdb
     if "auction.tlcdb" in argv:
         assert main(["generate", "auction.tlcdb", "--factor", "0.001"]) == 0
-        capsys.readouterr()
-    if "CALIBRATION.json" in argv and argv[0] != "calibrate":
-        # explain --calibration reads a table; write one the way the
-        # calibrate fence does
-        assert main([
-            "calibrate", "--factor", "0.002", "--repeats", "1",
-            "-o", "CALIBRATION.json",
-        ]) == 0
         capsys.readouterr()
     if "qlog.jsonl" in argv and argv[0] != "serve":
         # stats/tail read a query log; seed one the way serve writes it

@@ -118,9 +118,9 @@ def test_checker_flags_stale_names_outside_historical_sections():
         "python -m repro bench 15 --factor 0.001\n```\n"
         "## Old (historical)\n\n`REPRO_GONE`, `bench gone`\n"
         "### still old\n\n`python -m repro gone`\n"
-        "## Now\n\n`REPRO_BATCH=0` and `REPRO_ALSO_GONE`\n"
+        "## Now\n\n`REPRO_SPANS=1` and `REPRO_ALSO_GONE`\n"
     )
-    assert unknown_names(page, 'environ.get("REPRO_BATCH")') == [
+    assert unknown_names(page, 'environ.get("REPRO_SPANS")') == [
         "REPRO_ALSO_GONE",
         "REPRO_NO_SUCH_KNOB",
         "bench nosuchfigure",

@@ -3,11 +3,11 @@
 ``counter_pins.json`` holds, per XMark query, the full ``Metrics``
 snapshot (minus the plan-cache and planner fields, which meter the
 service and planner rather than evaluation) of one cold-pool run at
-factor 0.002 under shipped defaults: batch runtime on, planner off, scan
-cache on.  A performance PR that claims "same scan, cheaper" must pass
-this file *unregenerated*: page reads, buffer hits, nodes touched, index
-entries scanned, join counts and trees built are all exact, so any drift
-is a behaviour change, not noise.
+factor 0.002 under shipped defaults: planner off, scan cache on.  A
+performance PR that claims "same scan, cheaper" must pass this file
+*unregenerated*: page reads, buffer hits, nodes touched, index entries
+scanned, join counts and trees built are all exact, so any drift is a
+behaviour change, not noise.
 
 **Regenerating** (``PYTHONPATH=src python tests/integration/
 test_counter_pins.py --regen``) is legitimate only when a PR
@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro import Engine
-from repro.columns.batch import use_batch
 from repro.planner import use_planner
 from repro.storage.stats import COUNTER_FIELDS
 from repro.xmark import FIGURE15_ORDER, QUERIES, load_xmark
@@ -41,7 +40,7 @@ PINNED_FIELDS = tuple(
 
 
 def _counters(engine: Engine, name: str) -> dict:
-    with use_batch(True), use_planner(False):
+    with use_planner(False):
         report = engine.measure(
             QUERIES[name].text, engine="tlc", cold_cache=True
         )

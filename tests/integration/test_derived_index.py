@@ -17,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import Engine
-from repro.columns.batch import use_batch
 from repro.core import ConstructOp, JoinOp, ProjectOp
 from repro.model import TreeSequence
 from repro.xmark import FIGURE15_ORDER, QUERIES
@@ -58,10 +57,8 @@ def derived(monkeypatch) -> Counter:
 
 
 def _run_all(engine: Engine, queries, **options) -> None:
-    for batch in (True, False):
-        with use_batch(batch):
-            for text in queries:
-                engine.run(text, **options)
+    for text in queries:
+        engine.run(text, **options)
 
 
 def test_xmark_queries(xmark_engine, derived):

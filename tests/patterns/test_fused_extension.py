@@ -8,9 +8,7 @@ columns on the batch path.  Every case below builds both plans by hand
 and compares them node for node.
 """
 
-import pytest
-
-from repro.columns.batch import ColumnBatch, use_batch
+from repro.columns.batch import ColumnBatch
 from repro.core import ConstructOp, Context, SelectOp, evaluate
 from repro.core.construct import CClassRef, CElement
 from repro.model import TNode, TreeSequence, XTree
@@ -226,12 +224,10 @@ class TestTemporaryAnchors:
                      Context(db)),
         )
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_chain_equals_fused(self, tiny_db, batch):
+    def test_chain_equals_fused(self, tiny_db):
         source = self.constructed(tiny_db)
         assert len(source) == 3
-        with use_batch(batch):
-            chained, one = self.run_plans(tiny_db, source)
+        chained, one = self.run_plans(tiny_db, source)
         # a1: 3 bidders, a2: 1, a3 has none and the '-' drops it
         assert len(one) == 4
         assert [describe(t) for t in one] == [describe(t) for t in chained]

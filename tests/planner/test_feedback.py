@@ -6,11 +6,9 @@ from repro.planner import (
     FEEDBACK_CAPACITY,
     FeedbackStore,
     observed_from_trace,
-    plan_physical,
     post_order,
     recost,
 )
-from repro.planner.planner import currency_flow
 from repro.xmark import QUERIES
 
 
@@ -71,7 +69,6 @@ def test_recost_keeps_a_plan_the_planner_would_pick_again(xmark_engine):
     )
     assert not verdict.changed
     assert verdict.reorder_flips == 0
-    assert not verdict.currency_flip
     assert "what the planner would pick now" in verdict.reason
 
 
@@ -84,35 +81,6 @@ def test_recost_reports_a_differing_shape_without_flapping(xmark_engine):
     assert verdict.reorder_flips == 1
     assert not verdict.changed  # saving < RECOST_MARGIN: keep the plan
     assert "saves less than" in verdict.reason
-
-
-def test_recost_evicts_when_observations_flip_the_currency(xmark_engine):
-    """A measured boundary blowup makes the tree shape clearly cheaper."""
-    stats = xmark_engine.cardinality_stats()
-    translation = xmark_engine.plan(QUERIES["Q1"].text, planner=True)
-    plan = translation.plan
-    assert plan.exec_currency == "batch"
-    from repro.planner.cost import CostModel
-
-    ops = post_order(plan)
-    native, consumers, _, _ = currency_flow(
-        ops, CostModel(stats).plan_rows(plan)
-    )
-    observed = {
-        i: 10**9
-        for i, op in enumerate(ops)
-        if native[id(op)]
-        and any(not native[id(c)] for c in consumers[id(op)])
-    }
-    assert observed, "Q1 should cross a tree<->column boundary"
-    verdict = recost(plan, stats, observed)
-    assert verdict.currency_flip
-    assert verdict.changed
-    assert verdict.improvement > 0.10
-    assert "currency batch->tree" in verdict.reason
-    # recost is pure: the cached plan still carries its batch shape
-    assert plan.exec_currency == "batch"
-    assert verdict.decision.currency == "tree"
 
 
 def test_uniform_misses_flip_nothing(xmark_engine):
@@ -128,7 +96,7 @@ def test_uniform_misses_flip_nothing(xmark_engine):
         for i, op in enumerate(post_order(plan))
     }
     verdict = recost(plan, stats, uniform)
-    assert not verdict.currency_flip
+    assert verdict.reorder_flips == 0
     assert not verdict.changed
 
 

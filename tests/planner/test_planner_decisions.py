@@ -15,7 +15,6 @@ from repro.planner import (
     plan_physical,
     post_order,
 )
-from repro.planner.planner import currency_flow
 from repro.storage.stats import CardinalityStats
 from repro.xmark import QUERIES
 
@@ -33,8 +32,6 @@ def test_every_choice_kind_appears_once_for_a_join_query(xmark_engine):
     _, decision = _decision(xmark_engine, X9)
     kinds = {choice.kind for choice in decision.choices}
     assert kinds == set(CHOICE_KINDS)
-    # exactly one plan-level choice per plan-level kind
-    assert len(decision.by_kind("currency")) == 1
     assert decision.total_cost > 0
 
 
@@ -61,11 +58,9 @@ def test_apply_false_never_mutates_the_plan(xmark_engine):
     plan, decision = _decision(xmark_engine, X9, apply=False)
     assert decision.reordered_sites == 1  # the decision still reports it
     for op in post_order(plan):
-        assert getattr(op, "exec_mode", None) is None
         if isinstance(op, SelectOp):
             for node in op.apt.root.walk():
                 assert getattr(node, "planner_order", None) is None
-    assert getattr(plan, "exec_currency", None) is None
     assert getattr(plan, "planner_decision", None) is None
 
 
@@ -106,33 +101,6 @@ def test_engine_plan_bumps_the_planner_counters(xmark_engine):
     xmark_engine.plan(X9, planner=False)
     counters = xmark_engine.db.metrics.snapshot()
     assert counters["planner_plans"] == 0
-
-
-def test_observed_boundary_blowup_vetoes_the_batch_runtime(xmark_engine):
-    """A measured boundary explosion flips the currency to per-tree."""
-    translation = xmark_engine.plan(QUERIES["Q1"].text)
-    plan = translation.plan
-    stats = xmark_engine.cardinality_stats()
-    baseline = plan_physical(plan, stats, apply=False)
-    assert baseline.currency == "batch"
-    from repro.planner.cost import CostModel
-
-    model = CostModel(stats)
-    ops = post_order(plan)
-    native, consumers, _, _ = currency_flow(ops, model.plan_rows(plan))
-    boundary_ops = [
-        i
-        for i, op in enumerate(ops)
-        if native[id(op)]
-        and any(not native[id(c)] for c in consumers[id(op)])
-    ]
-    assert boundary_ops, "Q1 should cross a tree<->column boundary"
-    observed = {i: 10**9 for i in boundary_ops}
-    flipped = plan_physical(plan, stats, observed=observed, apply=False)
-    assert flipped.currency == "tree"
-    (choice,) = flipped.by_kind("currency")
-    assert choice.chosen.label == "tree"
-    assert choice.rejected[0].label == "batch"
 
 
 def test_planned_output_stays_byte_identical_and_lints(xmark_engine):

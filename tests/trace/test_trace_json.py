@@ -61,3 +61,19 @@ class TestTraceToJson:
         for record in payload["records"]:
             record.pop("memo_hits")
         assert "-- total" in render_trace_json(payload)
+
+    def test_trace_marks_columnar_operators(self, xmark_engine):
+        """EXPLAIN ANALYZE shows which plan region stayed batch-at-a-time."""
+        from repro.xmark import QUERIES
+
+        trace = xmark_engine.measure(
+            QUERIES["x5"].text, engine="tlc", trace=True, label="x5"
+        ).trace
+        flags = {record.name: record.batch for record in trace.records}
+        assert flags["Filter"] and flags["Aggregate"]
+        # Construct consumes columns but emits trees: not marked columnar
+        assert not flags["Construct"]
+        rendered = trace.render()
+        assert "batch" in rendered
+        # the batch flag survives the JSON round trip
+        assert render_trace_json(trace_to_json(trace)) == rendered
