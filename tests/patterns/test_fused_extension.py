@@ -8,6 +8,8 @@ columns on the batch path.  Every case below builds both plans by hand
 and compares them node for node.
 """
 
+import pytest
+
 from repro.columns.batch import ColumnBatch
 from repro.core import ConstructOp, Context, SelectOp, evaluate
 from repro.core.construct import CClassRef, CElement
@@ -214,20 +216,29 @@ class TestTemporaryAnchors:
         plan = ConstructOp(spec, SelectOp(APT(root, "auction.xml")))
         return evaluate(plan, Context(db))
 
-    def run_plans(self, db, source):
+    def run_plans(self, db, source, fused_first=False):
+        """Evaluate the chain and the fused pattern over the same trees.
+
+        Both plans share ``source``; running them in either order must
+        give the same answers, so neither may disturb the input trees.
+        """
         chained_plan = Const(source)
         for apt in chain(40, self.EDGES):
             chained_plan = SelectOp(apt, chained_plan)
+        fused_plan = SelectOp(fused(40, self.EDGES), Const(source))
+        if fused_first:
+            one = evaluate(fused_plan, Context(db))
+            return evaluate(chained_plan, Context(db)), one
         return (
             evaluate(chained_plan, Context(db)),
-            evaluate(SelectOp(fused(40, self.EDGES), Const(source)),
-                     Context(db)),
+            evaluate(fused_plan, Context(db)),
         )
 
-    def test_chain_equals_fused(self, tiny_db):
+    @pytest.mark.parametrize("fused_first", [False, True])
+    def test_chain_equals_fused(self, tiny_db, fused_first):
         source = self.constructed(tiny_db)
         assert len(source) == 3
-        chained, one = self.run_plans(tiny_db, source)
+        chained, one = self.run_plans(tiny_db, source, fused_first)
         # a1: 3 bidders, a2: 1, a3 has none and the '-' drops it
         assert len(one) == 4
         assert [describe(t) for t in one] == [describe(t) for t in chained]
