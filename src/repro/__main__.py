@@ -27,8 +27,7 @@ Commands:
   ``/stats``, ``/healthz``, ``/slow``, ``/trace`` and ``/workers``
   while serving, ``--slow-ms`` arms slow-query capture, ``--spans``
   records a span tree per request, ``--query-log`` appends one JSON
-  line per request, ``--feedback-file`` persists observed
-  cardinalities across restarts;
+  line per request;
 * ``stats``    — summarise a query-log JSONL file (or fetch ``/stats``
   from a running ``serve --http``): request counts by status/engine,
   cache hits, latency percentiles; ``--workers`` fetches the
@@ -369,7 +368,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slow_threshold=slow_threshold,
         query_log=query_log,
         spans=True if args.spans else None,
-        feedback_path=args.feedback_file,
     ) as svc:
         if args.mode == "process":
             pids = svc.prime()
@@ -998,11 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record a span tree per request (parse, plan, queue, "
         "dispatch, worker execute, merge) served at /trace/<id> as "
         "Chrome-trace JSON; default follows REPRO_SPANS",
-    )
-    serve.add_argument(
-        "--feedback-file", default=None, metavar="PATH",
-        help="load observed-cardinality feedback from this JSON file "
-        "at start and save it back on shutdown",
     )
     serve.set_defaults(func=cmd_serve)
 

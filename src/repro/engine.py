@@ -110,7 +110,6 @@ class Engine:
         engine: str = "tlc",
         optimize: bool = False,
         planner: Optional[bool] = None,
-        observed: Optional[dict] = None,
     ) -> TranslationResult:
         """Translate a query into a plan for the given algebraic engine.
 
@@ -120,9 +119,7 @@ class Engine:
         (``None`` follows the process-wide ``REPRO_PLANNER`` toggle):
         structural-join edge orders are chosen by the cost model and
         the :class:`~repro.planner.PlanDecision` lands on
-        ``translation.plan.planner_decision``.  ``observed`` optionally
-        feeds measured cardinalities into the model (the telemetry
-        feedback loop; see :mod:`repro.planner.feedback`).
+        ``translation.plan.planner_decision``.
         """
         _require_query_text(query)
         if engine == "tlc":
@@ -151,7 +148,6 @@ class Engine:
                     plan_physical(
                         translation.plan,
                         self.cardinality_stats(),
-                        observed=observed,
                         metrics=self.db.metrics,
                     )
             return translation

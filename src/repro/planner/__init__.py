@@ -9,14 +9,10 @@ whole run rolled up into a :class:`~repro.planner.choice.PlanDecision`
 
 The model (:mod:`repro.planner.cost`) is arithmetic over
 :class:`~repro.storage.stats.CardinalityStats` and the static
-``card [lo, hi]`` bounds; the feedback loop
-(:mod:`repro.planner.feedback`) corrects it with cardinalities the
-runtime tracer actually measured, evicting cached plans whose shape a
-corrected model no longer picks.  Everything is annotation-only — a
-planned plan evaluates through the same operators and returns
-byte-identical results — and the whole layer sits behind the
-``REPRO_PLANNER`` toggle (default off).  docs/PLANNING.md is the guided
-tour.
+``card [lo, hi]`` bounds.  Everything is annotation-only — a planned
+plan evaluates through the same operators and returns byte-identical
+results — and the whole layer sits behind the ``REPRO_PLANNER`` toggle
+(default off).  docs/PLANNING.md is the guided tour.
 """
 
 from .choice import CHOICE_KINDS, Alternative, PlanChoice, PlanDecision
@@ -29,15 +25,6 @@ from .cost import (
     PatternEstimate,
     post_order,
 )
-from .feedback import (
-    FEEDBACK_CAPACITY,
-    RECOST_MARGIN,
-    FeedbackStore,
-    RecostResult,
-    observed_from_trace,
-    recost,
-    shape_cost,
-)
 from .planner import DECISION_MARGIN, plan_physical
 from .toggles import planner_enabled, set_planner, use_planner
 
@@ -47,22 +34,15 @@ __all__ = [
     "CostModel",
     "DECISION_MARGIN",
     "EdgeEstimate",
-    "FEEDBACK_CAPACITY",
-    "FeedbackStore",
     "MAX_EXHAUSTIVE_EDGES",
     "PREDICATE_SELECTIVITY",
     "PatternEstimate",
     "PlanChoice",
     "PlanDecision",
-    "RECOST_MARGIN",
-    "RecostResult",
     "UNKNOWN_COUNT",
-    "observed_from_trace",
     "plan_physical",
     "planner_enabled",
     "post_order",
-    "recost",
     "set_planner",
-    "shape_cost",
     "use_planner",
 ]

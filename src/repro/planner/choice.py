@@ -4,15 +4,15 @@ Every decision site produces one :class:`PlanChoice` carrying the chosen
 :class:`Alternative` and every rejected one, each with its cost estimate
 and a one-line reason — EXPLAIN for the optimizer itself.  A whole
 query's choices roll up into a :class:`PlanDecision`, which is what
-``explain --cost``, the ``plan`` subcommand and the telemetry feedback
-loop consume (it serialises to JSON losslessly).
+``explain --cost`` and the ``plan`` subcommand render (it serialises to
+JSON losslessly).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 #: Decision kinds a planner run can emit.
 CHOICE_KINDS = ("edge-order",)
@@ -42,8 +42,6 @@ class PlanChoice:
     chosen: Alternative
     rejected: List[Alternative] = field(default_factory=list)
     reason: str = ""
-    #: tracer-aligned post-order index of the operator (feedback key)
-    op_index: Optional[int] = None
 
     @property
     def changed(self) -> bool:
@@ -102,7 +100,6 @@ class PlanDecision:
                         Alternative(**alt) for alt in entry["rejected"]
                     ],
                     reason=entry.get("reason", ""),
-                    op_index=entry.get("op_index"),
                 )
             )
         return decision

@@ -42,10 +42,9 @@ running selective edges first wins: they shrink the variant list every
 later join has to carry.
 
 Value predicates multiply a node's candidate count by
-:data:`PREDICATE_SELECTIVITY` per comparison (a fixed guess — the
-telemetry feedback loop exists precisely because such guesses are
-sometimes wrong).  A tag the statistics cannot bound (a document that is
-not loaded) estimates at :data:`UNKNOWN_COUNT`.
+:data:`PREDICATE_SELECTIVITY` per comparison (a fixed guess).  A tag the
+statistics cannot bound (a document that is not loaded) estimates at
+:data:`UNKNOWN_COUNT`.
 """
 
 from __future__ import annotations
@@ -118,21 +117,10 @@ class PatternEstimate:
 
 
 class CostModel:
-    """Estimates over one statistics snapshot, with optional overrides.
+    """Estimates over one statistics snapshot."""
 
-    ``observed`` maps a plan operator's post-order index (the tracer's
-    record index) to its *measured* output cardinality; when present it
-    replaces the static interval estimate for that operator — the
-    telemetry feedback loop's way of correcting a wrong guess.
-    """
-
-    def __init__(
-        self,
-        stats: CardinalityStats,
-        observed: Optional[Dict[int, int]] = None,
-    ) -> None:
+    def __init__(self, stats: CardinalityStats) -> None:
         self.stats = stats
-        self.observed = observed or {}
         #: estimated rows for an interval the analysis left unbounded
         self.row_cap = float(
             max(stats.database_nodes, 1) * UNBOUNDED_ROWS_FACTOR
@@ -242,19 +230,15 @@ class CostModel:
     def plan_rows(self, plan: Operator) -> Dict[int, float]:
         """Estimated output rows per operator (keyed by ``id(op)``).
 
-        Static interval bounds capped at :attr:`row_cap`, then overridden
-        with observed cardinalities where the feedback loop supplied
-        them.
+        Static interval bounds capped at :attr:`row_cap`.
         """
         analysis = bound_plan(plan, self.stats)
-        rows: Dict[int, float] = {}
-        for index, op in enumerate(post_order(plan)):
-            interval = analysis.bounds[id(op)]
-            estimate = min(self.interval_rows(interval), self.row_cap)
-            if index in self.observed:
-                estimate = float(self.observed[index])
-            rows[id(op)] = estimate
-        return rows
+        return {
+            id(op): min(
+                self.interval_rows(analysis.bounds[id(op)]), self.row_cap
+            )
+            for op in post_order(plan)
+        }
 
     def op_cost(self, op: Operator, rows: Dict[int, float]) -> float:
         """One operator's work estimate given per-operator row counts."""
@@ -273,8 +257,7 @@ def post_order(plan: Operator) -> List[Operator]:
     """Operators in first-completion order, shared sub-plans once.
 
     This is exactly the order the runtime tracer assigns record indexes
-    in (children before parents, left to right, memoised by identity),
-    so observed cardinalities from a trace align positionally.
+    in (children before parents, left to right, memoised by identity).
     """
     seen: Dict[int, bool] = {}
     out: List[Operator] = []

@@ -17,13 +17,11 @@ decision, each recorded as a :class:`~repro.planner.choice.PlanChoice`
 Annotations are plain attributes on plan objects (``planner_order`` on
 pattern nodes, ``planner_decision`` on the root), so a planned plan
 pickles to workers and caches in the prepared-plan LRU unchanged.
-Passing ``apply=False`` costs the alternatives without touching the
-plan — the feedback loop's re-costing mode.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import List, Union
 
 from ..analysis.visitor import describe_op
 from ..core.base import Operator
@@ -35,7 +33,7 @@ from .choice import Alternative, PlanChoice, PlanDecision
 from .cost import CostModel, PatternEstimate, post_order
 
 #: Fractional cost advantage a different shape must show before the
-#: planner (or the feedback re-coster) prefers it; absorbs model noise.
+#: planner prefers it; absorbs model noise.
 DECISION_MARGIN = 0.02
 
 
@@ -53,8 +51,6 @@ def _pattern_sites(op: SelectOp) -> List[APTNode]:
 def plan_physical(
     plan: Operator,
     database: Union[Database, CardinalityStats],
-    observed: Optional[Dict[int, int]] = None,
-    apply: bool = True,
     metrics=None,
 ) -> PlanDecision:
     """Cost the physical alternatives of ``plan``; annotate the winners.
@@ -62,13 +58,10 @@ def plan_physical(
     ``database`` supplies the statistics (a loaded
     :class:`~repro.storage.database.Database` or a prebuilt
     :class:`~repro.storage.stats.CardinalityStats` snapshot).
-    ``observed`` optionally maps tracer post-order operator indexes to
-    measured output cardinalities (the feedback loop's corrections).
-    With ``apply=False`` nothing is mutated — the decision reports what
-    the planner *would* do.  ``metrics`` is the
-    :class:`~repro.storage.stats.Metrics` object whose planner counters
-    an applied decision bumps; it defaults to the database's own and
-    stays ``None`` (no counting) for a bare statistics snapshot.
+    ``metrics`` is the :class:`~repro.storage.stats.Metrics` object
+    whose planner counters the decision bumps; it defaults to the
+    database's own and stays ``None`` (no counting) for a bare
+    statistics snapshot.
     """
     if isinstance(database, CardinalityStats):
         stats = database
@@ -76,10 +69,9 @@ def plan_physical(
         stats = CardinalityStats.from_database(database)
         if metrics is None:
             metrics = database.metrics
-    model = CostModel(stats, observed=observed)
+    model = CostModel(stats)
     decision = PlanDecision()
     ops = post_order(plan)
-    op_index = {id(op): i for i, op in enumerate(ops)}
 
     # ------------------------------------------------------------------
     # edge order, one choice per multi-edge pattern node
@@ -153,23 +145,20 @@ def plan_physical(
                     chosen=chosen,
                     rejected=rejected,
                     reason=reason,
-                    op_index=op_index[id(op)],
                 )
             )
-            if apply:
-                if best != source:
-                    node.planner_order = best
-                elif getattr(node, "planner_order", None) is not None:
-                    node.planner_order = None
+            if best != source:
+                node.planner_order = best
+            elif getattr(node, "planner_order", None) is not None:
+                node.planner_order = None
 
     rows = model.plan_rows(plan)
     decision.total_cost = sum(model.op_cost(op, rows) for op in ops)
 
-    if apply:
-        plan.planner_decision = decision
-        if metrics is not None:
-            metrics.planner_plans += 1
-            metrics.planner_reorders += decision.reordered_sites
+    plan.planner_decision = decision
+    if metrics is not None:
+        metrics.planner_plans += 1
+        metrics.planner_reorders += decision.reordered_sites
     return decision
 
 

@@ -191,24 +191,6 @@ class PlanCache:
                 capacity=self.capacity,
             )
 
-    def invalidate(self, key: PlanCacheKey) -> bool:
-        """Drop one cached plan; True when an entry was evicted.
-
-        The planner's feedback loop calls this when re-costing a slow
-        query against observed cardinalities finds a cheaper shape: the
-        next request for ``key`` misses, recompiles, and the recompile
-        plans with the observed overrides.  Counted as an eviction.
-        """
-        with self._lock:
-            if key not in self._entries:
-                return False
-            del self._entries[key]
-            self._evictions += 1
-            if self.metrics is not None:
-                self.metrics.plan_cache_evictions += 1
-            telemetry.instrument("plan_cache.eviction")
-            return True
-
     def clear(self) -> None:
         """Drop every cached plan (counts are kept)."""
         with self._lock:

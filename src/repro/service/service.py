@@ -202,8 +202,6 @@ class ServiceStats:
     timeouts: int = 0
     cancelled: int = 0
     slow_queries: int = 0
-    #: cached plans evicted by the planner's feedback re-costing
-    plan_bumps: int = 0
     threads: int = 0
     mode: str = "thread"
     planner: bool = False
@@ -249,7 +247,7 @@ class QueryService:
         :func:`~repro.storage.persist.write_snapshot` file — portable).
         ``None`` picks the platform default.
     cache_size:
-        Capacity of the prepared-plan LRU.
+        Capacity of the prepared-plan LRU (positive).
     default_deadline / default_max_trees:
         Budgets applied to every query that does not bring its own.
     strict:
@@ -263,7 +261,7 @@ class QueryService:
         with the runtime tracer to capture a full EXPLAIN ANALYZE
         trace.  ``None`` (the default) disables slow-query handling.
     slow_log_capacity:
-        Size of the slow-query ring (bounds capture memory).
+        Size of the slow-query ring (bounds capture memory; positive).
     query_log:
         The structured :class:`~repro.telemetry.querylog.QueryLog`
         receiving one event per request; a private ring-only log is
@@ -272,11 +270,9 @@ class QueryService:
     planner:
         Cost-plan every freshly compiled TLC plan
         (:func:`~repro.planner.plan_physical`) before it enters the
-        cache, and close the telemetry feedback loop: when a slow-query
-        capture shows a cached plan's observed cardinalities favour a
-        different physical shape, the plan is bumped out of the LRU and
-        the next request recompiles with the observed overrides.
-        ``None`` (the default) follows the process-wide
+        cache.  A document load bumps the database generation, so the
+        next request recompiles — and re-plans — against the new
+        statistics.  ``None`` (the default) follows the process-wide
         ``REPRO_PLANNER`` toggle.
     spans:
         Record a full span tree for every request (parse → plan-cache →
@@ -285,11 +281,6 @@ class QueryService:
         exportable as Chrome-trace JSON.  ``None`` (the default)
         follows the process-wide ``REPRO_SPANS`` toggle; with spans off
         the per-request cost is one boolean test.
-    feedback_path:
-        JSON file the planner feedback store round-trips through: its
-        observed-cardinality overrides are loaded at startup (missing
-        file is fine) and saved on :meth:`close`, so re-costing
-        verdicts survive a service restart.
     """
 
     def __init__(
@@ -307,8 +298,10 @@ class QueryService:
         query_log: Optional[QueryLog] = None,
         planner: Optional[bool] = None,
         spans: Optional[bool] = None,
-        feedback_path: Optional[str] = None,
     ) -> None:
+        # every argument check runs before the worker pool exists: a
+        # pool built and then abandoned leaks its fork handoff entry or
+        # its snapshot file
         if threads <= 0:
             raise ServiceError("thread count must be positive")
         if mode not in SERVICE_MODES:
@@ -317,6 +310,10 @@ class QueryService:
             )
         if slow_threshold is not None and slow_threshold < 0:
             raise ServiceError("slow threshold must be >= 0 seconds")
+        if cache_size is not None and cache_size <= 0:
+            raise ServiceError("plan cache capacity must be positive")
+        if slow_log_capacity <= 0:
+            raise ServiceError("slow log capacity must be positive")
         self.engine = engine if isinstance(engine, Engine) else Engine(engine)
         self.db: Database = self.engine.db
         self.mode = mode
@@ -351,14 +348,6 @@ class QueryService:
         #: finished span captures behind /trace/<id> (always present so
         #: callers can flip spans on without re-wiring endpoints)
         self.span_store = SpanStore()
-        from ..planner.feedback import FeedbackStore
-
-        #: observed-cardinality overrides awaiting recompiles (feedback)
-        self.feedback = FeedbackStore()
-        self.feedback_path = feedback_path
-        if feedback_path is not None:
-            self.feedback.load(feedback_path)
-        self._plan_bumps = 0
         self._pool = ThreadPoolExecutor(
             max_workers=threads, thread_name_prefix="repro-query"
         )
@@ -398,16 +387,9 @@ class QueryService:
         generation = self.db.generation
 
         def compile_fn() -> TranslationResult:
-            observed = (
-                self.feedback.overrides_for(key) if self.planner else None
-            )
             with spanlib.span("compile", engine=engine):
                 translation = self.engine.plan(
-                    query,
-                    engine,
-                    optimize,
-                    planner=self.planner,
-                    observed=observed,
+                    query, engine, optimize, planner=self.planner
                 )
             if self.strict and engine == "tlc":
                 from ..analysis import analyze
@@ -887,8 +869,6 @@ class QueryService:
                 # on every request
                 if status == "ok" and self.slow_log.should_capture(qhash):
                     trace_payload = self._capture_slow(prepared)
-                    if trace_payload is not None and self.planner:
-                        self._recost_slow(prepared, trace_payload)
             if recorder is not None:
                 capture = recorder.finish(status=status, slow=slow)
                 self.span_store.put(capture)
@@ -929,38 +909,6 @@ class QueryService:
                 prepared.engine, qhash, excerpt(prepared.text)
             )
             hist.observe(elapsed)
-        except Exception:  # pragma: no cover - defensive
-            pass
-
-    def _recost_slow(
-        self, prepared: PreparedQuery, trace_payload: dict
-    ) -> None:
-        """Close the feedback loop for one slow-query capture.
-
-        Re-costs the cached plan against the cardinalities the tracer
-        actually measured; when the corrected model prefers a different
-        physical shape by more than the re-cost margin, the plan is
-        bumped out of the prepared-plan LRU and the observed map is
-        parked so the recompile serving the next request plans with it.
-        Defensive like the rest of ``_observe``: a feedback bug must not
-        fail a served query.
-        """
-        try:
-            from ..planner.feedback import observed_from_trace, recost
-
-            observed = observed_from_trace(trace_payload)
-            if not observed:
-                return
-            stats = self.engine.cardinality_stats()
-            verdict = recost(prepared.plan, stats, observed)
-            if not verdict.changed:
-                return
-            self.feedback.remember(prepared.key, observed)
-            if self.cache.invalidate(prepared.key):
-                self.db.metrics.planner_evictions += 1
-                with self._lock:
-                    self._plan_bumps += 1
-                telemetry.instrument("planner.bump")
         except Exception:  # pragma: no cover - defensive
             pass
 
@@ -1034,7 +982,6 @@ class QueryService:
                 timeouts=self._timeouts,
                 cancelled=self._cancelled,
                 slow_queries=self._slow_queries,
-                plan_bumps=self._plan_bumps,
                 threads=self.threads,
                 mode=self.mode,
                 planner=self.planner,
@@ -1093,11 +1040,6 @@ class QueryService:
         self._pool.shutdown(wait=wait)
         if self._worker_pool is not None:
             self._worker_pool.close(wait=wait)
-        if self.feedback_path is not None:
-            try:
-                self.feedback.save(self.feedback_path)
-            except OSError:  # pragma: no cover - disk full / perms
-                pass
         self.query_log.close()
 
     def _ensure_open(self) -> None:

@@ -69,7 +69,6 @@ COUNTER_FIELDS: Tuple[str, ...] = (
     "batch_fallbacks",
     "planner_plans",
     "planner_reorders",
-    "planner_evictions",
 )
 
 #: Metrics instance -> the per-thread cell dicts it has handed out.

@@ -112,11 +112,6 @@ SITES: Dict[str, Tuple[str, str, str]] = {
         "repro_slow_queries_total",
         "Requests over the slow-query threshold",
     ),
-    "planner.bump": (
-        "counter",
-        "repro_planner_bumps_total",
-        "Cached plans evicted by the feedback re-coster",
-    ),
     "spans.request": (
         "counter",
         "repro_span_requests_total",

@@ -8,6 +8,8 @@ measurement whose subject is gone), every
   or ``benchmarks/``;
 * ``python -m repro <subcommand>`` — and ``bench <figure>``, also in its
   inline `` `bench <figure>` `` form — must be accepted by the CLI parser;
+* ``--flag`` after ``python -m repro <subcommand>`` on the same
+  (backslash-joined) line must be an option of that subcommand;
 * ``bench_smoke.py --flag`` must be an option of that script.
 
 A deleted toggle, subcommand or flag that a page still advertises fails
@@ -31,6 +33,9 @@ PAGES = [
 _HEADING = re.compile(r"^(#+)\s")
 _ENV_VAR = re.compile(r"\bREPRO_[A-Z][A-Z_]*[A-Z]\b")
 _INVOCATION = re.compile(r"python3? -m repro ([a-z]+)(?:\s+(\w+))?")
+#: a subcommand and the rest of its command line, up to the closing
+#: backtick of inline code or the next command in a pipeline
+_INVOCATION_LINE = re.compile(r"python3? -m repro ([a-z]+)([^\n`|;]*)")
 _INLINE_BENCH = re.compile(r"`(?:repro )?bench (\w+)")
 _SMOKE = re.compile(r"bench_smoke\.py((?:[ \t]+[^\s`]+)*)")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
@@ -69,6 +74,10 @@ FIGURES = next(
     for action in SUBCOMMANDS["bench"]._actions
     if action.dest == "figure"
 )
+OPTIONS = {
+    name: set(parser._option_string_actions)
+    for name, parser in SUBCOMMANDS.items()
+}
 SMOKE_SOURCE = (REPO / "benchmarks" / "bench_smoke.py").read_text()
 
 
@@ -81,6 +90,12 @@ def unknown_names(markdown, code):
             unknown.add(f"python -m repro {subcommand}")
         elif subcommand == "bench" and argument and argument not in FIGURES:
             unknown.add(f"bench {argument}")
+    for subcommand, arguments in _INVOCATION_LINE.findall(text):
+        unknown.update(
+            f"python -m repro {subcommand} {flag}"
+            for flag in _FLAG.findall(arguments)
+            if subcommand in OPTIONS and flag not in OPTIONS[subcommand]
+        )
     unknown.update(
         f"bench {figure}"
         for figure in _INLINE_BENCH.findall(text)
@@ -115,7 +130,9 @@ def test_checker_flags_stale_names_outside_historical_sections():
         "```bash\n# a comment, not a heading\n"
         "python -m repro nosuchcommand x\n"
         "python benchmarks/bench_smoke.py \\\n    --no-such-flag F --spans\n"
-        "python -m repro bench 15 --factor 0.001\n```\n"
+        "python -m repro bench 15 --factor 0.001\n"
+        "python -m repro serve xmark:0.001 \\\n"
+        "    --no-such-flag F --spans | python -m repro stats --json\n```\n"
         "## Old (historical)\n\n`REPRO_GONE`, `bench gone`\n"
         "### still old\n\n`python -m repro gone`\n"
         "## Now\n\n`REPRO_SPANS=1` and `REPRO_ALSO_GONE`\n"
@@ -126,4 +143,5 @@ def test_checker_flags_stale_names_outside_historical_sections():
         "bench nosuchfigure",
         "bench_smoke.py --no-such-flag",
         "python -m repro nosuchcommand",
+        "python -m repro serve --no-such-flag",
     ]

@@ -64,7 +64,6 @@ def test_the_documented_constants_match_the_code():
     quoted = {
         "PREDICATE_SELECTIVITY": "0.25",
         "MAX_EXHAUSTIVE_EDGES": "5",
-        "FEEDBACK_CAPACITY": "128",
     }
     for name, value in quoted.items():
         assert float(value) == float(getattr(planner, name)), (

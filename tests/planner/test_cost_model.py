@@ -142,18 +142,3 @@ def test_interval_rows_caps_unbounded_estimates():
     # unbounded: a small multiple of the database size, never below lo
     assert model.interval_rows(Interval(3, None)) == model.row_cap
     assert model.interval_rows(Interval(10**9, None)) == 10**9
-
-
-def test_observed_cardinalities_override_static_bounds(tiny_engine):
-    from repro.planner.cost import post_order
-
-    translation = tiny_engine.plan(
-        'FOR $p IN document("auction.xml")//person RETURN $p/name'
-    )
-    stats = tiny_engine.cardinality_stats()
-    plan = translation.plan
-    index = len(post_order(plan)) - 1  # the root operator's tracer index
-    static_rows = CostModel(stats).plan_rows(plan)
-    observed_rows = CostModel(stats, observed={index: 999}).plan_rows(plan)
-    assert observed_rows[id(plan)] == 999.0
-    assert static_rows[id(plan)] != 999.0

@@ -1,4 +1,4 @@
-"""``plan_physical``: decisions, annotations, purity, counters.
+"""``plan_physical``: decisions, annotations, counters.
 
 The walkthrough query is x9 — the same one docs/PLANNING.md narrates —
 whose person-side pattern node joins ``//itemref`` and ``//buyer`` in an
@@ -21,10 +21,10 @@ from repro.xmark import QUERIES
 X9 = QUERIES["x9"].text
 
 
-def _decision(engine, query, **kwargs):
+def _decision(engine, query):
     translation = engine.plan(query)
     return translation.plan, plan_physical(
-        translation.plan, engine.cardinality_stats(), **kwargs
+        translation.plan, engine.cardinality_stats()
     )
 
 
@@ -54,16 +54,6 @@ def test_x9_reorders_its_join_site_and_annotates_the_node(xmark_engine):
     assert "selective edges first" in choice.reason
 
 
-def test_apply_false_never_mutates_the_plan(xmark_engine):
-    plan, decision = _decision(xmark_engine, X9, apply=False)
-    assert decision.reordered_sites == 1  # the decision still reports it
-    for op in post_order(plan):
-        if isinstance(op, SelectOp):
-            for node in op.apt.root.walk():
-                assert getattr(node, "planner_order", None) is None
-    assert getattr(plan, "planner_decision", None) is None
-
-
 def test_replanning_clears_a_stale_annotation():
     """Symmetric statistics: source order is minimal, annotation drops."""
     stats = CardinalityStats(
@@ -83,7 +73,7 @@ def test_replanning_clears_a_stale_annotation():
 
 
 def test_decision_record_round_trips_through_json(xmark_engine):
-    _, decision = _decision(xmark_engine, X9, apply=False)
+    _, decision = _decision(xmark_engine, X9)
     payload = decision.to_dict()
     assert payload["version"] == 1
     again = PlanDecision.from_dict(payload)

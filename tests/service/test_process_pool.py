@@ -6,7 +6,9 @@ digest-verified snapshot handshake are both exercised where available.
 """
 
 import multiprocessing
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,31 @@ class TestConfiguration:
     def test_rejects_unknown_start_method(self, engine):
         with pytest.raises(ServiceError):
             QueryService(engine, mode="process", start_method="bogus")
+
+    @pytest.mark.parametrize("start_method", AVAILABLE)
+    @pytest.mark.parametrize("option", ("cache_size", "slow_log_capacity"))
+    def test_zero_capacities_are_rejected_before_the_pool_exists(
+        self, engine, start_method, option
+    ):
+        """A rejected service leaks no fork handoff and no snapshot."""
+        from repro.service import pool
+
+        def snapshots():
+            return set(
+                Path(tempfile.gettempdir()).glob("repro-snapshot-*.tlcdb")
+            )
+
+        fork_dbs = set(pool._FORK_DBS)
+        files = snapshots()
+        with pytest.raises(ServiceError):
+            QueryService(
+                engine,
+                mode="process",
+                start_method=start_method,
+                **{option: 0},
+            )
+        assert set(pool._FORK_DBS) == fork_dbs
+        assert snapshots() <= files
 
     def test_pool_rejects_nonpositive_workers(self, engine):
         with pytest.raises(ServiceError):
