@@ -278,11 +278,17 @@ def representative_plans() -> Dict[str, Any]:
         input_op=filtered,
         lcls=[2],
     )
-    aggregated = AggregateOp("count", 3, 9, input_op=cross)
+    folded = AggregateOp("count", 3, 9, input_op=cross)
+    # the index-count shape: its one-edge extension pattern rides along
+    counted = pattern_node(None, lcl=0, lc_ref=1)
+    counted.add_edge(pattern_node("watch", lcl=10), axis="ad", mspec="*")
+    aggregated = AggregateOp(
+        "count", 10, 11, input_op=folded, pattern=APT(counted)
+    )
     shadowed = ShadowOp(1, 3, input_op=aggregated)
     lit = IlluminateOp(3, input_op=shadowed)
     flattened = FlattenOp(1, 2, input_op=lit)
-    projected = ProjectOp([1, 2, 9], input_op=flattened)
+    projected = ProjectOp([1, 2, 9, 11], input_op=flattened)
 
     left = SelectOp(person_apt())
     right = SelectOp(item_apt())

@@ -220,17 +220,25 @@ def _aggregate_env(
     op: AggregateOp, in_envs: List[LCEnv], conflicts: List[ProducerConflict]
 ) -> LCEnv:
     env = _merged(in_envs).copy()
-    host = env.info(op.lcl)
-    # the result node attaches as a sibling of the aggregated class, so it
-    # nests under that class's own parent
+    if op.pattern is not None:
+        # an index count never builds the counted class; its result goes
+        # where that class's members would have hung: under the anchor
+        parent_label: Optional[int] = op.pattern.root.lc_ref
+        parent_known = True
+    else:
+        # the result node attaches as a sibling of the aggregated class,
+        # so it nests under that class's own parent
+        host = env.info(op.lcl)
+        parent_label = host.parent_label if host else None
+        parent_known = host.parent_known if host else False
     info = ClassInfo(
         op.new_lcl,
         id(op),
         describe_op(op),
         "aggregate",
         tag=op.fname,
-        parent_label=host.parent_label if host else None,
-        parent_known=host.parent_known if host else False,
+        parent_label=parent_label,
+        parent_known=parent_known,
     )
     if op.new_lcl:
         _add(env, info, op, conflicts)

@@ -471,6 +471,42 @@ class PatternMatcher:
         self._note_match(out)
         return out
 
+    def count_below(
+        self, apt: APT, anchors: Sequence[NodeId]
+    ) -> List[int]:
+        """The size of ``apt``'s one ``*`` cluster below each stored anchor.
+
+        :meth:`extend`'s structural join without its variants: per
+        document, the distinct anchors in document order probe the
+        leaf's index columns once, and an anchor's cluster size is the
+        length of its probe run — no match variant, witness node or
+        record is built.  Metered as the extension it stands in for:
+        one pattern match, and one nest join per document.
+        """
+        (edge,) = apt.root.edges
+        metrics = self.db.metrics
+        metrics.pattern_matches += 1
+        by_doc: Dict[int, List[NodeId]] = {}
+        for nid in dict.fromkeys(anchors):
+            by_doc.setdefault(nid.doc, []).append(nid)
+        sizes: Dict[NodeId, int] = {}
+        for nids in by_doc.values():
+            nids.sort(key=lambda n: n.start)
+            starts, levels = self._count_columns(
+                edge.child, self.db.owner(nids[0]).name
+            )
+            metrics.structural_joins += 1
+            metrics.nest_joins += 1
+            flat_starts = (
+                [(nid.doc, nid.start) for nid in nids]
+                if is_flat(nids) else None
+            )
+            for position, matched in probe(
+                nids, starts, levels, edge.axis, False, flat_starts
+            ):
+                sizes[nids[position]] = len(matched)
+        return [sizes.get(nid, 0) for nid in anchors]
+
     def _batch_anchor_variants(
         self,
         db_anchors: Dict[NodeId, Tuple[str, object]],
@@ -528,6 +564,29 @@ class PatternMatcher:
         return self.scan_cache.candidates(
             key, lambda: self._scan_candidates(test, doc_name)
         )
+
+    def _count_columns(
+        self, node: APTNode, doc_name: str
+    ) -> Tuple[Sequence[Tuple[int, int]], Sequence[int]]:
+        """The probe columns of a counted leaf, reading no record for a
+        plain tag test.
+
+        A count needs positions, not content: a tag-only test reads the
+        tag postings' columns through one index lookup — or the view of
+        this query's earlier scan of the same tag — and touches no
+        record.  A content or wildcard test must filter records, so it
+        reads the (scan-cached) candidate view as a Select would.
+        """
+        test = node.test
+        if test.tag is not None and not test.comparisons:
+            cached = None
+            if self.scan_cache is not None:
+                cached = self.scan_cache.peek((doc_name, test.tag, ()))
+            if cached is None:
+                postings = self.db.tag_lookup(doc_name, test.tag)
+                return postings.starts, postings.levels
+            return child_columns(cached)
+        return child_columns(self._candidates(node, doc_name))
 
     def _scan_candidates(self, test: NodeTest, doc_name: str) -> Candidates:
         """One actual index/record scan for a node test (uncached).

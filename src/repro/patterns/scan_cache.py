@@ -229,6 +229,16 @@ class ScanCache:
         """Leave the current query execution (keeps the entries warm)."""
         self._active = False
 
+    def peek(self, key: ScanKey) -> Optional[Candidates]:
+        """The cached view for ``key`` (metered as a hit), or None."""
+        hit = self._entries.get(key)
+        if hit is not None:
+            if self.metrics is not None:
+                self.metrics.scan_cache_hits += 1
+            if telemetry.enabled():
+                telemetry.instrument("scan_cache.hit")
+        return hit
+
     def candidates(
         self, key: ScanKey, build: Callable[[], Candidates]
     ) -> Candidates:
@@ -239,12 +249,8 @@ class ScanCache:
         guarantees — it only reads them, and every variant it builds is
         a fresh object.
         """
-        hit = self._entries.get(key)
+        hit = self.peek(key)
         if hit is not None:
-            if self.metrics is not None:
-                self.metrics.scan_cache_hits += 1
-            if telemetry.enabled():
-                telemetry.instrument("scan_cache.hit")
             return hit
         value = build()
         self._entries[key] = value

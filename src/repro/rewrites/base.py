@@ -88,6 +88,8 @@ def rename_lcl(op: Operator, old: int, new: int) -> None:
     elif isinstance(op, AggregateOp):
         if op.lcl == old:
             op.lcl = new
+        if op.pattern is not None and op.pattern.root.lc_ref == old:
+            op.pattern.root.lc_ref = new
     elif isinstance(op, SortOp):
         op.lcls = [new if l == old else l for l in op.lcls]
     elif isinstance(op, SelectOp):

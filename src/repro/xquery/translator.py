@@ -20,8 +20,10 @@ per-reduction cases:
 * **ORDER BY / RETURN** emit Project (keep bound variables + join root +
   classes the return needs), NodeIDDE on FOR variables, one extension
   Select per bound class per run of adjacent return paths (one ``*`` edge
-  per path, in argument order), Aggregates for aggregate returns, a Sort,
-  and the final Construct (boxes 6–10 of Figure 7).
+  per path, in argument order), Aggregates for aggregate returns (a
+  one-step ``count`` over a FOR variable counts from the index, with no
+  extension Select below it), a Sort, and the final Construct (boxes
+  6–10 of Figure 7).
 * **Nested FLWORs** translate recursively and join to the outer plan with
   a ``-`` (FOR) or ``*`` (LET / RETURN) edge; inner projections and the
   inner construct are widened so deferred join classes and
@@ -776,12 +778,16 @@ class _Block:
     def _value_ref(self, expr, spec, text: bool) -> CClassRef:
         """Class reference for one path/aggregate value in the return."""
         if isinstance(expr, AggrExpr):
-            base = self._value_ref(expr.path, spec, text=False)
+            pattern = self._count_pattern(expr, spec)
+            if pattern is None:
+                counted = self._value_ref(expr.path, spec, text=False).lcl
+            else:
+                counted = pattern.root.edges[0].child.lcl
             new_lcl = self.lcls.allocate()
             self.class_tags[new_lcl] = expr.fname
             spec["selects"].append(
-                lambda top, f=expr.fname, l=base.lcl, n=new_lcl: AggregateOp(
-                    f, l, n, top
+                lambda top, f=expr.fname, l=counted, n=new_lcl, p=pattern: (
+                    AggregateOp(f, l, n, top, pattern=p)
                 )
             )
             spec["run"] = None  # a later path extends the Aggregate's output
@@ -815,6 +821,29 @@ class _Block:
         lcl = self.resolve_constructed_path(binding, expr)
         spec["keep"].append(lcl)
         return CClassRef(lcl, text_only=text)
+
+    def _count_pattern(self, expr: AggrExpr, spec) -> Optional[APT]:
+        """The one-edge ``*`` pattern an index count of ``expr`` probes.
+
+        Only ``count`` over one step from a FOR variable of this block
+        bound to stored nodes qualifies (None otherwise): an interval
+        cannot check a deeper path's middle steps, and a LET binding
+        holds a cluster of anchors per tree.
+        """
+        path = expr.path
+        if (
+            expr.fname != "count"
+            or len(path.steps) != 1
+            or path.var not in self.flwor.for_vars()
+        ):
+            return None
+        binding = self.bindings.get(path.var)
+        if binding is None or binding.apt_node is None:
+            return None
+        root = APTNode(NodeTest(None), 0, lc_ref=binding.label)
+        graft_steps(root, path.steps, "*", self.lcls, self.class_tags)
+        spec["keep"].append(binding.label)
+        return APT(root)
 
 
 def owner_block_resolve(

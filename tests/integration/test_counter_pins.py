@@ -14,6 +14,8 @@ test_counter_pins.py --regen``) is legitimate only when a PR
 *intentionally* changes how much work a query does — and then counts may
 only fall, and the PR description says which and why.  Regenerate at the
 commit whose counts are the new contract, never to make a red test green.
+The regeneration prints ``old -> new`` for every (query, counter) that
+moved and refuses to write the file when any pinned count rose.
 """
 
 import json
@@ -67,23 +69,50 @@ def test_work_counters_match_pins(xmark_engine, pins, name):
     )
 
 
+def pin_changes(old: dict, new: dict) -> list:
+    """``(query, counter, old, new)`` for every pinned count that moved."""
+    return [
+        (name, field, old.get(name, {}).get(field), value)
+        for name, counters in sorted(new.items())
+        for field, value in sorted(counters.items())
+        if old.get(name, {}).get(field) != value
+    ]
+
+
+def test_pin_changes_lists_moves_only():
+    old = {"x1": {"a": 1, "b": 2}}
+    new = {"x1": {"a": 1, "b": 1}, "x2": {"a": 3}}
+    assert pin_changes(old, new) == [
+        ("x1", "b", 2, 1), ("x2", "a", None, 3)
+    ]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit("usage: test_counter_pins.py --regen")
     regen_engine = Engine()
     load_xmark(regen_engine.db, factor=FACTOR)
+    queries = {
+        name: _counters(regen_engine, name) for name in FIGURE15_ORDER
+    }
+    pinned = json.loads(PINS_PATH.read_text())["queries"]
+    changes = pin_changes(pinned, queries)
+    for name, field, was, now in changes:
+        print(f"{name:5} {field:22} {was} -> {now}")
+    risen = [
+        change for change in changes
+        if change[2] is not None and change[3] > change[2]
+    ]
+    if risen:
+        sys.exit(
+            f"refusing to write {PINS_PATH}: {len(risen)} counter(s) rose"
+        )
     PINS_PATH.write_text(
         json.dumps(
-            {
-                "factor": FACTOR,
-                "queries": {
-                    name: _counters(regen_engine, name)
-                    for name in FIGURE15_ORDER
-                },
-            },
+            {"factor": FACTOR, "queries": queries},
             indent=1,
             sort_keys=True,
         )
         + "\n"
     )
-    print(f"wrote {PINS_PATH}")
+    print(f"wrote {PINS_PATH} ({len(changes)} change(s))")

@@ -51,6 +51,22 @@ QUERIES = [
     "          WHERE $o/bid/@by = $p/@id "
     "          RETURN <t id={$o/@id}>{$o/bid}{count($o/bid)}</t> "
     "RETURN <n c={count($a)} id={$p/@id}>{$p/name/text()}{$p/age}</n>",
+    # one-step RETURN counts are answered from the index: interleaved
+    # with paths over the same variable, over a tag no document has,
+    # after a value join, under ORDER BY, and (a multi-step path) on the
+    # Select + fold shape; the correlated LET block above counts one too
+    'FOR $o IN document("a.xml")//auction '
+    "RETURN <m>{$o/@id}{count($o/bid)}{$o/bid}</m>",
+    'FOR $o IN document("a.xml")//auction '
+    "RETURN <m>{count($o//nothing)}{count($o//bid)}</m>",
+    'FOR $p IN document("a.xml")//person '
+    'FOR $o IN document("a.xml")//auction '
+    "WHERE $p/@id = $o/bid/@by "
+    "RETURN <j>{$p/name/text()}{count($o/bid)}{count($p/age)}</j>",
+    'FOR $o IN document("a.xml")//auction ORDER BY $o/@id '
+    "RETURN <m>{count($o/bid)}</m>",
+    'FOR $o IN document("a.xml")//auction '
+    "RETURN <m>{count($o/bid/@by)}</m>",
 ]
 
 
@@ -105,6 +121,8 @@ def _engines_agree(xml, queries):
         tlc = canonical_sorted(engine.run(query, engine="tlc"))
         for name, result in others.items():
             assert tlc == result, f"{name} diverged on: {query}\n{xml}"
+        optimized = engine.run(query, engine="tlc", optimize=True)
+        assert canonical_sorted(optimized) == tlc, f"-O: {query}\n{xml}"
 
 
 @pytest.fixture

@@ -36,10 +36,12 @@ def return_ops(construct):
     return out
 
 
-def edge_paths(select):
-    """Each edge of an extension root, as its chain of tags."""
+def edge_paths(op):
+    """Each edge of an extension root (a Select's, or an APT's), as its
+    chain of tags."""
+    apt = op.apt if isinstance(op, SelectOp) else op
     paths = []
-    for edge in select.apt.root.edges:
+    for edge in apt.root.edges:
         assert edge.mspec == "*"
         tags, node = [], edge.child
         while True:
@@ -112,10 +114,25 @@ class TestRuns:
                       {$o/quantity/text()}{$o/reserve}</r>
         ''').plan
         upper, aggregate, lower = return_ops(plan)
-        assert edge_paths(lower) == ["initial", "bidder"]
+        # a one-step count is an index count: it probes its own pattern
+        # and grafts nothing onto the open run
+        assert edge_paths(lower) == ["initial"]
         assert isinstance(aggregate, AggregateOp)
+        assert edge_paths(aggregate.pattern) == ["bidder"]
         assert edge_paths(upper) == ["quantity", "reserve"]
         assert upper.apt.root.lc_ref == lower.apt.root.lc_ref
+        assert aggregate.pattern.root.lc_ref == lower.apt.root.lc_ref
+
+    def test_a_multi_step_count_joins_the_run_and_folds(self):
+        plan = translate_query('''
+            FOR $o IN document("auction.xml")//open_auction
+            RETURN <r>{$o/initial/text()}{count($o/bidder/increase)}
+                      {$o/reserve}</r>
+        ''').plan
+        upper, aggregate, lower = return_ops(plan)
+        assert edge_paths(lower) == ["initial", "bidder/increase"]
+        assert aggregate.pattern is None
+        assert edge_paths(upper) == ["reserve"]
 
     def test_another_class_ends_the_run(self):
         plan = translate_query('''
