@@ -78,13 +78,22 @@ def _cluster_alternatives(
     return [list(combo) for combo in itertools.product(*(groups[k] for k in order))]
 
 
+def _edge_plan(node: APTNode) -> list:
+    """The edge processing order for one pattern node: a planner
+    annotation if it is a permutation of the edges, else source order."""
+    edges = list(node.edges)
+    hint = node.planner_order
+    if hint is not None and sorted(hint) == list(range(len(edges))):
+        return [edges[index] for index in hint]
+    return edges
+
+
 class PatternMatcher:
     """Matches annotated pattern trees against a :class:`Database`."""
 
     def __init__(
         self,
         db: Database,
-        order_edges: bool = False,
         scan_cache: Optional[ScanCache] = None,
         limits=None,
     ) -> None:
@@ -99,38 +108,6 @@ class PatternMatcher:
         #: every pattern node re-scans its index postings as the original
         #: substrate did.
         self.scan_cache = scan_cache
-        #: With ``order_edges`` the matcher processes a node's mandatory
-        #: edges in ascending candidate-count order before its optional
-        #: edges — the structural-join-order idea of the paper's reference
-        #: [19] ("Join order should be considered by an optimizer … for
-        #: our implementation we used a simple bottom-up approach"); the
-        #: default reproduces the paper's unordered behaviour.
-        self.order_edges = order_edges
-
-    def _edge_plan(self, node: APTNode, doc_name: str) -> list:
-        """The edge processing order for one pattern node."""
-        edges = list(node.edges)
-        if len(edges) < 2:
-            return edges
-        # an explicit planner annotation wins over both source order and
-        # the order_edges heuristic (it was costed, they are guesses);
-        # anything but a permutation of the edges is ignored
-        hint = getattr(node, "planner_order", None)
-        if hint is not None and sorted(hint) == list(range(len(edges))):
-            return [edges[index] for index in hint]
-        if not self.order_edges:
-            return edges
-        index = self.db.tag_index(doc_name)
-
-        def cost(edge) -> tuple:
-            tag = edge.child.test.tag
-            count = index.count(tag) if tag else float("inf")
-            mandatory = edge.mspec in ("-", "+")
-            # mandatory edges prune partials: run them first, cheapest
-            # candidate list first; optional edges only expand
-            return (not mandatory, count)
-
-        return sorted(edges, key=cost)
 
     # ------------------------------------------------------------------
     # document-rooted matching
@@ -669,7 +646,7 @@ class PatternMatcher:
                 self._variants(
                     matches,
                     node.edges,
-                    self._edge_plan(node, doc_name),
+                    _edge_plan(node),
                     doc_name,
                     memo,
                     False,

@@ -1,8 +1,6 @@
 """Physical operators: structural/nest/value joins, grouping, navigation."""
 
 from .grouping import group_by_node, group_merge, split_by_class
-from .holistic import match_path_holistic, path_stack
-from .twigstack import TwigNode, match_twig_holistic, twig_stack
 from .navigation import (
     check_content,
     child_step,
@@ -10,7 +8,6 @@ from .navigation import (
     navigate_path,
 )
 from .sort import restore_document_order, sort_trees
-from .stack_join import stack_tree_desc
 from .structural_join import (
     child_columns,
     join_for_mspec,
@@ -26,11 +23,6 @@ from .value_join import (
 
 __all__ = [
     "group_by_node",
-    "match_path_holistic",
-    "path_stack",
-    "TwigNode",
-    "match_twig_holistic",
-    "twig_stack",
     "group_merge",
     "split_by_class",
     "check_content",
@@ -38,7 +30,6 @@ __all__ = [
     "descendant_step",
     "navigate_path",
     "restore_document_order",
-    "stack_tree_desc",
     "sort_trees",
     "child_columns",
     "join_for_mspec",

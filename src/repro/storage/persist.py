@@ -66,7 +66,10 @@ def _read_str(stream: BinaryIO) -> str:
     data = stream.read(length)
     if len(data) != length:
         raise StorageError("truncated database file")
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"string is not valid UTF-8: {exc}") from None
 
 
 def save_database(db: Database, path: Union[str, Path]) -> None:
@@ -165,16 +168,16 @@ def _read_records(stream: BinaryIO) -> List[NodeRecord]:
         (tag_ref, value_ref, start, end, level, parent,
          n_children) = _RECORD_FIXED.unpack(fixed)
         children = tuple(_read_u32(stream) for _ in range(n_children))
+        try:
+            tag = strings[tag_ref]
+            value = None if value_ref < 0 else strings[value_ref]
+        except IndexError:
+            raise StorageError(
+                f"string reference out of range: record {len(records)} "
+                f"names string {max(tag_ref, value_ref)} of {n_strings}"
+            ) from None
         records.append(
-            NodeRecord(
-                strings[tag_ref],
-                None if value_ref < 0 else strings[value_ref],
-                start,
-                end,
-                level,
-                parent,
-                children,
-            )
+            NodeRecord(tag, value, start, end, level, parent, children)
         )
     return records
 

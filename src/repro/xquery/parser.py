@@ -6,6 +6,11 @@ Keywords are case-insensitive (the paper writes ``FOR``/``WHERE``;
 real-world XQuery is lowercase).  Both the paper's bare-path content
 (``<person> $o/bidder </person>``) and standard braced content
 (``{$o/bidder}``) are accepted.
+
+Every FLWOR, element constructor and parenthesised or braced RETURN or
+WHERE subexpression opens one nesting level; past :data:`MAX_NESTING` open
+levels the parser raises :class:`XQuerySyntaxError` instead of letting
+hostile input exhaust the interpreter stack.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 _AGGREGATES = ("count", "sum", "avg", "min", "max")
 _COMPARE_OPS = ("!=", "<=", ">=", "=", "<", ">")
 
+#: Most nesting levels open at once.  Translation, analysis, evaluation
+#: and serialisation all recurse over the same structure, and each still
+#: fits the default recursion limit at this depth.
+MAX_NESTING = 100
+
 
 class _Cursor:
     """Character cursor with keyword/name/number helpers."""
@@ -45,12 +55,25 @@ class _Cursor:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     # -- diagnostics --------------------------------------------------
     def error(self, message: str) -> XQuerySyntaxError:
         line = self.text.count("\n", 0, self.pos) + 1
         column = self.pos - self.text.rfind("\n", 0, self.pos)
         return XQuerySyntaxError(message, line, column)
+
+    # -- nesting ------------------------------------------------------
+    def enter(self) -> None:
+        """Open one nesting level (closed again by :meth:`leave`)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(
+                f"expression nested more than {MAX_NESTING} levels deep"
+            )
+
+    def leave(self) -> None:
+        self.depth -= 1
 
     # -- basic scanning ----------------------------------------------
     def skip_ws(self) -> None:
@@ -156,6 +179,7 @@ def parse_query(text: str) -> FLWOR:
 # FLWOR structure
 # ----------------------------------------------------------------------
 def _parse_flwor(cur: _Cursor) -> FLWOR:
+    cur.enter()
     clauses: List[Union[ForClause, LetClause]] = []
     while True:
         if cur.peek_keyword("for"):
@@ -196,6 +220,7 @@ def _parse_flwor(cur: _Cursor) -> FLWOR:
         order = OrderSpec(paths, descending)
     cur.expect_keyword("return")
     ret = _parse_return_expr(cur)
+    cur.leave()
     return FLWOR(clauses, where, order, ret)
 
 
@@ -296,8 +321,10 @@ def _parse_where_primary(cur: _Cursor) -> WhereExpr:
     cur.skip_ws()
     if cur.peek() == "(":
         cur.expect("(")
+        cur.enter()
         inner = _parse_or(cur)
         cur.expect(")")
+        cur.leave()
         return inner
     if cur.peek_keyword("every") or cur.peek_keyword("some"):
         kind = "every" if cur.try_keyword("every") else "some"
@@ -355,16 +382,14 @@ def _parse_return_expr(cur: _Cursor) -> ReturnExpr:
     cur.skip_ws()
     if cur.peek() == "<":
         return _parse_constructor(cur)
-    if cur.peek() == "(":
-        cur.expect("(")
-        inner = _parse_return_expr(cur)
-        cur.expect(")")
-        return inner
-    if cur.peek() == "{":
-        cur.expect("{")
-        inner = _parse_return_expr(cur)
-        cur.expect("}")
-        return inner
+    for opening, closing in (("(", ")"), ("{", "}")):
+        if cur.peek() == opening:
+            cur.expect(opening)
+            cur.enter()
+            inner = _parse_return_expr(cur)
+            cur.expect(closing)
+            cur.leave()
+            return inner
     if cur.peek_keyword("for") or cur.peek_keyword("let"):
         return _parse_flwor(cur)
     for fname in _AGGREGATES:
@@ -379,6 +404,7 @@ def _parse_return_expr(cur: _Cursor) -> ReturnExpr:
 
 def _parse_constructor(cur: _Cursor) -> ElementConstructor:
     cur.expect("<")
+    cur.enter()
     tag = cur.read_name()
     attrs: List[Tuple[str, Union[str, PathExpr, AggrExpr]]] = []
     while True:
@@ -399,9 +425,11 @@ def _parse_constructor(cur: _Cursor) -> ElementConstructor:
             value = _parse_attr_value(cur)
         attrs.append((attr_name, value))
     if cur.try_literal("/>"):
-        return ElementConstructor(tag, attrs, [])
-    cur.expect(">")
-    children = _parse_content(cur, tag)
+        children: List[ReturnExpr] = []
+    else:
+        cur.expect(">")
+        children = _parse_content(cur, tag)
+    cur.leave()
     return ElementConstructor(tag, attrs, children)
 
 
@@ -448,8 +476,10 @@ def _parse_content(cur: _Cursor, open_tag: str) -> List[ReturnExpr]:
             continue
         if cur.peek() == "{":
             cur.expect("{")
+            cur.enter()
             children.append(_parse_return_expr(cur))
             cur.expect("}")
+            cur.leave()
             continue
         if cur.peek() == "$":
             children.append(_parse_path(cur))

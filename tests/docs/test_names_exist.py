@@ -10,10 +10,15 @@ measurement whose subject is gone), every
   inline `` `bench <figure>` `` form — must be accepted by the CLI parser;
 * ``--flag`` after ``python -m repro <subcommand>`` on the same
   (backslash-joined) line must be an option of that subcommand;
-* ``bench_smoke.py --flag`` must be an option of that script.
+* ``bench_smoke.py --flag`` must be an option of that script;
+* Python file named — ``name.py``, ``dir/name.py``, a ``bench_*.py``
+  script — must exist under ``src/repro``, ``benchmarks``, ``tests``,
+  ``tools`` or ``examples``, or at the repository root (a name matches
+  any file whose path it ends).
 
-A deleted toggle, subcommand or flag that a page still advertises fails
-here, next to the CLI.md execution check and the link check.
+A deleted toggle, subcommand, flag or module that a page still
+advertises fails here, next to the CLI.md execution check and the link
+check.
 """
 
 import argparse
@@ -39,6 +44,7 @@ _INVOCATION_LINE = re.compile(r"python3? -m repro ([a-z]+)([^\n`|;]*)")
 _INLINE_BENCH = re.compile(r"`(?:repro )?bench (\w+)")
 _SMOKE = re.compile(r"bench_smoke\.py((?:[ \t]+[^\s`]+)*)")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+_PY_PATH = re.compile(r"(?<![\w.-])(?:\.\.?/)*((?:[\w.-]+/)*[\w-]+\.py)\b")
 
 
 def current_text(markdown):
@@ -79,10 +85,16 @@ OPTIONS = {
     for name, parser in SUBCOMMANDS.items()
 }
 SMOKE_SOURCE = (REPO / "benchmarks" / "bench_smoke.py").read_text()
+FILES = sorted(
+    "/" + path.relative_to(REPO).as_posix()
+    for root in ("src/repro", "benchmarks", "tests", "tools", "examples")
+    for path in (REPO / root).rglob("*.py")
+) + [f"/{path.name}" for path in REPO.glob("*.py")]
 
 
-def unknown_names(markdown, code):
-    """Names the page advertises that neither the CLI nor ``code`` has."""
+def unknown_names(markdown, code, files=FILES):
+    """Names the page advertises that neither the CLI, ``code`` nor
+    ``files`` (repository-rooted paths) has."""
     text = current_text(markdown).replace("\\\n", " ")
     unknown = set(_ENV_VAR.findall(text)) - set(_ENV_VAR.findall(code))
     for subcommand, argument in _INVOCATION.findall(text):
@@ -107,6 +119,11 @@ def unknown_names(markdown, code):
             for flag in _FLAG.findall(arguments)
             if f'"{flag}"' not in SMOKE_SOURCE
         )
+    unknown.update(
+        name
+        for name in _PY_PATH.findall(text)
+        if not any(file.endswith("/" + name) for file in files)
+    )
     return sorted(unknown)
 
 
@@ -136,12 +153,22 @@ def test_checker_flags_stale_names_outside_historical_sections():
         "## Old (historical)\n\n`REPRO_GONE`, `bench gone`\n"
         "### still old\n\n`python -m repro gone`\n"
         "## Now\n\n`REPRO_SPANS=1` and `REPRO_ALSO_GONE`\n"
+        "`physical/join.py`, [j](../src/repro/physical/gone.py), "
+        "`bench_fig1.py` and bench_gone.py, `join.py` and `gone.py`\n"
     )
-    assert unknown_names(page, 'environ.get("REPRO_SPANS")') == [
+    files = [
+        "/src/repro/physical/join.py",
+        "/benchmarks/bench_fig1.py",
+        "/benchmarks/bench_smoke.py",
+    ]
+    assert unknown_names(page, 'environ.get("REPRO_SPANS")', files) == [
         "REPRO_ALSO_GONE",
         "REPRO_NO_SUCH_KNOB",
         "bench nosuchfigure",
+        "bench_gone.py",
         "bench_smoke.py --no-such-flag",
+        "gone.py",
         "python -m repro nosuchcommand",
         "python -m repro serve --no-such-flag",
+        "src/repro/physical/gone.py",
     ]

@@ -1,4 +1,5 @@
-"""Unit tests for selectivity-based edge ordering (reference [19])."""
+"""A planner edge order changes only how a pattern is joined, never the
+witnesses it yields or the order of their children."""
 
 import pytest
 
@@ -21,6 +22,15 @@ def star_pattern() -> APT:
     return APT(root, "auction.xml")
 
 
+def reversed_order(apt: APT) -> APT:
+    """``apt`` with every multi-edge node annotated to join its edges in
+    reverse source order."""
+    for node in apt.nodes():
+        if len(node.edges) > 1:
+            node.planner_order = list(reversed(range(len(node.edges))))
+    return apt
+
+
 @pytest.fixture(scope="module")
 def xmark_db():
     db = Database()
@@ -30,21 +40,22 @@ def xmark_db():
 
 class TestEquivalence:
     def test_same_witnesses_both_orders(self, xmark_db):
-        plain = PatternMatcher(xmark_db, order_edges=False)
-        ordered = PatternMatcher(xmark_db, order_edges=True)
+        matcher = PatternMatcher(xmark_db)
         a = sorted(
-            repr(t.canonical(False)) for t in plain.match(star_pattern())
+            repr(t.canonical(False)) for t in matcher.match(star_pattern())
         )
         b = sorted(
-            repr(t.canonical(False)) for t in ordered.match(star_pattern())
+            repr(t.canonical(False))
+            for t in matcher.match(reversed_order(star_pattern()))
         )
         assert a == b
 
     def test_slot_order_restored(self, xmark_db):
         """Witness children must follow the pattern's edge order, not the
         processing order."""
-        ordered = PatternMatcher(xmark_db, order_edges=True)
-        result = ordered.match(star_pattern())
+        result = PatternMatcher(xmark_db).match(
+            reversed_order(star_pattern())
+        )
         assert len(result) > 0
         for tree in result:
             auction = tree.nodes_in_class(2)[0]
@@ -60,36 +71,7 @@ class TestEquivalence:
         auction.add_edge(pattern_node("privacy", 5), "pc", "?")
         apt = APT(root, "auction.xml")
         plain = PatternMatcher(xmark_db).match(apt)
-        ordered = PatternMatcher(xmark_db, order_edges=True).match(apt)
+        ordered = PatternMatcher(xmark_db).match(reversed_order(apt))
         assert sorted(repr(t.canonical(False)) for t in plain) == sorted(
             repr(t.canonical(False)) for t in ordered
         )
-
-
-class TestOrderingEffect:
-    def test_mandatory_edges_run_first(self, xmark_db):
-        matcher = PatternMatcher(xmark_db, order_edges=True)
-        root = pattern_node("doc_root", 1)
-        auction = pattern_node("open_auction", 2)
-        root.add_edge(auction, "ad", "-")
-        optional = auction.add_edge(pattern_node("bidder", 3), "pc", "*")
-        mandatory = auction.add_edge(pattern_node("reserve", 4), "pc", "-")
-        plan = matcher._edge_plan(auction, "auction.xml")
-        assert plan[0] is mandatory
-        assert plan[-1] is optional
-
-    def test_cheapest_mandatory_first(self, xmark_db):
-        matcher = PatternMatcher(xmark_db, order_edges=True)
-        auction = pattern_node("open_auction", 2)
-        many = auction.add_edge(pattern_node("bidder", 3), "pc", "-")
-        few = auction.add_edge(pattern_node("reserve", 4), "pc", "-")
-        plan = matcher._edge_plan(auction, "auction.xml")
-        index = xmark_db.tag_index("auction.xml")
-        assert index.count("reserve") < index.count("bidder")
-        assert plan[0] is few
-
-    def test_single_edge_untouched(self, xmark_db):
-        matcher = PatternMatcher(xmark_db, order_edges=True)
-        auction = pattern_node("open_auction", 2)
-        only = auction.add_edge(pattern_node("bidder", 3), "pc", "-")
-        assert matcher._edge_plan(auction, "auction.xml") == [only]

@@ -435,20 +435,18 @@ def _observe(db, run):
     return result, db.metrics.snapshot()
 
 
-def _both(db, cached, order_edges):
+def _both(db, cached):
     eager = EagerMatcher(db, cached)
     lazy = PatternMatcher(
-        db,
-        order_edges=order_edges,
-        scan_cache=ScanCache(db.metrics) if cached else None,
+        db, scan_cache=ScanCache(db.metrics) if cached else None
     )
     return eager, lazy
 
 
-def _check_trees(scenario, cached, order_edges):
+def _check_trees(scenario, cached):
     kind, base, extension = scenario
     db = _DBS[kind]
-    eager, lazy = _both(db, cached, order_edges)
+    eager, lazy = _both(db, cached)
     want, want_counters = _observe(db, lambda: eager.match(base))
     got, counters = _observe(db, lambda: lazy.match(base))
     assert _shape(got) == _shape(want)
@@ -467,7 +465,7 @@ def _check_trees(scenario, cached, order_edges):
 def _check_batches(scenario, cached):
     kind, base, extension = scenario
     db = _DBS[kind]
-    eager, lazy = _both(db, cached, False)
+    eager, lazy = _both(db, cached)
     want, want_counters = _observe(db, lambda: eager.match(base, True))
     got, counters = _observe(db, lambda: lazy.match_batch(base))
     assert isinstance(got, ColumnBatch)
@@ -484,9 +482,9 @@ def _check_batches(scenario, cached):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_scenario(), st.booleans(), st.booleans())
-def test_trees_equal_the_eager_matcher(scenario, cached, order_edges):
-    _check_trees(scenario, cached, order_edges)
+@given(_scenario(), st.booleans())
+def test_trees_equal_the_eager_matcher(scenario, cached):
+    _check_trees(scenario, cached)
 
 
 @settings(max_examples=120, deadline=None)
@@ -571,9 +569,8 @@ WRITTEN = [
 @pytest.mark.parametrize("cached", [False, True])
 @pytest.mark.parametrize("scenario", WRITTEN, ids=range(len(WRITTEN)))
 def test_written_cases_equal_the_eager_matcher(scenario, cached):
-    matched, extended = _check_trees(scenario, cached, False)
+    matched, extended = _check_trees(scenario, cached)
     assert matched and extended
-    _check_trees(scenario, cached, True)
     _check_batches(scenario, cached)
 
 

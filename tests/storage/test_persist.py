@@ -1,10 +1,21 @@
 """Unit tests for binary database persistence."""
 
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.storage import Database
-from repro.storage.persist import load_database, save_database
+from repro.storage.persist import (
+    MAGIC,
+    VERSION,
+    _I32,
+    _RECORD_FIXED,
+    load_database,
+    save_database,
+)
 from repro.storage.xml_serializer import serialize_stored
 from tests.conftest import TINY_AUCTION
 
@@ -95,3 +106,65 @@ class TestErrors:
         path.write_bytes(b"")
         with pytest.raises(StorageError):
             load_database(path)
+
+    def test_wrong_version(self, saved, tmp_path):
+        path, _ = saved
+        data = bytearray(path.read_bytes())
+        data[len(MAGIC)] = VERSION + 1
+        bad = tmp_path / "future.tlcdb"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="version"):
+            load_database(bad)
+
+    def test_invalid_utf8_string(self, tmp_path):
+        db = Database()
+        db.load_xml("d.xml", "<ab/>")
+        path = tmp_path / "d.tlcdb"
+        save_database(db, path)
+        bad = tmp_path / "bad.tlcdb"
+        bad.write_bytes(path.read_bytes().replace(b"ab", b"\xff\xfe"))
+        with pytest.raises(StorageError, match="UTF-8"):
+            load_database(bad)
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["tag_ref", "value_ref"])
+    def test_string_reference_out_of_range(self, tmp_path, field):
+        db = Database()
+        db.load_xml("d.xml", "<a>v</a>")
+        path = tmp_path / "d.tlcdb"
+        save_database(db, path)
+        data = bytearray(path.read_bytes())
+        # the single record's fixed fields close the file
+        offset = len(data) - _RECORD_FIXED.size + 4 * field
+        data[offset:offset + 4] = _I32.pack(99)
+        bad = tmp_path / "bad.tlcdb"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="string reference"):
+            load_database(bad)
+
+
+def _small_database_bytes() -> bytes:
+    db = Database()
+    db.load_xml("s.xml", '<s><p id="1">x<q/></p><p>y</p></s>')
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "s.tlcdb")
+        save_database(db, path)
+        with open(path, "rb") as stream:
+            return stream.read()
+
+
+SMALL = _small_database_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(SMALL) * 8 - 1))
+def test_one_flipped_bit_loads_or_raises_storage_error(bit):
+    data = bytearray(SMALL)
+    data[bit // 8] ^= 1 << (bit % 8)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "flipped.tlcdb")
+        with open(path, "wb") as stream:
+            stream.write(bytes(data))
+        try:
+            load_database(path)
+        except StorageError:
+            pass
