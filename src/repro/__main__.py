@@ -793,14 +793,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="run the three-pass static analysis suite (concurrency "
-        "lint, fork/pickle-safety certification, cardinality bounds) "
-        "against the suppression baseline",
+        help="run the two-pass static analysis suite (concurrency "
+        "lint, cardinality bounds) against the suppression baseline",
     )
     check.add_argument(
         "--pass", dest="passes", action="append",
-        choices=("concurrency", "forksafety", "cardinality"),
-        help="run only this pass (repeatable; default: all three)",
+        choices=("concurrency", "cardinality"),
+        help="run only this pass (repeatable; default: both)",
     )
     check.add_argument(
         "--paths", nargs="+", metavar="PATH",

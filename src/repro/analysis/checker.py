@@ -1,12 +1,9 @@
-"""The ``repro check`` orchestrator: three passes, one baseline.
+"""The ``repro check`` orchestrator: two passes, one baseline.
 
 ``run_check`` executes the selected passes —
 
 * ``concurrency`` — the CC1xx source lint over the package (or any
   ``--paths`` the caller points it at);
-* ``forksafety`` — the SX2xx certification over the operator registry's
-  representative plans, the 23-query XMark sweep's plans, and a real
-  Database with its index/postings objects;
 * ``cardinality`` — the LC3xx interval bounds over every sweep plan
   against a small generated XMark instance —
 
@@ -26,9 +23,9 @@ from typing import Dict, List, Optional, Sequence
 from .findings import Baseline, CheckFinding
 
 #: Pass names in execution order.
-PASSES = ("concurrency", "forksafety", "cardinality")
+PASSES = ("concurrency", "cardinality")
 
-#: XMark factor the forksafety/cardinality passes load; small enough to
+#: XMark factor the cardinality pass loads; small enough to
 #: build in well under a second, big enough that every tag occurs.
 CHECK_FACTOR = 0.002
 
@@ -88,22 +85,6 @@ def _concurrency_pass(
     return lint_paths([root], package_root=root)
 
 
-def _forksafety_pass() -> List[CheckFinding]:
-    from ..engine import Engine
-    from .forksafety import (
-        certify_registry,
-        certify_storage,
-        certify_sweep,
-    )
-
-    findings = certify_registry()
-    findings.extend(certify_sweep())
-    engine = Engine()
-    engine.load_xmark(factor=CHECK_FACTOR)
-    findings.extend(certify_storage(engine.db))
-    return findings
-
-
 def _cardinality_pass() -> List[CheckFinding]:
     from ..engine import Engine
     from ..rewrites.pipeline import optimize_plan
@@ -146,15 +127,13 @@ def run_check(
     """Run the selected passes and reconcile against ``baseline``.
 
     ``paths`` redirects the concurrency pass at arbitrary sources (the
-    docs-smoke job points it at ``examples/``); the object-level passes
-    always certify the installed package.
+    docs-smoke job points it at ``examples/``); the cardinality pass
+    always bounds the installed package's XMark plans.
     """
     result = CheckResult()
     for name in passes:
         if name == "concurrency":
             found = _concurrency_pass(paths)
-        elif name == "forksafety":
-            found = _forksafety_pass()
         elif name == "cardinality":
             found = _cardinality_pass()
         else:

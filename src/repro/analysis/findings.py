@@ -1,12 +1,11 @@
 """Check findings and the reviewed suppression baseline.
 
-The ``repro check`` passes (concurrency lint, fork/pickle-safety
-certification, cardinality bounds) report :class:`CheckFinding` records
-rather than plan-anchored :class:`~repro.analysis.diagnostics.Diagnostic`
-objects: a finding names a *location* (a source file, an object path, a
-benchmark query) and a *symbol* within it, and its identity — the
-``key`` — deliberately omits line numbers so that unrelated edits do not
-invalidate a reviewed suppression.
+The ``repro check`` passes (concurrency lint, cardinality bounds) report
+:class:`CheckFinding` records rather than plan-anchored
+:class:`~repro.analysis.diagnostics.Diagnostic` objects: a finding names
+a *location* (a source file or a benchmark query) and a *symbol* within
+it, and its identity — the ``key`` — deliberately omits line numbers so
+that unrelated edits do not invalidate a reviewed suppression.
 
 The baseline file (``tools/check_baseline.json``) is the list of
 findings a reviewer has looked at and accepted.  ``repro check`` fails
@@ -42,22 +41,6 @@ UNSAFE_LAZY_INIT = "CC104"
 #: without a lock held.
 GLOBAL_MUTATION = "CC105"
 
-# -- fork/pickle-safety certification (pass 2) ------------------------
-#: A lock, event, condition or other synchronisation primitive is
-#: reachable from an object that must cross a process boundary.
-PICKLE_LOCK = "SX201"
-#: An open file, socket or other OS handle is reachable.
-PICKLE_HANDLE = "SX202"
-#: A closure, lambda, generator or other local function object is
-#: reachable — unpicklable by construction.
-PICKLE_CLOSURE = "SX203"
-#: The dynamic oracle disagrees: ``pickle.dumps``/``loads`` failed even
-#: though the static walk found nothing (or vice versa).
-PICKLE_ORACLE = "SX204"
-#: A thread, thread-local, weakref, executor or tracer handle is
-#: reachable — runtime state that cannot move between processes.
-PICKLE_RUNTIME = "SX205"
-
 #: code -> (severity, one-line description) for check findings.  LC3xx
 #: findings reuse the plan-diagnostic catalogue in ``diagnostics.py``.
 CHECK_CATALOG: Dict[str, Tuple[Severity, str]] = {
@@ -80,27 +63,6 @@ CHECK_CATALOG: Dict[str, Tuple[Severity, str]] = {
     GLOBAL_MUTATION: (
         Severity.ERROR,
         "module-level mutable container mutated without a lock",
-    ),
-    PICKLE_LOCK: (
-        Severity.ERROR,
-        "synchronisation primitive reachable from a picklable object",
-    ),
-    PICKLE_HANDLE: (
-        Severity.ERROR,
-        "open file or socket reachable from a picklable object",
-    ),
-    PICKLE_CLOSURE: (
-        Severity.ERROR,
-        "closure / lambda / generator reachable from a picklable object",
-    ),
-    PICKLE_ORACLE: (
-        Severity.ERROR,
-        "pickle round trip disagrees with the static verdict",
-    ),
-    PICKLE_RUNTIME: (
-        Severity.ERROR,
-        "thread / weakref / tracer handle reachable from a picklable "
-        "object",
     ),
 }
 

@@ -39,7 +39,8 @@ from .diagnostics import (
     UNDEFINED_REF,
     Diagnostic,
 )
-from .environment import LCEnv, merge_union
+from .environment import LCEnv
+from .visitor import _merged, describe_op
 
 #: Operator types whose consumption reads member *values or counts*; a
 #: shadow-hidden class silently shows them only its one visible member.
@@ -56,20 +57,10 @@ _VALUE_READERS = (
 )
 
 
-def _merged(in_envs: List[LCEnv]) -> LCEnv:
-    if not in_envs:
-        return LCEnv()
-    if len(in_envs) == 1:
-        return in_envs[0]
-    return merge_union(in_envs)
-
-
 def check_operator(
     op: Operator, in_envs: List[LCEnv], out: List[Diagnostic]
 ) -> None:
     """Run all per-operator rules against one operator."""
-    from .visitor import describe_op
-
     where = describe_op(op)
     env = _merged(in_envs)
 
@@ -237,8 +228,6 @@ def report_conflicts(
     conflicts: List["ProducerConflict"], out: List[Diagnostic]
 ) -> None:
     """LC102: render duplicate-producer findings from the transfer pass."""
-    from .visitor import describe_op
-
     seen = set()
     for op, existing, incoming in conflicts:
         key = (id(op), existing.label)
@@ -259,8 +248,6 @@ def report_conflicts(
 
 def check_plan(analysis: "PlanAnalysis", out: List[Diagnostic]) -> None:
     """Whole-plan rules that need the complete operator set (LC201)."""
-    from .visitor import describe_op
-
     consumed = set()
     for op in analysis.order:
         consumed |= op.lc_consumed()

@@ -7,6 +7,10 @@ trees are identical up to class labels collapse to one operator instance;
 the eliminated pattern's labels are renamed to the surviving pattern's
 labels throughout the plan, so the match runs once and all consumers read
 the same logical classes.
+
+Two Selects that feed opposite inputs of one Join are never shared: the
+Join puts both outputs in one tree, where the shared labels would bind
+twice (a singleton class would hold two nodes).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..core.base import Operator
+from ..core.join import JoinOp
 from ..core.select import SelectOp
 from ..patterns.apt import APTNode
 from .base import rename_lcl
@@ -41,6 +46,20 @@ def _label_pairs(
         _label_pairs(keep_edge.child, drop_edge.child, out)
 
 
+def _meet_at_a_join(root: Operator, a: SelectOp, b: SelectOp) -> bool:
+    """Do ``a`` and ``b`` feed opposite inputs of one Join?"""
+    for op in root.walk():
+        if isinstance(op, JoinOp):
+            left, right = (
+                {id(node) for node in side.walk()} for side in op.inputs
+            )
+            if (id(a) in left and id(b) in right) or (
+                id(b) in left and id(a) in right
+            ):
+                return True
+    return False
+
+
 def share_common_selects(root: Operator) -> int:
     """Collapse structurally identical leaf Selects to shared instances.
 
@@ -59,7 +78,9 @@ def share_common_selects(root: Operator) -> int:
             existing = canonical.get(signature)
             if existing is None:
                 canonical[signature] = child
-            elif existing is not child:
+            elif existing is not child and not _meet_at_a_join(
+                root, existing, child
+            ):
                 pairs: List[Tuple[int, int]] = []
                 _label_pairs(existing.apt.root, child.apt.root, pairs)
                 op.inputs[index] = existing

@@ -20,9 +20,9 @@ serial execution (the 23-query XMark sweep is the oracle).
   persists the database once with
   :func:`~repro.storage.persist.write_snapshot` and ships the tiny
   :class:`~repro.storage.persist.SnapshotHandle`; each worker loads and
-  sha256-verifies its private copy at start.  PR 6's ``repro check
-  --pass sx`` certified every operator and plan picklable precisely so
-  this hop works.
+  sha256-verifies its private copy at start.  Plans cross the hop by
+  pickle: the test suite round-trips every benchmark plan and an
+  instance of every operator class.
 
 **Why results stay exact.**  Everything request-scoped in thread mode
 stays request-scoped here: each worker builds a fresh ``Context`` (and

@@ -127,4 +127,4 @@ class TestRepositoryContract:
         assert result.stale == []
 
     def test_pass_registry_is_stable(self):
-        assert PASSES == ("concurrency", "forksafety", "cardinality")
+        assert PASSES == ("concurrency", "cardinality")

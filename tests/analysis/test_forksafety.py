@@ -1,192 +1,135 @@
-"""SX2xx certification tests: static walk, dynamic oracle, registry."""
+"""Plans cross a process boundary by pickle: every operator round-trips.
+
+Process-mode workers receive each plan pickled, so every ``*Op`` class
+``repro.core`` exports must survive ``pickle.dumps``/``loads``.  Three
+hand-built plans instantiate all of them, with the parameter shapes the
+translator never emits on its own (a cross-class tree filter, an
+index-count aggregate, a Union).
+"""
 
 import pickle
-import threading
 
 import pytest
 
-from repro.analysis.forksafety import (
-    certify,
-    certify_registry,
-    certify_storage,
-    certify_with_oracle,
-    registry_classes,
-    representative_plans,
-    round_trip,
+import repro.core as core
+from repro.core import (
+    AggregateOp,
+    ConstructOp,
+    DedupOp,
+    FilterOp,
+    FlattenOp,
+    IlluminateOp,
+    JoinOp,
+    ProjectOp,
+    SelectOp,
+    ShadowOp,
+    SortOp,
+    UnionOp,
 )
-from repro.analysis.findings import (
-    PICKLE_CLOSURE,
-    PICKLE_LOCK,
-    PICKLE_ORACLE,
-    PICKLE_RUNTIME,
-)
+from repro.core.base import ClassPredicate, JoinPredicate
+from repro.core.construct import CClassRef, CElement, CText
+from repro.core.filter import TreeFilterOp, cross_class_predicate
+from repro.patterns.apt import APT, pattern_node
 
 
-class Holder:
-    def __init__(self, **attrs):
-        self.__dict__.update(attrs)
+def registry_classes():
+    """Every ``*Op`` class exported by :mod:`repro.core`."""
+    return [
+        getattr(core, export)
+        for export in core.__all__
+        if export.endswith("Op")
+    ]
 
 
-class Sneaky:
-    """Static walk sees nothing; pickling still fails."""
-
-    def __reduce__(self):
-        raise TypeError("nope")
-
-
-class Guarded:
-    """Holds a lock but excludes it via a custom reduction."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        return {"restored": True}
-
-    def __setstate__(self, state):
-        self._lock = threading.Lock()
+def _person_apt():
+    root = pattern_node("person", lcl=1)
+    root.add_edge(pattern_node("name", lcl=2), axis="pc", mspec="-")
+    root.add_edge(pattern_node("watches", lcl=3), axis="ad", mspec="*")
+    return APT(root, doc="auction.xml")
 
 
-def _rebuild_striped(value):
-    striped = Striped()
-    striped.value = value
-    return striped
+def _item_apt():
+    root = pattern_node("item", lcl=5)
+    root.add_edge(pattern_node("location", lcl=6), axis="pc", mspec="?")
+    return APT(root, doc="auction.xml")
 
 
-class Striped(threading.local):
-    """A thread-local with its own wire format (like storage Metrics)."""
+def representative_plans():
+    """Executable plans that together instantiate every registry class."""
+    filtered = FilterOp(
+        ClassPredicate(2, "!=", ""), mode="ALO",
+        input_op=SelectOp(_person_apt()),
+    )
+    cross = TreeFilterOp(
+        cross_class_predicate(2, "=", 2), "(2) = (2)",
+        input_op=filtered, lcls=[2],
+    )
+    folded = AggregateOp("count", 3, 9, input_op=cross)
+    # the index-count shape: its one-edge extension pattern rides along
+    counted = pattern_node(None, lcl=0, lc_ref=1)
+    counted.add_edge(pattern_node("watch", lcl=10), axis="ad", mspec="*")
+    aggregated = AggregateOp(
+        "count", 10, 11, input_op=folded, pattern=APT(counted)
+    )
+    lit = IlluminateOp(3, input_op=ShadowOp(1, 3, input_op=aggregated))
+    pipeline = ProjectOp([1, 2, 9, 11], input_op=FlattenOp(1, 2, input_op=lit))
 
-    def __init__(self):
-        self.value = 0
-
-    def __reduce__(self):
-        return (_rebuild_striped, (self.value,))
-
-
-class TestStaticWalk:
-    def test_lock_field_is_sx201(self):
-        findings = certify(Holder(lock=threading.Lock()), "obj")
-        assert [f.code for f in findings] == [PICKLE_LOCK]
-        assert findings[0].symbol == ".lock"
-
-    def test_nested_lock_is_found_with_its_path(self):
-        obj = Holder(state={"inner": [Holder(guard=threading.RLock())]})
-        findings = certify(obj, "obj")
-        assert [f.code for f in findings] == [PICKLE_LOCK]
-        assert findings[0].symbol == ".state['inner'][0].guard"
-
-    def test_closure_field_is_sx203(self):
-        def make():
-            x = 1
-            return lambda: x
-
-        findings = certify(Holder(fn=make()), "obj")
-        assert [f.code for f in findings] == [PICKLE_CLOSURE]
-
-    def test_module_level_function_pickles_by_reference(self):
-        findings = certify(Holder(fn=round_trip), "obj")
-        assert findings == []
-
-    def test_thread_field_is_sx205(self):
-        findings = certify(
-            Holder(worker=threading.Thread(target=lambda: None)), "obj"
-        )
-        assert [f.code for f in findings] == [PICKLE_RUNTIME]
-
-    def test_plain_data_is_clean(self):
-        obj = Holder(name="x", rows=[1, 2], meta={"a": (1, 2)})
-        assert certify(obj, "obj") == []
-
-    def test_bare_thread_local_is_sx205(self):
-        findings = certify(Holder(cell=threading.local()), "obj")
-        assert [f.code for f in findings] == [PICKLE_RUNTIME]
-
-    def test_custom_reduce_exempts_a_thread_local(self):
-        # a class shipping its own __reduce__ replaces its raw fields at
-        # pickle time (storage.stats.Metrics is the real instance of
-        # this shape), so the walk must not condemn it — and the oracle
-        # agrees, so certify_with_oracle is silent too
-        assert certify(Holder(cell=Striped()), "obj") == []
-        assert certify_with_oracle(Holder(cell=Striped()), "obj") == []
-
-    def test_database_metrics_certify_clean(self):
-        from repro.storage.stats import Metrics
-
-        metrics = Metrics()
-        metrics.pages_read += 3
-        assert certify(Holder(m=metrics), "obj") == []
-        assert round_trip(Holder(m=metrics)) is None
-
-    def test_cycles_terminate(self):
-        a = Holder()
-        a.loop = a
-        assert certify(a, "obj") == []
-
-
-class TestOracle:
-    def test_round_trip_reports_failure(self):
-        error = round_trip(Holder(lock=threading.Lock()))
-        assert error is not None and "pickle" in error.lower()
-
-    def test_round_trip_ok_is_none(self):
-        assert round_trip({"a": [1, 2]}) is None
-
-    def test_oracle_catches_what_the_walk_misses(self):
-        findings = certify_with_oracle(Sneaky(), "obj")
-        assert [f.code for f in findings] == [PICKLE_ORACLE]
-
-    def test_custom_reduction_downgrades_static_findings(self):
-        findings = certify_with_oracle(Guarded(), "obj")
-        assert [f.code for f in findings] == [PICKLE_ORACLE]
-        assert "custom reduction" in findings[0].message
+    joined = JoinOp(
+        SelectOp(_person_apt()),
+        SelectOp(_item_apt()),
+        predicates=[JoinPredicate(2, "=", 6)],
+        root_lcl=7,
+        right_mspec="?",
+    )
+    ordered = SortOp(
+        [2], descending=True, input_op=DedupOp([1], "id", input_op=joined)
+    )
+    constructed = ConstructOp(
+        CElement(
+            "result",
+            lcl=8,
+            children=[CText("person: "), CClassRef(2, text_only=True)],
+        ),
+        input_op=ordered,
+    )
+    unioned = UnionOp(
+        [SelectOp(_person_apt()), SelectOp(_item_apt())], dedup_lcl=1
+    )
+    return {"pipeline": pipeline, "join": constructed, "union": unioned}
 
 
 class TestRegistry:
     def test_representative_plans_cover_every_registry_class(self):
-        covered = set()
-        for plan in representative_plans().values():
-            stack = [plan]
-            while stack:
-                op = stack.pop()
-                covered.add(type(op))
-                stack.extend(op.inputs)
+        covered = {
+            type(op)
+            for plan in representative_plans().values()
+            for op in plan.walk()
+        }
         missing = set(registry_classes()) - covered
         assert not missing, (
             f"registry operators without a representative plan: "
             f"{sorted(c.__name__ for c in missing)}"
         )
 
-    def test_registry_certifies_clean(self):
-        findings = certify_registry()
-        assert findings == [], [f.render() for f in findings]
-
-    @pytest.mark.parametrize(
-        "plan_name", sorted(representative_plans())
-    )
+    @pytest.mark.parametrize("plan_name", sorted(representative_plans()))
     def test_every_plan_round_trips_through_pickle(self, plan_name):
         plan = representative_plans()[plan_name]
         clone = pickle.loads(pickle.dumps(plan))
         assert type(clone) is type(plan)
         assert clone.params() == plan.params()
+        assert clone.describe() == plan.describe()
 
     @pytest.mark.parametrize(
-        "cls_name",
-        sorted(c.__name__ for c in registry_classes()),
+        "cls_name", sorted(c.__name__ for c in registry_classes())
     )
     def test_every_registry_operator_instance_round_trips(self, cls_name):
-        instances = []
-        for plan in representative_plans().values():
-            stack = [plan]
-            while stack:
-                op = stack.pop()
-                if type(op).__name__ == cls_name:
-                    instances.append(op)
-                stack.extend(op.inputs)
+        instances = [
+            op
+            for plan in representative_plans().values()
+            for op in plan.walk()
+            if type(op).__name__ == cls_name
+        ]
         assert instances, f"no representative instance of {cls_name}"
         for op in instances:
             clone = pickle.loads(pickle.dumps(op))
             assert clone.params() == op.params()
-
-    def test_storage_certifies_clean(self, tiny_db):
-        findings = certify_storage(tiny_db)
-        assert findings == [], [f.render() for f in findings]

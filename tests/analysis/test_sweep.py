@@ -6,14 +6,23 @@ aggregates, deferred joins, disjunctions, ordering), and the rewrites
 restructure them aggressively — none of it may trip a diagnostic.
 """
 
+import pickle
+
 import pytest
 
+import repro.core as core
 from repro.patterns.logical_class import LCLAllocator
 from repro.rewrites.pipeline import optimize, optimize_plan
 from repro.xmark import QUERIES
 from repro.xquery.translator import translate_query
 
 _NAMES = sorted(QUERIES)
+
+
+def _plans(name):
+    """The translated and the rewritten plan of one benchmark query."""
+    translation = translate_query(QUERIES[name].text)
+    return translation.plan, optimize_plan(translation, verify=False).plan
 
 
 @pytest.mark.parametrize("name", _NAMES)
@@ -35,6 +44,8 @@ def test_optimized_plans_lint_clean(name):
 def test_rewrite_steps_all_verify(name):
     _, log = optimize(translate_query(QUERIES[name].text).plan)
     assert log.verified == ["reuse", "restructure", "illuminate"]
+    # reuse fires on no benchmark plan, so none changes with its fix
+    assert log.shared_selects == 0
 
 
 @pytest.mark.parametrize("name", _NAMES)
@@ -44,31 +55,49 @@ def test_sweep_cardinality_bounds_raise_no_diagnostics(name, xmark_engine):
     from repro.storage.stats import CardinalityStats
 
     stats = CardinalityStats.from_database(xmark_engine.db)
-    translation = translate_query(QUERIES[name].text)
-    for plan in (
-        translation.plan,
-        optimize_plan(translation, verify=False).plan,
-    ):
+    for plan in _plans(name):
         analysis = bound_plan(plan, stats)
         assert analysis.diagnostics == [], [
             d.render() for d in analysis.diagnostics
         ]
 
 
+def _round_trips(plan):
+    return pickle.loads(pickle.dumps(plan)).describe() == plan.describe()
+
+
 @pytest.mark.parametrize("name", _NAMES)
 def test_sweep_plans_certify_pickle_safe(name):
-    """The SX2xx pass: every benchmark plan ships to a process pool."""
-    from repro.analysis.forksafety import certify_with_oracle
+    """Every benchmark plan ships to a process pool intact."""
+    for plan in _plans(name):
+        assert _round_trips(plan), plan.describe()
 
-    translation = translate_query(QUERIES[name].text)
-    findings = certify_with_oracle(translation.plan, f"xmark:{name}")
-    findings.extend(
-        certify_with_oracle(
-            optimize_plan(translation, verify=False).plan,
-            f"xmark:{name}+opt",
-        )
-    )
-    assert findings == [], [f.render() for f in findings]
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_sweep_plan_clones_answer_like_the_originals(name, xmark_engine):
+    """A worker runs the unpickled plan: it must answer what the
+    dispatcher's plan answers, tree for tree and in the same order."""
+
+    def answer(plan):
+        return [repr(t.canonical(True)) for t in xmark_engine.run_plan(plan)]
+
+    for plan in _plans(name):
+        assert answer(pickle.loads(pickle.dumps(plan))) == answer(plan)
+
+
+def test_plans_cover_every_core_operator(union_plan):
+    """A new operator cannot ship without a pickled instance above.
+
+    The translator emits every operator but Union, which the hand-built
+    ``union_plan`` adds.
+    """
+    assert _round_trips(union_plan)
+    plans = [plan for name in _NAMES for plan in _plans(name)]
+    covered = {
+        type(op).__name__ for plan in plans + [union_plan] for op in plan.walk()
+    }
+    exported = {name for name in core.__all__ if name.endswith("Op")}
+    assert exported - covered == set()
 
 
 @pytest.mark.parametrize("name", ["x3", "x5", "Q1", "Q2"])

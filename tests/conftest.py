@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro import Engine
+from repro.core import SelectOp, UnionOp
 from repro.core.base import Operator
 from repro.model import XTree
+from repro.patterns.apt import APT, pattern_node
 from repro.storage import Database
 from repro.xmark import load_xmark
 
@@ -62,6 +64,19 @@ def xmark_engine() -> Engine:
     engine = Engine()
     load_xmark(engine.db, factor=0.002)
     return engine
+
+
+@pytest.fixture
+def union_plan() -> UnionOp:
+    """An OR-shaped plan the translator never emits: a Union of two
+    person Selects that differ only in the label of their name child."""
+
+    def person(name_lcl: int) -> SelectOp:
+        root = pattern_node("person", lcl=1)
+        root.add_edge(pattern_node("name", lcl=name_lcl))
+        return SelectOp(APT(root, doc="auction.xml"))
+
+    return UnionOp([person(2), person(3)], dedup_lcl=1)
 
 
 def canonical_sorted(sequence):

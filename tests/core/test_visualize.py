@@ -34,16 +34,10 @@ class TestPlanToDot:
         dot = plan_to_dot(plan, title='the "Q1" plan')
         assert '\\"Q1\\"' in dot
 
-    def test_shared_subplans_render_once(self):
-        query = (
-            'FOR $a IN document("auction.xml")//person '
-            'FOR $b IN document("auction.xml")//person '
-            "RETURN <x>{$a/name/text()}</x>"
-        )
-        plan = translate_query(query).plan
-        share_common_selects(plan)
-        dot = plan_to_dot(plan)
-        # one shared leaf select box feeding the join twice
+    def test_shared_subplans_render_once(self, union_plan):
+        share_common_selects(union_plan)
+        dot = plan_to_dot(union_plan)
+        # one shared leaf select box feeding the union twice
         select_boxes = [
             line
             for line in dot.splitlines()

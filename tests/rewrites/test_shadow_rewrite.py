@@ -193,18 +193,12 @@ class TestEquivalence:
 
 
 class TestReuse:
-    def test_identical_leaf_selects_shared(self):
-        query = (
-            'FOR $a IN document("auction.xml")//person '
-            'FOR $b IN document("auction.xml")//person '
-            "RETURN <x>{$a/name/text()}</x>"
-        )
-        plan = translate_query(query).plan
-        eliminated = share_common_selects(plan)
+    def test_identical_leaf_selects_shared(self, union_plan):
+        eliminated = share_common_selects(union_plan)
         assert eliminated == 1
         leaves = {
             id(op)
-            for op in plan.walk()
+            for op in union_plan.walk()
             if isinstance(op, SelectOp) and op.apt.root.lc_ref is None
         }
         assert len(leaves) == 1

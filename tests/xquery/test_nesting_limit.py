@@ -5,7 +5,7 @@ query still translates, lints, evaluates and serialises."""
 import pytest
 
 from repro.analysis import lint_plan
-from repro.errors import CardinalityError, XQuerySyntaxError
+from repro.errors import XQuerySyntaxError
 from repro.xmark import QUERIES
 from repro.xquery import parse_query
 from repro.xquery.fuzz import sample_queries
@@ -97,22 +97,9 @@ def test_prepare_at_and_past_the_limit(service, build):
         service.prepare(build(MAX_NESTING + 1))
 
 
-#: the Section 4 rewrites break a join's singleton contract once three
-#: correlated FLWORs nest in RETURN, at any depth limit (found, not fixed)
-REWRITE_BUG = pytest.mark.xfail(raises=CardinalityError, strict=True)
-
-
 @pytest.mark.parametrize(
     "build, optimize",
-    [(build, False) for build in CONSTRUCTS]
-    + [
-        pytest.param(
-            build,
-            True,
-            marks=REWRITE_BUG if build is return_flwors else (),
-        )
-        for build in CONSTRUCTS
-    ],
+    [(build, optimize) for optimize in (False, True) for build in CONSTRUCTS],
     ids=IDS + [f"{name}-optimized" for name in IDS],
 )
 def test_every_stage_runs_at_the_limit(xmark_engine, build, optimize):
