@@ -188,51 +188,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    from .analysis.checker import PASSES, run_check
-    from .analysis.findings import Baseline
-
-    passes = args.passes or list(PASSES)
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-    elif args.paths:
-        # an explicit source selection is not what the repo baseline
-        # describes; suppress nothing unless a baseline is named
-        baseline_path = None
-    else:
-        baseline_path = Path("tools/check_baseline.json")
-    baseline = None
-    if (
-        not args.no_baseline
-        and baseline_path is not None
-        and baseline_path.exists()
-    ):
-        baseline = Baseline.load(baseline_path)
-    paths = [Path(p) for p in args.paths] if args.paths else None
-    result = run_check(paths=paths, baseline=baseline, passes=passes)
-    if args.update_baseline:
-        if baseline_path is None:
-            raise ReproError(
-                "--update-baseline with --paths needs an explicit "
-                "--baseline file"
-            )
-        existing = baseline.suppressions if baseline else {}
-        updated = Baseline(
-            {
-                finding.key: existing.get(
-                    finding.key, "TODO: review and justify"
-                )
-                for finding in result.findings
-            }
-        )
-        updated.save(baseline_path)
-        print(f"wrote {len(updated.suppressions)} suppressions to "
-              f"{baseline_path}")
-        return 0
-    print(result.render())
-    return result.exit_code(strict_baseline=args.strict_baseline)
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     if args.inline_query and (args.query or args.query_file):
         raise ReproError("give the query either inline or via -q/-f")
@@ -790,41 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: error — warnings alone exit 0)",
     )
     lint.set_defaults(func=cmd_lint)
-
-    check = sub.add_parser(
-        "check",
-        help="run the two-pass static analysis suite (concurrency "
-        "lint, cardinality bounds) against the suppression baseline",
-    )
-    check.add_argument(
-        "--pass", dest="passes", action="append",
-        choices=("concurrency", "cardinality"),
-        help="run only this pass (repeatable; default: both)",
-    )
-    check.add_argument(
-        "--paths", nargs="+", metavar="PATH",
-        help="source files/dirs for the concurrency pass "
-        "(default: the installed repro package)",
-    )
-    check.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppression baseline (default: tools/check_baseline.json "
-        "when present)",
-    )
-    check.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    check.add_argument(
-        "--strict-baseline", action="store_true",
-        help="also fail on stale baseline entries (CI drift detection)",
-    )
-    check.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings "
-        "(keeps existing reasons) instead of failing",
-    )
-    check.set_defaults(func=cmd_check)
 
     profile = sub.add_parser(
         "profile",

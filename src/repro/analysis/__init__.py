@@ -32,7 +32,6 @@ from .diagnostics import (
     Severity,
 )
 from .environment import ClassInfo, LCEnv
-from .findings import Baseline, CHECK_CATALOG, CheckFinding
 from .report import AnalysisReport
 from .visitor import PlanAnalysis, analyze, dedupe_diagnostics
 
@@ -59,11 +58,8 @@ def lint_plan(plan: Operator, stats=None) -> AnalysisReport:
 __all__ = [
     "AnalysisReport",
     "BAD_FLATTEN_SITE",
-    "Baseline",
     "CARDINALITY_BLOWUP",
     "CATALOG",
-    "CHECK_CATALOG",
-    "CheckFinding",
     "ClassInfo",
     "DEAD_CLASS",
     "DUPLICATE_LABEL",

@@ -1,4 +1,4 @@
-"""Pass 3 — cardinality interval bounds (LC3xx) over a plan.
+"""Cardinality interval bounds (LC3xx) over a plan.
 
 An abstract interpretation that runs the plan over *intervals of tree
 counts* instead of tree sequences: every operator's output edge gets a
@@ -20,8 +20,8 @@ Two warnings fall out:
 Bounds are conservative upper bounds, never estimates: each embedding
 of a pattern (or pairing of join inputs) is counted as if every choice
 were independent.  The bounds are exposed to users through ``repro
-explain --lint`` and to CI through the ``repro check`` cardinality
-pass over the XMark sweep.
+explain --lint``; ``tests/analysis/test_sweep.py`` bounds every XMark
+plan, plain and rewritten.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Pass 1 — concurrency lint (CC1xx) over the package sources.
+"""The concurrency lint (CC1xx) over the package sources.
 
 A stdlib-``ast`` analyzer that flags the shared-mutable-state patterns a
 move from a thread pool to a process pool (or simply more threads) turns
@@ -403,8 +403,8 @@ def lint_paths(
     """Lint every ``.py`` file under ``paths`` (dirs recurse).
 
     ``package_root`` anchors the locations stored in findings (so the
-    suppression baseline is machine-independent); it defaults to the
-    parent of the first path.
+    finding keys are machine-independent); it defaults to the parent of
+    the first path.
     """
     files: List[Path] = []
     for path in paths:

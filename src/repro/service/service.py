@@ -83,6 +83,7 @@ from ..telemetry.spans import SpanRecorder, SpanStore, bind_recorder
 from ..telemetry.registry import Histogram
 from ..xquery.translator import TranslationResult
 from .cache import CacheStats, PlanCache, PlanCacheKey, normalize_query
+from .pool import START_METHODS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .pool import WorkerPool, WorkerResult
@@ -245,7 +246,8 @@ class QueryService:
         Process-mode only: ``"fork"`` (workers inherit the database —
         Linux default) or ``"spawn"`` (workers load a digest-verified
         :func:`~repro.storage.persist.write_snapshot` file — portable).
-        ``None`` picks the platform default.
+        ``None`` picks the platform default.  Any other value is
+        rejected in every mode.
     cache_size:
         Capacity of the prepared-plan LRU (positive).
     default_deadline / default_max_trees:
@@ -307,6 +309,11 @@ class QueryService:
         if mode not in SERVICE_MODES:
             raise ServiceError(
                 f"mode must be one of {SERVICE_MODES}, got {mode!r}"
+            )
+        if start_method is not None and start_method not in START_METHODS:
+            raise ServiceError(
+                f"start method must be one of {START_METHODS}, "
+                f"got {start_method!r}"
             )
         if slow_threshold is not None and slow_threshold < 0:
             raise ServiceError("slow threshold must be >= 0 seconds")

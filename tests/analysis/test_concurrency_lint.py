@@ -1,15 +1,56 @@
-"""CC1xx fixture tests: each code fires on its pattern and only there."""
+"""CC1xx fixture tests: each code fires on its pattern and only there.
+
+The package itself lints to exactly the reviewed findings below, and the
+examples lint clean.
+"""
 
 import textwrap
+from pathlib import Path
 
-from repro.analysis.concurrency import lint_source
+import repro
+from repro.analysis.concurrency import lint_paths, lint_source
 from repro.analysis.findings import (
     GLOBAL_MUTATION,
     GLOBAL_REBIND,
     LOCK_ORDER_CYCLE,
     UNGUARDED_ATTR_WRITE,
     UNSAFE_LAZY_INIT,
+    CheckFinding,
 )
+
+PACKAGE = Path(repro.__file__).resolve().parent
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: Every finding the lint reports on the package, each reviewed as
+#: benign: key -> why.  A new finding or a fixed one both fail
+#: ``test_package_findings_are_the_reviewed_six``.
+REVIEWED = {
+    "CC101 repro/planner/toggles.py::set_planner:_PLANNER": (
+        "documented process-wide toggle; flipped only at startup or "
+        "under use_planner() in tests/benches, which restores the "
+        "previous value"
+    ),
+    "CC104 repro/core/limits.py::ExecutionLimits.cancel_event:_cancel": (
+        "ExecutionLimits is per-request; the lazy Event is created by the "
+        "submitting thread before workers can observe the limits object"
+    ),
+    "CC104 repro/core/limits.py::ExecutionLimits.start:_started": (
+        "per-request object: start() runs once on the single worker "
+        "thread that owns the request"
+    ),
+    "CC104 repro/model/tree.py::XTree.class_nodes:_lc_index": (
+        "idempotent memo on a query-local tree; a racing rebuild "
+        "computes the identical index"
+    ),
+    "CC104 repro/storage/postings.py::Postings.levels:_levels": (
+        "idempotent memo: the column is a pure function of the immutable "
+        "ids; racing builders store identical arrays"
+    ),
+    "CC104 repro/storage/postings.py::Postings.starts:_starts": (
+        "idempotent memo: the column is a pure function of the immutable "
+        "ids; racing builders store identical arrays"
+    ),
+}
 
 
 def lint(source, shared_attrs=False):
@@ -290,3 +331,26 @@ class TestFindingIdentity:
         )
         assert one[0].key == moved[0].key
         assert one[0].line != moved[0].line
+
+
+class TestCheckFinding:
+    def test_key_and_render(self):
+        f = CheckFinding(
+            code=GLOBAL_REBIND, location="m.py", symbol="f:_S",
+            message="boom",
+        )
+        assert f.key == f"{GLOBAL_REBIND} m.py::f:_S"
+        assert GLOBAL_REBIND in f.render()
+        assert "boom" in f.render()
+
+
+def test_package_findings_are_the_reviewed_six():
+    findings = lint_paths([PACKAGE], package_root=PACKAGE)
+    assert {f.key for f in findings} == set(REVIEWED), [
+        f.render() for f in findings if f.key not in REVIEWED
+    ]
+
+
+def test_examples_lint_clean():
+    findings = lint_paths([EXAMPLES], package_root=EXAMPLES)
+    assert findings == [], [f.render() for f in findings]

@@ -60,7 +60,6 @@ def test_the_page_documents_every_subcommand():
         "serve",
         "stats",
         "tail",
-        "check",
     }
 
 

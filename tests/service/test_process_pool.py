@@ -159,9 +159,10 @@ class TestConfiguration:
         with pytest.raises(ServiceError):
             QueryService(engine, mode="fiber")
 
-    def test_rejects_unknown_start_method(self, engine):
+    @pytest.mark.parametrize("mode", SERVICE_MODES)
+    def test_rejects_unknown_start_method(self, engine, mode):
         with pytest.raises(ServiceError):
-            QueryService(engine, mode="process", start_method="bogus")
+            QueryService(engine, mode=mode, start_method="bogus")
 
     @pytest.mark.parametrize("start_method", AVAILABLE)
     @pytest.mark.parametrize("option", ("cache_size", "slow_log_capacity"))

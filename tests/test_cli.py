@@ -231,115 +231,3 @@ class TestLint:
             assert code == 0
             assert "clean" in capsys.readouterr().out
 
-
-class TestCheck:
-    BAD = (
-        "_S = None\n"
-        "def f():\n"
-        "    global _S\n"
-        "    _S = 1\n"
-    )
-
-    def test_clean_paths_exit_zero(self, tmp_path, capsys):
-        clean = tmp_path / "clean.py"
-        clean.write_text("def f():\n    return 1\n")
-        code = main(
-            ["check", "--pass", "concurrency", "--paths", str(clean)]
-        )
-        assert code == 0
-        assert "0 new" in capsys.readouterr().out
-
-    def test_new_findings_exit_nonzero(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        code = main(
-            ["check", "--pass", "concurrency", "--paths", str(bad)]
-        )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "CC101" in out and "1 new" in out
-
-    def test_baseline_suppresses_known_findings(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(
-                [
-                    "check", "--pass", "concurrency",
-                    "--paths", str(bad),
-                    "--baseline", str(baseline),
-                    "--update-baseline",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        code = main(
-            [
-                "check", "--pass", "concurrency",
-                "--paths", str(bad),
-                "--baseline", str(baseline),
-                "--strict-baseline",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "suppressed" in out
-
-    def test_strict_baseline_fails_on_stale_entries(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        main(
-            [
-                "check", "--pass", "concurrency",
-                "--paths", str(bad),
-                "--baseline", str(baseline),
-                "--update-baseline",
-            ]
-        )
-        capsys.readouterr()
-        bad.write_text("def f():\n    return 1\n")  # the finding is fixed
-        relaxed = main(
-            [
-                "check", "--pass", "concurrency",
-                "--paths", str(bad), "--baseline", str(baseline),
-            ]
-        )
-        capsys.readouterr()
-        strict = main(
-            [
-                "check", "--pass", "concurrency",
-                "--paths", str(bad), "--baseline", str(baseline),
-                "--strict-baseline",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert relaxed == 0
-        assert strict == 1
-        assert "stale" in out
-
-    def test_no_baseline_flag_reports_everything(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        main(
-            [
-                "check", "--pass", "concurrency",
-                "--paths", str(bad),
-                "--baseline", str(baseline),
-                "--update-baseline",
-            ]
-        )
-        capsys.readouterr()
-        code = main(
-            [
-                "check", "--pass", "concurrency",
-                "--paths", str(bad),
-                "--baseline", str(baseline),
-                "--no-baseline",
-            ]
-        )
-        assert code == 1
-        assert "1 new" in capsys.readouterr().out
