@@ -3,7 +3,9 @@
 ``counter_pins.json`` holds, per XMark query, the full ``Metrics``
 snapshot (minus the plan-cache and planner fields, which meter the
 service and planner rather than evaluation) of one cold-pool run at
-factor 0.002 under shipped defaults: planner off, scan cache on.  A
+factor 0.002 under shipped defaults: planner off, scan cache on —
+under ``queries`` for TLC and under ``baselines`` for TAX and GTP,
+whose GroupBy, node and tree counts Figure 15's verdicts rest on.  A
 performance PR that claims "same scan, cheaper" must pass this file
 *unregenerated*: page reads, buffer hits, nodes touched, index entries
 scanned, join counts and trees built are all exact, so any drift is a
@@ -41,12 +43,42 @@ PINNED_FIELDS = tuple(
 )
 
 
-def _counters(engine: Engine, name: str) -> dict:
+#: the Section 6.1 competitors pinned next to TLC
+BASELINES = ("tax", "gtp")
+
+
+def _counters(engine: Engine, name: str, algebra: str = "tlc") -> dict:
     with use_planner(False):
         report = engine.measure(
-            QUERIES[name].text, engine="tlc", cold_cache=True
+            QUERIES[name].text, engine=algebra, cold_cache=True
         )
     return {field: report.counters[field] for field in PINNED_FIELDS}
+
+
+def _sweep(engine: Engine) -> dict:
+    """The whole pin file's contents, measured on ``engine``."""
+    return {
+        "factor": FACTOR,
+        "queries": {
+            name: _counters(engine, name) for name in FIGURE15_ORDER
+        },
+        "baselines": {
+            algebra: {
+                name: _counters(engine, name, algebra)
+                for name in FIGURE15_ORDER
+            }
+            for algebra in BASELINES
+        },
+    }
+
+
+def _flat(pins: dict) -> dict:
+    """Every pinned query keyed ``name`` (TLC) or ``algebra:name``."""
+    flat = dict(pins["queries"])
+    for algebra, queries in pins.get("baselines", {}).items():
+        for name, counters in queries.items():
+            flat[f"{algebra}:{name}"] = counters
+    return flat
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +89,10 @@ def pins() -> dict:
 def test_pins_cover_every_query_and_field(pins):
     assert pins["factor"] == FACTOR
     assert sorted(pins["queries"]) == sorted(FIGURE15_ORDER)
-    for counters in pins["queries"].values():
+    assert sorted(pins["baselines"]) == sorted(BASELINES)
+    for queries in pins["baselines"].values():
+        assert sorted(queries) == sorted(FIGURE15_ORDER)
+    for counters in _flat(pins).values():
         assert sorted(counters) == sorted(PINNED_FIELDS)
 
 
@@ -66,6 +101,20 @@ def test_work_counters_match_pins(xmark_engine, pins, name):
     assert _counters(xmark_engine, name) == pins["queries"][name], (
         f"{name}: a work counter moved — see this module's docstring "
         "before regenerating"
+    )
+
+
+@pytest.mark.parametrize(
+    "algebra,name",
+    [(algebra, name) for algebra in BASELINES for name in FIGURE15_ORDER],
+)
+def test_baseline_work_counters_match_pins(xmark_engine, pins, algebra, name):
+    assert (
+        _counters(xmark_engine, name, algebra)
+        == pins["baselines"][algebra][name]
+    ), (
+        f"{algebra} {name}: a work counter moved — see this module's "
+        "docstring before regenerating"
     )
 
 
@@ -92,13 +141,12 @@ if __name__ == "__main__":
         sys.exit("usage: test_counter_pins.py --regen")
     regen_engine = Engine()
     load_xmark(regen_engine.db, factor=FACTOR)
-    queries = {
-        name: _counters(regen_engine, name) for name in FIGURE15_ORDER
-    }
-    pinned = json.loads(PINS_PATH.read_text())["queries"]
-    changes = pin_changes(pinned, queries)
+    swept = _sweep(regen_engine)
+    changes = pin_changes(
+        _flat(json.loads(PINS_PATH.read_text())), _flat(swept)
+    )
     for name, field, was, now in changes:
-        print(f"{name:5} {field:22} {was} -> {now}")
+        print(f"{name:9} {field:22} {was} -> {now}")
     risen = [
         change for change in changes
         if change[2] is not None and change[3] > change[2]
@@ -107,12 +155,5 @@ if __name__ == "__main__":
         sys.exit(
             f"refusing to write {PINS_PATH}: {len(risen)} counter(s) rose"
         )
-    PINS_PATH.write_text(
-        json.dumps(
-            {"factor": FACTOR, "queries": queries},
-            indent=1,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    PINS_PATH.write_text(json.dumps(swept, indent=1, sort_keys=True) + "\n")
     print(f"wrote {PINS_PATH} ({len(changes)} change(s))")
