@@ -1,7 +1,9 @@
-"""Shared plan builder for the TAX and GTP baselines (Section 6.1).
+"""TAX and GTP plans (Section 6.1): the Figure 6 block with flat branches.
 
-Both competitors lack annotated pattern edges, so everything TLC handles
-with a nest-edge or an extension Select becomes, here, a *branch*:
+Both competitors are pattern-tree algebras without annotated edges.
+:class:`BaselineBlock` is therefore the TLC translator's own block with
+every graft flattened (``FLAT``) and every place TLC uses a nest-edge or
+an extension Select replaced by a *branch*:
 
 1. a fresh flat Select from the database for the branch path,
 2. a GroupBy collecting the branch members per anchor node,
@@ -15,50 +17,37 @@ variable right after its selection (``Project`` with subtrees + duplicate
 elimination), the early-materialisation cost the paper charges it with.
 Nested FLWORs join flat and are re-nested with a grouping step
 (:class:`~repro.baselines.ops.NestJoinResultsOp`) instead of TLC's
-nest-join.
+nest-join.  WHERE dispatch, value joins, constructed content, assembly
+and RETURN construction are the TLC block's code, unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.aggregate import AggregateOp
 from ..core.base import ClassPredicate, JoinPredicate, Operator
-from ..core.construct import CClassRef, CElement, CText
+from ..core.construct import CClassRef
 from ..core.dedup import DedupOp
-from ..core.filter import (
-    FilterOp,
-    TreeFilterOp,
-    cross_class_predicate,
-    disjunctive_predicate,
-)
+from ..core.filter import FilterOp
 from ..core.join import JoinOp
 from ..core.project import ProjectOp
 from ..core.select import SelectOp
 from ..core.sort_op import SortOp
 from ..errors import TranslationError
 from ..patterns.apt import APT, APTNode
-from ..patterns.logical_class import LCLAllocator
 from ..patterns.predicates import NodeTest
-from ..xquery.ast_nodes import (
-    AggrExpr,
-    AggrPredicate,
-    BoolExpr,
-    ElementConstructor,
-    FLWOR,
-    ForClause,
-    LetClause,
-    PathExpr,
-    Quantifier,
-    SimplePredicate,
-    Step,
-    TextLiteral,
-    ValueJoin,
-)
+from ..xquery.ast_nodes import BoolExpr, PathExpr, SimplePredicate, Step
 from ..xquery.parser import parse_query
-from ..xquery.paths import FLIPPED_OP
-from ..xquery.translator import TranslationResult
+from ..xquery.translator import (
+    TLCTranslator,
+    TranslationResult,
+    _Binding,
+    _Block,
+    _DocSource,
+    var_of,
+)
 from .ops import GroupByOp, MergeOp, NestJoinResultsOp
 
 #: How nested edges are flattened: mandatory stays ``-``, nested/optional
@@ -66,597 +55,99 @@ from .ops import GroupByOp, MergeOp, NestJoinResultsOp
 FLAT = {"-": "-", "?": "?", "+": "-", "*": "?"}
 
 
-def flat_graft(
-    base: APTNode,
-    steps: Sequence[Step],
-    mspec: str,
-    lcls: LCLAllocator,
-    class_tags: Dict[int, str],
-) -> APTNode:
-    """Graft a path with flattened matching specifications."""
-    flat_mspec = FLAT[mspec]
-    current = base
-    for step in steps:
-        reuse = None
-        for edge in current.edges:
-            if (
-                edge.axis == step.axis
-                and edge.mspec == flat_mspec
-                and edge.child.test.tag == step.name
-                and not edge.child.test.comparisons
-            ):
-                reuse = edge.child
-                break
-        if reuse is not None:
-            current = reuse
-            continue
-        child = APTNode(NodeTest(step.name), lcls.allocate())
-        current.add_edge(child, step.axis, flat_mspec)
-        class_tags[child.lcl] = step.name
-        current = child
-    return current
-
-
 @dataclass
-class _DocSource:
-    apt: APT
+class _TaxSource(_DocSource):
+    """A TAX document source: the flat Select, materialised early.
+
+    The whole subtree of every bound variable (``var_lcls``) is fetched
+    and duplicates are eliminated (Section 6.1); join-participating
+    classes (``keep_lcls``) key by content so that distinct join
+    partners survive the duplicate elimination.
+    """
+
     var_lcls: List[int] = field(default_factory=list)
     keep_lcls: List[int] = field(default_factory=list)
-    branch_builders: List = field(default_factory=list)
+
+    def build(self) -> Operator:
+        keep = sorted(set(self.var_lcls + self.keep_lcls))
+        top: Operator = ProjectOp(keep, SelectOp(self.apt), with_subtrees=True)
+        bases = {lcl: "content" for lcl in self.keep_lcls}
+        top = DedupOp(keep, "id", top, bases=bases)
+        for builder in self.branch_builders:
+            top = builder(top)
+        return top
 
 
-@dataclass
-class _FlworSource:
-    block: "BaselineBlock"
-    mspec_join: str
-    branch_builders: List = field(default_factory=list)
+def _steps_to(node: APTNode, target: APTNode) -> Optional[List[Step]]:
+    """The path steps from ``node`` down to ``target``, if below it."""
+    if node is target:
+        return []
+    for edge in node.edges:
+        below = _steps_to(edge.child, target)
+        if below is not None:
+            return [Step(edge.axis, edge.child.test.tag)] + below
+    return None
 
 
-@dataclass
-class _Binding:
-    source_index: int
-    apt_node: Optional[APTNode] = None
-    lcl: Optional[int] = None
-    root_steps: Tuple[Step, ...] = ()
-
-    @property
-    def label(self) -> int:
-        return self.apt_node.lcl if self.apt_node is not None else self.lcl
-
-
-class BaselineBlock:
+class BaselineBlock(_Block):
     """One FLWOR block translated in the TAX or GTP style."""
 
-    def __init__(
-        self,
-        translator: "BaselineTranslator",
-        flwor: FLWOR,
-        parent: Optional["BaselineBlock"] = None,
-    ) -> None:
-        self.translator = translator
-        self.style = translator.style  # "tax" | "gtp"
-        self.flwor = flwor
-        self.parent = parent
-        self.lcls = translator.lcls
-        self.class_tags = translator.class_tags
-        self.sources: List[Union[_DocSource, _FlworSource]] = []
-        self.bindings: Dict[str, _Binding] = {}
-        self.join_preds: List[Tuple[int, int, str, int, int]] = []
-        self.deferred: List[Tuple[int, str, int]] = []
-        self.post_join: List = []
-        self.extra_keep: List[int] = []
-        self.return_joins: List[_FlworSource] = []
-        self.construct_spec = None
-        self._finished: Optional[Operator] = None
+    def graft(
+        self, base: APTNode, steps: Sequence[Step], mspec: str
+    ) -> APTNode:
+        return super().graft(base, steps, FLAT[mspec])
 
-    # ------------------------------------------------------------------
-    def lookup(self, var: str) -> Tuple["BaselineBlock", _Binding]:
-        block: Optional[BaselineBlock] = self
-        while block is not None:
-            if var in block.bindings:
-                return block, block.bindings[var]
-            block = block.parent
-        raise TranslationError(f"unbound variable ${var}")
+    def _materialise(self, index: int, lcl: int, by_content: bool) -> None:
+        """Keep ``lcl`` in TAX's early materialisation of source ``index``.
 
-    # ------------------------------------------------------------------
-    # FOR / LET
-    # ------------------------------------------------------------------
-    def process_clauses(self) -> None:
-        for clause in self.flwor.clauses:
-            mspec = "-" if isinstance(clause, ForClause) else "*"
-            if isinstance(clause.source, FLWOR):
-                inner = self.translator.translate_block(
-                    clause.source, parent=self
-                )
-                self.sources.append(
-                    _FlworSource(inner, "-" if mspec == "-" else "*")
-                )
-                self.bindings[clause.var] = _Binding(
-                    len(self.sources) - 1, lcl=inner.output_root_lcl()
-                )
-            else:
-                self._bind_path(clause.var, clause.source, mspec)
-
-    def _bind_path(self, var: str, path: PathExpr, mspec: str) -> None:
-        if path.doc is not None:
-            root = APTNode(NodeTest("doc_root"), self.lcls.allocate())
-            self.class_tags[root.lcl] = "doc_root"
-            leaf = flat_graft(
-                root, path.steps, "-", self.lcls, self.class_tags
-            )
-            source = _DocSource(APT(root, path.doc))
-            source.var_lcls.append(leaf.lcl)
-            self.sources.append(source)
-            self.bindings[var] = _Binding(
-                len(self.sources) - 1,
-                apt_node=leaf,
-                root_steps=tuple(path.steps),
-            )
-            return
-        owner, binding = self.lookup(path.var)
-        if owner is not self:
-            raise TranslationError(
-                "FOR/LET over an outer-block variable is not supported"
-            )
-        if binding.apt_node is None:
-            lcl = self.resolve_constructed_path(binding, path)
-            self.bindings[var] = _Binding(binding.source_index, lcl=lcl)
-            return
-        leaf = flat_graft(
-            binding.apt_node, path.steps, mspec, self.lcls, self.class_tags
-        )
-        source = self.sources[binding.source_index]
-        if isinstance(source, _DocSource):
-            source.var_lcls.append(leaf.lcl)
-        self.bindings[var] = _Binding(
-            binding.source_index,
-            apt_node=leaf,
-            root_steps=binding.root_steps + tuple(path.steps),
-        )
+        ``by_content`` marks a join class (deduplicated by content); a
+        GTP source materialises nothing, so this is a no-op there.
+        """
+        source = self.sources[index]
+        if isinstance(source, _TaxSource):
+            kept = source.keep_lcls if by_content else source.var_lcls
+            kept.append(lcl)
 
     # ------------------------------------------------------------------
     # branches (the split / group / merge-or-join machinery)
     # ------------------------------------------------------------------
     def _branch(
-        self,
-        binding: _Binding,
-        steps: Sequence[Step],
-        doc: str,
-    ) -> Tuple:
+        self, binding: _Binding, steps: Sequence[Step]
+    ) -> Tuple[Callable[[Operator], Operator], int]:
         """Build a branch select for ``binding``'s var extended by ``steps``.
 
-        Returns ``(builder, anchor_lcl, leaf_lcl)`` where ``builder`` maps
-        the main pipeline top to the merged/joined pipeline.
+        Returns ``(builder, leaf_lcl)`` where ``builder`` maps the main
+        pipeline top to the merged/joined pipeline.
         """
+        apt = self.sources[binding.source_index].apt
+        root_steps = _steps_to(apt.root, binding.apt_node)
         root = APTNode(NodeTest("doc_root"), self.lcls.allocate())
         self.class_tags[root.lcl] = "doc_root"
-        anchor = flat_graft(
-            root, binding.root_steps, "-", self.lcls, self.class_tags
-        )
-        if self.style == "tax" and binding.apt_node is not None:
+        anchor = self.graft(root, root_steps, "-")
+        if self.translator.style == "tax":
             # TAX re-applies the anchor's predicates: "redoing the same
             # selection on bidder time and time again"
             anchor.test = NodeTest(
                 anchor.test.tag, binding.apt_node.test.comparisons
             )
-        leaf = flat_graft(root, list(binding.root_steps) + list(steps),
-                          "-", self.lcls, self.class_tags)
-        branch_select = SelectOp(APT(root, doc))
-        grouped: Operator = GroupByOp(anchor.lcl, leaf.lcl, branch_select)
+        leaf = self.graft(root, root_steps + list(steps), "-")
+        grouped = GroupByOp(anchor.lcl, leaf.lcl, SelectOp(APT(root, apt.doc)))
         anchor_lcl = anchor.lcl
-        leaf_lcl = leaf.lcl
         main_anchor = binding.label
 
-        if self.style == "gtp":
-            def builder(top: Operator, branch=grouped) -> Operator:
-                return MergeOp(top, branch, main_anchor, anchor_lcl)
+        if self.translator.style == "gtp":
+            def builder(top: Operator) -> Operator:
+                return MergeOp(top, grouped, main_anchor, anchor_lcl)
         else:
-            def builder(top: Operator, branch=grouped) -> Operator:
+            def builder(top: Operator) -> Operator:
                 return JoinOp(
                     top,
-                    branch,
+                    grouped,
                     [JoinPredicate(main_anchor, "=", anchor_lcl, by_id=True)],
                     root_lcl=self.lcls.allocate(),
                     right_mspec="?",
                 )
-        return builder, anchor_lcl, leaf_lcl
-
-    def _source_doc(self, binding: _Binding) -> str:
-        source = self.sources[binding.source_index]
-        if isinstance(source, _DocSource):
-            return source.apt.doc
-        raise TranslationError("branch over a non-document source")
-
-    # ------------------------------------------------------------------
-    # WHERE
-    # ------------------------------------------------------------------
-    def process_where(self) -> None:
-        if self.flwor.where is not None:
-            self._where_expr(self.flwor.where)
-
-    def _where_expr(self, expr) -> None:
-        if isinstance(expr, BoolExpr):
-            if expr.op == "and":
-                self._where_expr(expr.left)
-                self._where_expr(expr.right)
-            else:
-                self._where_or(expr)
-        elif isinstance(expr, SimplePredicate):
-            self._simple_predicate(expr)
-        elif isinstance(expr, AggrPredicate):
-            self._aggr_predicate(expr)
-        elif isinstance(expr, ValueJoin):
-            self._value_join(expr)
-        elif isinstance(expr, Quantifier):
-            self._quantifier(expr)
-        else:  # pragma: no cover
-            raise TranslationError(f"unsupported WHERE expression: {expr!r}")
-
-    def _simple_predicate(self, pred: SimplePredicate) -> None:
-        owner, binding = self.lookup(pred.path.var)
-        if owner is not self:
-            raise TranslationError(
-                "correlated simple predicates must use a value join"
-            )
-        if binding.apt_node is not None:
-            leaf = flat_graft(
-                binding.apt_node,
-                pred.path.steps,
-                "-",
-                self.lcls,
-                self.class_tags,
-            )
-            leaf.test = leaf.test.with_comparison(pred.op, pred.value)
-            return
-        lcl = self.resolve_constructed_path(binding, pred.path)
-        predicate = ClassPredicate(lcl, pred.op, pred.value)
-        self.post_join.append(
-            lambda top, p=predicate: FilterOp(p, "ALO", top)
-        )
-
-    def _aggr_predicate(self, pred: AggrPredicate) -> None:
-        owner, binding = self.lookup(pred.path.var)
-        if owner is not self:
-            raise TranslationError("correlated aggregates unsupported")
-        new_lcl = self.lcls.allocate()
-        self.class_tags[new_lcl] = pred.fname
-        predicate = ClassPredicate(new_lcl, pred.op, pred.value)
-        if binding.apt_node is not None:
-            doc = self._source_doc(binding)
-            builder, _, leaf_lcl = self._branch(
-                binding, pred.path.steps, doc
-            )
-            source = self.sources[binding.source_index]
-            source.branch_builders.append(builder)
-            source.branch_builders.append(
-                lambda top, f=pred.fname, l=leaf_lcl, n=new_lcl: AggregateOp(
-                    f, l, n, top
-                )
-            )
-            source.branch_builders.append(
-                lambda top, p=predicate: FilterOp(p, "ALO", top)
-            )
-            return
-        lcl = self.resolve_constructed_path(binding, pred.path)
-        self.post_join.append(
-            lambda top, f=pred.fname, l=lcl, n=new_lcl: AggregateOp(
-                f, l, n, top
-            )
-        )
-        self.post_join.append(
-            lambda top, p=predicate: FilterOp(p, "ALO", top)
-        )
-
-    def _resolve_join_side(self, path: PathExpr):
-        owner, binding = self.lookup(path.var)
-        if binding.apt_node is not None:
-            # correlated outer sides graft optionally (see the TLC
-            # translator): an outer tree without the path keeps an empty
-            # LET binding instead of vanishing
-            leaf = flat_graft(
-                binding.apt_node,
-                path.steps,
-                "-" if owner is self else "?",
-                owner.lcls,
-                owner.class_tags,
-            )
-            source = owner.sources[binding.source_index]
-            if isinstance(source, _DocSource):
-                source.keep_lcls.append(leaf.lcl)
-            return owner, binding.source_index, leaf.lcl
-        lcl = owner.resolve_constructed_path(binding, path)
-        return owner, binding.source_index, lcl
-
-    def _value_join(self, expr: ValueJoin) -> None:
-        left_owner, left_src, left_lcl = self._resolve_join_side(expr.left)
-        right_owner, right_src, right_lcl = self._resolve_join_side(
-            expr.right
-        )
-        if left_owner is not self and right_owner is not self:
-            raise TranslationError("join must involve this block")
-        if left_owner is not self:
-            self.deferred.append((left_lcl, expr.op, right_lcl))
-            return
-        if right_owner is not self:
-            self.deferred.append(
-                (right_lcl, FLIPPED_OP[expr.op], left_lcl)
-            )
-            return
-        if left_src == right_src:
-            predicate = cross_class_predicate(left_lcl, expr.op, right_lcl)
-            refs = [left_lcl, right_lcl]
-            self.post_join.append(
-                lambda top, p=predicate, r=refs: TreeFilterOp(
-                    p, f"({left_lcl}) {expr.op} ({right_lcl})", top, lcls=r
-                )
-            )
-            return
-        self.join_preds.append(
-            (left_src, left_lcl, expr.op, right_lcl, right_src)
-        )
-
-    def _quantifier(self, quant: Quantifier) -> None:
-        owner, binding = self.lookup(quant.path.var)
-        mode = "E" if quant.kind == "every" else "ALO"
-        if owner is not self:
-            raise TranslationError("quantifier over outer variable")
-        if binding.apt_node is not None:
-            doc = self._source_doc(binding)
-            steps = list(quant.path.steps) + list(
-                quant.predicate.path.steps
-            )
-            builder, _, leaf_lcl = self._branch(binding, steps, doc)
-            predicate = ClassPredicate(
-                leaf_lcl, quant.predicate.op, quant.predicate.value
-            )
-            source = self.sources[binding.source_index]
-            source.branch_builders.append(builder)
-            source.branch_builders.append(
-                lambda top, p=predicate, m=mode: FilterOp(p, m, top)
-            )
-            return
-        lcl = self.resolve_constructed_path(binding, quant.path)
-        if quant.predicate.path.steps:
-            raise TranslationError(
-                "quantifier predicates over constructed content must test "
-                "the quantified variable directly"
-            )
-        predicate = ClassPredicate(
-            lcl, quant.predicate.op, quant.predicate.value
-        )
-        self.post_join.append(
-            lambda top, p=predicate, m=mode: FilterOp(p, m, top)
-        )
-
-    def _where_or(self, expr: BoolExpr) -> None:
-        disjuncts: List = []
-
-        def flatten(e) -> None:
-            if isinstance(e, BoolExpr) and e.op == "or":
-                flatten(e.left)
-                flatten(e.right)
-            else:
-                disjuncts.append(e)
-
-        flatten(expr)
-        class_preds: List[ClassPredicate] = []
-        for disjunct in disjuncts:
-            if not isinstance(disjunct, SimplePredicate):
-                raise TranslationError(
-                    "baseline OR supports simple predicates only"
-                )
-            owner, binding = self.lookup(disjunct.path.var)
-            if owner is not self or binding.apt_node is None:
-                raise TranslationError("baseline OR over outer/constructed")
-            leaf = flat_graft(
-                binding.apt_node,
-                disjunct.path.steps,
-                "*",
-                self.lcls,
-                self.class_tags,
-            )
-            source = self.sources[binding.source_index]
-            if isinstance(source, _DocSource):
-                source.keep_lcls.append(leaf.lcl)
-            class_preds.append(
-                ClassPredicate(leaf.lcl, disjunct.op, disjunct.value)
-            )
-        predicate = disjunctive_predicate(class_preds)
-        label = " or ".join(p.describe() for p in class_preds)
-        refs = [p.lcl for p in class_preds]
-        self.post_join.append(
-            lambda top, p=predicate, lab=label, r=refs: TreeFilterOp(
-                p, lab, top, lcls=r
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # constructed-content resolution (same scheme as the TLC translator)
-    # ------------------------------------------------------------------
-    def resolve_constructed_path(
-        self, binding: _Binding, path: PathExpr
-    ) -> int:
-        source = self.sources[binding.source_index]
-        if not path.steps:
-            return binding.label
-        spec = None
-        if isinstance(source, _FlworSource):
-            spec = source.block.construct_spec
-        current_lcl = binding.label
-        steps = list(path.steps)
-        while steps and isinstance(spec, CElement):
-            step = steps[0]
-            matched = None
-            for child in spec.children:
-                if isinstance(child, CElement) and child.tag == step.name:
-                    matched = (child.lcl, child)
-                    break
-                if isinstance(child, CClassRef) and (
-                    self.class_tags.get(child.lcl) == step.name
-                ):
-                    matched = (child.lcl, None)
-                    break
-            if matched is None:
-                break
-            current_lcl, spec = matched
-            steps.pop(0)
-        if not steps:
-            self.extra_keep.append(current_lcl)
-            return current_lcl
-        ext_root = APTNode(NodeTest(None), 0, lc_ref=current_lcl)
-        leaf = flat_graft(ext_root, steps, "*", self.lcls, self.class_tags)
-        self.extra_keep.append(current_lcl)
-        self.post_join.append(
-            lambda top, apt=APT(ext_root): SelectOp(apt, top)
-        )
-        return leaf.lcl
-
-    def output_root_lcl(self) -> int:
-        spec = self.construct_spec
-        if isinstance(spec, (CElement, CClassRef)):
-            return spec.lcl
-        raise TranslationError("block has no construct output")
-
-    # ------------------------------------------------------------------
-    # assembly
-    # ------------------------------------------------------------------
-    def finish(self) -> Operator:
-        if self._finished is not None:
-            return self._finished
-        ret_spec = self._parse_return(self.flwor.ret)
-        self.construct_spec = ret_spec["ctree"]
-        for _, _, inner_lcl in self.deferred:
-            ret_spec["keep"].append(inner_lcl)
-            ctree = ret_spec["ctree"]
-            if isinstance(ctree, CElement):
-                if not any(
-                    isinstance(c, CClassRef) and c.lcl == inner_lcl
-                    for c in ctree.children
-                ):
-                    ctree.children.append(CClassRef(inner_lcl, hidden=True))
-            elif not (
-                isinstance(ctree, CClassRef) and ctree.lcl == inner_lcl
-            ):
-                raise TranslationError(
-                    "correlated nested query must RETURN an element"
-                )
-
-        top = self._assemble_join()
-        for builder in self.post_join:
-            top = builder(top)
-
-        keep = self._project_keep(ret_spec)
-        top = ProjectOp(sorted(set(keep)), top)
-        dedup_lcls, dedup_bases = self._dedup_lcls()
-        if dedup_lcls:
-            top = DedupOp(dedup_lcls, "id", top, bases=dedup_bases)
-
-        if self.flwor.order is not None:
-            top = self._apply_order(top)
-
-        for source in self.return_joins:
-            top = self._join_nested(top, source)
-        for builder in ret_spec["selects"]:
-            top = builder(top)
-        from ..core.construct import ConstructOp
-
-        top = ConstructOp(ret_spec["ctree"], top)
-        self._finished = top
-        return top
-
-    def _build_source(self, index: int) -> Operator:
-        source = self.sources[index]
-        if isinstance(source, _FlworSource):
-            top = source.block.finish()
-            for builder in source.branch_builders:
-                top = builder(top)
-            return top
-        top: Operator = SelectOp(source.apt)
-        if self.style == "tax":
-            # early materialization: fetch the whole subtree of every
-            # bound variable, then eliminate duplicates (Section 6.1).
-            # Join-participating classes key by content so that distinct
-            # join partners survive the duplicate elimination.
-            keep = sorted(set(source.var_lcls + source.keep_lcls))
-            top = ProjectOp(keep, top, with_subtrees=True)
-            dedup = sorted(set(source.var_lcls + source.keep_lcls))
-            bases = {lcl: "content" for lcl in source.keep_lcls}
-            top = DedupOp(dedup, "id", top, bases=bases)
-        for builder in source.branch_builders:
-            top = builder(top)
-        return top
-
-    def _assemble_join(self) -> Operator:
-        if not self.sources:
-            raise TranslationError("FLWOR has no sources")
-        tops = [self._build_source(i) for i in range(len(self.sources))]
-        first = self.sources[0]
-        if isinstance(first, _FlworSource) and first.block.deferred:
-            raise TranslationError(
-                "correlated nested query cannot be the first source"
-            )
-        current = tops[0]
-        covered = {0}
-        pending = list(self.join_preds)
-        for index in range(1, len(self.sources)):
-            source = self.sources[index]
-            preds: List[JoinPredicate] = []
-            rest = []
-            for left_src, left_lcl, op, right_lcl, right_src in pending:
-                if right_src == index and left_src in covered:
-                    preds.append(JoinPredicate(left_lcl, op, right_lcl))
-                elif left_src == index and right_src in covered:
-                    preds.append(
-                        JoinPredicate(right_lcl, FLIPPED_OP[op], left_lcl)
-                    )
-                else:
-                    rest.append(
-                        (left_src, left_lcl, op, right_lcl, right_src)
-                    )
-            pending = rest
-            nested_let = False
-            if isinstance(source, _FlworSource):
-                for outer_lcl, op, inner_lcl in source.block.deferred:
-                    preds.append(JoinPredicate(outer_lcl, op, inner_lcl))
-                nested_let = source.mspec_join == "*"
-            root_lcl = self.lcls.allocate()
-            self.class_tags[root_lcl] = "join_root"
-            self._join_root_lcl = root_lcl
-            # the baselines join flat; LET nesting is recovered by an
-            # explicit grouping step over the join results
-            current = JoinOp(
-                current,
-                tops[index],
-                preds,
-                root_lcl=root_lcl,
-                right_mspec="?" if nested_let else source_mspec(source),
-            )
-            if nested_let:
-                current = NestJoinResultsOp(
-                    self._group_key_lcl(), root_lcl, current
-                )
-            covered.add(index)
-        if pending:
-            raise TranslationError("unplaceable join predicate")
-        return current
-
-    def _join_nested(
-        self, top: Operator, source: _FlworSource
-    ) -> Operator:
-        preds = [
-            JoinPredicate(outer_lcl, op, inner_lcl)
-            for outer_lcl, op, inner_lcl in source.block.deferred
-        ]
-        root_lcl = self.lcls.allocate()
-        self.class_tags[root_lcl] = "join_root"
-        joined = JoinOp(
-            top,
-            source.block.finish(),
-            preds,
-            root_lcl=root_lcl,
-            right_mspec="?",
-        )
-        return NestJoinResultsOp(self._group_key_lcl(), root_lcl, joined)
+        return builder, leaf.lcl
 
     def _group_key_lcl(self) -> int:
         """Class identifying 'one left tree' when regrouping join output."""
@@ -668,148 +159,163 @@ class BaselineBlock:
             "nested LET requires a document-bound FOR variable to group by"
         )
 
-    def _project_keep(self, ret_spec) -> List[int]:
-        keep: List[int] = []
-        if len(self.sources) > 1:
-            keep.append(self._join_root_lcl)
-        for var in self.flwor.for_vars() + self.flwor.let_vars():
-            binding = self.bindings.get(var)
-            if binding is not None:
-                keep.append(binding.label)
-        keep.extend(self.extra_keep)
-        keep.extend(ret_spec["keep"])
-        return keep
+    def _stored(self, path: PathExpr) -> Optional[_Binding]:
+        """``path``'s binding if this block's and over stored nodes.
 
-    def _dedup_lcls(self):
-        lcls: List[int] = []
-        bases: Dict[int, str] = {}
-        for var in self.flwor.for_vars():
-            binding = self.bindings.get(var)
-            if binding is not None:
-                lcls.append(binding.label)
-        for _, _, inner_lcl in self.deferred:
-            lcls.append(inner_lcl)
-            bases[inner_lcl] = "content"
-        return sorted(set(lcls)), bases
+        That is the case a branch replaces; None sends the caller to the
+        TLC block's handling (constructed content, or an error).
+        """
+        owner, binding = self.lookup(var_of(path))
+        if owner is self and binding.apt_node is not None:
+            return binding
+        return None
+
+    # ------------------------------------------------------------------
+    # FOR / LET
+    # ------------------------------------------------------------------
+    def _bind_path(self, var: str, path: PathExpr, mspec: str) -> None:
+        if path.doc is None:
+            super()._bind_path(var, path, mspec)
+        else:
+            # a document path is a flat ``-`` match, FOR and LET alike
+            root = APTNode(NodeTest("doc_root"), self.lcls.allocate())
+            self.class_tags[root.lcl] = "doc_root"
+            leaf = self.graft(root, path.steps, "-")
+            tax = self.translator.style == "tax"
+            source = (_TaxSource if tax else _DocSource)(APT(root, path.doc))
+            self.sources.append(source)
+            self.bindings[var] = _Binding(
+                len(self.sources) - 1, apt_node=leaf
+            )
+        binding = self.bindings[var]
+        self._materialise(binding.source_index, binding.label, False)
+
+    # ------------------------------------------------------------------
+    # WHERE
+    # ------------------------------------------------------------------
+    def _aggr_predicate(self, pred) -> None:
+        binding = self._stored(pred.path)
+        if binding is None:
+            super()._aggr_predicate(pred)
+            return
+        new_lcl = self.lcls.allocate()
+        self.class_tags[new_lcl] = pred.fname
+        predicate = ClassPredicate(new_lcl, pred.op, pred.value)
+        builder, leaf_lcl = self._branch(binding, pred.path.steps)
+        self.sources[binding.source_index].branch_builders += [
+            builder,
+            lambda top, f=pred.fname, l=leaf_lcl, n=new_lcl: AggregateOp(
+                f, l, n, top
+            ),
+            lambda top, p=predicate: FilterOp(p, "ALO", top),
+        ]
+
+    def _resolve_join_side(self, path: PathExpr):
+        owner, index, lcl = super()._resolve_join_side(path)
+        owner._materialise(index, lcl, True)
+        return owner, index, lcl
+
+    def _quantifier(self, quant) -> None:
+        binding = self._stored(quant.path)
+        if binding is None:
+            super()._quantifier(quant)
+            return
+        mode = "E" if quant.kind == "every" else "ALO"
+        steps = list(quant.path.steps) + list(quant.predicate.path.steps)
+        builder, leaf_lcl = self._branch(binding, steps)
+        predicate = ClassPredicate(
+            leaf_lcl, quant.predicate.op, quant.predicate.value
+        )
+        self.sources[binding.source_index].branch_builders += [
+            builder,
+            lambda top, p=predicate, m=mode: FilterOp(p, m, top),
+        ]
+
+    def _where_or(self, expr: BoolExpr) -> None:
+        self._check_disjuncts(expr)
+        super()._where_or(expr)
+
+    def _check_disjuncts(self, expr) -> None:
+        """Accept only simple disjuncts over this block's stored nodes.
+
+        Grafting each one here (the TLC block re-grafts onto the same
+        pattern nodes) lets TAX keep the classes the OR filter reads.
+        """
+        if isinstance(expr, BoolExpr) and expr.op == "or":
+            self._check_disjuncts(expr.left)
+            self._check_disjuncts(expr.right)
+            return
+        if not isinstance(expr, SimplePredicate):
+            raise TranslationError(
+                "baseline OR supports simple predicates only"
+            )
+        binding = self._stored(expr.path)
+        if binding is None:
+            raise TranslationError("baseline OR over outer/constructed")
+        leaf = self.graft(binding.apt_node, expr.path.steps, "*")
+        self._materialise(binding.source_index, leaf.lcl, True)
+
+    # ------------------------------------------------------------------
+    # assembly, ORDER BY and RETURN
+    # ------------------------------------------------------------------
+    def _join_source(
+        self,
+        top: Operator,
+        right: Operator,
+        preds: List[JoinPredicate],
+        root_lcl: int,
+        source,
+    ) -> Operator:
+        # the baselines join flat; LET nesting is recovered by an
+        # explicit grouping step over the join results
+        if source.mspec_join != "*":
+            return super()._join_source(top, right, preds, root_lcl, source)
+        joined = JoinOp(top, right, preds, root_lcl=root_lcl, right_mspec="?")
+        return NestJoinResultsOp(self._group_key_lcl(), root_lcl, joined)
 
     def _apply_order(self, top: Operator) -> Operator:
         order = self.flwor.order
         key_lcls: List[int] = []
         for path in order.paths:
-            owner, binding = self.lookup(path.var)
+            owner, binding = self.lookup(var_of(path))
             if owner is not self:
                 raise TranslationError("ORDER BY over outer variables")
             if binding.apt_node is None:
                 key_lcls.append(self.resolve_constructed_path(binding, path))
-                continue
-            if not path.steps:
+            elif not path.steps:
                 key_lcls.append(binding.label)
-                continue
-            doc = self._source_doc(binding)
-            builder, _, leaf_lcl = self._branch(binding, path.steps, doc)
-            top = builder(top)
-            key_lcls.append(leaf_lcl)
+            else:
+                builder, leaf_lcl = self._branch(binding, path.steps)
+                top = builder(top)
+                key_lcls.append(leaf_lcl)
         return SortOp(key_lcls, order.descending, top)
 
-    # ------------------------------------------------------------------
-    # RETURN
-    # ------------------------------------------------------------------
-    def _parse_return(self, ret) -> dict:
-        spec = {"selects": [], "keep": [], "ctree": None}
-        if ret is None:
-            raise TranslationError("FLWOR lacks a RETURN clause")
-        spec["ctree"] = self._return_expr(ret, spec)
-        return spec
-
-    def _return_expr(self, expr, spec):
-        if isinstance(expr, ElementConstructor):
-            element = CElement(expr.tag, self.lcls.allocate())
-            self.class_tags[element.lcl] = expr.tag
-            for attr_name, attr_value in expr.attrs:
-                if isinstance(attr_value, str):
-                    element.attrs.append((attr_name, attr_value))
-                else:
-                    element.attrs.append(
-                        (attr_name, self._value_ref(attr_value, spec, True))
-                    )
-            for child in expr.children:
-                element.children.append(self._return_expr(child, spec))
-            return element
-        if isinstance(expr, TextLiteral):
-            return CText(expr.text)
-        if isinstance(expr, PathExpr):
-            return self._value_ref(expr, spec, expr.text_fn)
-        if isinstance(expr, AggrExpr):
-            return self._value_ref(expr, spec, True)
-        if isinstance(expr, FLWOR):
-            inner = self.translator.translate_block(expr, parent=self)
-            source = _FlworSource(inner, "*")
-            self.return_joins.append(source)
-            for outer_lcl, _, _ in inner.deferred:
-                spec["keep"].append(outer_lcl)
-            return CClassRef(inner.output_root_lcl())
-        raise TranslationError(f"unsupported RETURN expression: {expr!r}")
-
     def _value_ref(self, expr, spec, text: bool) -> CClassRef:
-        if isinstance(expr, AggrExpr):
-            base = self._value_ref(expr.path, spec, False)
-            new_lcl = self.lcls.allocate()
-            self.class_tags[new_lcl] = expr.fname
-            spec["selects"].append(
-                lambda top, f=expr.fname, l=base.lcl, n=new_lcl: AggregateOp(
-                    f, l, n, top
-                )
-            )
-            return CClassRef(new_lcl, text_only=True)
-        owner, binding = self.lookup(expr.var)
-        if owner is not self:
-            raise TranslationError("RETURN over outer variables")
-        if not expr.steps:
-            spec["keep"].append(binding.label)
-            return CClassRef(binding.label, text_only=text)
-        if binding.apt_node is not None:
-            doc = self._source_doc(binding)
-            builder, _, leaf_lcl = self._branch(binding, expr.steps, doc)
-            spec["selects"].append(builder)
-            spec["keep"].append(binding.label)
-            return CClassRef(leaf_lcl, text_only=text)
-        lcl = self.resolve_constructed_path(binding, expr)
-        spec["keep"].append(lcl)
-        return CClassRef(lcl, text_only=text)
+        binding = None
+        if isinstance(expr, PathExpr) and expr.steps:
+            binding = self._stored(expr)
+        if binding is None:
+            return super()._value_ref(expr, spec, text)
+        builder, leaf_lcl = self._branch(binding, expr.steps)
+        spec["selects"].append(builder)
+        spec["keep"].append(binding.label)
+        return CClassRef(leaf_lcl, text_only=text)
+
+    def _count_pattern(self, expr, spec) -> None:
+        # no index counts: an aggregate counts its return path's branch
+        return None
 
 
-def source_mspec(source) -> str:
-    """Flat join edge for a source: ``-`` (FOR) since LET is regrouped."""
-    if isinstance(source, _FlworSource):
-        return source.mspec_join if source.mspec_join == "-" else "?"
-    return "-"
-
-
-class BaselineTranslator:
+class BaselineTranslator(TLCTranslator):
     """Translates queries in the TAX or GTP style."""
+
+    block_class = BaselineBlock
 
     def __init__(self, style: str) -> None:
         if style not in ("tax", "gtp"):
             raise ValueError(f"unknown baseline style {style!r}")
+        super().__init__()
         self.style = style
-        self.lcls = LCLAllocator()
-        self.class_tags: Dict[int, str] = {}
-
-    def translate_block(
-        self, flwor: FLWOR, parent: Optional[BaselineBlock] = None
-    ) -> BaselineBlock:
-        block = BaselineBlock(self, flwor, parent)
-        block.process_clauses()
-        block.process_where()
-        block.finish()
-        return block
-
-    def translate(self, flwor: FLWOR) -> TranslationResult:
-        block = self.translate_block(flwor)
-        var_lcls = {
-            var: binding.label for var, binding in block.bindings.items()
-        }
-        return TranslationResult(block.finish(), var_lcls, self.class_tags)
 
     def translate_text(self, text: str) -> TranslationResult:
         return self.translate(parse_query(text))

@@ -71,6 +71,7 @@ from .ast_nodes import (
     PathExpr,
     Quantifier,
     SimplePredicate,
+    Step,
     TextLiteral,
     ValueJoin,
 )
@@ -174,6 +175,12 @@ class _Block:
         self.construct_spec = None  # set by finish()
         self._finished: Optional[Operator] = None
 
+    def graft(
+        self, base: APTNode, steps: Sequence[Step], mspec: str
+    ) -> APTNode:
+        """Attach ``steps`` below ``base`` with matching spec ``mspec``."""
+        return graft_steps(base, steps, mspec, self.lcls, self.class_tags)
+
     # ------------------------------------------------------------------
     # variable lookup across block nesting
     # ------------------------------------------------------------------
@@ -200,9 +207,7 @@ class _Block:
         if path.doc is not None:
             apt_root = APTNode(NodeTest("doc_root"), self.lcls.allocate())
             self.class_tags[apt_root.lcl] = "doc_root"
-            leaf = graft_steps(
-                apt_root, path.steps, mspec, self.lcls, self.class_tags
-            )
+            leaf = self.graft(apt_root, path.steps, mspec)
             self.sources.append(_DocSource(APT(apt_root, path.doc)))
             self.bindings[var] = _Binding(
                 len(self.sources) - 1, apt_node=leaf
@@ -215,13 +220,7 @@ class _Block:
                 "supported by the Figure 5 fragment"
             )
         if binding.apt_node is not None:
-            leaf = graft_steps(
-                binding.apt_node,
-                path.steps,
-                mspec,
-                self.lcls,
-                self.class_tags,
-            )
+            leaf = self.graft(binding.apt_node, path.steps, mspec)
             self.bindings[var] = _Binding(
                 binding.source_index, apt_node=leaf
             )
@@ -269,13 +268,7 @@ class _Block:
                 "correlated simple predicates must use a value join"
             )
         if binding.apt_node is not None:
-            leaf = graft_steps(
-                binding.apt_node,
-                pred.path.steps,
-                "-",
-                self.lcls,
-                self.class_tags,
-            )
+            leaf = self.graft(binding.apt_node, pred.path.steps, "-")
             leaf.test = leaf.test.with_comparison(pred.op, pred.value)
             return
         lcl = self.resolve_constructed_path(binding, pred.path)
@@ -295,13 +288,7 @@ class _Block:
         self.class_tags[new_lcl] = pred.fname
         predicate = ClassPredicate(new_lcl, pred.op, pred.value)
         if binding.apt_node is not None:
-            leaf = graft_steps(
-                binding.apt_node,
-                pred.path.steps,
-                "*",
-                self.lcls,
-                self.class_tags,
-            )
+            leaf = self.graft(binding.apt_node, pred.path.steps, "*")
             source = self.sources[binding.source_index]
             source.branch_builders.append(
                 lambda top, f=pred.fname, l=leaf.lcl, n=new_lcl: AggregateOp(
@@ -336,13 +323,7 @@ class _Block:
         owner, binding = self.lookup(var_of(path))
         if binding.apt_node is not None:
             mspec = "-" if owner is self else "?"
-            leaf = graft_steps(
-                binding.apt_node,
-                path.steps,
-                mspec,
-                owner.lcls,
-                owner.class_tags,
-            )
+            leaf = owner.graft(binding.apt_node, path.steps, mspec)
             return owner, binding.source_index, leaf.lcl
         lcl = owner_block_resolve(owner, binding, path)
         return owner, binding.source_index, lcl
@@ -388,22 +369,10 @@ class _Block:
                 "quantifier over an outer variable is not in the fragment"
             )
         if binding.apt_node is not None:
-            leaf = graft_steps(
-                binding.apt_node,
-                quant.path.steps,
-                "*",
-                self.lcls,
-                self.class_tags,
-            )
+            leaf = self.graft(binding.apt_node, quant.path.steps, "*")
             target = leaf
             if quant.predicate.path.steps:
-                target = graft_steps(
-                    leaf,
-                    quant.predicate.path.steps,
-                    "-",
-                    self.lcls,
-                    self.class_tags,
-                )
+                target = self.graft(leaf, quant.predicate.path.steps, "-")
             predicate = ClassPredicate(
                 target.lcl, quant.predicate.op, quant.predicate.value
             )
@@ -447,12 +416,8 @@ class _Block:
                 if owner is not self:
                     raise TranslationError("correlated OR is not supported")
                 if binding.apt_node is not None:
-                    leaf = graft_steps(
-                        binding.apt_node,
-                        disjunct.path.steps,
-                        "*",
-                        self.lcls,
-                        self.class_tags,
+                    leaf = self.graft(
+                        binding.apt_node, disjunct.path.steps, "*"
                     )
                     lcl = leaf.lcl
                 else:
@@ -468,12 +433,8 @@ class _Block:
                     raise TranslationError(
                         "OR over constructed/outer content is not supported"
                     )
-                leaf = graft_steps(
-                    binding.apt_node,
-                    disjunct.path.steps,
-                    "*",
-                    self.lcls,
-                    self.class_tags,
+                leaf = self.graft(
+                    binding.apt_node, disjunct.path.steps, "*"
                 )
                 new_lcl = self.lcls.allocate()
                 self.class_tags[new_lcl] = disjunct.fname
@@ -540,7 +501,7 @@ class _Block:
             return current_lcl
         # dynamic fallback: in-memory extension below the resolved class
         ext_root = APTNode(NodeTest(None), 0, lc_ref=current_lcl)
-        leaf = graft_steps(ext_root, steps, "*", self.lcls, self.class_tags)
+        leaf = self.graft(ext_root, steps, "*")
         self.extra_keep.append(current_lcl)
         self.post_join.append(
             lambda top, apt=APT(ext_root): SelectOp(apt, top)
@@ -643,12 +604,8 @@ class _Block:
             root_lcl = self.lcls.allocate()
             self.class_tags[root_lcl] = "join_root"
             self._join_root_lcl = root_lcl
-            current = JoinOp(
-                current,
-                tops[index],
-                preds,
-                root_lcl=root_lcl,
-                right_mspec=source.mspec_join,
+            current = self._join_source(
+                current, tops[index], preds, root_lcl, source
             )
             covered.add(index)
         if pending:
@@ -662,12 +619,19 @@ class _Block:
         ]
         root_lcl = self.lcls.allocate()
         self.class_tags[root_lcl] = "join_root"
+        return self._join_source(top, source.build(), preds, root_lcl, source)
+
+    def _join_source(
+        self,
+        top: Operator,
+        right: Operator,
+        preds: List[JoinPredicate],
+        root_lcl: int,
+        source: Union[_DocSource, _FlworSource],
+    ) -> Operator:
+        """Join one source's plan onto the block: one edge of its mspec."""
         return JoinOp(
-            top,
-            source.build(),
-            preds,
-            root_lcl=root_lcl,
-            right_mspec=source.mspec_join,
+            top, right, preds, root_lcl=root_lcl, right_mspec=source.mspec_join
         )
 
     def _project_keep(self, ret_spec) -> List[int]:
@@ -714,13 +678,7 @@ class _Block:
                     ext_root = APTNode(
                         NodeTest(None), 0, lc_ref=binding.label
                     )
-                    leaf = graft_steps(
-                        ext_root,
-                        path.steps,
-                        "*",
-                        self.lcls,
-                        self.class_tags,
-                    )
+                    leaf = self.graft(ext_root, path.steps, "*")
                     top = SelectOp(APT(ext_root), top)
                     key_lcls.append(leaf.lcl)
                 else:
@@ -805,9 +763,7 @@ class _Block:
             # sharing with its neighbours), grafted on a scratch root
             # and then moved under the run's extension root
             chain = APTNode(NodeTest(None), 0, lc_ref=binding.label)
-            leaf = graft_steps(
-                chain, expr.steps, "*", self.lcls, self.class_tags
-            )
+            leaf = self.graft(chain, expr.steps, "*")
             ext_root = spec["run"]
             if ext_root is None or ext_root.lc_ref != binding.label:
                 ext_root = spec["run"] = chain
@@ -841,7 +797,7 @@ class _Block:
         if binding is None or binding.apt_node is None:
             return None
         root = APTNode(NodeTest(None), 0, lc_ref=binding.label)
-        graft_steps(root, path.steps, "*", self.lcls, self.class_tags)
+        self.graft(root, path.steps, "*")
         spec["keep"].append(binding.label)
         return APT(root)
 
@@ -865,6 +821,9 @@ def var_of(path: PathExpr) -> str:
 class TLCTranslator:
     """Translates a FLWOR AST (or query text) into a TLC plan."""
 
+    #: the per-FLWOR translation state a subclass may specialise
+    block_class = _Block
+
     def __init__(self) -> None:
         self.lcls = LCLAllocator()
         self.class_tags: Dict[int, str] = {}
@@ -873,7 +832,7 @@ class TLCTranslator:
         self, flwor: FLWOR, parent: Optional[_Block] = None
     ) -> _Block:
         """Run the SingleBlock procedure for one FLWOR."""
-        block = _Block(self, flwor, parent)
+        block = self.block_class(self, flwor, parent)
         block.process_clauses()
         block.process_where()
         block.finish()
