@@ -659,8 +659,6 @@ class QueryService:
             prepared=prepared,
             deadline=remaining,
             max_trees=limits.max_trees,
-            trace_id=recorder.trace_id if recorder is not None else None,
-            spans=recorder is not None,
         )
         if recorder is not None:
             return self._dispatch_traced(item, limits, recorder)
@@ -898,7 +896,6 @@ class QueryService:
                 counters={k: v for k, v in delta.items() if v},
                 trace=trace_payload,
             )
-            self.query_log.emit(event)
             if slow:
                 self.slow_log.record(event)
             if telemetry.enabled():
@@ -916,6 +913,9 @@ class QueryService:
                 prepared.engine, qhash, excerpt(prepared.text)
             )
             hist.observe(elapsed)
+            # last: a failing sink write (a full disk) must not skip the
+            # statistics above
+            self.query_log.emit(event)
         except Exception:  # pragma: no cover - defensive
             pass
 
