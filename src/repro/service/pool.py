@@ -104,12 +104,6 @@ class WorkItem:
     prepared: "PreparedQuery"
     deadline: Optional[float]
     max_trees: Optional[int]
-    #: Trace context: the request's correlation id, and whether the
-    #: worker should measure its own phases (deserialize / execute /
-    #: result serialize) as wall-anchored span records.  Both default
-    #: off so the spans-disabled wire format is byte-compatible.
-    trace_id: Optional[str] = None
-    spans: bool = False
 
 
 @dataclass
@@ -135,10 +129,6 @@ class WorkerResult:
     counters: Dict[str, int] = field(default_factory=dict)
     telemetry: Optional[Dict[str, Any]] = None
     pid: int = 0
-    #: Worker-side span records (wall-anchored dicts) when the item was
-    #: dispatched with ``spans=True``; reconciled by the dispatcher via
-    #: :meth:`~repro.telemetry.spans.SpanRecorder.add_remote`.
-    spans: Optional[List[Dict[str, Any]]] = None
     #: Per-worker introspection snapshot (requests served, plans seen
     #: by plan hash, snapshot load ms, last heartbeat) — piggybacked on
     #: every result so the dispatcher's registry stays current without
