@@ -119,13 +119,13 @@ def work_counter_families(counters: Dict[str, int]) -> List[ExtraFamily]:
     The shared work counters (pages read, structural joins, scan-cache
     hits, …) are read at scrape time rather than mirrored per
     increment — they live on the storage hot path where even a sharded
-    lock would be felt.  Their best-effort accuracy under concurrency
-    is documented on :class:`~repro.storage.stats.Metrics`.
+    lock would be felt.  They are thread-striped and exact under
+    concurrency; see :class:`~repro.storage.stats.Metrics`.
     """
     return [
         (
             f"repro_work_{name}_total",
-            f"Work counter Metrics.{name} (best-effort under concurrency)",
+            f"Work counter Metrics.{name} (exact, read at scrape time)",
             "counter",
             [(None, float(value))],
         )

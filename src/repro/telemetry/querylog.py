@@ -74,7 +74,7 @@ class QueryLogEvent:
     slow: bool = False
     error: Optional[str] = None
     #: Metrics counter deltas over the request (non-zero entries only;
-    #: approximate under concurrency, like the counters themselves)
+    #: exact — the worker thread's own window covers this request alone)
     counters: Dict[str, int] = field(default_factory=dict)
     #: EXPLAIN ANALYZE capture (trace_to_json payload) for slow requests
     trace: Optional[dict] = None

@@ -8,8 +8,8 @@ instrumented layer updates through :mod:`repro.telemetry.instrument`
 and that the exposition layer renders as Prometheus text or JSON.
 
 Concurrency model.  The 8-thread service sweep must not serialise on a
-single metrics mutex, and — unlike the best-effort ``Metrics`` work
-counters — telemetry totals must be *exact* (the concurrency test
+single metrics mutex, and telemetry totals must be *exact*, like the
+thread-striped ``Metrics`` work counters (the concurrency test
 compares an 8-thread sweep's totals against a serial run).  Every
 metric therefore stripes its state over :data:`SHARDS` independently
 locked cells; a writer locks only the cell its thread hashes to, so
