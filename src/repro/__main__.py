@@ -604,13 +604,14 @@ def cmd_tail(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from .bench import (
         Harness,
-        figure15_speedups,
+        counters_table,
         figure15_table,
         figure16_breakdown,
         figure16_table,
         figure17_table,
         operator_breakdown,
     )
+    from .bench.verdicts import verdicts_table
 
     harness = Harness()
     trace = getattr(args, "trace", False)
@@ -619,13 +620,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "--trace breaks down Figures 15 and 16; Figure 17 has no "
             "per-operator report"
         )
+    if args.figure != "15" and (args.queries or args.engines):
+        raise ReproError("--queries and --engines select Figure 15's cells")
     if args.figure == "15":
         reports = harness.figure15(
-            factor=args.factor, repeats=args.repeats, trace=trace
+            args.factor, args.queries, args.engines, args.repeats, trace
         )
         print(figure15_table(reports))
-        print()
-        print(figure15_speedups(reports))
         if trace:
             for report in reports:
                 if report.trace is not None:
@@ -640,7 +641,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print()
             print(figure16_breakdown(reports))
     else:
-        print(figure17_table(harness.figure17(repeats=args.repeats)))
+        reports = harness.figure17(factor=args.factor, repeats=args.repeats)
+        print(figure17_table(reports))
+    if args.figure != "17":  # Figure 17's table already has its counters
+        print()
+        print(counters_table(reports))
+    print()
+    print(verdicts_table(args.figure, reports))
     return 0
 
 
@@ -808,6 +815,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-operator breakdown (Figures 15 and 16): trace every "
         "run and attribute costs to individual operators",
     )
+    for option, cells in (("--queries", "rows"), ("--engines", "columns")):
+        bench.add_argument(
+            option, type=lambda text: text.split(","),
+            help=f"Figure 15 {cells}, comma-separated (default: all)",
+        )
     bench.set_defaults(func=cmd_bench)
 
     prepare = sub.add_parser(

@@ -1,15 +1,13 @@
-"""Benchmark harness and paper-style reporting."""
+"""Benchmark harness, paper-style reporting and the §6.3 verdicts."""
 
 from .env import runtime_flags
 from .harness import DEFAULT_FACTOR, FIGURE15_ENGINES, Harness
 from .reporting import (
     counters_table,
-    figure15_speedups,
     figure15_table,
     figure16_breakdown,
     figure16_table,
     figure17_table,
-    linear_r2,
     operator_breakdown,
 )
 
@@ -19,11 +17,9 @@ __all__ = [
     "Harness",
     "runtime_flags",
     "counters_table",
-    "figure15_speedups",
     "figure15_table",
     "figure16_breakdown",
     "figure16_table",
     "figure17_table",
-    "linear_r2",
     "operator_breakdown",
 ]

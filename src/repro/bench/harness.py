@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..engine import Engine
 from ..storage.stats import QueryReport
@@ -130,21 +130,21 @@ class Harness:
         self,
         factor: float = DEFAULT_FACTOR,
         queries: Optional[Sequence[str]] = None,
-        engines: Sequence[str] = FIGURE15_ENGINES,
+        engines: Optional[Sequence[str]] = None,
         repeats: int = 1,
         trace: bool = False,
     ) -> List[QueryReport]:
         """Execution-time grid of Figure 15 (DNF rows marked)."""
         reports: List[QueryReport] = []
         for name in queries or FIGURE15_ORDER:
-            for engine_name in engines:
+            for engine_name in engines or FIGURE15_ENGINES:
                 started = time.perf_counter()
                 try:
                     report = self.run_query(
                         name, engine_name, factor,
                         repeats=repeats, trace=trace,
                     )
-                except Exception as error:  # a DNF-equivalent failure
+                except Exception as error:  # an ERR row, not a DNF
                     report = QueryReport(
                         engine=engine_name,
                         query=name,
@@ -172,39 +172,33 @@ class Harness:
         :func:`~repro.bench.reporting.figure16_breakdown` turns into the
         operator-level attribution of each rewrite win.
         """
-        reports: List[QueryReport] = []
-        for name in queries:
-            reports.append(
-                self.run_query(
-                    name, "tlc", factor, repeats=repeats, trace=trace
-                )
+        return [
+            self.run_query(
+                name, "tlc", factor,
+                optimize=optimize, repeats=repeats, trace=trace,
             )
-            reports.append(
-                self.run_query(
-                    name, "tlc", factor,
-                    optimize=True, repeats=repeats, trace=trace,
-                )
-            )
-        return reports
+            for name in queries
+            for optimize in (False, True)
+        ]
 
     # ------------------------------------------------------------------
     # E3: Figure 17 — scalability across XMark factors
     # ------------------------------------------------------------------
     def figure17(
         self,
-        factors: Sequence[float] = (0.001, 0.002, 0.005, 0.01, 0.02),
+        factor: float = DEFAULT_FACTOR,
         queries: Sequence[str] = tuple(FIGURE17_QUERIES),
         repeats: int = 1,
     ) -> List[QueryReport]:
-        """TLC timing for the scalability queries across factors.
+        """TLC timing for the scalability queries over five doublings.
 
-        The paper sweeps XMark 0.1…5; the same geometric sweep is run at
-        Python-feasible sizes (linearity is scale-free).
+        The paper sweeps XMark 0.1…5; the same geometric sweep runs at
+        ``factor``/16 … ``factor`` (linearity is scale-free).
         """
         reports: List[QueryReport] = []
-        for factor in factors:
+        for step in [factor / 2**k for k in range(4, -1, -1)]:
             for name in queries:
-                report = self.run_query(name, "tlc", factor, repeats=repeats)
-                report.counters["factor"] = factor
+                report = self.run_query(name, "tlc", step, repeats=repeats)
+                report.counters["factor"] = step
                 reports.append(report)
         return reports

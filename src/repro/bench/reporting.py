@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..storage.stats import QueryReport
@@ -18,17 +17,17 @@ def _grid(
 def _cell(report: Optional[QueryReport]) -> str:
     if report is None:
         return "-"
-    if report.counters.get("dnf") or math.isnan(report.seconds):
+    if report.counters.get("dnf"):
         return "DNF"
+    if "error" in report.counters:  # a crash is not the paper's DNF
+        return "ERR"
     return f"{report.seconds:.3f}"
 
 
-def figure15_table(
-    reports: Sequence[QueryReport],
-    engines: Sequence[str] = ("tlc", "gtp", "tax", "nav"),
-) -> str:
+def figure15_table(reports: Sequence[QueryReport]) -> str:
     """Render the Figure 15 grid: queries × engines, with comments."""
     grid = _grid(reports)
+    engines = list(dict.fromkeys(r.engine for r in reports))
     queries = [q for q in FIGURE15_ORDER if any(
         (q, e) in grid for e in engines
     )]
@@ -42,32 +41,6 @@ def figure15_table(
             f"{_cell(grid.get((name, e))):>9s}" for e in engines
         )
         lines.append(f"{name:6s}{cells}  {QUERIES[name].comment}")
-    return "\n".join(lines)
-
-
-def figure15_speedups(
-    reports: Sequence[QueryReport],
-    baseline_engines: Sequence[str] = ("gtp", "tax", "nav"),
-) -> str:
-    """Per-query speedup of TLC over each competitor (the paper's claim)."""
-    grid = _grid(reports)
-    lines = [
-        f"{'query':6s}"
-        + "".join(f"{'vs ' + e.upper():>10s}" for e in baseline_engines)
-    ]
-    lines.append("-" * len(lines[0]))
-    for name in FIGURE15_ORDER:
-        tlc = grid.get((name, "tlc"))
-        if tlc is None or math.isnan(tlc.seconds) or tlc.seconds == 0:
-            continue
-        cells = []
-        for engine in baseline_engines:
-            other = grid.get((name, engine))
-            if other is None or math.isnan(other.seconds):
-                cells.append(f"{'DNF':>10s}")
-            else:
-                cells.append(f"{other.seconds / tlc.seconds:>9.1f}x")
-        lines.append(f"{name:6s}" + "".join(cells))
     return "\n".join(lines)
 
 
@@ -92,47 +65,22 @@ def figure16_table(reports: Sequence[QueryReport]) -> str:
 
 
 def figure17_table(reports: Sequence[QueryReport]) -> str:
-    """Render Figure 17: seconds per (factor, query) + linearity fits."""
-    by_query: Dict[str, List[Tuple[float, float]]] = {}
-    for report in reports:
-        factor = report.counters.get("factor")
-        if factor is None:
-            continue
-        by_query.setdefault(report.query, []).append(
-            (factor, report.seconds)
-        )
-    factors = sorted({f for rows in by_query.values() for f, _ in rows})
-    header = f"{'query':6s}" + "".join(f"{f:>10.3f}" for f in factors)
-    lines = [header, "-" * len(header), "(seconds per XMark factor)"]
-    for name in sorted(by_query, key=_query_order):
-        rows = dict(by_query[name])
-        cells = "".join(
-            f"{rows.get(f, float('nan')):>10.4f}" for f in factors
-        )
-        lines.append(f"{name:6s}{cells}")
-    lines.append("")
-    lines.append("linearity (R² of seconds ~ factor):")
-    for name in sorted(by_query, key=_query_order):
-        r2 = linear_r2(by_query[name])
-        lines.append(f"  {name:6s} R² = {r2:.4f}")
+    """Render Figure 17: seconds and nodes touched per (query, factor)."""
+    cells = {(r.query, r.counters["factor"]): r for r in reports}
+    factors = sorted({f for _, f in cells})
+    queries = sorted({q for q, _ in cells}, key=_query_order)
+    header = f"{'query':6s}" + "".join(f"{f:>10g}" for f in factors)
+    lines = [header, "-" * len(header)]
+    for title, show in (
+        ("seconds", lambda r: f"{r.seconds:>10.4f}"),
+        ("nodes touched", lambda r: f"{r.counters['nodes_touched']:>10d}"),
+    ):
+        lines.append(f"({title} per XMark factor)")
+        lines += [
+            f"{q:6s}" + "".join(show(cells[q, f]) for f in factors)
+            for q in queries
+        ]
     return "\n".join(lines)
-
-
-def linear_r2(points: Sequence[Tuple[float, float]]) -> float:
-    """Coefficient of determination of a least-squares line through points."""
-    n = len(points)
-    if n < 2:
-        return float("nan")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    syy = sum((y - mean_y) ** 2 for y in ys)
-    if sxx == 0 or syy == 0:
-        return 1.0
-    return (sxy * sxy) / (sxx * syy)
 
 
 def counters_table(reports: Sequence[QueryReport]) -> str:

@@ -7,14 +7,13 @@ import pytest
 from repro.bench import (
     Harness,
     counters_table,
-    figure15_speedups,
     figure15_table,
     figure16_breakdown,
     figure16_table,
     figure17_table,
-    linear_r2,
     operator_breakdown,
 )
+from repro.bench.verdicts import loglog_slope, verdicts
 from repro.storage.stats import QueryReport
 
 
@@ -49,10 +48,9 @@ class TestHarness:
         assert [r.engine for r in reports] == ["tlc", "tlc+opt"]
 
     def test_figure17_tags_factor(self, harness):
-        reports = harness.figure17(
-            factors=(0.001,), queries=("x1",)
-        )
-        assert reports[0].counters["factor"] == 0.001
+        reports = harness.figure17(factor=0.001, queries=("x1",))
+        sweep = [r.counters["factor"] for r in reports]
+        assert sweep == [0.001 / 2**k for k in (4, 3, 2, 1, 0)]
 
     def test_figure15_subset(self, harness):
         reports = harness.figure15(
@@ -97,19 +95,14 @@ class TestReporting:
             QueryReport("tlc", "x1", 0.01, {"pages_read": 3}, 1),
             QueryReport("gtp", "x1", 0.02, {"pages_read": 5}, 1),
             QueryReport("tax", "x1", 0.05, {}, 1),
-            QueryReport("nav", "x1", float("nan"), {}, 0),
+            QueryReport("nav", "x1", 700.0, {"dnf": True}, 0),
         ]
 
     def test_figure15_table_renders(self):
         table = figure15_table(self.rows())
         assert "x1" in table
-        assert "DNF" in table  # the NaN row
+        assert "DNF" in table  # the over-budget row
         assert "TLC" in table
-
-    def test_speedups(self):
-        text = figure15_speedups(self.rows())
-        assert "2.0x" in text
-        assert "5.0x" in text
 
     def test_figure16_table(self):
         reports = [
@@ -119,21 +112,22 @@ class TestReporting:
         table = figure16_table(reports)
         assert "2.00x" in table
 
-    def test_figure17_table_and_r2(self):
+    def test_figure17_table(self):
         reports = [
-            QueryReport("tlc", "x5", 0.01, {"factor": 0.001}, 1),
-            QueryReport("tlc", "x5", 0.02, {"factor": 0.002}, 1),
-            QueryReport("tlc", "x5", 0.04, {"factor": 0.004}, 1),
+            QueryReport("tlc", "x5", 0.01, {"factor": f, "nodes_touched": n})
+            for f, n in ((0.001, 10), (0.002, 20), (0.004, 40))
         ]
         table = figure17_table(reports)
-        assert "R²" in table
+        assert "0.004" in table and "nodes touched" in table
         assert "x5" in table
 
-    def test_linear_r2_perfect_line(self):
-        assert linear_r2([(1, 2), (2, 4), (3, 6)]) == pytest.approx(1.0)
+    def test_loglog_slope_of_a_line(self):
+        assert loglog_slope([(1, 2), (2, 4), (4, 8)]) == pytest.approx(1.0)
+        assert loglog_slope([(1, 1), (2, 4), (4, 16)]) == pytest.approx(2.0)
 
-    def test_linear_r2_degenerate(self):
-        assert math.isnan(linear_r2([(1, 1)]))
+    def test_loglog_slope_degenerate(self):
+        assert math.isnan(loglog_slope([(1, 1)]))
+        assert math.isnan(loglog_slope([(1, 0), (2, 4)]))
 
     def test_counters_table(self):
         table = counters_table(self.rows())
@@ -165,3 +159,20 @@ class TestBudget:
             factor=0.001, queries=("x1",), engines=("tlc",)
         )
         assert reports[0].counters.get("dnf") is True
+
+    def test_crash_renders_err_not_dnf(self, harness):
+        reports = harness.figure15(
+            factor=0.001, queries=("x1",), engines=("tlc", "bogus")
+        )
+        assert "unknown engine" in reports[1].counters["error"]
+        table = figure15_table(reports)
+        assert "ERR" in table and "DNF" not in table
+
+    def test_dnf_claim_reads_only_the_flag(self):
+        for x10, holds in (({"dnf": True}, True), ({"error": "x"}, False)):
+            reports = [QueryReport("gtp", "x10", float("nan"), x10),
+                       QueryReport("gtp", "x10a", 0.1, {})]
+            rows = {claim: rest for claim, *rest in verdicts("15", reports)}
+            verdict, cells = rows["GTP DNF on x10 but not on x10a"]
+            assert verdict is holds
+        assert "x10 GTP ERR" in cells

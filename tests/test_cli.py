@@ -120,6 +120,20 @@ class TestBench:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bench_figure17_sweeps_up_to_factor(self, capsys):
+        code = main(["bench", "17", "--factor", "0.002", "--repeats", "1"])
+        assert code == 0
+        header = capsys.readouterr().out.split("\n", 1)[0].split()
+        assert header[-2:] == ["0.001", "0.002"] and len(header) == 6
+
+    def test_bench_figure15_subset_prints_verdicts(self, capsys):
+        assert main(["bench", "15", "--factor", "0.001", "--repeats", "1",
+                     "--queries", "x1,x2", "--engines", "tlc,tax"]) == 0
+        out = capsys.readouterr().out
+        assert "TLC      TAX" in out and "navsteps" in out
+        assert "not measured    NAV makes 0 index_lookups" in out
+        assert main(["bench", "16", "--queries", "x3"]) == 1  # 15 only
+
 
 class TestProfile:
     def test_profile_annotated_plan(self, xml_file, capsys):
