@@ -14,14 +14,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.base import Operator
 from ..errors import PlanValidationError
 from ..xquery.translator import TranslationResult
-from .flatten_rewrite import apply_flatten, find_flatten_sites
-from .reuse import share_common_selects
+from .flatten_rewrite import FlattenSite, apply_flatten, find_flatten_sites
+from .reuse import ReuseSite, apply_reuse, find_reuse_sites
 from .shadow_rewrite import (
+    IlluminateSite,
     apply_illuminate,
     find_illuminate_sites,
     refetch_edges,
@@ -36,7 +37,8 @@ class RewriteLog:
     flattened: List[str] = field(default_factory=list)
     shadowed: List[str] = field(default_factory=list)
     illuminated: List[str] = field(default_factory=list)
-    #: rewrite steps whose output passed the LC-flow preservation check
+    #: rewrite steps that passed the LC-flow preservation check (a step
+    #: that changed nothing passes without an analysis)
     verified: List[str] = field(default_factory=list)
 
     @property
@@ -50,11 +52,14 @@ class RewriteLog:
 
 
 class _StepVerifier:
-    """Checks that a rewrite step does not break the plan's LC-flow.
+    """Checks that a rewrite step which changed the plan kept its LC-flow.
 
     Rewrites legitimately rename labels and restructure operators, so
     "environment preserved" is checked as: the step must not *introduce*
     error diagnostics the plan did not already have (per code, counted).
+    The baseline is taken from the plan just before the first step that
+    changes it; a step that changes nothing cannot introduce a
+    diagnostic, so it is never analyzed.
     """
 
     def __init__(self, root: Operator) -> None:
@@ -67,7 +72,7 @@ class _StepVerifier:
         analysis = analyze(root)
         return Counter(d.code for d in analysis.errors), analysis.errors
 
-    def check(self, step: str, root: Operator, log: RewriteLog) -> None:
+    def check(self, step: str, root: Operator) -> None:
         profile, errors = self._profile(root)
         introduced = profile - self.baseline
         if introduced:
@@ -76,7 +81,6 @@ class _StepVerifier:
                 [d for d in errors if d.code in introduced],
             )
         self.baseline = profile
-        log.verified.append(step)
 
 
 def _has_refetch(root: Operator, parent_lcl: int, tag: str) -> bool:
@@ -88,51 +92,92 @@ def _has_refetch(root: Operator, parent_lcl: int, tag: str) -> bool:
     )
 
 
-def optimize(root: Operator, verify: bool = True) -> tuple:
-    """Apply all rewrites; returns (new_root, RewriteLog).
+def _reuse(
+    root: Operator, sites: List[ReuseSite], log: RewriteLog
+) -> Operator:
+    for site in sites:
+        apply_reuse(root, site)
+    log.shared_selects = len(sites)
+    return root
 
-    With ``verify`` (the default) the static LC-flow analyzer runs after
-    each of the three rewrite steps; a step that introduces new
-    error-severity diagnostics raises
-    :class:`~repro.errors.PlanValidationError`.  The verified step names
-    are recorded in :attr:`RewriteLog.verified`.
-    """
-    log = RewriteLog()
-    verifier = _StepVerifier(root) if verify else None
-    log.shared_selects = share_common_selects(root)
-    if verifier:
-        verifier.check("reuse", root, log)
-    # restructure: one site at a time (each apply invalidates detection)
+
+def _restructure(
+    root: Operator, sites: List[FlattenSite], log: RewriteLog
+) -> Operator:
+    # one site at a time (each apply invalidates detection)
     for _ in range(8):  # a plan has few sites; bounded for safety
-        sites = find_flatten_sites(root)
-        if not sites:
-            break
         site = sites[0]
         b_node = site.nested_edge.child
         use_shadow = _has_refetch(
             root, site.parent.lcl, b_node.test.tag
         )
         root = apply_flatten(root, site, use_shadow=use_shadow)
-        record = (
-            f"({site.parent.lcl},{b_node.lcl})"
-        )
+        record = f"({site.parent.lcl},{b_node.lcl})"
         if use_shadow:
             log.shadowed.append(record)
         else:
             log.flattened.append(record)
-    if verifier:
-        verifier.check("restructure", root, log)
-    for _ in range(8):
-        sites = find_illuminate_sites(root)
+        sites = find_flatten_sites(root)
         if not sites:
             break
+    return root
+
+
+def _illuminate(
+    root: Operator, sites: List[IlluminateSite], log: RewriteLog
+) -> Operator:
+    for _ in range(8):
         site = sites[0]
         root = apply_illuminate(root, site)
         log.illuminated.append(
             f"({site.refetch_lcl})->({site.shadowed_lcl})"
         )
-    if verifier:
-        verifier.check("illuminate", root, log)
+        sites = find_illuminate_sites(root)
+        if not sites:
+            break
+    return root
+
+
+#: A Section 4 step: its name, its pure phase-1 scan, and the in-place
+#: rewrite of the sites that scan found.
+_Step = Tuple[
+    str,
+    Callable[[Operator], List[Any]],
+    Callable[[Operator, List[Any], RewriteLog], Operator],
+]
+
+#: The steps, in the paper's order.
+_STEPS: Tuple[_Step, ...] = (
+    ("reuse", find_reuse_sites, _reuse),
+    ("restructure", find_flatten_sites, _restructure),
+    ("illuminate", find_illuminate_sites, _illuminate),
+)
+
+
+def optimize(root: Operator, verify: bool = True) -> tuple:
+    """Apply all rewrites; returns (new_root, RewriteLog).
+
+    Each step first scans the plan for its sites and rewrites only
+    when it found some.  With ``verify`` (the default) the static
+    LC-flow analyzer re-analyzes the plan after each step that changed
+    it, against a baseline taken just before the first such step; a
+    step that introduces new error-severity diagnostics raises
+    :class:`~repro.errors.PlanValidationError` naming it.  A plan no
+    step changes is never analyzed.  Every step that passed, changed or
+    not, is recorded in :attr:`RewriteLog.verified`.
+    """
+    log = RewriteLog()
+    verifier: Optional[_StepVerifier] = None
+    for step, find_sites, rewrite in _STEPS:
+        sites = find_sites(root)
+        if sites:
+            if verify and verifier is None:
+                verifier = _StepVerifier(root)
+            root = rewrite(root, sites, log)
+            if verifier is not None:
+                verifier.check(step, root)
+        if verify:
+            log.verified.append(step)
     return root, log
 
 

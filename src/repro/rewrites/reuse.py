@@ -11,11 +11,15 @@ the same logical classes.
 Two Selects that feed opposite inputs of one Join are never shared: the
 Join puts both outputs in one tree, where the shared labels would bind
 twice (a singleton class would hold two nodes).
+
+Like Flatten and Illuminate, the rewrite has two phases: a pure scan
+(:func:`find_reuse_sites`) and the in-place edit (:func:`apply_reuse`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from ..core.base import Operator
 from ..core.join import JoinOp
@@ -46,18 +50,78 @@ def _label_pairs(
         _label_pairs(keep_edge.child, drop_edge.child, out)
 
 
-def _meet_at_a_join(root: Operator, a: SelectOp, b: SelectOp) -> bool:
-    """Do ``a`` and ``b`` feed opposite inputs of one Join?"""
+def _meet_at_a_join(
+    root: Operator, group: List[SelectOp], b: SelectOp
+) -> bool:
+    """Does ``b`` feed the opposite input of one Join from any of ``group``?"""
+    members = {id(a) for a in group}
     for op in root.walk():
         if isinstance(op, JoinOp):
             left, right = (
                 {id(node) for node in side.walk()} for side in op.inputs
             )
-            if (id(a) in left and id(b) in right) or (
-                id(b) in left and id(a) in right
+            if (members & left and id(b) in right) or (
+                members & right and id(b) in left
             ):
                 return True
     return False
+
+
+@dataclass
+class ReuseSite:
+    """One consumer input whose leaf Select an identical one replaces."""
+
+    consumer: Operator
+    index: int  # position of ``drop`` in ``consumer.inputs``
+    keep: SelectOp  # the first instance of the pattern: survives
+    drop: SelectOp  # the identical instance it replaces
+
+
+def find_reuse_sites(root: Operator) -> List[ReuseSite]:
+    """Phase 1: every leaf Select an earlier identical one can replace.
+
+    Pure: the plan is not touched.  A Select joins its pattern's group
+    unless it meets a member of the group at a Join, so the sites are
+    exactly those :func:`apply_reuse` can take in order.
+    """
+    canonical: Dict[tuple, SelectOp] = {}
+    groups: Dict[int, List[SelectOp]] = {}
+    sites: List[ReuseSite] = []
+    seen: Set[int] = set()
+    for op in root.walk():
+        if id(op) in seen:  # a sub-plan read twice: scanned already
+            continue
+        seen.add(id(op))
+        for index, child in enumerate(op.inputs):
+            if not isinstance(child, SelectOp):
+                continue
+            if child.apt.root.lc_ref is not None or child.inputs:
+                continue
+            signature = (child.apt.doc, _shape_signature(child.apt.root))
+            keep = canonical.setdefault(signature, child)
+            if keep is child:
+                continue
+            group = groups.setdefault(id(keep), [keep])
+            if not _meet_at_a_join(root, group, child):
+                group.append(child)
+                sites.append(ReuseSite(op, index, keep, child))
+    return sites
+
+
+def apply_reuse(root: Operator, site: ReuseSite) -> None:
+    """Phase 2, in place: the consumer reads ``site.keep``, not ``drop``.
+
+    The dropped pattern's labels are renamed to the kept one's
+    throughout the plan, so every consumer reads the shared classes.
+    """
+    pairs: List[Tuple[int, int]] = []
+    _label_pairs(site.keep.apt.root, site.drop.apt.root, pairs)
+    site.consumer.inputs[site.index] = site.keep
+    for old, new in pairs:
+        if old == new:
+            continue
+        for plan_op in root.walk():
+            rename_lcl(plan_op, old, new)
 
 
 def share_common_selects(root: Operator) -> int:
@@ -66,28 +130,7 @@ def share_common_selects(root: Operator) -> int:
     Returns the number of operators eliminated.  The plan becomes a DAG;
     the evaluator's memoisation executes each shared node once.
     """
-    canonical: Dict[tuple, SelectOp] = {}
-    eliminated = 0
-    for op in list(root.walk()):
-        for index, child in enumerate(op.inputs):
-            if not isinstance(child, SelectOp):
-                continue
-            if child.apt.root.lc_ref is not None or child.inputs:
-                continue
-            signature = (child.apt.doc, _shape_signature(child.apt.root))
-            existing = canonical.get(signature)
-            if existing is None:
-                canonical[signature] = child
-            elif existing is not child and not _meet_at_a_join(
-                root, existing, child
-            ):
-                pairs: List[Tuple[int, int]] = []
-                _label_pairs(existing.apt.root, child.apt.root, pairs)
-                op.inputs[index] = existing
-                for old, new in pairs:
-                    if old == new:
-                        continue
-                    for plan_op in root.walk():
-                        rename_lcl(plan_op, old, new)
-                eliminated += 1
-    return eliminated
+    sites = find_reuse_sites(root)
+    for site in sites:
+        apply_reuse(root, site)
+    return len(sites)

@@ -8,9 +8,9 @@ deterministic, so the plan for a given ``(query text, engine, rewrite
 config)`` never changes while the database generation stands still.
 
 :class:`PlanCache` memoises :class:`~repro.xquery.translator.TranslationResult`
-objects keyed on the *normalized* query text (whitespace runs collapse,
-so reformatting a query does not defeat the cache), the engine name and
-the rewrite flag.  Entries carry the
+objects keyed on the *normalized* query text (insignificant whitespace
+collapses, so reformatting a query does not defeat the cache), the
+engine name and the rewrite flag.  Entries carry the
 :attr:`~repro.storage.database.Database.generation` they were compiled
 under; a lookup after a document (re)load sees a stale generation and
 recompiles (counted as an eviction + miss), so the cache can never serve
@@ -46,20 +46,64 @@ from ..xquery.translator import TranslationResult
 #: Default number of prepared plans kept resident.
 DEFAULT_CACHE_SIZE = 64
 
-_WHITESPACE = re.compile(r"\s+")
+#: One token of a query, scanned left to right: a string literal or an
+#: XQuery comment (kept verbatim), the rest of the text from the first
+#: ``<`` (element constructors can start there), or a whitespace run.
+#: The parser's own whitespace is exactly `` \t\r\n``.
+_TOKEN = re.compile(
+    r"""("[^"]*"|'[^']*'|“[^”]*”|“[^“]*“|”[^”]*”"""
+    r"""|\(:.*?:\))|(<.*)|[ \t\r\n]+""",
+    re.DOTALL,
+)
+
+#: In that rest: everything from the first quote on (kept verbatim), a
+#: bare tag and the run after it, or a run right before ``<``, ``{`` or
+#: ``$``.
+_CONSTRUCTOR_TOKEN = re.compile(
+    r"""(["'“”].*)|(</?[A-Za-z_][\w.\-]*/?>)[ \t\r\n]+"""
+    r"|[ \t\r\n]+(?=[<{$])",
+    re.DOTALL,
+)
+
+
+def _collapse(match: "re.Match[str]") -> str:
+    """A kept token verbatim, a whitespace run as one space."""
+    kept, rest = match.groups()
+    if rest is not None:
+        return _CONSTRUCTOR_TOKEN.sub(_collapse_constructor, rest)
+    return kept or " "
+
+
+def _collapse_constructor(match: "re.Match[str]") -> str:
+    kept, tag = match.groups()
+    if kept is not None:
+        return kept
+    return (tag or "") + " "
 
 
 def normalize_query(text: str) -> str:
-    """Canonical cache form of a query: whitespace runs become one space.
+    """Canonical cache form of a query: insignificant whitespace collapsed.
 
-    The XQuery fragment has no whitespace-significant constructs outside
-    string literals; collapsing runs keeps differently indented copies
-    of one query on the same cache entry.  (A literal containing runs of
-    spaces would normalise to the same plan as its single-space twin —
-    acceptable for a cache key because the *plan* is recompiled from the
-    original text, never from the normalized form.)
+    Two texts share a form only if they parse to the same AST: an
+    extra cache miss is harmless, a shared key serves one query's plan
+    for another's.  Whitespace inside string literals and inside element
+    constructor text is part of the query, so only runs that are
+    provably insignificant become one space:
+
+    * before the first ``<``, the text is all expressions (FOR, LET,
+      WHERE, ORDER BY, RETURN clauses), where every run outside a string
+      literal or comment separates tokens;
+    * from the first ``<`` on, where constructor text may begin, only a
+      run right after a bare tag (``<a>``, ``</a>``, ``<a/>``) or right
+      before ``<``, ``{`` or ``$``: constructor text cannot contain a
+      tag and is trimmed at both ends.  And only up to the first quote
+      character, since an apostrophe in constructor text is not a
+      string literal and would misalign the literals after it.
+
+    Leading and trailing whitespace is dropped.  So differently
+    indented copies of one query still share a cache entry.
     """
-    return _WHITESPACE.sub(" ", text).strip()
+    return _TOKEN.sub(_collapse, text).strip(" \t\r\n")
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ opposite sides of one Join.  Sharing them renames one side's classes to
 the other's, so every joined tree binds a singleton class twice and the
 rewritten plan raises ``CardinalityError``.  Reuse must leave such pairs
 apart, and ``-O`` must then answer exactly what the plain plan answers.
+A sub-plan two consumers read is scanned once.
 """
 
 import pytest
 
-from repro.rewrites import optimize
+from repro.core import UnionOp
+from repro.rewrites import optimize, share_common_selects
 from repro.xquery import translate_query
 from tests.conftest import canonical_sorted
 
@@ -58,3 +60,9 @@ def test_optimized_answers_equal_plain(xmark_engine, text):
     optimized = xmark_engine.run(text, optimize=True)
     assert len(plain) > 0
     assert canonical_sorted(optimized) == canonical_sorted(plain)
+
+
+def test_a_sub_plan_read_twice_is_scanned_once(union_plan):
+    """The Union's two identical Selects are one duplicate, however
+    many consumers read the Union."""
+    assert share_common_selects(UnionOp([union_plan, union_plan])) == 1

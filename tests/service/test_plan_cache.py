@@ -1,9 +1,22 @@
 """Unit tests for the prepared-plan LRU cache."""
 
-import pytest
+import re
 
-from repro.service import PlanCache, PlanCacheKey, normalize_query
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Engine
+from repro.errors import XQuerySyntaxError
+from repro.service import (
+    PlanCache,
+    PlanCacheKey,
+    QueryService,
+    normalize_query,
+)
 from repro.storage.stats import Metrics
+from repro.xmark import FIGURE15_ORDER, QUERIES
+from repro.xquery.parser import parse_query
 from repro.xquery.translator import translate_query
 
 QUERY = (
@@ -32,6 +45,16 @@ class TestNormalizeQuery:
     def test_different_configs_get_different_keys(self):
         assert _key(QUERY) != _key(QUERY, optimize=True)
         assert _key(QUERY) != _key(QUERY, engine="gtp")
+
+    def test_keeps_whitespace_in_literals_and_constructor_text(self):
+        spaced = 'FOR $n IN doc("d")//n WHERE $n = "a  b" RETURN <o>x  y</o>'
+        assert normalize_query(spaced) == spaced
+
+    def test_collapses_around_tags_and_enclosed_expressions(self):
+        messy = "FOR $p IN doc('d')//p RETURN <o>\n  <a>  {$p}\n  </a>\n</o>"
+        assert normalize_query(messy) == (
+            "FOR $p IN doc('d')//p RETURN <o> <a> {$p} </a> </o>"
+        )
 
 
 class TestPlanCache:
@@ -107,3 +130,91 @@ class TestPlanCache:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             PlanCache(capacity=0)
+
+
+#: two <n> elements whose texts differ only in a whitespace run
+SPACED_DOC = "<r><p><n>a  b</n></p><p><n>a b</n></p></r>"
+SPACED_FILTER = (
+    'FOR $n IN document("auction.xml")//n WHERE $n = "{}" RETURN $n'
+)
+SPACED_CONSTRUCTOR = (
+    'FOR $n IN document("auction.xml")//n RETURN <o>x{}y {{$n/text()}}</o>'
+)
+
+
+@pytest.mark.parametrize(
+    "template, first, second",
+    [
+        (SPACED_FILTER, "a b", "a  b"),
+        (SPACED_CONSTRUCTOR, " ", "   "),
+    ],
+    ids=["string-literal", "constructor-text"],
+)
+def test_a_cached_plan_never_answers_a_text_that_differs_in_meaning(
+    template, first, second
+):
+    """Texts differing only inside a literal or constructor text are
+    different queries: the second must not get the first one's plan."""
+    engine = Engine()
+    engine.load_xml("auction.xml", SPACED_DOC)
+    second_text = template.format(second)
+    with QueryService(engine, threads=1) as svc:
+        svc.execute(template.format(first))
+        served = [tree.to_xml() for tree in svc.execute(second_text)]
+    assert served == [tree.to_xml() for tree in engine.run(second_text)]
+
+
+XMARK_TEXTS = [QUERIES[name].text for name in FIGURE15_ORDER]
+RUNS = st.sampled_from([" ", "  ", "\n", "\t", "\n    ", " \r\n  "])
+#: constructor text: whitespace, apostrophes, brackets; no ``<{$``
+TEXT = st.text(alphabet="ab '\"()>}/\t\n", max_size=8)
+LITERAL = st.text(alphabet="ab <{$'\t\n", max_size=8)
+
+
+def _ast(text):
+    try:
+        return parse_query(text)
+    except XQuerySyntaxError:
+        return "syntax error"
+
+
+def _splice(draw, text, pattern, make):
+    """Replace one match of ``pattern`` in ``text`` by ``make(match)``."""
+    spots = list(re.finditer(pattern, text))
+    if not spots or not draw(st.booleans()):
+        return text
+    spot = draw(st.sampled_from(spots))
+    return text[: spot.start()] + make(spot.group()) + text[spot.end():]
+
+
+@st.composite
+def injected_texts(draw):
+    """An XMark text with a literal's content redrawn and, after a start
+    tag, some text, an enclosed FLWOR with its own literal and more
+    text."""
+    text = draw(st.sampled_from(XMARK_TEXTS))
+    text = _splice(draw, text, r'"[^"]*"', lambda _: f'"{draw(LITERAL)}"')
+    nested = (
+        '{FOR $z IN document("auction.xml")//z '
+        f'WHERE $z = "{draw(LITERAL)}" RETURN $z}}'
+    )
+    return _splice(
+        draw,
+        text,
+        r"<[A-Za-z_][\w.\-]*>",
+        lambda tag: tag + draw(TEXT) + nested + draw(TEXT),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(injected_texts(), RUNS)
+def test_equal_keys_mean_equal_asts(text, run):
+    """Redraw each whitespace run in turn — including runs inside
+    literals and constructor text: a copy that keeps the key parses to
+    the same AST (or fails the same way)."""
+    key, ast = normalize_query(text), _ast(text)
+    pieces = re.split(r"([ \t\r\n]+)", text)
+    for index in range(1, len(pieces), 2):
+        other = "".join(pieces[:index] + [run] + pieces[index + 1:])
+        if normalize_query(other) == key:
+            assert _ast(other) == ast, other
