@@ -118,7 +118,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     engine = _open_engine(args.document)
     query = _read_query(args)
     translation = engine.plan(query, args.engine, args.optimize)
-    if getattr(args, "lint", False):
+    if args.lint:
         if args.engine != "tlc":
             raise ReproError(
                 "--lint needs LC-flow metadata, which only the tlc "
@@ -129,11 +129,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
         stats = CardinalityStats.from_database(engine.db)
         print(lint_plan(translation.plan, stats=stats).annotated_plan())
-    elif getattr(args, "dot", False):
+    elif args.dot:
         from .core.visualize import plan_to_dot
 
         print(plan_to_dot(translation.plan))
-    elif getattr(args, "cost", False):
+    elif args.cost:
         if args.engine != "tlc":
             raise ReproError(
                 "--cost is the cost-based planner's report; only tlc "
@@ -690,16 +690,18 @@ def build_parser() -> argparse.ArgumentParser:
                 help="print timing and work counters to stderr",
             )
         else:
-            command.add_argument(
+            # one rendering per run: naming two of them is a usage error
+            view = command.add_mutually_exclusive_group()
+            view.add_argument(
                 "--dot", action="store_true",
                 help="emit Graphviz DOT instead of the text rendering",
             )
-            command.add_argument(
+            view.add_argument(
                 "--lint", action="store_true",
                 help="annotate each operator with its LC-flow "
                 "(produced/consumed/live classes) and any diagnostics",
             )
-            command.add_argument(
+            view.add_argument(
                 "--cost", action="store_true",
                 help="append the cost-based planner's report: chosen "
                 "vs rejected edge orders with cost estimates (TLC only)",

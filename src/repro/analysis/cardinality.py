@@ -19,15 +19,19 @@ Two warnings fall out:
 
 Bounds are conservative upper bounds, never estimates: each embedding
 of a pattern (or pairing of join inputs) is counted as if every choice
-were independent.  The bounds are exposed to users through ``repro
-explain --lint``; ``tests/analysis/test_sweep.py`` bounds every XMark
-plan, plain and rewritten.
+were independent.  Flatten and Shadow emit one tree per child-class
+member: their bound counts the source Select's nested edge as ``-``
+(only Filter, Aggregate, Sort, Project and Dedup between), else the
+input bound times the child tag's node count.  The bounds are exposed
+through ``repro explain --lint``; ``tests/analysis/test_sweep.py``
+bounds every XMark plan, and ``tests/analysis/test_cardinality.py``
+holds every bound to the traced output cardinality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from ..core.aggregate import AggregateOp
 from ..core.base import Operator
@@ -93,7 +97,7 @@ class CardinalityAnalysis:
 
 
 def _edge_factor(
-    edge, doc: Optional[str], stats: CardinalityStats
+    edge, doc: Optional[str], stats: CardinalityStats, flat_lcl=None
 ) -> Optional[int]:
     """How one pattern edge multiplies its parent's witness count.
 
@@ -101,19 +105,26 @@ def _edge_factor(
     optional-single edges (``?``) contribute the child embeddings plus
     the absent case; nested edges (``+``/``*``) group all matches into
     one witness (``+`` with a provably empty child zeroes the parent).
+    The edge into the node labelled ``flat_lcl`` counts as ``-``.
     """
-    child = _pattern_embeddings(edge.child, doc, stats)
-    if edge.mspec == "-":
+    child = _pattern_embeddings(edge.child, doc, stats, flat_lcl)
+    mspec = _mspec(edge, flat_lcl)
+    if mspec == "-":
         return child
-    if edge.mspec == "?":
+    if mspec == "?":
         return None if child is None else child + 1
-    if edge.mspec == "+" and child == 0:
+    if mspec == "+" and child == 0:
         return 0
     return 1  # '*' and non-empty '+': nesting, no multiplication
 
 
+def _mspec(edge, flat_lcl: Optional[int]) -> str:
+    flat = flat_lcl is not None and edge.child.lcl == flat_lcl
+    return "-" if flat else edge.mspec
+
+
 def _pattern_embeddings(
-    node: APTNode, doc: Optional[str], stats: CardinalityStats
+    node: APTNode, doc: Optional[str], stats: CardinalityStats, flat_lcl=None
 ) -> Optional[int]:
     """Upper bound on embeddings of the pattern subtree at ``node``.
 
@@ -130,10 +141,10 @@ def _pattern_embeddings(
     product: Optional[int] = 1
     anchored = False
     for edge in node.edges:
-        factor = _edge_factor(edge, doc, stats)
+        factor = _edge_factor(edge, doc, stats, flat_lcl)
         product = _mul(product, factor)
         if (
-            edge.mspec == "-"
+            _mspec(edge, flat_lcl) == "-"
             and edge.axis == "pc"
             and factor is not None
         ):
@@ -254,11 +265,9 @@ def transfer(
     if isinstance(op, DedupOp):
         source = ins[0] if ins else Interval()
         return Interval(min(source.lo, 1), source.hi)
-    if isinstance(
-        op,
-        (AggregateOp, SortOp, ProjectOp, FlattenOp, ShadowOp,
-         IlluminateOp),
-    ):
+    if isinstance(op, (FlattenOp, ShadowOp)):
+        return _flatten_bound(op, ins, stats)
+    if isinstance(op, (AggregateOp, SortOp, ProjectOp, IlluminateOp)):
         return ins[0] if ins else Interval()
     if isinstance(op, ConstructOp):
         # one constructed tree per input tree; a leaf Construct emits one
@@ -287,6 +296,42 @@ def _select_bound(
         return Interval(0, _pattern_embeddings(root, op.apt.doc, stats))
     # in-memory match over constructed content: per-tree multiplicity
     # is not derivable from document statistics
+    return Interval(0, None)
+
+
+#: At most one tree out per tree in, and no class gains a member.
+_NON_GROWING = (AggregateOp, DedupOp, FilterOp, ProjectOp, SortOp,
+                TreeFilterOp)
+
+
+def _flatten_bound(
+    op: Union[FlattenOp, ShadowOp],
+    ins: List[Interval],
+    stats: Optional[CardinalityStats],
+) -> Interval:
+    """Flatten and Shadow emit one tree per member of the child class.
+
+    Above non-growing operators over the leaf Select that labels the
+    class, that is at most the Select's embeddings with the class's
+    nested edge counted as ``-``; otherwise, per input tree, at most
+    the database's node count of the class's tag.
+    """
+    if stats is None or not op.inputs:
+        return Interval(0, None)
+    source = op.inputs[0]
+    while isinstance(source, _NON_GROWING):
+        source = source.inputs[0]
+    if isinstance(source, SelectOp) and not source.inputs:
+        root, doc = source.apt.root, source.apt.doc
+        if root.lc_ref is None and root.find(op.child_lcl) is not None:
+            bound = _pattern_embeddings(root, doc, stats, op.child_lcl)
+            return Interval(0, bound)
+    for below in op.walk():
+        if isinstance(below, SelectOp):
+            node = below.apt.root.find(op.child_lcl)
+            if node is not None:
+                tags = stats.tag_count(below.apt.doc, node.test.tag)
+                return Interval(0, _mul(ins[0].hi, tags))
     return Interval(0, None)
 
 

@@ -48,10 +48,6 @@ class PlanAnalysis:
     order: List[Operator] = field(default_factory=list)  # postorder, unique
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
-    def env_of(self, op: Operator) -> LCEnv:
-        """The environment on the operator's output edge."""
-        return self.env_out[id(op)]
-
     @property
     def errors(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity is Severity.ERROR]

@@ -148,7 +148,8 @@ _FORK_DBS_LOCK = threading.Lock()
 
 #: The worker's materialized database and config, set by
 #: :func:`_init_worker`.  A worker process is single-threaded, but the
-#: writes stay lock-guarded so the CC1xx lint raises no finding here.
+#: writes stay lock-guarded so these functions stay safe if they are
+#: ever called from a thread; uncontended, the lock costs nothing.
 _WORKER_STATE: Dict[str, Any] = {}
 _WORKER_STATE_LOCK = threading.Lock()
 

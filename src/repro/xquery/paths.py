@@ -8,7 +8,7 @@ pattern node.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..patterns.apt import APTNode
 from ..patterns.logical_class import LCLAllocator
@@ -79,7 +79,3 @@ def sp_to_apt(
     graft_steps(root, path.steps, mspec, lcls, class_tags)
     return root
 
-
-def path_tail_tags(path: PathExpr) -> List[str]:
-    """The step names of a path (used by static resolution messages)."""
-    return [step.name for step in path.steps]

@@ -13,10 +13,19 @@ from repro.analysis.diagnostics import (
     CARDINALITY_BLOWUP,
     EMPTY_BRANCH,
 )
-from repro.core import FilterOp, JoinOp, SelectOp, UnionOp
+from repro import Engine
+from repro.core import (
+    FilterOp,
+    FlattenOp,
+    JoinOp,
+    SelectOp,
+    ShadowOp,
+    UnionOp,
+)
 from repro.core.base import ClassPredicate, JoinPredicate
 from repro.patterns.apt import APT, pattern_node
 from repro.storage.stats import CardinalityStats
+from repro.xmark import QUERIES
 
 #: a hand-built database snapshot: 200 nodes, a few known tags
 STATS = CardinalityStats(
@@ -170,6 +179,71 @@ class TestTransfer:
         )
         analysis = bound_plan(plan, STATS)
         assert analysis.bound_of(plan) == Interval(0, 100)
+
+
+class TestFlattenBounds:
+    """Flatten and Shadow emit one tree per member of the child class."""
+
+    def grouped(self):
+        # person with all its ages nested: one tree per person
+        return select("person", edges=[("age", "ad", "*")])
+
+    @pytest.mark.parametrize("op_class", [FlattenOp, ShadowOp])
+    def test_bound_counts_the_nested_edge_as_required(self, op_class):
+        chain = FilterOp(
+            ClassPredicate(2, "!=", ""), mode="ALO", input_op=self.grouped()
+        )
+        plan = op_class(1, 2, chain)
+        analysis = bound_plan(plan, STATS)
+        assert analysis.bound_of(chain) == Interval(0, 100)
+        # person x age embeddings: the flattened edge no longer groups
+        assert analysis.bound_of(plan) == Interval(0, 4000)
+
+    def test_growing_input_falls_back_to_the_child_tag_count(self):
+        union = UnionOp([self.grouped(), self.grouped()])
+        plan = FlattenOp(1, 2, union)
+        analysis = bound_plan(plan, STATS)
+        # 200 input trees, each with at most every age of the database
+        assert analysis.bound_of(plan) == Interval(0, 200 * 40)
+
+    def test_unknown_child_class_is_unbounded(self):
+        plan = FlattenOp(1, 7, self.grouped())
+        assert bound_plan(plan, STATS).bound_of(plan) == Interval(0, None)
+
+
+@pytest.fixture(scope="module")
+def small_engine():
+    engine = Engine()
+    engine.load_xmark(0.001)
+    return engine
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_bounds_contain_the_traced_cardinality(
+    name, small_engine, xmark_engine
+):
+    """Soundness: every operator's interval holds what it really emits,
+    plain and rewritten, at two document sizes."""
+    violations = []
+    for engine in (small_engine, xmark_engine):
+        stats = CardinalityStats.from_database(engine.db)
+        for optimize in (False, True):
+            plan = engine.plan(
+                QUERIES[name].text, "tlc", optimize, planner=False
+            ).plan
+            analysis = bound_plan(plan, stats)
+            trace = engine.run_plan(plan, trace=True).trace
+            for op in plan.walk():
+                emitted = trace.record_for(op).output_card
+                bound = analysis.bound_of(op)
+                if emitted < bound.lo or (
+                    bound.hi is not None and emitted > bound.hi
+                ):
+                    violations.append(
+                        f"{'-O ' if optimize else ''}{op.name} "
+                        f"{op.params()}: {emitted} not in {bound.render()}"
+                    )
+    assert violations == []
 
 
 class TestLintPlanIntegration:

@@ -1,6 +1,6 @@
-"""Regression test for the CC102 fix in QueryService.close().
+"""Race test for QueryService.close().
 
-The closed flag is written under the service lock now; racing closers
+The closed flag is written under the service lock; racing closers
 and submitters must see a consistent open/closed state — either the
 query runs or it gets the clean ServiceError, never a torn shutdown.
 """

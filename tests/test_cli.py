@@ -78,6 +78,14 @@ class TestExplain:
         assert "Construct" in out
         assert "Select" in out
 
+    def test_explain_renderings_are_mutually_exclusive(self, capsys):
+        for flags in (["--lint", "--cost"], ["--dot", "--lint"],
+                      ["--cost", "--dot"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["explain", "xmark:0.001", "-q", QUERY] + flags)
+            assert exit_info.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_generate_xml(self, tmp_path, capsys):
