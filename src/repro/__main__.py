@@ -7,11 +7,7 @@ Commands:
 * ``query``    — run an XQuery (from a file or inline) against a document,
   under any engine, optionally with the Section 4 rewrites;
 * ``bench``    — regenerate one of the paper's figures;
-* ``explain``  — print the algebraic plan for a query; ``--cost`` adds
-  the cost-based planner's report (chosen vs rejected physical shapes
-  with their cost estimates);
-* ``plan``     — run just the cost-based planner and print its
-  :class:`~repro.planner.PlanDecision` (``--json`` for the raw record);
+* ``explain``  — print the algebraic plan for a query;
 * ``lint``     — statically check a query's TLC plan with the LC-flow
   analyzer (no document needed; exits 1 on error diagnostics);
 * ``profile``  — EXPLAIN ANALYZE: run a query with the runtime tracer
@@ -48,14 +44,40 @@ from pathlib import Path
 from . import Engine
 from .errors import ReproError
 from .storage.persist import load_database, save_database
+from .telemetry.querylog import newest
 from .xmark.generator import XMarkGenerator
+
+
+def _factor(text: str) -> float:
+    """An XMark scale factor, range-checked by the generator itself
+    (argparse reports the error as a usage error)."""
+    try:
+        factor = float(text)
+        XMarkGenerator(factor)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(
+            f"bad XMark factor {text!r}: {error}"
+        ) from None
+    return factor
+
+
+def _count(text: str) -> int:
+    """A non-negative event count."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {count}")
+    return count
 
 
 def _open_engine(source: str) -> Engine:
     """Build an engine from an .xml, .tlcdb, or xmark:<factor> source."""
     if source.startswith("xmark:"):
+        try:
+            factor = _factor(source.split(":", 1)[1])
+        except argparse.ArgumentTypeError as error:
+            raise ReproError(str(error)) from None
         engine = Engine()
-        engine.load_xmark(factor=float(source.split(":", 1)[1]))
+        engine.load_xmark(factor=factor)
         return engine
     path = Path(source)
     if path.suffix == ".tlcdb":
@@ -133,36 +155,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
         from .core.visualize import plan_to_dot
 
         print(plan_to_dot(translation.plan))
-    elif args.cost:
-        if args.engine != "tlc":
-            raise ReproError(
-                "--cost is the cost-based planner's report; only tlc "
-                "plans carry the pattern statistics it prices"
-            )
-        from .planner import plan_physical
-
-        decision = plan_physical(translation.plan, engine.cardinality_stats())
-        print(translation.explain())
-        print()
-        print(decision.render())
     else:
         print(translation.explain())
-    return 0
-
-
-def cmd_plan(args: argparse.Namespace) -> int:
-    if args.inline_query and (args.query or args.query_file):
-        raise ReproError("give the query either inline or via -q/-f")
-    query = args.inline_query or _read_query(args)
-    engine = _open_engine(args.document)
-    from .planner import plan_physical
-
-    translation = engine.plan(query, "tlc", args.optimize, planner=False)
-    decision = plan_physical(translation.plan, engine.cardinality_stats())
-    if args.json:
-        print(decision.to_json(), end="")
-    else:
-        print(decision.render())
     return 0
 
 
@@ -592,7 +586,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
         events = _read_query_log(args.log_file)
         if args.slow:
             events = [e for e in events if e.get("slow")]
-    for event in events[-args.count:]:
+    for event in newest(events, args.count):
         print(_format_event(event))
         if args.slow and event.get("trace"):
             summary = _format_trace_summary(event["trace"])
@@ -661,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         "generate", help="generate a synthetic XMark document"
     )
     generate.add_argument("output", help=".xml or .tlcdb output path")
-    generate.add_argument("--factor", type=float, default=0.01)
+    generate.add_argument("--factor", type=_factor, default=0.01)
     generate.add_argument("--seed", type=int, default=20040613)
     generate.set_defaults(func=cmd_generate)
 
@@ -701,38 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="annotate each operator with its LC-flow "
                 "(produced/consumed/live classes) and any diagnostics",
             )
-            view.add_argument(
-                "--cost", action="store_true",
-                help="append the cost-based planner's report: chosen "
-                "vs rejected edge orders with cost estimates (TLC only)",
-            )
         command.set_defaults(func=func)
-
-    plan = sub.add_parser(
-        "plan",
-        help="run the cost-based physical planner and print its "
-        "decision record (chosen vs rejected shapes with estimates)",
-    )
-    plan.add_argument(
-        "inline_query", nargs="?", default=None, metavar="query",
-        help="the XQuery text (or use -q/-f/stdin)",
-    )
-    plan.add_argument(
-        "-d", "--document", default="xmark:0.002",
-        help=".xml file, .tlcdb file, or xmark:<factor> "
-        "(default: xmark:0.002)",
-    )
-    plan.add_argument("-q", "--query", help="inline query text")
-    plan.add_argument("-f", "--query-file", help="query file")
-    plan.add_argument(
-        "-O", "--optimize", action="store_true",
-        help="plan after the Section 4 rewrites",
-    )
-    plan.add_argument(
-        "--json", action="store_true",
-        help="emit the PlanDecision as JSON instead of the text report",
-    )
-    plan.set_defaults(func=cmd_plan)
 
     lint = sub.add_parser(
         "lint",
@@ -810,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate one of the paper's figures",
     )
     bench.add_argument("figure", choices=("15", "16", "17"))
-    bench.add_argument("--factor", type=float, default=0.002)
+    bench.add_argument("--factor", type=_factor, default=0.002)
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument(
         "--trace", action="store_true",
@@ -971,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
         "requires --slow)",
     )
     tail.add_argument(
-        "-n", "--count", type=int, default=20,
+        "-n", "--count", type=_count, default=20,
         help="events to show (default 20)",
     )
     tail.add_argument(

@@ -10,8 +10,7 @@ Two warnings fall out:
 
 * **LC301** — an operator's upper bound is provably zero against the
   target database (a tag that never occurs, a join with an empty side):
-  the branch is dead weight and the query author or the planner should
-  know;
+  the branch is dead weight and the query author should know;
 * **LC302** — an operator *introduces* an unbounded or explosive upper
   bound (beyond ``blowup_factor ×`` the database node count) from
   bounded inputs: the fingerprint of a cross-product-like join or a

@@ -71,10 +71,6 @@ class Operator(ABC):
     #: Operator name used by the plan pretty-printer.
     name = "operator"
 
-    #: Cost-based planner annotation (``repro.planner``), on the plan
-    #: root only: the full decision record.  ``None`` = unplanned.
-    planner_decision: Optional[object] = None
-
     def __init__(self, inputs: Sequence["Operator"] = ()) -> None:
         self.inputs: List[Operator] = list(inputs)
 

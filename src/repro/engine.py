@@ -25,7 +25,7 @@ from .core.limits import ExecutionLimits
 from .errors import ReproError
 from .model.sequence import TreeSequence
 from .storage.database import DEFAULT_POOL_PAGES, Database
-from .storage.stats import CardinalityStats, QueryReport
+from .storage.stats import QueryReport
 from .xquery.translator import TLCTranslator, TranslationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -67,8 +67,6 @@ class Engine:
         pool_pages: int = DEFAULT_POOL_PAGES,
     ) -> None:
         self.db = db if db is not None else Database(pool_pages)
-        #: (db.generation, snapshot) — see :meth:`cardinality_stats`
-        self._stats_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # loading
@@ -86,40 +84,15 @@ class Engine:
     # ------------------------------------------------------------------
     # planning and execution
     # ------------------------------------------------------------------
-    def cardinality_stats(self) -> CardinalityStats:
-        """A cached tag-count snapshot of the loaded documents.
-
-        Documents are load-only (the Database has no update API), so the
-        snapshot stays valid until the next (re)load; the cache key is
-        ``db.generation``, which every install bumps — reloading a name
-        with different content must not serve the old counts.  This
-        keeps the cost-based planner's per-query overhead at pure
-        arithmetic instead of a per-plan walk over every tag index.
-        """
-        generation = self.db.generation
-        if self._stats_cache is None or self._stats_cache[0] != generation:
-            self._stats_cache = (
-                generation,
-                CardinalityStats.from_database(self.db),
-            )
-        return self._stats_cache[1]
-
     def plan(
         self,
         query: str,
         engine: str = "tlc",
         optimize: bool = False,
-        planner: Optional[bool] = None,
     ) -> TranslationResult:
         """Translate a query into a plan for the given algebraic engine.
 
         ``nav`` has no plan (it interprets the AST); asking for one raises.
-
-        ``planner`` runs cost-based physical planning on the TLC plan
-        (``None`` follows the process-wide ``REPRO_PLANNER`` toggle):
-        structural-join edge orders are chosen by the cost model and
-        the :class:`~repro.planner.PlanDecision` lands on
-        ``translation.plan.planner_decision``.
         """
         _require_query_text(query)
         if engine == "tlc":
@@ -137,19 +110,6 @@ class Engine:
 
                 with span("rewrite"):
                     translation = optimize_plan(translation)
-            if planner is None:
-                from .planner import planner_enabled
-
-                planner = planner_enabled()
-            if planner:
-                from .planner import plan_physical
-
-                with span("planner"):
-                    plan_physical(
-                        translation.plan,
-                        self.cardinality_stats(),
-                        metrics=self.db.metrics,
-                    )
             return translation
         if optimize:
             raise ReproError(
@@ -172,14 +132,8 @@ class Engine:
         limits: Optional[ExecutionLimits] = None,
         deadline: Optional[float] = None,
         max_trees: Optional[int] = None,
-        planner: Optional[bool] = None,
     ) -> TreeSequence:
         """Evaluate a query and return the result forest.
-
-        ``planner`` applies cost-based physical planning to the TLC plan
-        before execution (``None`` follows the ``REPRO_PLANNER``
-        toggle); see :meth:`plan`.  The planned plan's output is
-        byte-identical — only the work to produce it changes.
 
         With ``strict`` the TLC plan is linted by the static LC-flow
         analyzer before execution and a
@@ -230,7 +184,7 @@ class Engine:
                     "has none (use an algebraic engine)"
                 )
             return NavEvaluator(self.db).run(query)
-        translation = self.plan(query, engine, optimize, planner=planner)
+        translation = self.plan(query, engine, optimize)
         return self.run_plan(
             translation.plan,
             strict=strict and engine == "tlc",
@@ -286,16 +240,13 @@ class Engine:
         strict: bool = False,
         trace: bool = False,
         scan_cache: bool = True,
-        planner: Optional[bool] = None,
     ) -> QueryReport:
         """Run a query and report wall time plus the work counters.
 
         ``strict`` and ``trace`` are forwarded to :meth:`run`: a
         benchmark run can lint its plan pre-execution and/or attach the
         per-operator :class:`~repro.trace.PlanTrace` to the report
-        (``report.trace``).  ``planner`` (default: the ``REPRO_PLANNER``
-        toggle) cost-plans the TLC plan first; planning time is part of
-        the measured wall time, as it would be for a real request.
+        (``report.trace``).
         """
         _require_query_text(query)
         self.db.reset_metrics(cold_cache=cold_cache)
@@ -307,7 +258,6 @@ class Engine:
             strict=strict,
             trace=trace,
             scan_cache=scan_cache,
-            planner=planner,
         )
         elapsed = time.perf_counter() - started
         name = engine + ("+opt" if optimize else "")

@@ -64,10 +64,6 @@ class APTNode:
     lcl: int
     edges: List[APTEdge] = field(default_factory=list)
     lc_ref: Optional[int] = None  # bind to existing class instead of matching
-    #: cost-based planner annotation: the edge order the matcher should
-    #: process (a permutation of ``range(len(edges))``), or None for the
-    #: source order.  Never copied by :meth:`clone` — it is re-derived.
-    planner_order: Optional[List[int]] = None
 
     def add_edge(
         self, child: "APTNode", axis: str = "pc", mspec: str = "-"

@@ -78,16 +78,6 @@ def _cluster_alternatives(
     return [list(combo) for combo in itertools.product(*(groups[k] for k in order))]
 
 
-def _edge_plan(node: APTNode) -> list:
-    """The edge processing order for one pattern node: a planner
-    annotation if it is a permutation of the edges, else source order."""
-    edges = list(node.edges)
-    hint = node.planner_order
-    if hint is not None and sorted(hint) == list(range(len(edges))):
-        return [edges[index] for index in hint]
-    return edges
-
-
 class PatternMatcher:
     """Matches annotated pattern trees against a :class:`Database`."""
 
@@ -514,9 +504,7 @@ class PatternMatcher:
                 flat=is_flat(nids),
             )
             doc_name = self.db.owner(nids[0]).name
-            for variant in self._variants(
-                view, edges, edges, doc_name, memo, True
-            ):
+            for variant in self._variants(view, edges, doc_name, memo, True):
                 result[variant.nid].append(variant)
         return result
 
@@ -643,14 +631,7 @@ class PatternMatcher:
         matches = self._candidates(node, doc_name)
         if node.edges:
             matches = Candidates.of(
-                self._variants(
-                    matches,
-                    node.edges,
-                    _edge_plan(node),
-                    doc_name,
-                    memo,
-                    False,
-                )
+                self._variants(matches, node.edges, doc_name, memo, False)
             )
         memo[key] = matches
         return matches
@@ -659,22 +640,19 @@ class PatternMatcher:
         self,
         view: Candidates,
         edges: List[APTEdge],
-        planned: List[APTEdge],
         doc_name: str,
         memo: Dict[int, Candidates],
         anchored: bool,
     ) -> List[_MTree]:
         """Join a candidate view with every edge; build what survives.
 
-        Each edge (in ``planned`` order) is one structural join over the
+        Each edge, in source order, is one structural join over the
         candidate *positions* still alive — a mandatory edge prunes them
         for the edges after it — and yields, per position, the edge's
-        alternatives.  Those depend only on the (candidate, edge) pair,
-        so whatever order the joins ran in, a candidate's variants are
-        the cross product of its alternatives in *source* edge order
-        (later edges vary fastest) and the result enumerates them in
-        candidate order: exactly the sequence source-order processing
-        produces, with no variant built for a candidate some edge drops.
+        alternatives.  A candidate's variants are the cross product of
+        its alternatives (later edges vary fastest), enumerated in
+        candidate order, with no variant built for a candidate some
+        edge drops.
 
         ``anchored`` marks an extension batch, whose joins have always
         metered their child columns as reused.
@@ -690,8 +668,8 @@ class PatternMatcher:
             ]
         #: candidate positions still alive (None: all of them)
         alive: Optional[List[int]] = None
-        alternatives: Dict[int, Dict[int, List[Alternative]]] = {}
-        for edge in planned:
+        alternatives: List[Dict[int, List[Alternative]]] = []
+        for edge in edges:
             children = self._match_node_db(edge.child, doc_name, memo)
             metrics.structural_joins += 1
             if edge.nested:
@@ -721,8 +699,7 @@ class PatternMatcher:
             )
             if edge.mspec in ("-", "+"):
                 alive = list(found)
-            alternatives[id(edge)] = found
-        per_edge = [alternatives[id(edge)] for edge in edges]
+            alternatives.append(found)
         tags, values = view.tag, view.values
         one_tag = isinstance(tags, str)
         out: List[_MTree] = []
@@ -730,7 +707,7 @@ class PatternMatcher:
             nid, value = ids[position], values[position]
             tag = tags if one_tag else tags[position]
             for combo in itertools.product(
-                *[found[position] for found in per_edge]
+                *[found[position] for found in alternatives]
             ):
                 out.append(_MTree(nid, tag, value, list(combo)))
         return out

@@ -205,7 +205,6 @@ class ServiceStats:
     slow_queries: int = 0
     threads: int = 0
     mode: str = "thread"
-    planner: bool = False
     spans: bool = False
     cache: CacheStats = field(default_factory=CacheStats)
     counters: Dict[str, int] = field(default_factory=dict)
@@ -269,13 +268,6 @@ class QueryService:
         receiving one event per request; a private ring-only log is
         created when omitted.  Pass one with a ``sink_path`` to also
         persist events as JSON lines.
-    planner:
-        Cost-plan every freshly compiled TLC plan
-        (:func:`~repro.planner.plan_physical`) before it enters the
-        cache.  A document load bumps the database generation, so the
-        next request recompiles — and re-plans — against the new
-        statistics.  ``None`` (the default) follows the process-wide
-        ``REPRO_PLANNER`` toggle.
     spans:
         Record a full span tree for every request (parse → plan-cache →
         queue → dispatch → merge, across the worker boundary in process
@@ -298,7 +290,6 @@ class QueryService:
         slow_threshold: Optional[float] = None,
         slow_log_capacity: int = DEFAULT_SLOW_CAPACITY,
         query_log: Optional[QueryLog] = None,
-        planner: Optional[bool] = None,
         spans: Optional[bool] = None,
     ) -> None:
         # every argument check runs before the worker pool exists: a
@@ -344,11 +335,6 @@ class QueryService:
         self.slow_threshold = slow_threshold
         self.query_log = query_log if query_log is not None else QueryLog()
         self.slow_log = SlowQueryLog(capacity=slow_log_capacity)
-        if planner is None:
-            from ..planner import planner_enabled
-
-            planner = planner_enabled()
-        self.planner = bool(planner)
         if spans is None:
             spans = spanlib.spans_enabled()
         self.spans = bool(spans)
@@ -395,9 +381,7 @@ class QueryService:
 
         def compile_fn() -> TranslationResult:
             with spanlib.span("compile", engine=engine):
-                translation = self.engine.plan(
-                    query, engine, optimize, planner=self.planner
-                )
+                translation = self.engine.plan(query, engine, optimize)
             if self.strict and engine == "tlc":
                 from ..analysis import analyze
                 from ..errors import PlanValidationError
@@ -991,7 +975,6 @@ class QueryService:
                 slow_queries=self._slow_queries,
                 threads=self.threads,
                 mode=self.mode,
-                planner=self.planner,
                 spans=self.spans,
                 cache=self.cache.stats(),
                 counters=self.db.metrics.snapshot(),

@@ -67,8 +67,6 @@ COUNTER_FIELDS: Tuple[str, ...] = (
     "batch_ops",
     "batch_rows",
     "batch_fallbacks",
-    "planner_plans",
-    "planner_reorders",
 )
 
 #: Metrics instance -> the per-thread cell dicts it has handed out.
@@ -195,8 +193,8 @@ class CardinalityStats:
     A frozen snapshot of the tag indexes: how many nodes each tag has in
     each document, plus per-document totals.  The static analyzer's
     interval interpretation (``analysis/cardinality.py``) propagates
-    these through a plan to bound every operator's output cardinality —
-    the input interface of a future cost-based planner.
+    these through a plan to bound every operator's output cardinality,
+    which ``explain --lint`` prints and the LC3xx rules check.
     """
 
     #: doc name -> tag -> node count

@@ -44,6 +44,12 @@ def new_trace_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
+def newest(items: list, count: int) -> list:
+    """The last ``count`` items, oldest first; none for ``count <= 0``
+    (a bare ``items[-count:]`` returns *all* of them for 0)."""
+    return items[-count:] if count > 0 else []
+
+
 def query_hash(normalized_text: str) -> str:
     """Stable 12-hex-digit identity of a normalized query text."""
     digest = hashlib.sha256(normalized_text.encode("utf-8"))
@@ -146,7 +152,7 @@ class QueryLog:
         """The newest ``count`` events, oldest first."""
         with self._lock:
             events = list(self._events)
-        return events[-count:]
+        return newest(events, count)
 
     @property
     def emitted(self) -> int:
@@ -225,7 +231,7 @@ class SlowQueryLog:
         """The newest ``count`` captures, oldest first."""
         with self._lock:
             records = list(self._records)
-        return records[-count:]
+        return newest(records, count)
 
     @property
     def captured(self) -> int:

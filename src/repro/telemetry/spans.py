@@ -1,8 +1,8 @@
 """Request spans: one trace per request, across the worker boundary.
 
 The query log answers *what* happened to a request; a span tree answers
-*where its time went*: parse → plan-cache lookup → planner → queue wait
-→ dispatch (payload serialize, IPC, worker-side deserialize, execute,
+*where its time went*: parse → plan-cache lookup → queue wait →
+dispatch (payload serialize, IPC, worker-side deserialize, execute,
 result serialize) → merge.  Each service request gets a 16-hex trace id
 (the same id its :class:`~repro.telemetry.querylog.QueryLogEvent`
 carries, so log lines join against exported span files), a
@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .querylog import new_trace_id
+from .querylog import new_trace_id, newest
 
 #: Finished captures the store keeps (FIFO ring; slow ones ride a
 #: second, smaller ring so a burst of fast requests cannot evict them).
@@ -47,7 +47,7 @@ DEFAULT_SPAN_CAPACITY = 256
 DEFAULT_SLOW_SPAN_CAPACITY = 32
 
 #: Environment toggle: ``REPRO_SPANS=1`` arms span recording without
-#: touching call sites (mirrors ``REPRO_PLANNER``).
+#: touching call sites.
 _ENV_FLAG = "REPRO_SPANS"
 
 _enabled = os.environ.get(_ENV_FLAG, "0").lower() in ("1", "true", "yes")
@@ -420,7 +420,7 @@ class SpanStore:
     def tail(self, count: int = 50) -> List[SpanCapture]:
         with self._lock:
             captures = list(self._captures.values())
-        return captures[-count:]
+        return newest(captures, count)
 
     @property
     def stored(self) -> int:

@@ -8,6 +8,7 @@ seed) always produces the same document.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional
 
@@ -22,8 +23,10 @@ class XMarkGenerator:
     """Generates synthetic auction documents at a given scale factor."""
 
     def __init__(self, factor: float = 0.01, seed: int = 20040613) -> None:
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(
+                f"scale factor must be a positive finite number, got {factor}"
+            )
         self.factor = factor
         self.rng = random.Random(seed * 1_000_003 + round(factor * 1_000_000))
         self.n_persons = schema.scaled(

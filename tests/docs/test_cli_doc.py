@@ -52,7 +52,6 @@ def test_the_page_documents_every_subcommand():
         "generate",
         "query",
         "explain",
-        "plan",
         "lint",
         "profile",
         "bench",

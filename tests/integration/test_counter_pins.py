@@ -1,9 +1,9 @@
 """Integration: no work counter moved — the 23 XMark queries' pinned counts.
 
 ``counter_pins.json`` holds, per XMark query, the full ``Metrics``
-snapshot (minus the plan-cache and planner fields, which meter the
-service and planner rather than evaluation) of one cold-pool run at
-factor 0.002 under shipped defaults: planner off, scan cache on —
+snapshot (minus the plan-cache fields, which meter the service rather
+than evaluation) of one cold-pool run at factor 0.002 under shipped
+defaults (scan cache on) —
 under ``queries`` for TLC and under ``baselines`` for TAX and GTP,
 whose GroupBy, node and tree counts Figure 15's verdicts rest on.  A
 performance PR that claims "same scan, cheaper" must pass this file
@@ -27,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from repro import Engine
-from repro.planner import use_planner
 from repro.storage.stats import COUNTER_FIELDS
 from repro.xmark import FIGURE15_ORDER, QUERIES, load_xmark
 
@@ -35,11 +34,8 @@ PINS_PATH = Path(__file__).with_name("counter_pins.json")
 FACTOR = 0.002
 
 #: evaluation work only: the plan cache belongs to the service layer
-#: and the planner fields to a planner that is off by default
 PINNED_FIELDS = tuple(
-    name
-    for name in COUNTER_FIELDS
-    if not name.startswith(("plan_cache_", "planner_"))
+    name for name in COUNTER_FIELDS if not name.startswith("plan_cache_")
 )
 
 
@@ -48,10 +44,9 @@ BASELINES = ("tax", "gtp")
 
 
 def _counters(engine: Engine, name: str, algebra: str = "tlc") -> dict:
-    with use_planner(False):
-        report = engine.measure(
-            QUERIES[name].text, engine=algebra, cold_cache=True
-        )
+    report = engine.measure(
+        QUERIES[name].text, engine=algebra, cold_cache=True
+    )
     return {field: report.counters[field] for field in PINNED_FIELDS}
 
 

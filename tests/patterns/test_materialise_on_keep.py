@@ -15,7 +15,7 @@ trees built).
 On Hypothesis-generated patterns — both axes, all four matching
 specifications, leaf and non-leaf children, content predicates, tags
 that nest inside themselves as parents *and* children, scan cache on
-and off, planner-reordered edges — ``match`` / ``match_batch`` /
+and off — ``match`` / ``match_batch`` /
 ``extend`` / ``extend_batch`` must return the eager witness sequence,
 node for node and class for class, and leave every ``Metrics`` counter
 where the eager matcher leaves it.  ``extend_batch`` is additionally
@@ -194,12 +194,6 @@ class EagerMatcher:
             self.cache[key] = out
         return out
 
-    def _order(self, node):
-        hint = node.planner_order
-        if hint is not None and sorted(hint) == list(range(len(node.edges))):
-            return [node.edges[i] for i in hint]
-        return list(node.edges)
-
     def _alternatives(self, parent_nid, children, edge):
         """Every child is tested against the parent: no cursor, no skip."""
         matched = [
@@ -231,7 +225,7 @@ class EagerMatcher:
         candidates = self._scan(node.test)
         if node.edges:
             found = {}
-            for edge in self._order(node):
+            for edge in node.edges:
                 children = self._match_node(edge.child, memo)
                 self._join(children, edge, False)
                 found[id(edge)] = [
@@ -360,7 +354,7 @@ def _shape(trees):
 # ----------------------------------------------------------------------
 @st.composite
 def _subpattern(draw, kind, above=None, depth=0):
-    """``(tag, predicate, order, [(axis, mspec, child), ...])``.
+    """``(tag, predicate, [(axis, mspec, child), ...])``.
 
     Four times in five the tag is one that occurs below ``above`` in the
     document; otherwise any tag (an edge that finds nothing is a case
@@ -380,21 +374,14 @@ def _subpattern(draw, kind, above=None, depth=0):
                     draw(_subpattern(kind, tag, depth + 1)),
                 )
             )
-    order = draw(st.permutations(range(len(edges)))) if edges else None
-    return (
-        tag,
-        draw(st.sampled_from(PREDICATES)),
-        draw(st.sampled_from((None, order))),
-        edges,
-    )
+    return (tag, draw(st.sampled_from(PREDICATES)), edges)
 
 
 def _node(spec, labels):
-    tag, predicate, order, edges = spec
+    tag, predicate, edges = spec
     node = pattern_node(tag, next(labels), predicate)
     for axis, mspec, child in edges:
         node.add_edge(_node(child, labels), axis, mspec)
-    node.planner_order = order
     return node
 
 
@@ -505,18 +492,18 @@ def _written(kind, base_spec, anchor_lcl, ext_edges):
 
 
 def _leaf(tag, predicate=()):
-    return (tag, predicate, None, [])
+    return (tag, predicate, [])
 
 
 #: Cases generation reaches too rarely to rely on: several variants per
 #: candidate and per anchor, nested tags on both sides of an edge, a
-#: reordered multi-edge node whose first planned edge prunes.
+#: multi-edge node whose last edge prunes.
 WRITTEN = [
     # every listitem × each text below × each keyword cluster (nested
     # parents, leaf runs), extended by "-" edges that multiply rows
     _written(
         "nested",
-        ("listitem", (), [1, 0], [
+        ("listitem", (), [
             ("ad", "-", _leaf("text")), ("ad", "*", _leaf("keyword")),
         ]),
         2,
@@ -525,25 +512,25 @@ WRITTEN = [
     # nested tags as children of nested tags, non-leaf on the way
     _written(
         "nested",
-        ("parlist", (), None, [
-            ("pc", "+", ("listitem", (), None, [
+        ("parlist", (), [
+            ("pc", "+", ("listitem", (), [
                 ("ad", "?", _leaf("emph")),
             ])),
         ]),
         3,
-        [("ad", "+", ("bold", (), None, [("pc", "*", _leaf("bold"))]))],
+        [("ad", "+", ("bold", (), [("pc", "*", _leaf("bold"))]))],
     ),
     # wildcard parents and children, pc level filter inside a wide range
     _written(
         "nested",
-        ("description", (), None, [("pc", "*", _leaf(None))]),
+        ("description", (), [("pc", "*", _leaf(None))]),
         3,
         [("pc", "-", _leaf(None)), ("ad", "*", _leaf("keyword"))],
     ),
     # value-index hit far into a flat parent list (the run-skip case)
     _written(
         "xmark",
-        ("person", (), [2, 0, 1], [
+        ("person", (), [
             ("pc", "?", _leaf("name")),
             ("ad", "*", _leaf("@income")),
             ("pc", "-", _leaf("@id", (("=", "person7"),))),
@@ -554,8 +541,8 @@ WRITTEN = [
     # anchors deep in the row, several per row, some rows without
     _written(
         "xmark",
-        ("open_auction", (), None, [
-            ("pc", "*", ("bidder", (), None, [
+        ("open_auction", (), [
+            ("pc", "*", ("bidder", (), [
                 ("pc", "-", _leaf("increase")),
             ])),
             ("pc", "?", _leaf("reserve")),

@@ -220,42 +220,3 @@ class TestLifecycle:
     def test_rejects_nonpositive_threads(self, engine):
         with pytest.raises(ServiceError):
             QueryService(engine, threads=0)
-
-
-class TestPlanner:
-    def test_a_late_load_replans_through_the_generation_check(self):
-        """A plan cached before its document loaded re-plans on the load.
-
-        With no statistics every tag estimates at the same guess, so the
-        source order stands; the load bumps the database generation, the
-        next prepare misses the cache and plans against real counts.
-        """
-        from repro.core.select import SelectOp
-        from repro.planner import post_order
-        from repro.xmark import QUERIES, load_xmark
-
-        x9 = QUERIES["x9"].text
-
-        def planner_orders(plan):
-            return [
-                node.planner_order
-                for op in post_order(plan)
-                if isinstance(op, SelectOp)
-                for node in op.apt.root.walk()
-                if getattr(node, "planner_order", None) is not None
-            ]
-
-        engine = Engine()
-        with engine.service(threads=1, planner=True) as svc:
-            before = svc.prepare(x9)
-            assert planner_orders(before.plan) == []
-            assert before.plan.planner_decision.reordered_sites == 0
-
-            load_xmark(engine.db, factor=0.002)
-            after = svc.prepare(x9)
-            assert after.cache_hit is False
-            assert after.plan.planner_decision.reordered_sites == 1
-            assert planner_orders(after.plan) == [[1, 0]]
-            assert _xml(svc.execute(x9)) == _xml(
-                engine.run(x9, planner=False)
-            )

@@ -99,17 +99,6 @@ class TestThreadModeSpans:
             (capture,) = svc.span_store.tail(1)
         assert capture.status == "error"
 
-    def test_planner_phase_appears_when_the_planner_runs(self):
-        from repro.planner import use_planner
-
-        with use_planner(True):
-            with QueryService(
-                fresh_engine(), threads=1, spans=True
-            ) as svc:
-                svc.execute(QUERY)
-                (capture,) = svc.span_store.tail(1)
-        assert "planner" in {span.name for span in capture.spans}
-
 
 @pytest.mark.parametrize("start_method", AVAILABLE)
 class TestProcessModeSpans:

@@ -12,6 +12,7 @@ from repro.telemetry.querylog import (
     new_trace_id,
     query_hash,
 )
+from repro.telemetry.spans import SpanCapture, SpanStore
 
 
 def _event(number: int, slow: bool = False, qhash: str = None):
@@ -43,6 +44,16 @@ class TestQueryLogRing:
         for number in range(5):
             log.emit(_event(number))
         assert [e.result_trees for e in log.tail(2)] == [3, 4]
+
+    def test_tail_of_zero_is_empty(self):
+        log, slow, store = QueryLog(), SlowQueryLog(), SpanStore()
+        for number in range(3):
+            log.emit(_event(number))
+            slow.record(_event(number, slow=True))
+            store.put(SpanCapture(f"t{number}", 0.0, []))
+        for ring in (log, slow, store):
+            assert ring.tail(0) == []
+            assert len(ring.tail(2)) == 2
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

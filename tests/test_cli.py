@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.__main__ import main
@@ -79,12 +81,10 @@ class TestExplain:
         assert "Select" in out
 
     def test_explain_renderings_are_mutually_exclusive(self, capsys):
-        for flags in (["--lint", "--cost"], ["--dot", "--lint"],
-                      ["--cost", "--dot"]):
-            with pytest.raises(SystemExit) as exit_info:
-                main(["explain", "xmark:0.001", "-q", QUERY] + flags)
-            assert exit_info.value.code == 2
-            assert "not allowed with argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", "xmark:0.001", "-q", QUERY, "--dot", "--lint"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -105,6 +105,50 @@ class TestGenerate:
         ])
         assert code == 0
         assert "<name>" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["query", "xmark:abc", "-q", QUERY], 1),
+        (["query", "xmark:-1", "-q", QUERY], 1),
+        (["query", "xmark:nan", "-q", QUERY], 1),
+        (["query", "xmark:inf", "-q", QUERY], 1),
+        (["generate", "--factor", "nan", os.devnull], 2),
+        (["bench", "17", "--factor", "nan"], 2),
+    ],
+)
+def test_bad_xmark_factor_is_an_error_not_a_traceback(argv, code, capsys):
+    if code == 2:  # argparse's usage error
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+    else:
+        assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+class TestTail:
+    @pytest.fixture
+    def log_file(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text(
+            "".join(f'{{"trace_id": "t{n}"}}\n' for n in range(3))
+        )
+        return str(path)
+
+    def test_count_selects_the_newest_events(self, log_file, capsys):
+        for count, shown in (("0", []), ("2", ["t1", "t2"]),
+                             ("9", ["t0", "t1", "t2"])):
+            assert main(["tail", "-f", log_file, "-n", count]) == 0
+            out = capsys.readouterr().out
+            assert [line.split()[0] for line in out.splitlines()] == shown
+
+    def test_negative_count_is_a_usage_error(self, log_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tail", "-f", log_file, "-n", "-1"])
+        assert exit_info.value.code == 2
+        assert "count must be >= 0" in capsys.readouterr().err
 
 
 class TestBench:

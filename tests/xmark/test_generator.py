@@ -21,8 +21,9 @@ class TestScaling:
         )
 
     def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            XMarkGenerator(factor=0)
+        for factor in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                XMarkGenerator(factor=factor)
 
 
 class TestDeterminism:

@@ -1,12 +1,14 @@
 """Robustness: a mangled query fails with a ``ReproError``, never with
 anything else.
 
-Each case takes one of the 23 XMark texts and applies a few byte- and
+Each case takes one of the 23 XMark texts, or one of the grammar
+generator's (``xquery.fuzz.sample_queries``), and applies a few byte- and
 token-level mutations — deletions, insertions of syntax characters and
 of keywords, truncation.  The result must compile through
 ``QueryService.prepare`` (plain and rewritten) and run under a deadline
-and a tree budget, or raise a ``ReproError`` subclass.  A ``TypeError``,
-``IndexError``, ``RecursionError`` or the like escaping is a bug.
+and a tree budget, through ``Engine.run`` and ``QueryService.execute``,
+or raise a ``ReproError`` subclass.  A ``TypeError``, ``IndexError``,
+``RecursionError`` or the like escaping is a bug.
 """
 
 import re
@@ -19,6 +21,7 @@ from repro import Engine
 from repro.errors import ReproError
 from repro.service import QueryService
 from repro.xmark import QUERIES
+from repro.xquery.fuzz import sample_queries
 
 TEXTS = [QUERIES[name].text for name in sorted(QUERIES)]
 PUNCTUATION = "()[]{}$/@,=<>\"'"
@@ -74,6 +77,11 @@ MUTATED = st.builds(
     st.sampled_from(TEXTS),
     st.lists(MUTATIONS, min_size=1, max_size=4),
 )
+MUTATED_GENERATED = st.builds(
+    mutate,
+    st.sampled_from(sample_queries(100, seed=1)),
+    st.lists(MUTATIONS, min_size=1, max_size=4),
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,5 +121,24 @@ def test_run_raises_only_repro_errors(engine, text):
     for optimize in (False, True):
         try:
             engine.run(text, optimize=optimize, deadline=0.5, max_trees=500)
+        except ReproError:
+            pass
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(MUTATED_GENERATED)
+def test_service_raises_only_repro_errors_on_generated_queries(
+    service, text
+):
+    for optimize in (False, True):
+        try:
+            service.prepare(text, optimize=optimize)
+            service.execute(
+                text, optimize=optimize, deadline=0.5, max_trees=500
+            )
         except ReproError:
             pass

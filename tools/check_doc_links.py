@@ -30,7 +30,6 @@ DEFAULT_DOCS = (
     "docs/ARCHITECTURE.md",
     "docs/OPERATORS.md",
     "docs/CLI.md",
-    "docs/PLANNING.md",
     "docs/OBSERVABILITY.md",
 )
 
