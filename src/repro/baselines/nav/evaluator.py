@@ -317,15 +317,29 @@ class NavEvaluator:
         return element
 
     def _materialize(self, node: Bound) -> TNode:
-        """Copy a bound node's full subtree by navigation."""
+        """Copy a bound node's full subtree by navigation.
+
+        Pre-order without recursion: each node is read (tag, value) and
+        then its children are fetched, before any child is visited.
+        """
         if isinstance(node, TNode):
             return node.clone()
-        built = TNode(
-            self.db.tag_of(node), self.db.value_of(node), node
-        )
-        for child in child_step(self.db, node):
-            built.add_child(self._materialize(child))
-        return built
+        db = self.db
+        root = TNode(db.tag_of(node), db.value_of(node), node)
+        stack = [(root, iter(child_step(db, node)))]
+        while stack:
+            parent, pending = stack[-1]
+            for child in pending:
+                built = parent.add_child(
+                    TNode(db.tag_of(child), db.value_of(child), child)
+                )
+                grandchildren = child_step(db, child)
+                if grandchildren:
+                    stack.append((built, iter(grandchildren)))
+                    break
+            else:
+                stack.pop()
+        return root
 
 
 def _order_key(values: List[Optional[str]]) -> tuple:

@@ -150,30 +150,10 @@ class TNode:
     def to_xml(self) -> str:
         """Serialise this subtree to a compact XML string.
 
-        ``@name`` children render as attributes; shadowed nodes are omitted.
-        Intended for examples and tests — the storage layer owns the real
-        serialiser.
+        ``@name`` children render as attributes; shadowed nodes are omitted
+        (:func:`write_xml`).  An ``@name`` node alone renders as nothing.
         """
-        if self.tag.startswith("@"):
-            return ""
-        attrs = "".join(
-            ' {}="{}"'.format(
-                c.tag[1:],
-                _escape(str(c.value)) if c.value is not None else "",
-            )
-            for c in self.children
-            if c.tag.startswith("@") and not c.shadowed
-        )
-        inner = "".join(
-            c.to_xml()
-            for c in self.children
-            if not c.tag.startswith("@") and not c.shadowed
-        )
-        text = _escape(str(self.value)) if self.value is not None else ""
-        body = f"{text}{inner}"
-        if not body:
-            return f"<{self.tag}{attrs}/>"
-        return f"<{self.tag}{attrs}>{body}</{self.tag}>"
+        return "" if self.tag.startswith("@") else write_xml(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         lcl = f" lcls={sorted(self.lcls)}" if self.lcls else ""
@@ -189,6 +169,68 @@ def _escape(text: str) -> str:
         .replace(">", "&gt;")
         .replace('"', "&quot;")
     )
+
+
+def write_xml(
+    root: TNode, escape_text: Callable[[str], str] = _escape
+) -> str:
+    """Serialise ``root``'s subtree: ``@name`` children as attributes,
+    shadowed nodes omitted, text through ``escape_text``.
+
+    Iterative, so depth is bounded by memory only: each open element is
+    one stack frame holding its remaining children, and childless
+    children are written in place without one.
+    """
+    parts: List[str] = []
+    elements = _open_element(root, parts, escape_text)
+    if elements is None:
+        return parts[0]
+    stack = [(root.tag, iter(elements))]
+    while stack:
+        tag, pending = stack[-1]
+        for child in pending:
+            if child.children:
+                elements = _open_element(child, parts, escape_text)
+                if elements is not None:
+                    stack.append((child.tag, iter(elements)))
+                    break
+                continue
+            text = "" if child.value is None else escape_text(str(child.value))
+            parts.append(
+                f"<{child.tag}>{text}</{child.tag}>" if text
+                else f"<{child.tag}/>"
+            )
+        else:
+            parts.append(f"</{tag}>")
+            stack.pop()
+    return "".join(parts)
+
+
+def _open_element(
+    node: TNode, parts: List[str], escape_text: Callable[[str], str]
+) -> Optional[List[TNode]]:
+    """Write ``node``'s start tag, attributes and text to ``parts``.
+
+    Returns its visible element children, which the caller writes before
+    the end tag, or ``None`` when the node had nothing to enclose and was
+    written whole as an empty-element tag.
+    """
+    attrs = []
+    elements = []
+    for child in node.children:
+        if child.shadowed:
+            continue
+        if child.tag.startswith("@"):
+            value = "" if child.value is None else _escape(str(child.value))
+            attrs.append(f' {child.tag[1:]}="{value}"')
+        else:
+            elements.append(child)
+    text = "" if node.value is None else escape_text(str(node.value))
+    if not text and not elements:
+        parts.append(f"<{node.tag}{''.join(attrs)}/>")
+        return None
+    parts.append(f"<{node.tag}{''.join(attrs)}>{text}")
+    return elements
 
 
 #: One entry of :meth:`XTree.spine`: a node, the index of its parent's

@@ -566,13 +566,15 @@ class PatternMatcher:
         if test.tag is None:
             # wildcard: one contiguous read of the whole record array
             document = db.document(doc_name)
-            document.touch_range(0, len(document.records))
+            document.touch_range(0, len(document))
             ids, tags, values = [], [], []
-            for nid, rec in zip(document.ids, document.records):
-                if test.matches_content(rec.value):
+            for nid, tag, value in zip(
+                document.ids, document.tags, document.values
+            ):
+                if test.matches_content(value):
                     ids.append(nid)
-                    tags.append(rec.tag)
-                    values.append(rec.value)
+                    tags.append(tag)
+                    values.append(value)
             return Candidates(ids, tags, values)
         indexable = tuple(
             (op, val)
@@ -584,14 +586,13 @@ class PatternMatcher:
             rest = tuple(
                 c for c in test.comparisons if c != indexable[0]
             )
+            document = db.document(doc_name)
             ids, values = [], []
             for nid in db.value_lookup(doc_name, test.tag, op0, val0):
-                rec = db.owner(nid).fetch_by_id(nid)
-                if all(
-                    compare(rec.value, op, val) for op, val in rest
-                ):
+                value = document.value_of(nid)
+                if all(compare(value, op, val) for op, val in rest):
                     ids.append(nid)
-                    values.append(rec.value)
+                    values.append(value)
             # a subset of the tag's postings is as flat as they are
             flat = db.tag_index(doc_name).postings(test.tag).flat
             return Candidates(ids, test.tag, values, flat=flat)

@@ -1,10 +1,18 @@
-"""Stored documents: interval-encoded node records behind the buffer pool.
+"""Stored documents: interval-encoded node columns behind the buffer pool.
 
-A document is a flat array of :class:`NodeRecord` in document (pre-) order —
-record index *i* is the *i*-th node of a depth-first walk, which means nodes
-are "clustered with their children" on pages exactly as TIMBER stores them
+A document is one struct-of-arrays in document (pre-) order — record index
+*i* is the *i*-th node of a depth-first walk, which means nodes are
+"clustered with their children" on pages exactly as TIMBER stores them
 (Section 6.3, footnote 8).  Interval ids are assigned with an enter/exit
 counter so strict containment tests work for leaves as well.
+
+The columns are ``tags`` and ``values`` (lists of shared strings) and
+``ends``, ``levels`` and ``parents`` (``array('i')``).  No object exists
+per node but the node's :class:`NodeId`: the start is ``2i − level + 1``
+by construction, a record's subtree is the contiguous range up to
+``(end + level) // 2``, and its children are read off that range.
+:class:`NodeRecord` survives as a view built on access
+(:attr:`Document.records`, :meth:`Document.fetch`).
 
 Attributes are stored as child nodes tagged ``@name`` (preceding element
 children), matching the paper's pattern trees where ``@id`` and ``@person``
@@ -13,8 +21,11 @@ appear as pattern nodes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
+    Any,
     Dict,
     Iterable,
     Iterator,
@@ -34,7 +45,7 @@ from .xml_parser import ParsedElement, parse_events
 
 @dataclass
 class NodeRecord:
-    """On-"disk" representation of one node."""
+    """One node's fields, read out of the document's columns."""
 
     tag: str
     value: Optional[str]
@@ -47,8 +58,32 @@ class NodeRecord:
     __slots__ = ("tag", "value", "start", "end", "level", "parent", "children")
 
 
+class Columns:
+    """The parallel per-node columns of one document, in record order."""
+
+    __slots__ = ("tags", "values", "ends", "levels", "parents")
+
+    def __init__(self) -> None:
+        self.tags: List[str] = []
+        self.values: List[Optional[str]] = []
+        self.ends = array("i")
+        self.levels = array("i")
+        self.parents = array("i")
+
+    def append(
+        self, tag: str, value: Optional[str], end: int, level: int,
+        parent: int,
+    ) -> None:
+        """Add one record at the next index."""
+        self.tags.append(tag)
+        self.values.append(value)
+        self.ends.append(end)
+        self.levels.append(level)
+        self.parents.append(parent)
+
+
 class RecordBuilder:
-    """The one sink that turns element events into interval-encoded records.
+    """The one sink that turns element events into interval-encoded columns.
 
     ``start(tag, attrs)`` / ``end(value)`` per element, from either event
     source: :func:`~repro.storage.xml_parser.parse_events` over XML text
@@ -65,64 +100,80 @@ class RecordBuilder:
     ``2n − L``.
     """
 
-    __slots__ = ("records", "_open", "_children")
+    __slots__ = ("columns", "_open", "_attr_tags")
 
     def __init__(self) -> None:
-        self.records: List[NodeRecord] = [
-            NodeRecord("doc_root", None, 1, 0, 0, -1, ())
-        ]
+        self.columns = Columns()
+        self.columns.append("doc_root", None, 0, 0, -1)
         #: record indexes of the open elements, ``doc_root`` first
         self._open: List[int] = [0]
-        #: child record indexes of each open element
-        self._children: List[List[int]] = [[]]
+        #: ``@name`` tag of each attribute name seen, shared by its nodes
+        self._attr_tags: Dict[str, str] = {}
 
     def start(self, tag: str, attrs: Dict[str, str]) -> None:
-        records, open_ = self.records, self._open
-        idx = len(records)
+        columns, open_ = self.columns, self._open
+        idx = len(columns.tags)
         level = len(open_)
-        self._children[-1].append(idx)
-        records.append(
-            NodeRecord(tag, None, 2 * idx - level + 1, 0, level, open_[-1], ())
-        )
+        columns.append(tag, None, 0, level, open_[-1])
         open_.append(idx)
-        children: List[int] = []
         level += 1
         for name, value in attrs.items():
-            attr_idx = len(records)
-            attr_start = 2 * attr_idx - level + 1
-            children.append(attr_idx)
-            records.append(
-                NodeRecord(
-                    "@" + name, value, attr_start, attr_start + 1, level,
-                    idx, (),
-                )
-            )
-        self._children.append(children)
+            attr_tag = self._attr_tags.get(name)
+            if attr_tag is None:
+                attr_tag = self._attr_tags[name] = "@" + name
+            # a leaf closes where it opens: its end is its start + 1
+            end = 2 * len(columns.tags) - level + 2
+            columns.append(attr_tag, value, end, level, idx)
 
     def end(self, value: Optional[str]) -> None:
-        rec = self.records[self._open.pop()]
-        rec.value = value
-        rec.end = 2 * len(self.records) - rec.level
-        rec.children = tuple(self._children.pop())
+        columns = self.columns
+        idx = self._open.pop()
+        columns.values[idx] = value
+        columns.ends[idx] = 2 * len(columns.tags) - columns.levels[idx]
 
-    def finish(self) -> List[NodeRecord]:
-        """Close ``doc_root`` and hand over the records."""
+    def finish(self) -> Columns:
+        """Close ``doc_root`` and hand over the columns."""
         self.end(None)
-        return self.records
+        return self.columns
+
+
+class _RecordView(Sequence[NodeRecord]):
+    """``Document.records``: a read-only sequence of on-access views."""
+
+    __slots__ = ("_doc",)
+
+    def __init__(self, document: "Document") -> None:
+        self._doc = document
+
+    def __len__(self) -> int:
+        return len(self._doc.tags)
+
+    def __getitem__(self, index: Any) -> Any:
+        positions = range(len(self))[index]
+        if isinstance(positions, range):
+            return [self._doc.record(i) for i in positions]
+        return self._doc.record(positions)
 
 
 class Document:
     """One stored XML document with metered record access."""
 
-    def __init__(self, name: str, doc_id: int) -> None:
+    def __init__(self, name: str, doc_id: int, columns: Columns) -> None:
+        """Adopt already interval-encoded columns (a valid pre-order)."""
         self.name = name
         self.doc_id = doc_id
-        self.records: List[NodeRecord] = []
-        #: the one :class:`NodeId` object of each record, aligned with
-        #: ``records`` — indexes, scans and materialised subtrees all
-        #: hand out these, never a second id for the same node
-        self.ids: Tuple[NodeId, ...] = ()
-        self._by_start: Dict[int, int] = {}
+        self.tags = columns.tags
+        self.values = columns.values
+        self.ends = columns.ends
+        self.levels = columns.levels
+        self.parents = columns.parents
+        #: the one :class:`NodeId` object of each record, aligned with the
+        #: columns — indexes, scans and materialised subtrees all hand
+        #: out these, never a second id for the same node
+        starts = [2 * i - level + 1 for i, level in enumerate(self.levels)]
+        self.ids: Tuple[NodeId, ...] = tuple(
+            map(NodeId, repeat(doc_id), starts, self.ends, self.levels)
+        )
         self._pool: Optional[BufferPool] = None
         self._metrics: Optional[Metrics] = None
 
@@ -134,7 +185,7 @@ class Document:
         """Build a document from XML text in one pass of parse events."""
         builder = RecordBuilder()
         parse_events(text, builder.start, builder.end)
-        return cls.from_records(name, doc_id, builder.finish())
+        return cls(name, doc_id, builder.finish())
 
     @classmethod
     def from_parsed(
@@ -158,25 +209,53 @@ class Document:
                 todo.extend(reversed(element.children))
             else:
                 end(element.text)
-        return cls.from_records(name, doc_id, builder.finish())
+        return cls(name, doc_id, builder.finish())
 
-    @classmethod
-    def from_records(
-        cls, name: str, doc_id: int, records: List[NodeRecord]
-    ) -> "Document":
-        """Adopt an already interval-encoded record array."""
-        doc = cls(name, doc_id)
-        doc.records = records
-        doc.ids = tuple(
-            [NodeId(doc_id, r.start, r.end, r.level) for r in records]
-        )
-        doc._by_start = {r.start: i for i, r in enumerate(records)}
-        return doc
+    @property
+    def records(self) -> Sequence[NodeRecord]:
+        """The records as :class:`NodeRecord` views built on access.
+
+        A fresh sequence per access: one kept on the document would be
+        a reference cycle, which the frozen store must not hold.
+        """
+        return _RecordView(self)
 
     def attach(self, pool: BufferPool, metrics: Metrics) -> None:
         """Connect this document to a database's buffer pool and metrics."""
         self._pool = pool
         self._metrics = metrics
+
+    # ------------------------------------------------------------------
+    # layout arithmetic (unmetered)
+    # ------------------------------------------------------------------
+    def subtree_stop(self, record_idx: int) -> int:
+        """One past the last record of ``record_idx``'s subtree."""
+        return (self.ends[record_idx] + self.levels[record_idx]) // 2
+
+    def child_indexes(self, record_idx: int) -> List[int]:
+        """Children of ``record_idx``: the first follows it, each next
+        sibling follows the previous one's subtree."""
+        ends, levels = self.ends, self.levels
+        out = []
+        child = record_idx + 1
+        stop = (ends[record_idx] + levels[record_idx]) // 2
+        while child < stop:
+            out.append(child)
+            child = (ends[child] + levels[child]) // 2
+        return out
+
+    def record(self, record_idx: int) -> NodeRecord:
+        """The fields of one record as a fresh :class:`NodeRecord`."""
+        level = self.levels[record_idx]
+        return NodeRecord(
+            self.tags[record_idx],
+            self.values[record_idx],
+            2 * record_idx - level + 1,
+            self.ends[record_idx],
+            level,
+            self.parents[record_idx],
+            tuple(self.child_indexes(record_idx)),
+        )
 
     # ------------------------------------------------------------------
     # metered access
@@ -224,24 +303,35 @@ class Document:
         return self.ids[record_idx]
 
     def index_of(self, nid: NodeId) -> int:
-        """Record index of a node id belonging to this document."""
+        """Record index of a node id belonging to this document.
+
+        Arithmetic on the layout: ``start = 2i − level + 1`` for every
+        record, and the whole id must match the one stored there.
+        """
         if nid.doc != self.doc_id:
             raise StorageError(
                 f"node {nid} does not belong to document {self.name}"
             )
-        try:
-            return self._by_start[nid.start]
-        except KeyError:
-            raise StorageError(f"unknown node id {nid}") from None
+        idx = (nid.start + nid.level - 1) // 2
+        if 0 <= idx < len(self.ids):
+            stored = self.ids[idx]
+            if stored is nid or stored == nid:
+                return idx
+        raise StorageError(f"unknown node id {nid}")
 
     def fetch(self, record_idx: int) -> NodeRecord:
         """Read one record through the buffer pool."""
         self._touch(record_idx)
-        return self.records[record_idx]
+        return self.record(record_idx)
 
     def fetch_by_id(self, nid: NodeId) -> NodeRecord:
         """Read the record for a node id through the buffer pool."""
         return self.fetch(self.index_of(nid))
+
+    def _fetch_index(self, nid: NodeId) -> int:
+        idx = self.index_of(nid)
+        self._touch(idx)
+        return idx
 
     @property
     def root_id(self) -> NodeId:
@@ -250,27 +340,25 @@ class Document:
 
     def children_ids(self, nid: NodeId) -> List[NodeId]:
         """Ids of the children of ``nid``, in document order (metered)."""
-        rec = self.fetch_by_id(nid)
+        ids = self.ids
         out = []
-        for child_idx in rec.children:
+        for child_idx in self.child_indexes(self._fetch_index(nid)):
             self._touch(child_idx)
-            out.append(self.node_id(child_idx))
+            out.append(ids[child_idx])
         return out
 
     def parent_id(self, nid: NodeId) -> Optional[NodeId]:
         """Id of the parent of ``nid`` or ``None`` for the root (metered)."""
-        rec = self.fetch_by_id(nid)
-        if rec.parent < 0:
-            return None
-        return self.node_id(rec.parent)
+        parent = self.parents[self._fetch_index(nid)]
+        return None if parent < 0 else self.ids[parent]
 
     def value_of(self, nid: NodeId) -> Optional[str]:
         """Atomic content of ``nid`` (metered)."""
-        return self.fetch_by_id(nid).value
+        return self.values[self._fetch_index(nid)]
 
     def tag_of(self, nid: NodeId) -> str:
         """Tag of ``nid`` (metered)."""
-        return self.fetch_by_id(nid).tag
+        return self.tags[self._fetch_index(nid)]
 
     def subtree(
         self, nid: NodeId, lcls: Optional[Iterable[int]] = None
@@ -282,32 +370,36 @@ class Document:
         early for every bound variable, TLC/GTP only at Construct time.
         """
         root_idx = self.index_of(nid)
-        records, ids = self.records, self.ids
-        # a subtree is one contiguous pre-order record range, ending at
-        # its last child's last child ..., and ``build`` reads it in order
-        last_idx = root_idx
-        while records[last_idx].children:
-            last_idx = records[last_idx].children[-1]
-        self.touch_range(root_idx, last_idx + 1)
-
-        def build(idx: int) -> TNode:
-            rec = records[idx]
-            node = TNode(rec.tag, rec.value, ids[idx])
-            for child_idx in rec.children:
-                node.add_child(build(child_idx))
-            return node
-
-        node = build(root_idx)
+        self.touch_range(root_idx, self.subtree_stop(root_idx))
+        node = self.tree(root_idx)
         if lcls:
             node.lcls.update(lcls)
         return node
+
+    def tree(self, root_idx: int) -> TNode:
+        """The subtree at ``root_idx`` as a tree (unmetered).
+
+        One loop over the subtree's contiguous pre-order record range:
+        ``path[d]`` is the open node ``d`` levels below the root.
+        """
+        tags, values, ids = self.tags, self.values, self.ids
+        levels = self.levels
+        root = TNode(tags[root_idx], values[root_idx], ids[root_idx])
+        path = [root]
+        base = levels[root_idx]
+        for idx in range(root_idx + 1, self.subtree_stop(root_idx)):
+            depth = levels[idx] - base
+            node = TNode(tags[idx], values[idx], ids[idx])
+            path[depth - 1].children.append(node)
+            path[depth:] = [node]
+        return root
 
     def iter_ids(self) -> Iterator[NodeId]:
         """All node ids in document order (unmetered; used by index builds)."""
         return iter(self.ids)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.tags)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Document {self.name!r} nodes={len(self.records)}>"
+        return f"<Document {self.name!r} nodes={len(self.tags)}>"

@@ -20,8 +20,8 @@ postings).
 from __future__ import annotations
 
 import bisect
-from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from array import array
+from typing import Dict, List, Optional, Sequence
 
 from ..model.node_id import NodeId
 from ..model.value import Atomic, sort_key
@@ -33,26 +33,28 @@ from .stats import Metrics
 #: Postings per simulated index leaf page.
 ENTRIES_PER_PAGE = 256
 
+_NO_ENTRIES = array("i")
+
 
 class TagIndex:
     """tag name -> columnar postings of node ids in document order."""
 
     def __init__(self, document: Document) -> None:
         self._doc = document
-        records, ids = document.records, document.ids
         by_tag: Dict[str, List[int]] = {}
-        for idx, rec in enumerate(records):
-            record_idxs = by_tag.get(rec.tag)
+        for idx, tag in enumerate(document.tags):
+            record_idxs = by_tag.get(tag)
             if record_idxs is None:
-                record_idxs = by_tag[rec.tag] = []
+                record_idxs = by_tag[tag] = []
             record_idxs.append(idx)
         # document order == record order, already sorted; every column a
         # tag scan reads is frozen here, next to the document's own ids
+        ids, values = document.ids, document.values
         self._postings: Dict[str, Postings] = {
             tag: Postings(
                 [ids[idx] for idx in record_idxs],
                 record_idxs,
-                [records[idx].value for idx in record_idxs],
+                [values[idx] for idx in record_idxs],
             )
             for tag, record_idxs in by_tag.items()
         }
@@ -90,29 +92,31 @@ class ValueIndex:
 
     Postings for each tag are kept sorted by the total-order
     :func:`~repro.model.value.sort_key` of the content, so equality uses
-    binary search and range predicates scan a contiguous run.  The sorted
-    key column of each tag is computed once at build time — lookups no
-    longer rebuild it per call.
+    binary search and range predicates scan a contiguous run.  Each tag
+    holds two parallel columns built once: the sorted keys and the
+    record index of each entry.
     """
 
     def __init__(self, document: Document) -> None:
         self._doc = document
-        self._by_tag: Dict[str, List[Tuple[tuple, NodeId]]] = {}
-        for nid, rec in zip(document.ids, document.records):
-            if rec.value is None:
-                continue
-            self._by_tag.setdefault(rec.tag, []).append(
-                (sort_key(rec.value), nid)
-            )
-        # entries arrive in document order and the sort is stable, so
-        # equal keys stay in document order
-        for entries in self._by_tag.values():
-            entries.sort(key=itemgetter(0))
-        #: per-tag sorted key column, parallel to the entry list
-        self._keys: Dict[str, List[tuple]] = {
-            tag: [e[0] for e in entries]
-            for tag, entries in self._by_tag.items()
-        }
+        positions: Dict[str, List[int]] = {}
+        for idx, (tag, value) in enumerate(
+            zip(document.tags, document.values)
+        ):
+            if value is not None:
+                positions.setdefault(tag, []).append(idx)
+        #: per-tag sorted key column
+        self._keys: Dict[str, List[tuple]] = {}
+        #: per-tag record indexes, parallel to the key column
+        self._by_tag: Dict[str, array] = {}
+        values = document.values
+        for tag, record_idxs in positions.items():
+            keys = [sort_key(values[idx]) for idx in record_idxs]
+            # entries arrive in document order and the sort is stable,
+            # so equal keys stay in document order
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            self._keys[tag] = [keys[i] for i in order]
+            self._by_tag[tag] = array("i", [record_idxs[i] for i in order])
 
     def lookup(
         self,
@@ -125,49 +129,52 @@ class ValueIndex:
         """Nodes whose tag is ``tag`` and content compares ``op value``.
 
         Supported operators: ``=  !=  <  <=  >  >=``.  Results are returned
-        in document order.  ``!=`` degrades to a full scan of the tag's
-        postings (as a real B-tree would).
+        in document order (record order).  ``!=`` degrades to a full scan
+        of the tag's postings (as a real B-tree would).
 
         Metering counts the entries the index actually scanned: the
         binary-search slice for ``=`` and the range operators (before the
         value-kind filter drops mixed-type entries), and the full posting
         list for ``!=``.
         """
-        entries = self._by_tag.get(tag, [])
-        key = sort_key(value)
+        record_idxs = self._by_tag.get(tag, _NO_ENTRIES)
         keys = self._keys.get(tag, [])
-        if op == "=":
-            lo = bisect.bisect_left(keys, key)
-            hi = bisect.bisect_right(keys, key)
-            hits = entries[lo:hi]
-            scanned = hi - lo
-        elif op == "<":
-            hits = entries[: bisect.bisect_left(keys, key)]
-            scanned = len(hits)
-        elif op == "<=":
-            hits = entries[: bisect.bisect_right(keys, key)]
-            scanned = len(hits)
-        elif op == ">":
-            hits = entries[bisect.bisect_right(keys, key) :]
-            scanned = len(hits)
-        elif op == ">=":
-            hits = entries[bisect.bisect_left(keys, key) :]
-            scanned = len(hits)
-        elif op == "!=":
-            hits = [e for e in entries if e[0] != key]
-            scanned = len(entries)
+        key = sort_key(value)
+        hits: Sequence[int]
+        if op == "!=":
+            hits = [i for k, i in zip(keys, record_idxs) if k != key]
+            scanned = len(keys)
         else:
-            raise ValueError(f"unsupported index operator: {op!r}")
-        # range operators must not match non-numeric content against numbers
-        if op not in ("=", "!="):
-            hits = [e for e in hits if e[0][0] == key[0]]
+            if op == "=":
+                lo = bisect.bisect_left(keys, key)
+                hi = bisect.bisect_right(keys, key)
+            elif op == "<":
+                lo, hi = 0, bisect.bisect_left(keys, key)
+            elif op == "<=":
+                lo, hi = 0, bisect.bisect_right(keys, key)
+            elif op == ">":
+                lo, hi = bisect.bisect_right(keys, key), len(keys)
+            elif op == ">=":
+                lo, hi = bisect.bisect_left(keys, key), len(keys)
+            else:
+                raise ValueError(f"unsupported index operator: {op!r}")
+            scanned = hi - lo
+            hits = record_idxs[lo:hi]
+            if op != "=":
+                # range operators must not match non-numeric content
+                # against numbers
+                kind = key[0]
+                hits = [
+                    i for k, i in zip(keys[lo:hi], hits) if k[0] == kind
+                ]
         _meter(
             ("validx", self._doc.doc_id, tag),
             max(scanned, 1),
             pool,
             metrics,
         )
-        return sorted((nid for _, nid in hits), key=lambda n: n.order_key)
+        ids = self._doc.ids
+        return [ids[i] for i in sorted(hits)]
 
     def has_tag(self, tag: str) -> bool:
         """Whether any node of this tag has content (is indexed)."""

@@ -11,7 +11,10 @@ a compact little-endian layout:
   parent, n_children, children…`` as varint-free fixed 32-bit fields.
 
 Indexes are rebuilt on load (they derive from the records; rebuilding is
-linear and keeps the format minimal).
+linear and keeps the format minimal).  The reader decodes straight into
+the document's columns; ``start`` and the child lists follow from the
+other fields, so it checks them against the layout instead of storing
+them, and a file whose records are not one pre-order tree is refused.
 """
 
 from __future__ import annotations
@@ -22,11 +25,20 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Protocol, Union
+from typing import (
+    BinaryIO,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    Union,
+)
 
 from ..errors import StorageError
 from .database import Database
-from .document import Document, NodeRecord
+from .document import Columns, Document
 
 MAGIC = b"TLCDB"
 VERSION = 1
@@ -41,7 +53,7 @@ _RECORD_FIXED = struct.Struct("<IiIIIiI")
 class _Sink(Protocol):
     """What the writers need of a stream (a file, or a hashing tee)."""
 
-    def write(self, data: bytes) -> int: ...
+    def write(self, __data: bytes) -> int: ...
 
 
 def _write_u32(stream: _Sink, value: int) -> None:
@@ -53,6 +65,10 @@ def _read_u32(stream: BinaryIO) -> int:
     if len(data) != 4:
         raise StorageError("truncated database file")
     return _U32.unpack(data)[0]
+
+
+def _bytes_left(stream: BinaryIO) -> int:
+    return os.fstat(stream.fileno()).st_size - stream.tell()
 
 
 def _write_str(stream: _Sink, text: str) -> None:
@@ -98,33 +114,35 @@ def _save_document(stream: _Sink, document: Document) -> None:
 
     # first pass: build the string table (value index 0 = the None marker)
     intern("")  # reserved: None values reference slot 0 via flag -1 below
-    encoded_records = []
-    for record in document.records:
-        tag_ref = intern(record.tag)
-        value_ref = -1 if record.value is None else intern(record.value)
-        encoded_records.append((tag_ref, value_ref, record))
+    refs = [
+        (intern(tag), -1 if value is None else intern(value))
+        for tag, value in zip(document.tags, document.values)
+    ]
     _write_u32(stream, len(order))
     for text in order:
         _write_str(stream, text)
-    _write_u32(stream, len(encoded_records))
-    for tag_ref, value_ref, record in encoded_records:
-        stream.write(
-            _RECORD_FIXED.pack(
-                tag_ref,
-                value_ref,
-                record.start,
-                record.end,
-                record.level,
-                record.parent,
-                len(record.children),
-            )
+    _write_u32(stream, len(refs))
+    ends, levels, parents = document.ends, document.levels, document.parents
+    records = bytearray()
+    for idx, (tag_ref, value_ref) in enumerate(refs):
+        children = document.child_indexes(idx)
+        level = levels[idx]
+        records += _RECORD_FIXED.pack(
+            tag_ref,
+            value_ref,
+            2 * idx - level + 1,
+            ends[idx],
+            level,
+            parents[idx],
+            len(children),
         )
-        for child in record.children:
-            _write_u32(stream, child)
+        for child in children:
+            records += _U32.pack(child)
+    stream.write(records)
 
 
 def load_database(
-    path: Union[str, Path], pool_pages: int = None
+    path: Union[str, Path], pool_pages: Optional[int] = None
 ) -> Database:
     """Open a TLCDB file as a fresh :class:`Database` (indexes rebuilt)."""
     from .database import DEFAULT_POOL_PAGES
@@ -150,36 +168,75 @@ def _load_document(stream: BinaryIO, db: Database) -> Document:
     name = _read_str(stream)
     return db._install(
         name,
-        lambda doc_id: Document.from_records(
-            name, doc_id, _read_records(stream)
-        ),
+        lambda doc_id: Document(name, doc_id, _read_columns(stream)),
     )
 
 
-def _read_records(stream: BinaryIO) -> List[NodeRecord]:
-    n_strings = _read_u32(stream)
-    strings = [_read_str(stream) for _ in range(n_strings)]
+def _read_columns(stream: BinaryIO) -> Columns:
+    """Decode one record array, checking it is one pre-order tree.
+
+    Each record's parent must be open and one level up, its start must
+    follow from its position, and it must be the parent's next listed
+    child; a record's end and child list must close its subtree where
+    the later records say it closes.  Otherwise :class:`StorageError`.
+    """
+    strings = [_read_str(stream) for _ in range(_read_u32(stream))]
     n_records = _read_u32(stream)
-    records: List[NodeRecord] = []
-    for _ in range(n_records):
-        fixed = stream.read(_RECORD_FIXED.size)
-        if len(fixed) != _RECORD_FIXED.size:
-            raise StorageError("truncated record")
-        (tag_ref, value_ref, start, end, level, parent,
-         n_children) = _RECORD_FIXED.unpack(fixed)
-        children = tuple(_read_u32(stream) for _ in range(n_children))
+    # a tree lists every record but the root once as a child
+    size = n_records * _RECORD_FIXED.size + 4 * (n_records - 1)
+    if not n_records or size > _bytes_left(stream):
+        raise StorageError(f"{n_records} records do not fit the file")
+    block = stream.read(size)
+    columns = Columns()
+    tags, values = columns.tags, columns.values
+    ends, levels, parents = columns.ends, columns.levels, columns.parents
+    #: open records, innermost last, each with its unmatched children
+    open_: List[Tuple[int, Iterator[int]]] = []
+
+    def close(stop: int) -> None:
+        idx, children = open_.pop()
+        unmatched = next(children, None) is not None
+        if unmatched or ends[idx] != 2 * stop - levels[idx]:
+            raise StorageError(f"record {idx} does not close its subtree")
+
+    offset = 0
+    for idx in range(n_records):
+        try:
+            (tag_ref, value_ref, start, end, level, parent,
+             n_children) = _RECORD_FIXED.unpack_from(block, offset)
+            offset += _RECORD_FIXED.size
+            listed = struct.unpack_from(f"<{n_children}I", block, offset)
+        except struct.error:
+            raise StorageError(f"record {idx} overruns its block") from None
+        offset += 4 * n_children
         try:
             tag = strings[tag_ref]
             value = None if value_ref < 0 else strings[value_ref]
         except IndexError:
             raise StorageError(
-                f"string reference out of range: record {len(records)} "
-                f"names string {max(tag_ref, value_ref)} of {n_strings}"
+                f"string reference out of range: record {idx} "
+                f"names string {max(tag_ref, value_ref)} of {len(strings)}"
             ) from None
-        records.append(
-            NodeRecord(tag, value, start, end, level, parent, children)
-        )
-    return records
+        while open_ and open_[-1][0] != parent:
+            close(idx)
+        if open_:
+            in_place = next(open_[-1][1], None) == idx
+        else:
+            in_place = idx == 0 and parent == -1
+        in_place = in_place and level == len(open_)
+        if not in_place or start != 2 * idx - level + 1:
+            raise StorageError(f"record {idx} is out of place")
+        if not start < end <= 2 * n_records:
+            raise StorageError(f"record {idx}: end {end} out of range")
+        tags.append(tag)
+        values.append(value)
+        ends.append(end)
+        levels.append(level)
+        parents.append(parent)
+        open_.append((idx, iter(listed)))
+    while open_:
+        close(n_records)
+    return columns
 
 
 @dataclass(frozen=True)

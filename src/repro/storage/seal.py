@@ -1,14 +1,16 @@
 """The sealed store: build with the cyclic collector paused, then freeze.
 
-A stored document is ~5.5 GC-tracked objects per node (``NodeRecord``,
-``NodeId``, child tuples, index entries) that never die before the
-document is replaced and never form a reference cycle.  Left in
-generation 2 they make every full collection walk the whole store and
-find nothing.  :func:`bulk_load` brackets a bulk build: the collector
-is paused while the records are created and, when the outermost build
-finishes, one ``gc.collect()`` clears what the build left behind and
-``gc.freeze()`` moves every survivor into the permanent generation,
-which later collections never traverse.  Frozen objects are still
+A stored document is one GC-tracked object per node, its ``NodeId``
+(the columns are lists and arrays, and the value index's key tuples
+hold only atoms, which a collection untracks), plus a few per tag.
+Those objects never die before the document is replaced and never form
+a reference cycle.  Left in generation 2 they make every full
+collection walk the whole store and find nothing.  :func:`bulk_load`
+brackets a bulk build: the collector is paused while the store is
+built and, when the outermost build finishes, one ``gc.collect()``
+clears what the build left behind and ``gc.freeze()`` moves every
+survivor into the permanent generation, which later collections never
+traverse.  Frozen objects are still
 released by reference counting, so replacing or dropping a document
 frees it — as long as the store stays acyclic.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..model.tree import TNode
+from ..model.tree import TNode, write_xml
 from .document import Document
 from .xml_parser import ParsedElement
 
@@ -50,26 +50,12 @@ def serialize_stored(document: Document, record_idx: int = 0) -> str:
     The synthetic ``doc_root`` wrapper is skipped when serialising from the
     top so round-trips return the original document element.
     """
-    rec = document.records[record_idx]
-    if rec.tag == "doc_root" and len(rec.children) == 1:
-        return serialize_stored(document, rec.children[0])
-    attr_parts: List[str] = []
-    child_parts: List[str] = []
-    for child_idx in rec.children:
-        child = document.records[child_idx]
-        if child.tag.startswith("@"):
-            attr_value = child.value if child.value is not None else ""
-            attr_parts.append(
-                f' {child.tag[1:]}="{escape_attr(str(attr_value))}"'
-            )
-        else:
-            child_parts.append(serialize_stored(document, child_idx))
-    attrs = "".join(attr_parts)
-    text = escape_text(rec.value) if rec.value is not None else ""
-    body = text + "".join(child_parts)
-    if not body:
-        return f"<{rec.tag}{attrs}/>"
-    return f"<{rec.tag}{attrs}>{body}</{rec.tag}>"
+    while document.tags[record_idx] == "doc_root":
+        children = document.child_indexes(record_idx)
+        if len(children) != 1:
+            break
+        record_idx = children[0]
+    return write_xml(document.tree(record_idx), escape_text)
 
 
 def serialize_result(node: TNode) -> str:

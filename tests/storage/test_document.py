@@ -1,11 +1,15 @@
 """Unit tests for the stored document layer."""
 
+import tracemalloc
+
 import pytest
 
+from repro import Engine
 from repro.errors import StorageError
 from repro.model.node_id import NodeId
 from repro.storage import Database
 from repro.storage.xml_serializer import serialize_stored
+from repro.xmark import XMarkGenerator
 
 XML = """
 <site>
@@ -66,6 +70,25 @@ class TestStructure:
         with pytest.raises(StorageError):
             document.index_of(NodeId(document.doc_id + 7, 1, 2, 0))
 
+    def test_an_id_sharing_a_stored_start_is_unknown(self, doc):
+        document, db = doc
+        # ``people`` is stored with start 3; an id with that start but
+        # another end and level names no stored node
+        assert document.ids[2].start == 3
+        impostor = NodeId(document.doc_id, 3, 13, 5)
+        with pytest.raises(StorageError, match="unknown node id"):
+            document.index_of(impostor)
+        with pytest.raises(StorageError, match="unknown node id"):
+            db.value_of(impostor)
+
+    def test_every_stored_id_maps_back_to_its_record(self, doc):
+        document, _ = doc
+        for idx, nid in enumerate(document.ids):
+            assert document.index_of(nid) == idx
+            # an equal id that is not the stored object is found too
+            copy = NodeId(nid.doc, nid.start, nid.end, nid.level)
+            assert document.index_of(copy) == idx
+
 
 class TestAccess:
     def test_subtree_materialization(self, doc):
@@ -108,3 +131,45 @@ class TestAccess:
         _, db = doc
         with pytest.raises(StorageError):
             db.document("missing.xml")
+
+
+class TestDeepDocuments:
+    """The XML front end is bounded by memory only; so must be reading
+    a deep document back out of the store."""
+
+    DEPTH = 5000
+    XML = "<a>" * DEPTH + "x" + "</a>" * DEPTH
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        engine = Engine()
+        engine.load_xml("deep.xml", self.XML)
+        return engine
+
+    def test_serialize_stored_round_trips(self, engine):
+        document = engine.db.document("deep.xml")
+        assert serialize_stored(document) == self.XML
+
+    @pytest.mark.parametrize("name", ["tlc", "nav"])
+    def test_returning_the_root_gives_back_the_input(self, engine, name):
+        result = engine.run(
+            'FOR $a IN document("deep.xml")/a RETURN $a', engine=name
+        )
+        assert [tree.to_xml() for tree in result] == [self.XML]
+
+
+class TestStoreSize:
+    def test_bytes_per_node_at_xmark_factor_0_01(self):
+        """The columns hold a node in at most 400 traced bytes: its
+        NodeId, its slots in the columns and its index entries."""
+        xml = XMarkGenerator(0.01, 20040613).generate_xml()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            db = Database()
+            document = db.load_xml("auction.xml", xml)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(document) == 15_700
+        assert held / len(document) <= 400

@@ -1,6 +1,7 @@
 """Unit tests for binary database persistence."""
 
 import os
+import struct
 import tempfile
 
 import pytest
@@ -11,8 +12,10 @@ from repro.storage import Database
 from repro.storage.persist import (
     MAGIC,
     VERSION,
+    _HEADER,
     _I32,
     _RECORD_FIXED,
+    _U32,
     load_database,
     save_database,
 )
@@ -140,6 +143,77 @@ class TestErrors:
         bad.write_bytes(bytes(data))
         with pytest.raises(StorageError, match="string reference"):
             load_database(bad)
+
+
+def _record_offsets(data: bytes) -> list:
+    """Byte offset of each record of a one-document file."""
+    offset = _HEADER.size
+    offset += 4 + _U32.unpack_from(data, offset)[0]  # document name
+    n_strings = _U32.unpack_from(data, offset)[0]
+    offset += 4
+    for _ in range(n_strings):
+        offset += 4 + _U32.unpack_from(data, offset)[0]
+    n_records = _U32.unpack_from(data, offset)[0]
+    offset += 4
+    offsets = []
+    for _ in range(n_records):
+        offsets.append(offset)
+        n_children = _RECORD_FIXED.unpack_from(data, offset)[-1]
+        offset += _RECORD_FIXED.size + 4 * n_children
+    return offsets
+
+
+class TestLayoutChecks:
+    """A file whose records are not one pre-order tree is refused, not
+    loaded into a store whose ids and children disagree."""
+
+    XML = '<a><b id="1">x</b><b><c/></b></a>'
+
+    @pytest.fixture
+    def records(self, tmp_path):
+        db = Database()
+        db.load_xml("d.xml", self.XML)
+        path = tmp_path / "d.tlcdb"
+        save_database(db, path)
+        return path, bytearray(path.read_bytes())
+
+    def _corrupt(self, records, record, field, delta):
+        path, data = records
+        position = _record_offsets(bytes(data))[record] + 4 * field
+        fmt = "<i" if field in (1, 5) else "<I"
+        (old,) = struct.unpack_from(fmt, data, position)
+        struct.pack_into(fmt, data, position, old + delta)
+        path.write_bytes(bytes(data))
+        return path
+
+    def test_the_unchanged_file_loads(self, records):
+        path, _ = records
+        loaded = load_database(path)
+        assert serialize_stored(loaded.document("d.xml")) == self.XML
+
+    # record 2 is the first <b>: doc_root, a, b, @id, b, c
+    @pytest.mark.parametrize(
+        "record, field, delta",
+        [
+            (2, 2, 40),   # start
+            (2, 3, 2),    # end
+            (2, 4, 1),    # level
+            (2, 5, 1),    # parent: itself
+            (2, 5, 5),    # parent: a later record
+            (5, 5, -3),   # parent: its grandparent
+            (4, 6, -1),   # one child fewer listed
+            (1, 7, 1),    # a listed child that is not one
+        ],
+        ids=[
+            "start", "end", "level", "parent-self", "parent-later",
+            "parent-grandparent", "n-children", "child-index",
+        ],
+    )
+    def test_a_record_off_the_layout_raises(self, records, record, field,
+                                            delta):
+        path = self._corrupt(records, record, field, delta)
+        with pytest.raises(StorageError):
+            load_database(path)
 
 
 def _small_database_bytes() -> bytes:
