@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import Engine
@@ -113,17 +114,16 @@ def _read_query(args: argparse.Namespace) -> str:
 def cmd_query(args: argparse.Namespace) -> int:
     engine = _open_engine(args.document)
     query = _read_query(args)
-    report = engine.measure(
-        query, engine=args.engine, optimize=args.optimize, label="cli"
-    )
+    engine.db.reset_metrics()
+    started = time.perf_counter()
     result = engine.run(query, engine=args.engine, optimize=args.optimize)
+    seconds = time.perf_counter() - started
     for tree in result:
         print(tree.to_xml())
     if args.stats:
-        counters = report.counters
+        counters = engine.db.metrics.snapshot()
         print(
-            f"-- {report.result_trees} trees in "
-            f"{report.seconds * 1000:.1f} ms | "
+            f"-- {len(result)} trees in {seconds * 1000:.1f} ms | "
             f"pages={counters['pages_read']} "
             f"nodes={counters['nodes_touched']} "
             f"sjoins={counters['structural_joins']} "
@@ -261,8 +261,6 @@ def _profile_spans(args: argparse.Namespace, engine, query: str) -> int:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    import time
-
     from .service import QueryService
 
     if args.inline_query and (args.query or args.query_file):

@@ -14,7 +14,7 @@ cost the paper charges TAX for.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..columns.batch import ColumnBatch
 from ..model.node_id import NodeId
@@ -64,59 +64,68 @@ class ProjectOp(Operator):
         with_subtrees = self.with_subtrees
         unkept = keep.isdisjoint
 
+        #: one frame per node whose children are being scanned: the
+        #: children still to visit, the list the retained ones hang on,
+        #: and whether the node itself was copied (else it was dropped)
+        todo: List[Tuple[Iterator[TNode], List[TNode], bool]] = []
+
         def copy_node(node: TNode) -> TNode:
-            """Copy a retained stored node, continuing the scan below."""
-            nonlocal whole, kept_hidden, fetched
+            """Copy a retained stored node; its children are scanned next."""
+            nonlocal fetched
             if with_subtrees and isinstance(node.nid, NodeId):
                 fetched = True
                 return _fetch_subtree(ctx, node)
             copy = TNode(node.tag, node.value, node.nid, node.lcls)
             for lcl in copy.lcls:
                 index.setdefault(lcl, []).append(copy)
-            children = copy.children
-            for child in node.children:
-                if child.shadowed:
-                    # shadowed nodes are invisible to the operator but are
-                    # *retained* in the intermediate result ("a logical
-                    # means to retain nodes … but have them not
-                    # participating"), awaiting a later Illuminate
-                    children.append(child)
-                    whole = kept_hidden = True
-                elif unkept(child.lcls):
-                    dropped.append(child)
-                    descend(child, children)
-                elif (
-                    isinstance(child.nid, NodeId) or child.tag == "join_root"
-                ):
-                    children.append(copy_node(child))
-                else:
-                    # constructed content is atomic for projection: it
-                    # cannot be re-fetched from the database, so a
-                    # retained constructed element keeps its whole
-                    # subtree ("inner construct elements referenced in
-                    # the outer clause should survive the outer
-                    # projection", Section 3) — shared, since inputs are
-                    # never mutated in place
-                    children.append(child)
-                    whole = True
+            if node.children:
+                todo.append((iter(node.children), copy.children, True))
             return copy
 
-        def descend(node: TNode, into: List[TNode]) -> None:
-            """Hang the retained nodes below a dropped one onto ``into``."""
-            nonlocal whole, left_hidden
-            for child in node.children:
-                if child.shadowed:
-                    left_hidden = True
-                elif unkept(child.lcls):
-                    dropped.append(child)
-                    descend(child, into)
-                elif (
-                    isinstance(child.nid, NodeId) or child.tag == "join_root"
-                ):
-                    into.append(copy_node(child))
+        def scan() -> None:
+            """Run the frames depth first, in pre-order, with no recursion
+            (a deep document must not exhaust the interpreter's stack)."""
+            nonlocal whole, kept_hidden, left_hidden
+            while todo:
+                depth = len(todo)
+                children, into, copied = todo[-1]
+                for child in children:
+                    if child.shadowed:
+                        if copied:
+                            # shadowed nodes are invisible to the operator
+                            # but are *retained* in the intermediate
+                            # result ("a logical means to retain nodes …
+                            # but have them not participating"), awaiting
+                            # a later Illuminate
+                            into.append(child)
+                            whole = kept_hidden = True
+                        else:
+                            left_hidden = True
+                    elif unkept(child.lcls):
+                        # a dropped node's retained descendants hang on
+                        # its closest retained ancestor
+                        dropped.append(child)
+                        if child.children:
+                            todo.append((iter(child.children), into, False))
+                    elif (
+                        isinstance(child.nid, NodeId)
+                        or child.tag == "join_root"
+                    ):
+                        into.append(copy_node(child))
+                    else:
+                        # constructed content is atomic for projection:
+                        # it cannot be re-fetched from the database, so a
+                        # retained constructed element keeps its whole
+                        # subtree ("inner construct elements referenced
+                        # in the outer clause should survive the outer
+                        # projection", Section 3) — shared, since inputs
+                        # are never mutated in place
+                        into.append(child)
+                        whole = True
+                    if len(todo) > depth:
+                        break  # the new frame first: pre-order
                 else:
-                    into.append(child)
-                    whole = True
+                    todo.pop()
 
         root = tree.root
         if not unkept(root.lcls):
@@ -126,9 +135,11 @@ class ProjectOp(Operator):
                 out.adopt_state(tree_state(tree))
                 return out
             projected = copy_node(root)
+            scan()
         else:
             top: List[TNode] = []
-            descend(root, top)
+            todo.append((iter(root.children), top, False))
+            scan()
             if len(top) == 1:
                 dropped.append(root)
                 projected = top[0]

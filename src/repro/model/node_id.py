@@ -41,7 +41,7 @@ class NodeId:
 
     # one id object exists per stored node (``Document.ids``), so the
     # per-instance ``__dict__`` is worth dropping; ``slots=True`` needs
-    # Python 3.10, hence the explicit form ``NodeRecord`` also uses
+    # Python 3.10, hence the explicit form
     __slots__ = ("doc", "start", "end", "level")
 
     def __reduce__(self):

@@ -1,7 +1,7 @@
 """Storage substrate: parser, paged node store, indexes, buffer pool."""
 
 from .database import DEFAULT_POOL_PAGES, Database
-from .document import Document, NodeRecord
+from .document import Document
 from .indexes import ENTRIES_PER_PAGE, TagIndex, ValueIndex
 from .page import NODES_PER_PAGE, BufferPool
 from .postings import EMPTY_POSTINGS, Postings
@@ -13,7 +13,6 @@ __all__ = [
     "DEFAULT_POOL_PAGES",
     "Database",
     "Document",
-    "NodeRecord",
     "ENTRIES_PER_PAGE",
     "TagIndex",
     "ValueIndex",

@@ -11,8 +11,10 @@ The columns are ``tags`` and ``values`` (lists of shared strings) and
 per node but the node's :class:`NodeId`: the start is ``2i − level + 1``
 by construction, a record's subtree is the contiguous range up to
 ``(end + level) // 2``, and its children are read off that range.
-:class:`NodeRecord` survives as a view built on access
-(:attr:`Document.records`, :meth:`Document.fetch`).
+Readers go through the metered accessors (:meth:`Document.value_of`,
+:meth:`~Document.tag_of`, :meth:`~Document.children_ids`,
+:meth:`~Document.parent_id`, :meth:`~Document.subtree`) or read the
+columns directly.
 
 Attributes are stored as child nodes tagged ``@name`` (preceding element
 children), matching the paper's pattern trees where ``@id`` and ``@person``
@@ -22,18 +24,8 @@ appear as pattern nodes.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import repeat
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import StorageError
 from ..model.node_id import NodeId
@@ -41,21 +33,6 @@ from ..model.tree import TNode
 from .page import NODES_PER_PAGE, BufferPool
 from .stats import Metrics
 from .xml_parser import ParsedElement, parse_events
-
-
-@dataclass
-class NodeRecord:
-    """One node's fields, read out of the document's columns."""
-
-    tag: str
-    value: Optional[str]
-    start: int
-    end: int
-    level: int
-    parent: int  # record index of the parent; -1 for the root
-    children: Tuple[int, ...]  # record indexes of children, document order
-
-    __slots__ = ("tag", "value", "start", "end", "level", "parent", "children")
 
 
 class Columns:
@@ -80,6 +57,40 @@ class Columns:
         self.ends.append(end)
         self.levels.append(level)
         self.parents.append(parent)
+
+    @classmethod
+    def from_levels(
+        cls, tags: List[str], values: List[Optional[str]], levels: array
+    ) -> "Columns":
+        """Columns whose ends and parents follow from the levels.
+
+        In a pre-order store the levels fix the tree: a record's parent
+        is the innermost record still open one level up, and a record
+        closes (end ``2n − level`` with *n* records before the closing
+        point) when a later record comes at its level or above.  Raises
+        :class:`StorageError` unless the levels are one pre-order tree:
+        record 0 at level 0, each later one at a level from 1 to its
+        predecessor's + 1.
+        """
+        columns = cls()
+        columns.tags, columns.values, columns.levels = tags, values, levels
+        ends = columns.ends = array("i", [0]) * len(levels)
+        parents = columns.parents
+        #: the records still open, root first
+        open_: List[int] = []
+        for idx, level in enumerate(levels):
+            if not (0 < level <= len(open_) if idx else level == 0):
+                raise StorageError(
+                    f"record {idx} at level {level} is out of place"
+                )
+            while len(open_) > level:
+                closed = open_.pop()
+                ends[closed] = 2 * idx - levels[closed]
+            parents.append(open_[-1] if open_ else -1)
+            open_.append(idx)
+        for closed in open_:
+            ends[closed] = 2 * len(levels) - levels[closed]
+        return columns
 
 
 class RecordBuilder:
@@ -135,24 +146,6 @@ class RecordBuilder:
         """Close ``doc_root`` and hand over the columns."""
         self.end(None)
         return self.columns
-
-
-class _RecordView(Sequence[NodeRecord]):
-    """``Document.records``: a read-only sequence of on-access views."""
-
-    __slots__ = ("_doc",)
-
-    def __init__(self, document: "Document") -> None:
-        self._doc = document
-
-    def __len__(self) -> int:
-        return len(self._doc.tags)
-
-    def __getitem__(self, index: Any) -> Any:
-        positions = range(len(self))[index]
-        if isinstance(positions, range):
-            return [self._doc.record(i) for i in positions]
-        return self._doc.record(positions)
 
 
 class Document:
@@ -211,15 +204,6 @@ class Document:
                 end(element.text)
         return cls(name, doc_id, builder.finish())
 
-    @property
-    def records(self) -> Sequence[NodeRecord]:
-        """The records as :class:`NodeRecord` views built on access.
-
-        A fresh sequence per access: one kept on the document would be
-        a reference cycle, which the frozen store must not hold.
-        """
-        return _RecordView(self)
-
     def attach(self, pool: BufferPool, metrics: Metrics) -> None:
         """Connect this document to a database's buffer pool and metrics."""
         self._pool = pool
@@ -243,19 +227,6 @@ class Document:
             out.append(child)
             child = (ends[child] + levels[child]) // 2
         return out
-
-    def record(self, record_idx: int) -> NodeRecord:
-        """The fields of one record as a fresh :class:`NodeRecord`."""
-        level = self.levels[record_idx]
-        return NodeRecord(
-            self.tags[record_idx],
-            self.values[record_idx],
-            2 * record_idx - level + 1,
-            self.ends[record_idx],
-            level,
-            self.parents[record_idx],
-            tuple(self.child_indexes(record_idx)),
-        )
 
     # ------------------------------------------------------------------
     # metered access
@@ -318,15 +289,6 @@ class Document:
             if stored is nid or stored == nid:
                 return idx
         raise StorageError(f"unknown node id {nid}")
-
-    def fetch(self, record_idx: int) -> NodeRecord:
-        """Read one record through the buffer pool."""
-        self._touch(record_idx)
-        return self.record(record_idx)
-
-    def fetch_by_id(self, nid: NodeId) -> NodeRecord:
-        """Read the record for a node id through the buffer pool."""
-        return self.fetch(self.index_of(nid))
 
     def _fetch_index(self, nid: NodeId) -> int:
         idx = self.index_of(nid)
@@ -393,10 +355,6 @@ class Document:
             path[depth - 1].children.append(node)
             path[depth:] = [node]
         return root
-
-    def iter_ids(self) -> Iterator[NodeId]:
-        """All node ids in document order (unmetered; used by index builds)."""
-        return iter(self.ids)
 
     def __len__(self) -> int:
         return len(self.tags)

@@ -176,10 +176,6 @@ class ValueIndex:
         ids = self._doc.ids
         return [ids[i] for i in sorted(hits)]
 
-    def has_tag(self, tag: str) -> bool:
-        """Whether any node of this tag has content (is indexed)."""
-        return tag in self._by_tag
-
 
 def _meter(
     key_prefix: tuple,

@@ -7,14 +7,15 @@ a compact little-endian layout:
 
 * header: magic ``TLCDB``, format version, document count;
 * per document: name, a string table (tags and values are interned),
-  then the record array — ``tag_ref, value_ref, start, end, level,
-  parent, n_children, children…`` as varint-free fixed 32-bit fields.
+  the record count *n*, then three int32 columns of *n* entries in
+  document order — tag ref, value ref (−1 for no value), level.
 
-Indexes are rebuilt on load (they derive from the records; rebuilding is
-linear and keeps the format minimal).  The reader decodes straight into
-the document's columns; ``start`` and the child lists follow from the
-other fields, so it checks them against the layout instead of storing
-them, and a file whose records are not one pre-order tree is refused.
+In a pre-order store the levels fix every interval id and parent
+(:meth:`Columns.from_levels <repro.storage.document.Columns.from_levels>`),
+so nothing else of the layout is stored, and a level sequence that is
+not one pre-order tree is refused.  Indexes are rebuilt on load (they
+derive from the records; rebuilding is linear and keeps the format
+minimal).
 """
 
 from __future__ import annotations
@@ -23,31 +24,21 @@ import contextlib
 import hashlib
 import os
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    BinaryIO,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    Union,
-)
+from typing import BinaryIO, Dict, Optional, Protocol, Union
 
 from ..errors import StorageError
 from .database import Database
 from .document import Columns, Document
 
 MAGIC = b"TLCDB"
-VERSION = 1
+VERSION = 2
 
 _U32 = struct.Struct("<I")
-_I32 = struct.Struct("<i")
 _HEADER = struct.Struct("<5sBI")
-# tag, value, start, end, level, parent, n_children
-_RECORD_FIXED = struct.Struct("<IiIIIiI")
 
 
 class _Sink(Protocol):
@@ -101,44 +92,32 @@ def _write_database(db: Database, stream: _Sink) -> None:
         _save_document(stream, db.document(name))
 
 
+def _little_endian(column: array) -> bytes:
+    """The bytes of an int32 column in file (little-endian) order."""
+    if sys.byteorder == "big":
+        column = array("i", column)
+        column.byteswap()
+    return column.tobytes()
+
+
 def _save_document(stream: _Sink, document: Document) -> None:
     _write_str(stream, document.name)
     strings: Dict[str, int] = {}
-    order: List[str] = []
 
     def intern(text: str) -> int:
-        if text not in strings:
-            strings[text] = len(order)
-            order.append(text)
-        return strings[text]
+        return strings.setdefault(text, len(strings))
 
-    # first pass: build the string table (value index 0 = the None marker)
-    intern("")  # reserved: None values reference slot 0 via flag -1 below
-    refs = [
-        (intern(tag), -1 if value is None else intern(value))
-        for tag, value in zip(document.tags, document.values)
-    ]
-    _write_u32(stream, len(order))
-    for text in order:
+    tag_refs = array("i", map(intern, document.tags))
+    value_refs = array(
+        "i", [-1 if value is None else intern(value)
+              for value in document.values]
+    )
+    _write_u32(stream, len(strings))
+    for text in strings:
         _write_str(stream, text)
-    _write_u32(stream, len(refs))
-    ends, levels, parents = document.ends, document.levels, document.parents
-    records = bytearray()
-    for idx, (tag_ref, value_ref) in enumerate(refs):
-        children = document.child_indexes(idx)
-        level = levels[idx]
-        records += _RECORD_FIXED.pack(
-            tag_ref,
-            value_ref,
-            2 * idx - level + 1,
-            ends[idx],
-            level,
-            parents[idx],
-            len(children),
-        )
-        for child in children:
-            records += _U32.pack(child)
-    stream.write(records)
+    _write_u32(stream, len(document))
+    for column in (tag_refs, value_refs, document.levels):
+        stream.write(_little_endian(column))
 
 
 def load_database(
@@ -172,71 +151,37 @@ def _load_document(stream: BinaryIO, db: Database) -> Document:
     )
 
 
-def _read_columns(stream: BinaryIO) -> Columns:
-    """Decode one record array, checking it is one pre-order tree.
+def _read_column(stream: BinaryIO, n_records: int) -> array:
+    """One int32 column of ``n_records`` entries, in host order."""
+    column = array("i")
+    column.frombytes(stream.read(4 * n_records))
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
 
-    Each record's parent must be open and one level up, its start must
-    follow from its position, and it must be the parent's next listed
-    child; a record's end and child list must close its subtree where
-    the later records say it closes.  Otherwise :class:`StorageError`.
-    """
+
+def _read_columns(stream: BinaryIO) -> Columns:
+    """Decode one document's columns, refusing refs out of range and
+    levels that are not one pre-order tree (:class:`StorageError`)."""
     strings = [_read_str(stream) for _ in range(_read_u32(stream))]
     n_records = _read_u32(stream)
-    # a tree lists every record but the root once as a child
-    size = n_records * _RECORD_FIXED.size + 4 * (n_records - 1)
-    if not n_records or size > _bytes_left(stream):
+    if not n_records or 3 * 4 * n_records > _bytes_left(stream):
         raise StorageError(f"{n_records} records do not fit the file")
-    block = stream.read(size)
-    columns = Columns()
-    tags, values = columns.tags, columns.values
-    ends, levels, parents = columns.ends, columns.levels, columns.parents
-    #: open records, innermost last, each with its unmatched children
-    open_: List[Tuple[int, Iterator[int]]] = []
-
-    def close(stop: int) -> None:
-        idx, children = open_.pop()
-        unmatched = next(children, None) is not None
-        if unmatched or ends[idx] != 2 * stop - levels[idx]:
-            raise StorageError(f"record {idx} does not close its subtree")
-
-    offset = 0
-    for idx in range(n_records):
-        try:
-            (tag_ref, value_ref, start, end, level, parent,
-             n_children) = _RECORD_FIXED.unpack_from(block, offset)
-            offset += _RECORD_FIXED.size
-            listed = struct.unpack_from(f"<{n_children}I", block, offset)
-        except struct.error:
-            raise StorageError(f"record {idx} overruns its block") from None
-        offset += 4 * n_children
-        try:
-            tag = strings[tag_ref]
-            value = None if value_ref < 0 else strings[value_ref]
-        except IndexError:
-            raise StorageError(
-                f"string reference out of range: record {idx} "
-                f"names string {max(tag_ref, value_ref)} of {len(strings)}"
-            ) from None
-        while open_ and open_[-1][0] != parent:
-            close(idx)
-        if open_:
-            in_place = next(open_[-1][1], None) == idx
-        else:
-            in_place = idx == 0 and parent == -1
-        in_place = in_place and level == len(open_)
-        if not in_place or start != 2 * idx - level + 1:
-            raise StorageError(f"record {idx} is out of place")
-        if not start < end <= 2 * n_records:
-            raise StorageError(f"record {idx}: end {end} out of range")
-        tags.append(tag)
-        values.append(value)
-        ends.append(end)
-        levels.append(level)
-        parents.append(parent)
-        open_.append((idx, iter(listed)))
-    while open_:
-        close(n_records)
-    return columns
+    tag_refs, value_refs, levels = (
+        _read_column(stream, n_records) for _ in range(3)
+    )
+    if not (
+        0 <= min(tag_refs) and max(tag_refs) < len(strings)
+        and -1 <= min(value_refs) and max(value_refs) < len(strings)
+    ):
+        raise StorageError(
+            f"string reference out of range of the {len(strings)} strings"
+        )
+    return Columns.from_levels(
+        [strings[ref] for ref in tag_refs],
+        [None if ref < 0 else strings[ref] for ref in value_refs],
+        levels,
+    )
 
 
 @dataclass(frozen=True)

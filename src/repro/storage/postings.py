@@ -17,8 +17,9 @@ until a consumer first touches it, so callers that only iterate ``ids``
 columns they do not read.
 
 The *storage* columns of a tag-index view are built with it:
-``record_indexes`` and ``values`` are aligned with ``ids``, and
-``run_pages`` is the run-length form of the postings' page numbers —
+``values`` is aligned with ``ids``, and ``run_pages`` is the
+run-length form of the postings' page numbers (from their record
+indexes, which are not kept) —
 everything a tag scan reads, so it touches no node record and meters
 its page accesses once per run (:meth:`Document.touch_runs
 <repro.storage.document.Document.touch_runs>`) instead of once per
@@ -32,7 +33,6 @@ because a view shared between threads must not cache it lazily.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from itertools import groupby, islice
 from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -57,16 +57,16 @@ def is_flat(ids: Sequence[NodeId]) -> bool:
 class Postings(Sequence[NodeId]):
     """Immutable columnar view of a sorted node-id posting list.
 
-    Behaves as a read-only ``Sequence[NodeId]`` (so existing callers that
-    iterated or indexed the old list results keep working, and ``== []``
-    style comparisons still hold), while exposing the parallel columns the
-    structural joins consume directly:
+    Behaves as a read-only ``Sequence[NodeId]`` (so callers that iterate
+    or index a posting list, or take one as a join input, need no
+    columns), while exposing the parallel columns the structural joins
+    consume directly:
 
     * ``ids``     — the node ids themselves, document order;
     * ``starts``  — ``(doc, start)`` probe keys, sorted ascending;
     * ``levels``  — tree levels, aligned with ``ids``;
-    * ``record_indexes`` / ``values`` — the document record index and
-      the atomic content of each posting, aligned with ``ids``;
+    * ``values`` — the atomic content of each posting, aligned with
+      ``ids``;
     * ``run_pages`` — one page number per maximal run of consecutive
       postings stored on the same page (what a scan of the postings
       meters, see :meth:`Document.touch_runs`);
@@ -74,15 +74,14 @@ class Postings(Sequence[NodeId]):
       starts (:func:`is_flat`), true of most tags and of every subset
       of a flat view.
 
-    The three before ``flat`` are the storage columns of a tag-index
+    The two before ``flat`` are the storage columns of a tag-index
     view; an id-only view (``Postings(ids)``, a join input) has ``None``
     there.
     ``starts``/``levels`` are properties over lazily-built columns;
     reading them is idempotent and cheap after the first touch.
     """
 
-    __slots__ = ("ids", "record_indexes", "values", "run_pages", "flat",
-                 "_starts", "_levels")
+    __slots__ = ("ids", "values", "run_pages", "flat", "_starts", "_levels")
 
     def __init__(
         self,
@@ -91,23 +90,19 @@ class Postings(Sequence[NodeId]):
         values: Optional[Sequence[Any]] = None,
     ) -> None:
         self.ids: Tuple[NodeId, ...] = tuple(ids)
-        self.record_indexes: Optional[array] = None
         self.values: Optional[Tuple[Any, ...]] = None
         self.run_pages: Optional[array] = None
         self.flat: bool = is_flat(self.ids)
         if record_indexes is not None:
-            self.record_indexes = array("l", record_indexes)
             self.values = tuple(values or ())
-            if not (
-                len(self.ids) == len(self.record_indexes) == len(self.values)
-            ):
+            if not len(self.ids) == len(record_indexes) == len(self.values):
                 raise ValueError("posting columns must align with the ids")
             self.run_pages = array(
                 "l",
                 [
                     page
                     for page, _ in groupby(
-                        [idx // NODES_PER_PAGE for idx in self.record_indexes]
+                        [idx // NODES_PER_PAGE for idx in record_indexes]
                     )
                 ],
             )
@@ -144,43 +139,6 @@ class Postings(Sequence[NodeId]):
 
     def __iter__(self) -> Iterator[NodeId]:
         return iter(self.ids)
-
-    def __contains__(self, item: object) -> bool:
-        """Membership by binary search over the sorted ``starts`` column.
-
-        ``ids`` are sorted by ``(doc, start)``, so a stored node id is
-        found in logarithmic time instead of the former O(n) tuple scan.
-        Non-:class:`NodeId` probes (temporary ids, arbitrary objects)
-        keep the linear fallback — they are never in a posting list, but
-        equality semantics stay exactly list-like.
-        """
-        if isinstance(item, NodeId):
-            starts = self.starts
-            position = bisect_left(starts, (item.doc, item.start))
-            ids = self.ids
-            while position < len(ids):
-                if starts[position] != (item.doc, item.start):
-                    return False
-                if ids[position] == item:
-                    return True
-                position += 1
-            return False
-        return item in self.ids
-
-    def __eq__(self, other: object) -> bool:
-        """Element-wise equality against any sequence of node ids.
-
-        Keeps ``lookup(tag) == []`` and list-result comparisons working
-        now that lookups return views instead of fresh lists.
-        """
-        if isinstance(other, Postings):
-            return self.ids == other.ids
-        if isinstance(other, (list, tuple)):
-            return list(self.ids) == list(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Postings n={len(self.ids)}>"

@@ -137,18 +137,18 @@ def test_interval_encoding_matches_tree(xml_text):
     doc = db.load_xml("t.xml", xml_text)
     # derive ground truth ancestorship from the record parent pointers
     ancestors = {}
-    for idx, rec in enumerate(doc.records):
+    for idx, parent in enumerate(doc.parents):
         chain = []
-        current = rec.parent
+        current = parent
         while current >= 0:
             chain.append(current)
-            current = doc.records[current].parent
+            current = doc.parents[current]
         ancestors[idx] = set(chain)
-    for i in range(len(doc.records)):
-        for j in range(len(doc.records)):
+    for i in range(len(doc)):
+        for j in range(len(doc)):
             a, b = doc.node_id(i), doc.node_id(j)
             assert a.contains(b) == (i in ancestors[j])
-            assert a.is_parent_of(b) == (doc.records[j].parent == i)
+            assert a.is_parent_of(b) == (doc.parents[j] == i)
 
 
 @given(xml_documents())
@@ -156,5 +156,5 @@ def test_start_order_is_document_order(xml_text):
     """Property: record order (pre-order) equals start order."""
     db = Database()
     doc = db.load_xml("t.xml", xml_text)
-    starts = [rec.start for rec in doc.records]
+    starts = [nid.start for nid in doc.ids]
     assert starts == sorted(starts)

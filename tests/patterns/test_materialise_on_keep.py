@@ -99,14 +99,14 @@ def _tags_below(db, tags):
     document = db.document(DOC)
     below = {tag: set() for tag in tags}
     open_nodes = []
-    for nid, record in zip(document.ids, document.records):
+    for nid, tag in zip(document.ids, document.tags):
         while open_nodes and open_nodes[-1][0] < nid.start:
             open_nodes.pop()
-        if record.tag in below:
+        if tag in below:
             for _, ancestor in open_nodes:
                 if ancestor in below:
-                    below[ancestor].add(record.tag)
-        open_nodes.append((nid.end, record.tag))
+                    below[ancestor].add(tag)
+        open_nodes.append((nid.end, tag))
     named = [tag for tag in tags if tag is not None]
     below[None] = set(named)
     return {tag: sorted(found) or named for tag, found in below.items()}
@@ -187,9 +187,11 @@ class EagerMatcher:
                     nids = db.tag_lookup(DOC, test.tag)
             out = _Scan()
             for nid in nids:
-                record = document.fetch_by_id(nid)
-                if all(compare(record.value, op, rhs) for op, rhs in rest):
-                    out.append(_Match(nid, record.tag, record.value))
+                idx = document.index_of(nid)
+                document.touch_range(idx, idx + 1)
+                value = document.values[idx]
+                if all(compare(value, op, rhs) for op, rhs in rest):
+                    out.append(_Match(nid, document.tags[idx], value))
         if self.cache is not None:
             self.cache[key] = out
         return out

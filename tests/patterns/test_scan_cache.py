@@ -178,13 +178,11 @@ def test_shared_columns_survive_every_query(xmark_engine):
     index = xmark_engine.db.tag_index("auction.xml")
     for tag in index.tags():
         postings = index.postings(tag)
-        idxs = list(postings.record_indexes)
+        idxs = [i for i, t in enumerate(document.tags) if t == tag]
         assert list(postings.ids) == [document.ids[i] for i in idxs]
         assert postings.starts == [(n.doc, n.start) for n in postings.ids]
         assert list(postings.levels) == [n.level for n in postings.ids]
-        assert list(postings.values) == [
-            document.records[i].value for i in idxs
-        ]
+        assert list(postings.values) == [document.values[i] for i in idxs]
 
 
 def test_cached_scan_columns_are_never_a_join_output(tiny_db):

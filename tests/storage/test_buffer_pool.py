@@ -55,8 +55,8 @@ class TestIntegrationWithDocuments:
         items = "".join(f"<i>{n}</i>" for n in range(NODES_PER_PAGE * 3))
         doc = db.load_xml("t.xml", f"<r>{items}</r>")
         db.reset_metrics(cold_cache=True)
-        for idx in range(len(doc)):
-            doc.fetch(idx)
+        for nid in doc.ids:
+            doc.value_of(nid)
         expected_pages = -(-len(doc) // NODES_PER_PAGE)
         assert db.metrics.pages_read == expected_pages
         assert db.metrics.buffer_hits == len(doc) - expected_pages

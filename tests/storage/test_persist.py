@@ -1,26 +1,23 @@
 """Unit tests for binary database persistence."""
 
 import os
-import struct
 import tempfile
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.storage import Database
+from repro.storage.document import Columns
 from repro.storage.persist import (
     MAGIC,
     VERSION,
-    _HEADER,
-    _I32,
-    _RECORD_FIXED,
-    _U32,
     load_database,
     save_database,
 )
 from repro.storage.xml_serializer import serialize_stored
-from tests.conftest import TINY_AUCTION
+from repro.xmark import load_xmark
 
 
 @pytest.fixture
@@ -47,7 +44,7 @@ class TestRoundtrip:
         path, original = saved
         loaded = load_database(path)
         doc = loaded.document("auction.xml")
-        values = {r.tag: r.value for r in doc.records}
+        values = dict(zip(doc.tags, doc.values))
         assert values["people"] is None
         assert values["name"] is not None
 
@@ -79,8 +76,6 @@ class TestRoundtrip:
         assert len(loaded.tag_lookup("b.xml", "y")) == 1
 
     def test_xmark_roundtrip(self, tmp_path):
-        from repro.xmark import load_xmark
-
         db = Database()
         doc = load_xmark(db, factor=0.001)
         path = tmp_path / "xmark.tlcdb"
@@ -129,45 +124,67 @@ class TestErrors:
         with pytest.raises(StorageError, match="UTF-8"):
             load_database(bad)
 
-    @pytest.mark.parametrize("field", [0, 1], ids=["tag_ref", "value_ref"])
-    def test_string_reference_out_of_range(self, tmp_path, field):
+    def test_version_1_is_refused(self, saved, tmp_path):
+        path, _ = saved
+        data = bytearray(path.read_bytes())
+        data[len(MAGIC)] = 1
+        old = tmp_path / "v1.tlcdb"
+        old.write_bytes(bytes(data))
+        assert VERSION == 2
+        with pytest.raises(StorageError, match="format version 1"):
+            load_database(old)
+
+    # the file ends with the three columns of the two records (doc_root,
+    # a): tag refs, value refs, levels.  The refs of ``a`` are rewritten;
+    # the strings are doc_root, a and v, so 3 is one past the table
+    @pytest.mark.parametrize(
+        "column, ref",
+        [(0, 99), (1, 99), (1, -2), (0, -1), (0, 3)],
+        ids=["tag_ref", "value_ref", "value_ref_-2", "tag_ref_-1",
+             "tag_ref_string_count"],
+    )
+    def test_string_reference_out_of_range(self, tmp_path, column, ref):
         db = Database()
         db.load_xml("d.xml", "<a>v</a>")
         path = tmp_path / "d.tlcdb"
         save_database(db, path)
         data = bytearray(path.read_bytes())
-        # the single record's fixed fields close the file
-        offset = len(data) - _RECORD_FIXED.size + 4 * field
-        data[offset:offset + 4] = _I32.pack(99)
+        n_records = 2
+        offset = len(data) - 4 * n_records * (3 - column) + 4
+        data[offset:offset + 4] = array("i", [ref]).tobytes()
         bad = tmp_path / "bad.tlcdb"
         bad.write_bytes(bytes(data))
         with pytest.raises(StorageError, match="string reference"):
             load_database(bad)
 
 
-def _record_offsets(data: bytes) -> list:
-    """Byte offset of each record of a one-document file."""
-    offset = _HEADER.size
-    offset += 4 + _U32.unpack_from(data, offset)[0]  # document name
-    n_strings = _U32.unpack_from(data, offset)[0]
-    offset += 4
-    for _ in range(n_strings):
-        offset += 4 + _U32.unpack_from(data, offset)[0]
-    n_records = _U32.unpack_from(data, offset)[0]
-    offset += 4
-    offsets = []
-    for _ in range(n_records):
-        offsets.append(offset)
-        n_children = _RECORD_FIXED.unpack_from(data, offset)[-1]
-        offset += _RECORD_FIXED.size + 4 * n_children
-    return offsets
+def _expected_layout(levels):
+    """Brute-force ends and parents of a valid pre-order level list."""
+    n = len(levels)
+    ends, parents = [], []
+    for i, level in enumerate(levels):
+        stop = next((j for j in range(i + 1, n) if levels[j] <= level), n)
+        ends.append(2 * stop - level)
+        parents.append(
+            next((j for j in range(i - 1, -1, -1) if levels[j] < level), -1)
+        )
+    return ends, parents
+
+
+def _is_one_tree(levels):
+    return levels[0] == 0 and all(
+        1 <= level <= previous + 1
+        for previous, level in zip(levels, levels[1:])
+    )
 
 
 class TestLayoutChecks:
-    """A file whose records are not one pre-order tree is refused, not
+    """A file whose levels are not one pre-order tree is refused, not
     loaded into a store whose ids and children disagree."""
 
     XML = '<a><b id="1">x</b><b><c/></b></a>'
+    # doc_root, a, b, @id, b, c
+    LEVELS = [0, 1, 2, 3, 2, 3]
 
     @pytest.fixture
     def records(self, tmp_path):
@@ -177,43 +194,81 @@ class TestLayoutChecks:
         save_database(db, path)
         return path, bytearray(path.read_bytes())
 
-    def _corrupt(self, records, record, field, delta):
-        path, data = records
-        position = _record_offsets(bytes(data))[record] + 4 * field
-        fmt = "<i" if field in (1, 5) else "<I"
-        (old,) = struct.unpack_from(fmt, data, position)
-        struct.pack_into(fmt, data, position, old + delta)
-        path.write_bytes(bytes(data))
-        return path
-
     def test_the_unchanged_file_loads(self, records):
-        path, _ = records
+        path, data = records
+        # the level column closes the file
+        assert data[-4 * len(self.LEVELS):] == array(
+            "i", self.LEVELS
+        ).tobytes()
         loaded = load_database(path)
         assert serialize_stored(loaded.document("d.xml")) == self.XML
 
-    # record 2 is the first <b>: doc_root, a, b, @id, b, c
     @pytest.mark.parametrize(
-        "record, field, delta",
+        "levels",
         [
-            (2, 2, 40),   # start
-            (2, 3, 2),    # end
-            (2, 4, 1),    # level
-            (2, 5, 1),    # parent: itself
-            (2, 5, 5),    # parent: a later record
-            (5, 5, -3),   # parent: its grandparent
-            (4, 6, -1),   # one child fewer listed
-            (1, 7, 1),    # a listed child that is not one
+            [1, 2, 3, 4, 3, 4],
+            [0, 1, 2, 3, 2, 0],
+            [0, 0, 1, 2, 1, 2],
+            [0, 1, 2, 3, 2, 4],
+            [0, 1, 3, 3, 2, 3],  # the first b one level down
+            [0, 1, 2, -1, 2, 3],
         ],
         ids=[
-            "start", "end", "level", "parent-self", "parent-later",
-            "parent-grandparent", "n-children", "child-index",
+            "root-not-at-level-0", "second-root", "level-0-after-the-root",
+            "plus-two-step", "level", "negative",
         ],
     )
-    def test_a_record_off_the_layout_raises(self, records, record, field,
-                                            delta):
-        path = self._corrupt(records, record, field, delta)
-        with pytest.raises(StorageError):
+    def test_a_record_off_the_layout_raises(self, records, levels):
+        path, data = records
+        data[-4 * len(levels):] = array("i", levels).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match="out of place"):
             load_database(path)
+
+    def test_a_different_tree_loads_with_its_own_layout(self, records):
+        path, data = records
+        # c moves up: a sibling of the second b, not its child
+        data[-4:] = array("i", [2]).tobytes()
+        path.write_bytes(bytes(data))
+        document = load_database(path).document("d.xml")
+        assert serialize_stored(document) == '<a><b id="1">x</b><b/><c/></a>'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-1, 5), min_size=1, max_size=12))
+def test_from_levels_derives_the_layout_or_raises(levels):
+    column = array("i", levels)
+    n = len(levels)
+    if not _is_one_tree(levels):
+        with pytest.raises(StorageError):
+            Columns.from_levels(["t"] * n, [None] * n, column)
+        return
+    columns = Columns.from_levels(["t"] * n, [None] * n, column)
+    ends, parents = _expected_layout(levels)
+    assert list(columns.ends) == ends
+    assert list(columns.parents) == parents
+    assert columns.levels is column
+
+
+def test_from_levels_agrees_with_the_parser(xmark_engine):
+    """The snapshot reader's derivation and the record builder's
+    streaming arithmetic give one layout."""
+    document = xmark_engine.db.document("auction.xml")
+    columns = Columns.from_levels(
+        document.tags, document.values, document.levels
+    )
+    assert columns.ends == document.ends
+    assert columns.parents == document.parents
+
+
+def test_bytes_per_record_at_xmark_factor_0_01(tmp_path):
+    """Three int32 columns plus the shared string table: at most 20
+    bytes a record (the record-per-node layout took 37)."""
+    db = Database()
+    document = load_xmark(db, factor=0.01)
+    path = tmp_path / "x.tlcdb"
+    save_database(db, path)
+    assert os.path.getsize(path) / len(document) <= 20
 
 
 def _small_database_bytes() -> bytes:
@@ -229,16 +284,27 @@ def _small_database_bytes() -> bytes:
 SMALL = _small_database_bytes()
 
 
+def _load_bytes(data: bytes) -> Database:
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "s.tlcdb")
+        with open(path, "wb") as stream:
+            stream.write(data)
+        return load_database(path)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, len(SMALL) * 8 - 1))
 def test_one_flipped_bit_loads_or_raises_storage_error(bit):
     data = bytearray(SMALL)
     data[bit // 8] ^= 1 << (bit % 8)
-    with tempfile.TemporaryDirectory() as scratch:
-        path = os.path.join(scratch, "flipped.tlcdb")
-        with open(path, "wb") as stream:
-            stream.write(bytes(data))
-        try:
-            load_database(path)
-        except StorageError:
-            pass
+    try:
+        _load_bytes(bytes(data))
+    except StorageError:
+        pass
+
+
+def test_only_the_whole_file_loads():
+    for size in range(len(SMALL)):
+        with pytest.raises(StorageError):
+            _load_bytes(SMALL[:size])
+    assert _load_bytes(SMALL).document_names() == ["s.xml"]

@@ -33,32 +33,20 @@ class TestColumns:
         postings = db.tag_index("t.xml").postings("a")
         assert postings.starts == sorted(postings.starts)
 
-    def test_record_indexes_resolve_tag(self, db):
-        doc = db.document("t.xml")
-        postings = db.tag_index("t.xml").postings("c")
-        assert postings.record_indexes is not None
-        assert all(
-            doc.records[idx].tag == "c" for idx in postings.record_indexes
-        )
-
 
 class TestStorageColumns:
     def test_values_and_runs_built_with_the_index(self, db):
         doc = db.document("t.xml")
         postings = db.tag_index("t.xml").postings("b")
-        assert postings.values == tuple(
-            doc.records[i].value for i in postings.record_indexes
-        )
+        assert postings.values == tuple(map(doc.value_of, postings.ids))
         assert list(postings.run_pages) == [0]  # one page holds them all
 
     def test_id_only_view_has_no_storage_columns(self, db):
         view = Postings(db.tag_index("t.xml").postings("b").ids)
-        assert view.record_indexes is None
         assert view.values is None
         assert view.run_pages is None
 
     def test_empty_view_is_scannable(self):
-        assert len(EMPTY_POSTINGS.record_indexes) == 0
         assert EMPTY_POSTINGS.values == ()
         assert len(EMPTY_POSTINGS.run_pages) == 0
         assert EMPTY_POSTINGS.starts == []
@@ -76,18 +64,6 @@ class TestSequenceProtocol:
         assert list(postings) == [postings[0], postings[1]]
         assert postings[0] in postings
         assert postings[0:1] == (postings[0],)
-
-    def test_equality_against_lists(self, db):
-        index = db.tag_index("t.xml")
-        postings = index.postings("a")
-        assert postings == list(postings.ids)
-        assert postings != list(reversed(postings.ids))
-        assert index.postings("missing") == []
-        assert postings == Postings(postings.ids)
-
-    def test_hashable(self, db):
-        postings = db.tag_index("t.xml").postings("a")
-        assert hash(postings) == hash(Postings(postings.ids))
 
 
 class TestLazyColumns:

@@ -1,7 +1,8 @@
 """Run-length page metering is exactly the per-record metering.
 
-``Document.touch_runs`` / ``touch_range`` replace one ``fetch`` per
-record in tag scans and subtree materialisation.  The claim is not
+``Document.touch_runs`` / ``touch_range`` replace one metered read per
+record (what ``value_of`` does) in tag scans and subtree
+materialisation.  The claim is not
 "close": for any read sequence, any mix of documents sharing one pool
 and any pool capacity — evictions in the middle of a run included —
 ``pages_read``, ``buffer_hits``, ``nodes_touched`` *and the pool's LRU
@@ -77,12 +78,12 @@ def test_touch_runs_equals_fetch_per_record(capacity, n_docs, reads):
         if in_order:  # the shape of a real posting list
             record_idxs = sorted(set(record_idxs))
         for idx in record_idxs:
-            _REFERENCE[doc_no].fetch(idx)
+            _read(_REFERENCE[doc_no], idx)
         document = _RUNS[doc_no]
         postings = Postings(
             [document.ids[idx] for idx in record_idxs],
             record_idxs,
-            [document.records[idx].value for idx in record_idxs],
+            [document.values[idx] for idx in record_idxs],
         )
         document.touch_runs(postings.run_pages, len(postings))
         assert _state(run_pool, run_metrics) == _state(
@@ -90,9 +91,15 @@ def test_touch_runs_equals_fetch_per_record(capacity, n_docs, reads):
         )
 
 
+def _read(document, idx):
+    """One metered record read, through the buffer pool."""
+    document.value_of(document.ids[idx])
+
+
 def _fetch_subtree(document, idx):
-    """Pre-order, one ``fetch`` per record: the former ``subtree`` walk."""
-    for child in document.fetch(idx).children:
+    """Pre-order, one read per record: the former ``subtree`` walk."""
+    _read(document, idx)
+    for child in document.child_indexes(idx):
         _fetch_subtree(document, child)
 
 

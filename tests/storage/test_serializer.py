@@ -49,7 +49,5 @@ class TestSerializeStored:
     def test_subtree_serialization(self):
         db = Database()
         doc = db.load_xml("t.xml", "<a><b>x</b></a>")
-        b_index = next(
-            i for i, r in enumerate(doc.records) if r.tag == "b"
-        )
+        b_index = doc.tags.index("b")
         assert serialize_stored(doc, b_index) == "<b>x</b>"

@@ -72,7 +72,7 @@ class TestTextRule:
     )
     def test_value(self, xml, value):
         assert parse_xml(xml).text == value
-        assert Database().load_xml("t.xml", xml).records[1].value == value
+        assert Database().load_xml("t.xml", xml).values[1] == value
 
 
 class TestEntities:
@@ -186,9 +186,7 @@ class TestHostileInput:
         text = "<a>" * DEEP + "x" + "</a>" * DEEP
         document = Database().load_xml("deep.xml", text)
         assert len(document) == DEEP + 1
-        assert (document.records[-1].level, document.records[-1].value) == (
-            DEEP, "x",
-        )
+        assert (document.levels[-1], document.values[-1]) == (DEEP, "x")
         assert parse_xml(text).size() == DEEP
 
     def test_deep_nesting_loads_from_a_tree(self):
@@ -200,7 +198,7 @@ class TestHostileInput:
         leaf.text = "x"
         document = Database().load_parsed("deep.xml", root)
         assert len(document) == DEEP + 1
-        assert document.records[-1].value == "x"
+        assert document.values[-1] == "x"
 
     def test_deep_truncated_nesting(self):
         _rejected("<a>" * DEEP)
@@ -222,7 +220,7 @@ class TestHostileInput:
 
     def test_bare_doctype_loads(self):
         document = Database().load_xml("d.xml", "<!DOCTYPE a><a>x</a>")
-        assert document.records[1].value == "x"
+        assert document.values[1] == "x"
 
     def test_nul_is_rejected(self):
         error = _rejected("<a>\x00</a>")
@@ -304,14 +302,14 @@ def _store(db, name):
     for tag in tag_index.tags():
         view = tag_index.postings(tag)
         postings[tag] = (
-            view.ids, view.record_indexes, view.values, view.run_pages,
+            view.ids, view.values, view.run_pages,
             view.flat, view.starts, view.levels,
         )
     return (
-        [
-            (r.tag, r.value, r.start, r.end, r.level, r.parent, r.children)
-            for r in document.records
-        ],
+        (
+            document.tags, document.values, document.ends, document.levels,
+            document.parents,
+        ),
         document.ids,
         postings,
         value_index._by_tag,

@@ -4,7 +4,11 @@ import os
 
 import pytest
 
+from repro import Engine
 from repro.__main__ import main
+from repro.telemetry.hooks import use_registry
+from repro.telemetry.registry import MetricsRegistry
+from repro.xmark import QUERIES
 from tests.conftest import TINY_AUCTION
 
 
@@ -48,6 +52,20 @@ class TestQuery:
         captured = capsys.readouterr()
         assert "trees in" in captured.err
         assert "sjoins=" in captured.err
+
+    def test_one_query_is_one_run(self, xml_file, capsys):
+        """A CLI query adds exactly one run's pattern matches (it was
+        once measured and then run again)."""
+        key = "repro_pattern_matches_total"
+        engine = Engine()
+        engine.load_xml("auction.xml", TINY_AUCTION)
+        with use_registry(MetricsRegistry()) as registry:
+            engine.run(QUERY)
+            once = registry.snapshot()["counters"][key]
+        with use_registry(MetricsRegistry()) as registry:
+            assert main(["query", xml_file, "-q", QUERY, "--stats"]) == 0
+            assert registry.snapshot()["counters"][key] == once > 0
+        assert "2 trees in" in capsys.readouterr().err
 
     def test_optimize_flag(self, xml_file, capsys):
         code = main(["query", xml_file, "-q", QUERY, "-O"])
@@ -220,6 +238,14 @@ class TestProfile:
         assert code == 0
         assert out.startswith("digraph plan {")
         assert "self " in out
+
+    def test_x20_counts_from_the_index(self, capsys):
+        """x20's four one-step counts are each one index-count
+        Aggregate: no extension Select builds the counted nodes."""
+        assert main(["profile", QUERIES["x20"].text]) == 0
+        out = capsys.readouterr().out
+        assert out.count("Aggregate count(") == 4
+        assert "Select extend" not in out
 
     def test_profile_rejects_double_query(self, xml_file, capsys):
         assert main(["profile", "-d", xml_file, QUERY, "-q", QUERY]) == 1
