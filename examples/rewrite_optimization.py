@@ -62,8 +62,7 @@ def main() -> None:
     print("=== The optimizer pipeline does all of it in one call ===")
     optimized_plan, log = optimize(translate_query(Q1).plan)
     print(
-        f"  shared selects: {log.shared_selects}, "
-        f"flatten: {log.flattened}, shadow: {log.shadowed}, "
+        f"  flatten: {log.flattened}, shadow: {log.shadowed}, "
         f"illuminate: {log.illuminated}"
     )
     print()

@@ -146,11 +146,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 "--lint needs LC-flow metadata, which only the tlc "
                 "engine's operators carry"
             )
-        from .analysis import lint_plan
+        from .analysis import analyze
         from .storage.stats import CardinalityStats
 
         stats = CardinalityStats.from_database(engine.db)
-        print(lint_plan(translation.plan, stats=stats).annotated_plan())
+        print(analyze(translation.plan, stats).annotated_plan())
     elif args.dot:
         from .core.visualize import plan_to_dot
 

@@ -1,18 +1,18 @@
 """Cardinality interval bounds (LC3xx) over a plan.
 
-An abstract interpretation that runs the plan over *intervals of tree
-counts* instead of tree sequences: every operator's output edge gets a
-``[lo, hi]`` bound derived from per-tag node counts
-(:class:`~repro.storage.stats.CardinalityStats`) and each operator's
-transfer function.  ``hi is None`` means unbounded.
+The interval half of :func:`~repro.analysis.analyze`: given per-tag node
+counts (:class:`~repro.storage.stats.CardinalityStats`), the analyzer's
+walk runs the plan over *intervals of tree counts* instead of tree
+sequences — every operator's output edge gets a ``[lo, hi]`` bound from
+its :func:`transfer` function.  ``hi is None`` means unbounded.
 
-Two warnings fall out:
+Two warnings fall out (:func:`check_bounds`):
 
 * **LC301** — an operator's upper bound is provably zero against the
   target database (a tag that never occurs, a join with an empty side):
   the branch is dead weight and the query author should know;
 * **LC302** — an operator *introduces* an unbounded or explosive upper
-  bound (beyond ``blowup_factor ×`` the database node count) from
+  bound (beyond :data:`BLOWUP_FACTOR` × the database node count) from
   bounded inputs: the fingerprint of a cross-product-like join or a
   missed selective rewrite.
 
@@ -29,8 +29,8 @@ holds every bound to the traced output cardinality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import List, Optional, Union
 
 from ..core.aggregate import AggregateOp
 from ..core.base import Operator
@@ -46,13 +46,17 @@ from ..core.sort_op import SortOp
 from ..core.union import UnionOp
 from ..patterns.apt import APTNode
 from ..storage.stats import CardinalityStats
-from .diagnostics import CARDINALITY_BLOWUP, EMPTY_BRANCH, Diagnostic
-from .visitor import describe_op
+from .diagnostics import (
+    CARDINALITY_BLOWUP,
+    EMPTY_BRANCH,
+    Diagnostic,
+    describe_op,
+)
 
-#: Default LC302 threshold: a join bound beyond ``10000 ×`` the database
+#: The LC302 threshold: a join bound beyond ``10000 ×`` the database
 #: node count is treated as explosive even though finite.  Predicated
 #: value joins are still counted as cross products (value selectivity is
-#: unknown), so the default leaves headroom for legitimate plans.
+#: unknown), so the factor leaves headroom for legitimate plans.
 BLOWUP_FACTOR = 10_000
 
 
@@ -82,17 +86,6 @@ def _add(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if a is None or b is None:
         return None
     return a + b
-
-
-@dataclass
-class CardinalityAnalysis:
-    """Interval bounds per operator plus the LC3xx diagnostics."""
-
-    bounds: Dict[int, Interval] = field(default_factory=dict)
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-
-    def bound_of(self, op: Operator) -> Interval:
-        return self.bounds[id(op)]
 
 
 def _edge_factor(
@@ -153,97 +146,58 @@ def _pattern_embeddings(
     return _mul(count, product)
 
 
-def bound_plan(
-    plan: Operator,
-    stats: Optional[CardinalityStats] = None,
-    blowup_factor: int = BLOWUP_FACTOR,
-) -> CardinalityAnalysis:
-    """Interval-interpret ``plan`` against ``stats``.
-
-    Without stats every leaf is unknown and no diagnostics are raised —
-    the bounds degenerate to ``[0, inf]`` but the plumbing (rendering,
-    ``explain --lint``) still works.
-    """
-    analysis = CardinalityAnalysis()
-    known = stats is not None
-    threshold = (
-        max(stats.database_nodes, 1) * blowup_factor if known else None
-    )
-
-    def run(op: Operator) -> Interval:
-        key = id(op)
-        if key in analysis.bounds:
-            return analysis.bounds[key]
-        ins = [run(child) for child in op.inputs]
-        out = transfer(op, ins, stats)
-        analysis.bounds[key] = out
-        _diagnose(op, ins, out)
-        return out
-
-    def _diagnose(
-        op: Operator, ins: List[Interval], out: Interval
-    ) -> None:
-        if not known:
-            return
-        if out.empty and not any(i.empty for i in ins):
-            analysis.diagnostics.append(
-                Diagnostic(
-                    code=EMPTY_BRANCH,
-                    message=(
-                        "output bounded at 0 trees against the loaded "
-                        "database"
-                    ),
-                    operator=describe_op(op),
-                    op_id=id(op),
-                )
+def check_bounds(
+    op: Operator,
+    ins: List[Interval],
+    out: Interval,
+    threshold: int,
+    diagnostics: List[Diagnostic],
+) -> None:
+    """LC301/LC302 for one operator, from its input and output bounds."""
+    if out.empty and not any(i.empty for i in ins):
+        diagnostics.append(
+            Diagnostic(
+                code=EMPTY_BRANCH,
+                message=(
+                    "output bounded at 0 trees against the loaded database"
+                ),
+                operator=describe_op(op),
+                op_id=id(op),
             )
-            return
-        # LC302 fires where a blowup is *introduced*: a bound that
-        # becomes unbounded from bounded inputs, or a Join whose output
-        # bound explodes past the threshold while both sides were fine.
-        # A Select's large product bound is the declared pattern shape,
-        # not a plan defect, so it does not trip by itself.
-        inputs_fine = all(
-            i.hi is not None
-            and (threshold is None or i.hi <= threshold)
-            for i in ins
         )
-        if not inputs_fine:
-            return
-        if out.hi is None:
-            analysis.diagnostics.append(
-                Diagnostic(
-                    code=CARDINALITY_BLOWUP,
-                    message="upper bound becomes unbounded here",
-                    operator=describe_op(op),
-                    op_id=id(op),
-                )
+        return
+    # LC302 fires where a blowup is *introduced*: a bound that becomes
+    # unbounded from bounded inputs, or a Join whose output bound
+    # explodes past the threshold while both sides were fine.  A
+    # Select's large product bound is the declared pattern shape, not a
+    # plan defect, so it does not trip by itself.
+    if not all(i.hi is not None and i.hi <= threshold for i in ins):
+        return
+    if out.hi is None:
+        diagnostics.append(
+            Diagnostic(
+                code=CARDINALITY_BLOWUP,
+                message="upper bound becomes unbounded here",
+                operator=describe_op(op),
+                op_id=id(op),
             )
-        elif (
-            isinstance(op, JoinOp)
-            and threshold is not None
-            and out.hi > threshold
-        ):
-            analysis.diagnostics.append(
-                Diagnostic(
-                    code=CARDINALITY_BLOWUP,
-                    message=(
-                        f"join output bound {out.render()} exceeds "
-                        f"{blowup_factor}x the database node count"
-                    ),
-                    operator=describe_op(op),
-                    op_id=id(op),
-                )
+        )
+    elif isinstance(op, JoinOp) and out.hi > threshold:
+        diagnostics.append(
+            Diagnostic(
+                code=CARDINALITY_BLOWUP,
+                message=(
+                    f"join output bound {out.render()} exceeds "
+                    f"{BLOWUP_FACTOR}x the database node count"
+                ),
+                operator=describe_op(op),
+                op_id=id(op),
             )
-
-    run(plan)
-    return analysis
+        )
 
 
 def transfer(
-    op: Operator,
-    ins: List[Interval],
-    stats: Optional[CardinalityStats],
+    op: Operator, ins: List[Interval], stats: CardinalityStats
 ) -> Interval:
     """One operator's interval transfer function."""
     if isinstance(op, SelectOp):
@@ -278,11 +232,9 @@ def transfer(
 
 
 def _select_bound(
-    op: SelectOp, ins: List[Interval], stats: Optional[CardinalityStats]
+    op: SelectOp, ins: List[Interval], stats: CardinalityStats
 ) -> Interval:
     root = op.apt.root
-    if stats is None:
-        return Interval(0, None)
     if root.lc_ref is not None:
         # extension: each input tree is extended below its class nodes;
         # the choices below the anchor multiply per input tree
@@ -306,7 +258,7 @@ _NON_GROWING = (AggregateOp, DedupOp, FilterOp, ProjectOp, SortOp,
 def _flatten_bound(
     op: Union[FlattenOp, ShadowOp],
     ins: List[Interval],
-    stats: Optional[CardinalityStats],
+    stats: CardinalityStats,
 ) -> Interval:
     """Flatten and Shadow emit one tree per member of the child class.
 
@@ -315,7 +267,7 @@ def _flatten_bound(
     nested edge counted as ``-``; otherwise, per input tree, at most
     the database's node count of the class's tag.
     """
-    if stats is None or not op.inputs:
+    if not op.inputs:
         return Interval(0, None)
     source = op.inputs[0]
     while isinstance(source, _NON_GROWING):

@@ -12,6 +12,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from ..core.base import Operator
+
 
 class Severity(enum.Enum):
     """How bad a diagnostic is: errors abort strict execution."""
@@ -100,6 +102,13 @@ CATALOG = {
         "intermediate cardinality bound is unbounded or explosive",
     ),
 }
+
+
+def describe_op(op: Operator) -> str:
+    """One-line operator rendering used in diagnostics."""
+    params = op.params()
+    text = f"{op.name} {params}" if params else op.name
+    return text if len(text) <= 96 else text[:93] + "..."
 
 
 @dataclass(frozen=True)

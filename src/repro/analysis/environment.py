@@ -85,9 +85,9 @@ def merge_join(left: LCEnv, right: LCEnv) -> Tuple[LCEnv, List[Conflict]]:
     """Merge the two sides of a Join; report duplicate producers.
 
     A label present on both sides is fine when both occurrences come from
-    the *same* operator instance (a shared sub-plan after the Section 4.1
-    reuse rewrite turns the plan into a DAG); two distinct producers for
-    one label is the classic translator bug this analyzer exists to catch.
+    the *same* operator instance (a shared sub-plan of a hand-built DAG);
+    two distinct producers for one label is the classic translator bug
+    this analyzer exists to catch.
     """
     merged = dict(left.classes)
     conflicts: List[Conflict] = []

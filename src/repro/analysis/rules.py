@@ -38,9 +38,10 @@ from .diagnostics import (
     SHADOWED_REF,
     UNDEFINED_REF,
     Diagnostic,
+    describe_op,
 )
 from .environment import LCEnv
-from .visitor import _merged, describe_op
+from .visitor import _merged
 
 #: Operator types whose consumption reads member *values or counts*; a
 #: shadow-hidden class silently shows them only its one visible member.

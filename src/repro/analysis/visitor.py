@@ -1,18 +1,20 @@
-"""Bottom-up LC-flow analysis over an operator DAG — without executing it.
+"""One bottom-up analysis pass over an operator DAG — without executing it.
 
 For every operator the visitor computes the :class:`LCEnv` of its output
 edge from the environments of its inputs, using each operator's
 ``lc_produced()/lc_consumed()`` protocol plus operator-specific transfer
 functions that model how labels actually flow (Project drops, Construct
-splices, Shadow hides, Join merges).  Shared sub-plans (the plan is a DAG
-after the reuse rewrite) are visited once, exactly like the evaluator's
-memoisation.
+splices, Shadow hides, Join merges), and runs the rules of
+:mod:`.rules` against it.  Given database statistics, the same visit
+also computes the operator's cardinality interval and its LC3xx check
+(:mod:`.cardinality`).  A shared sub-plan (a hand-built DAG) is visited
+once, exactly like the evaluator's memoisation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.aggregate import AggregateOp
 from ..core.base import Operator
@@ -24,7 +26,10 @@ from ..core.select import SelectOp
 from ..core.shadow import IlluminateOp, ShadowOp
 from ..core.union import UnionOp
 from ..patterns.apt import APTNode
-from .diagnostics import Diagnostic, Severity
+from ..storage.stats import CardinalityStats
+from . import cardinality
+from .cardinality import Interval
+from .diagnostics import Diagnostic, Severity, describe_op
 from .environment import ClassInfo, LCEnv, merge_join, merge_union
 
 #: A duplicate-producer finding raised during a transfer:
@@ -32,19 +37,17 @@ from .environment import ClassInfo, LCEnv, merge_join, merge_union
 ProducerConflict = Tuple[Operator, ClassInfo, ClassInfo]
 
 
-def describe_op(op: Operator) -> str:
-    """One-line operator rendering used in diagnostics."""
-    params = op.params()
-    text = f"{op.name} {params}" if params else op.name
-    return text if len(text) <= 96 else text[:93] + "..."
-
-
 @dataclass
 class PlanAnalysis:
-    """The result of one analyzer run over a plan."""
+    """The result of one analyzer run over a plan.
+
+    ``bounds`` maps operator ids to cardinality :class:`Interval` bounds
+    when the run had database statistics, and is empty otherwise.
+    """
 
     plan: Operator
     env_out: Dict[int, LCEnv] = field(default_factory=dict)
+    bounds: Dict[int, Interval] = field(default_factory=dict)
     order: List[Operator] = field(default_factory=list)  # postorder, unique
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
@@ -63,13 +66,90 @@ class PlanAnalysis:
         """True when no error-severity diagnostic was reported."""
         return not self.errors
 
+    def render(self) -> str:
+        """The lint report: one line per diagnostic plus a summary."""
+        lines = [d.render() for d in self.diagnostics]
+        errors = len(self.errors)
+        warnings = len(self.warnings)
+        if not lines:
+            lines.append("plan is clean: no diagnostics")
+        else:
+            lines.append(
+                f"{errors} error{'s' if errors != 1 else ''}, "
+                f"{warnings} warning{'s' if warnings != 1 else ''}"
+            )
+        return "\n".join(lines)
 
-def analyze(plan: Operator) -> PlanAnalysis:
-    """Run the full LC-flow analysis over ``plan``."""
+    def annotated_plan(self) -> str:
+        """The plan rendered like ``Operator.describe`` with LC-flow notes.
+
+        Each operator line is suffixed with the labels it produces and
+        consumes, the live environment on its output edge, and — when
+        cardinality bounds were computed — its ``card [lo, hi]`` output
+        bound; any diagnostics anchored to it are listed beneath it.
+        """
+        by_op: Dict[int, List[Diagnostic]] = {}
+        for diag in self.diagnostics:
+            if diag.op_id is not None:
+                by_op.setdefault(diag.op_id, []).append(diag)
+
+        lines: List[str] = []
+        seen: Set[int] = set()
+
+        def visit(op: Operator, depth: int) -> None:
+            pad = "  " * depth
+            params = op.params()
+            head = f"{pad}{op.name} {params}" if params else f"{pad}{op.name}"
+            notes = []
+            produced = sorted(op.lc_produced())
+            consumed = sorted(op.lc_consumed())
+            if produced:
+                notes.append(f"+{produced}")
+            if consumed:
+                notes.append(f"reads {consumed}")
+            env = self.env_out.get(id(op))
+            if env is not None:
+                notes.append(f"live {sorted(env.labels())}")
+                if env.shadowed:
+                    notes.append(f"shadowed {sorted(env.shadowed)}")
+            interval = self.bounds.get(id(op))
+            if interval is not None:
+                notes.append(f"card {interval.render()}")
+            if notes:
+                head += "   # " + " ".join(notes)
+            if id(op) in seen:
+                lines.append(head + "  (shared)")
+                return
+            seen.add(id(op))
+            lines.append(head)
+            for diag in by_op.get(id(op), ()):
+                marker = "!!" if diag.is_error else "??"
+                lines.append(
+                    f"{pad}  {marker} {diag.code} {diag.severity}: "
+                    f"{diag.message}"
+                )
+            for child in op.inputs:
+                visit(child, depth + 1)
+
+        visit(self.plan, 0)
+        return "\n".join(lines)
+
+
+def analyze(
+    plan: Operator, stats: Optional[CardinalityStats] = None
+) -> PlanAnalysis:
+    """Run the LC-flow analysis over ``plan``.
+
+    With ``stats``, every operator also gets its cardinality bound and
+    the LC3xx warnings follow the LC1xx/LC2xx findings.
+    """
     from . import rules  # local import: rules uses this module's helpers
 
     analysis = PlanAnalysis(plan)
     conflicts: List[ProducerConflict] = []
+    bound_findings: List[Diagnostic] = []
+    if stats is not None:
+        threshold = max(stats.database_nodes, 1) * cardinality.BLOWUP_FACTOR
 
     def run(op: Operator) -> LCEnv:
         key = id(op)
@@ -80,12 +160,18 @@ def analyze(plan: Operator) -> PlanAnalysis:
         env = transfer(op, in_envs, conflicts)
         analysis.env_out[key] = env
         analysis.order.append(op)
+        if stats is not None:
+            ins = [analysis.bounds[id(child)] for child in op.inputs]
+            out = cardinality.transfer(op, ins, stats)
+            analysis.bounds[key] = out
+            cardinality.check_bounds(op, ins, out, threshold, bound_findings)
         return env
 
     run(plan)
     rules.report_conflicts(conflicts, analysis.diagnostics)
     rules.check_plan(analysis, analysis.diagnostics)
     dedupe_diagnostics(analysis.diagnostics)
+    analysis.diagnostics.extend(bound_findings)
     return analysis
 
 

@@ -1,6 +1,6 @@
 """Bottom-up, set-at-a-time evaluation of TLC plans.
 
-Plans are operator trees (occasionally DAGs after rewrites share a
+Plans are operator trees (occasionally hand-built DAGs that share a
 sub-plan); evaluation memoises by operator identity so shared sub-plans
 run exactly once — the executable counterpart of pattern-tree reuse.
 

@@ -31,7 +31,7 @@ def plan_to_dot(
 ) -> str:
     """Render the plan rooted at ``root`` as a DOT digraph.
 
-    Shared sub-plans (after the reuse rewrite) appear once with multiple
+    Shared sub-plans (of a hand-built DAG) appear once with multiple
     incoming edges — the DAG structure is visible, unlike in the
     indented text rendering.  ``annotate`` may supply extra label text
     per operator (the runtime tracer uses it for measured costs).

@@ -1,9 +1,8 @@
-"""Section 4 rewrites: pattern reuse, Flatten, Shadow/Illuminate."""
+"""Section 4 rewrites: Flatten, Shadow/Illuminate."""
 
 from .base import defined_lcls, parent_map, rename_lcl, used_lcls
 from .flatten_rewrite import FlattenSite, apply_flatten, find_flatten_sites
 from .pipeline import RewriteLog, optimize, optimize_plan
-from .reuse import share_common_selects
 from .shadow_rewrite import (
     IlluminateSite,
     apply_illuminate,
@@ -21,7 +20,6 @@ __all__ = [
     "RewriteLog",
     "optimize",
     "optimize_plan",
-    "share_common_selects",
     "IlluminateSite",
     "apply_illuminate",
     "find_illuminate_sites",

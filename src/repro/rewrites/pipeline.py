@@ -2,12 +2,15 @@
 
 Order matters and follows the paper's Q1 walk-through:
 
-1. share identical pattern matches (Section 4.1),
-2. restructure nested/flat same-tag pairs — with **Shadow** when a later
-   extension select re-fetches the same nodes (so step 3 can fire), with
+1. restructure nested/flat same-tag pairs — with **Shadow** when a later
+   extension select re-fetches the same nodes (so step 2 can fire), with
    **Flatten** otherwise (Section 4.2),
-3. replace redundant re-fetching selects with **Illuminate**
+2. replace redundant re-fetching selects with **Illuminate**
    (Section 4.3).
+
+Section 4.1's pattern-tree reuse needs no step of its own: the
+translator already emits extension Selects (``lc_ref``) that read the
+classes an earlier Select matched.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from ..core.base import Operator
 from ..errors import PlanValidationError
 from ..xquery.translator import TranslationResult
 from .flatten_rewrite import FlattenSite, apply_flatten, find_flatten_sites
-from .reuse import ReuseSite, apply_reuse, find_reuse_sites
 from .shadow_rewrite import (
     IlluminateSite,
     apply_illuminate,
@@ -33,7 +35,6 @@ from .shadow_rewrite import (
 class RewriteLog:
     """What the optimizer did, for explainers and tests."""
 
-    shared_selects: int = 0
     flattened: List[str] = field(default_factory=list)
     shadowed: List[str] = field(default_factory=list)
     illuminated: List[str] = field(default_factory=list)
@@ -43,12 +44,7 @@ class RewriteLog:
 
     @property
     def changed(self) -> bool:
-        return bool(
-            self.shared_selects
-            or self.flattened
-            or self.shadowed
-            or self.illuminated
-        )
+        return bool(self.flattened or self.shadowed or self.illuminated)
 
 
 class _StepVerifier:
@@ -90,15 +86,6 @@ def _has_refetch(root: Operator, parent_lcl: int, tag: str) -> bool:
         for op in root.walk()
         for edge in refetch_edges(op, parent_lcl)
     )
-
-
-def _reuse(
-    root: Operator, sites: List[ReuseSite], log: RewriteLog
-) -> Operator:
-    for site in sites:
-        apply_reuse(root, site)
-    log.shared_selects = len(sites)
-    return root
 
 
 def _restructure(
@@ -148,7 +135,6 @@ _Step = Tuple[
 
 #: The steps, in the paper's order.
 _STEPS: Tuple[_Step, ...] = (
-    ("reuse", find_reuse_sites, _reuse),
     ("restructure", find_flatten_sites, _restructure),
     ("illuminate", find_illuminate_sites, _illuminate),
 )

@@ -1,7 +1,7 @@
 """Trace data model: per-operator measurements of one plan execution.
 
 A :class:`PlanTrace` is the runtime counterpart of the static
-:class:`~repro.analysis.report.AnalysisReport`: where the analyzer
+:class:`~repro.analysis.PlanAnalysis`: where the analyzer
 predicts which logical classes flow through each operator, the trace
 records what each operator actually *did* — wall time, cardinalities and
 the :class:`~repro.storage.stats.Metrics` work counters it accumulated.
@@ -13,8 +13,8 @@ Semantics of the two time columns:
   set-at-a-time), so self times are disjoint and their sum is bounded by
   the query's wall time.
 * ``cumulative_seconds`` — self time plus the cumulative time of the
-  operator's distinct inputs.  A memoised sub-plan (shared after the
-  reuse rewrite) is evaluated once and *reported* once, but its
+  operator's distinct inputs.  A memoised sub-plan (shared in a
+  hand-built DAG) is evaluated once and *reported* once, but its
   cumulative time is attributed to every referencing parent — the same
   convention ``EXPLAIN ANALYZE`` uses for shared CTE scans — so sibling
   cumulatives may double-count a shared child while the self-time

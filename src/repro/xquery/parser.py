@@ -9,8 +9,10 @@ real-world XQuery is lowercase).  Both the paper's bare-path content
 
 Every FLWOR, element constructor and parenthesised or braced RETURN or
 WHERE subexpression opens one nesting level; past :data:`MAX_NESTING` open
-levels the parser raises :class:`XQuerySyntaxError` instead of letting
-hostile input exhaust the interpreter stack.
+levels, or past :data:`MAX_NESTING` steps in one path (each step nests
+one pattern node under the last), the parser raises
+:class:`XQuerySyntaxError` instead of letting hostile input exhaust the
+interpreter stack.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 _AGGREGATES = ("count", "sum", "avg", "min", "max")
 _COMPARE_OPS = ("!=", "<=", ">=", "=", "<", ">")
 
-#: Most nesting levels open at once.  Translation, analysis, evaluation
-#: and serialisation all recurse over the same structure, and each still
-#: fits the default recursion limit at this depth.
+#: Most nesting levels open at once, and most steps in one path.
+#: Translation, analysis, pattern matching, evaluation and serialisation
+#: all recurse over the same structure, and each still fits the default
+#: recursion limit at this depth.
 MAX_NESTING = 100
 
 
@@ -279,6 +282,8 @@ def _parse_path(cur: _Cursor) -> PathExpr:
                 cur.expect(")")
                 text_fn = True
                 break
+        if len(steps) == MAX_NESTING:
+            raise cur.error(f"path longer than {MAX_NESTING} steps")
         if cur.peek() == "@":
             cur.pos += 1
             steps.append(Step(axis, "@" + cur.read_name()))

@@ -94,11 +94,11 @@ class TranslationResult:
     def lint(self):
         """Run the static LC-flow analyzer over this plan.
 
-        Returns a :class:`repro.analysis.AnalysisReport`.
+        Returns a :class:`repro.analysis.PlanAnalysis`.
         """
-        from ..analysis import lint_plan  # local import: avoids a cycle
+        from ..analysis import analyze  # local import: avoids a cycle
 
-        return lint_plan(self.plan)
+        return analyze(self.plan)
 
 
 # ----------------------------------------------------------------------

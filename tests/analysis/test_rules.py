@@ -12,7 +12,6 @@ from repro.analysis import (
     UNDEFINED_REF,
     Severity,
     analyze,
-    lint_plan,
 )
 from repro.core import (
     AggregateOp,
@@ -207,7 +206,7 @@ class TestDeadClass:
 
     def test_warning_does_not_fail_lint(self):
         plan = UnionOp([AggregateOp("count", 3, 7, people())])
-        assert lint_plan(plan).ok  # warnings only
+        assert analyze(plan).ok  # warnings only
 
 
 class TestConstructFlow:
@@ -238,22 +237,22 @@ class TestConstructFlow:
 class TestReport:
     def test_render_lists_diagnostics_and_summary(self):
         plan = FilterOp(ClassPredicate(99, "=", "x"), "E", people())
-        text = lint_plan(plan).render()
+        text = analyze(plan).render()
         assert "LC101" in text and "1 error" in text
 
     def test_clean_render(self):
-        assert "clean" in lint_plan(people()).render()
+        assert "clean" in analyze(people()).render()
 
     def test_annotated_plan_marks_flow_and_findings(self):
         plan = FilterOp(ClassPredicate(99, "=", "x"), "E", people())
-        annotated = lint_plan(plan).annotated_plan()
+        annotated = analyze(plan).annotated_plan()
         assert "reads [99]" in annotated
         assert "!! LC101" in annotated
         assert "+[1, 2, 3]" in annotated  # the select's produced labels
 
     def test_annotated_plan_marks_shared_subplans(self):
-        shared = people()
-        annotated = lint_plan(UnionOp([shared, shared])).annotated_plan()
+        shared = people()  # a DAG built by hand: one Select read twice
+        annotated = analyze(UnionOp([shared, shared])).annotated_plan()
         assert "(shared)" in annotated
 
 

@@ -1,7 +1,7 @@
 """Unit tests for DOT plan rendering."""
 
+from repro.core import UnionOp
 from repro.core.visualize import plan_to_dot
-from repro.rewrites import share_common_selects
 from repro.xquery import translate_query
 
 QUERY = '''
@@ -35,8 +35,8 @@ class TestPlanToDot:
         assert '\\"Q1\\"' in dot
 
     def test_shared_subplans_render_once(self, union_plan):
-        share_common_selects(union_plan)
-        dot = plan_to_dot(union_plan)
+        shared = union_plan.inputs[0]
+        dot = plan_to_dot(UnionOp([shared, shared], dedup_lcl=1))
         # one shared leaf select box feeding the union twice
         select_boxes = [
             line

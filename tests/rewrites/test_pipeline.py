@@ -12,7 +12,10 @@ verifier still catches a broken step:
 * ``analyze`` runs 0 times on a plan no step changes and
   1 + (changing steps) times otherwise;
 * a step whose apply leaves an undefined class reference raises
-  ``PlanValidationError`` naming that step.
+  ``PlanValidationError`` naming that step;
+* no translated plan — TLC plain and optimized over the corpus, TAX and
+  GTP over the XMark texts — reaches one operator along two edges, so
+  the pipeline needs no step that shares sub-plans.
 
 Regenerate the fixture (only when a rewrite is meant to change its
 output) with ``PYTHONPATH=src python tests/rewrites/test_pipeline.py
@@ -22,16 +25,17 @@ output) with ``PYTHONPATH=src python tests/rewrites/test_pipeline.py
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import repro.analysis
-from repro.core import ProjectOp, SelectOp, UnionOp
+from repro import Engine
+from repro.core import ProjectOp
 from repro.errors import PlanValidationError
-from repro.patterns import APT, pattern_node
-from repro.rewrites import RewriteLog, optimize, pipeline, reuse
+from repro.rewrites import RewriteLog, optimize, pipeline
 from repro.xmark import FIGURE15_ORDER, QUERIES
 from repro.xquery import translate_query
 from repro.xquery.fuzz import sample_queries
@@ -41,7 +45,7 @@ LOGS_PATH = Path(__file__).with_name("rewrite_logs.json")
 #: the layer benchmark's default workload seed, which the fuzzer uses
 FUZZ_SEED = 20040613
 
-STEPS = ["reuse", "restructure", "illuminate"]
+STEPS = ["restructure", "illuminate"]
 
 
 def corpus():
@@ -147,11 +151,7 @@ def analyze_calls(monkeypatch):
 def changing_steps(log) -> int:
     return sum(
         bool(done)
-        for done in (
-            log.shared_selects,
-            log.flattened or log.shadowed,
-            log.illuminated,
-        )
+        for done in (log.flattened or log.shadowed, log.illuminated)
     )
 
 
@@ -181,33 +181,40 @@ def test_verify_false_never_analyzes(analyze_calls):
 
 
 # ---------------------------------------------------------------------
+# no plan shares an operator: the pipeline has no sharing step to run
+# ---------------------------------------------------------------------
+def shared_operators(plan):
+    """Operators the plan reaches along more than one edge."""
+    reached = Counter(id(op) for op in plan.walk())
+    return [op.name for op in plan.walk() if reached[id(op)] > 1]
+
+
+def test_no_translated_tlc_plan_shares_an_operator():
+    shared = {}
+    for name, text in corpus():
+        plain = translate_query(text).plan
+        for label, plan in (("", plain), ("-O", optimize(plain)[0])):
+            if shared_operators(plan):
+                shared[name + label] = shared_operators(plan)
+    assert shared == {}
+
+
+@pytest.mark.parametrize("engine", ["tax", "gtp"])
+def test_no_baseline_plan_shares_an_operator(engine):
+    planner = Engine()
+    shared = {}
+    for name in FIGURE15_ORDER:
+        plan = planner.plan(QUERIES[name].text, engine).plan
+        if shared_operators(plan):
+            shared[name] = shared_operators(plan)
+    assert shared == {}
+
+
+# ---------------------------------------------------------------------
 # a broken step is still caught and named
 # ---------------------------------------------------------------------
 #: a class no operator produces: reading it is an LC101 error
 UNPRODUCED = 999
-
-
-def person_name(lcl: int) -> SelectOp:
-    root = pattern_node("person", lcl=1)
-    root.add_edge(pattern_node("name", lcl=lcl))
-    return SelectOp(APT(root, doc="auction.xml"))
-
-
-def test_broken_reuse_is_named(monkeypatch):
-    """Two identical person/name Selects under a Union, each read by a
-    Project; the patched apply renames the dropped Select's reader to
-    a class nothing produces."""
-    plan = UnionOp(
-        [ProjectOp([lcl], person_name(lcl)) for lcl in (2, 3)], dedup_lcl=1
-    )
-    real = reuse.rename_lcl
-    monkeypatch.setattr(
-        reuse,
-        "rename_lcl",
-        lambda op, old, new: real(op, old, UNPRODUCED),
-    )
-    with pytest.raises(PlanValidationError, match="'reuse'"):
-        optimize(plan)
 
 
 def reads_unproduced(apply):

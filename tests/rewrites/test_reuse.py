@@ -1,18 +1,16 @@
-"""Pattern-tree reuse must not share Selects whose outputs meet at a Join.
+"""Identical pattern shapes on opposite sides of one Join answer alike
+plain and under ``-O``.
 
-Both texts below have two leaf Selects with the same pattern shape on
-opposite sides of one Join.  Sharing them renames one side's classes to
-the other's, so every joined tree binds a singleton class twice and the
-rewritten plan raises ``CardinalityError``.  Reuse must leave such pairs
-apart, and ``-O`` must then answer exactly what the plain plan answers.
-A sub-plan two consumers read is scanned once.
+Each text below has two leaf Selects with the same pattern shape on
+opposite sides of one Join.  Sharing them would rename one side's
+classes to the other's, so every joined tree would bind a singleton
+class twice (the wrong answers a pattern-sharing rewrite once gave
+here).  No rewrite shares a Select, and ``-O`` must answer exactly what
+the plain plan answers.
 """
 
 import pytest
 
-from repro.core import UnionOp
-from repro.rewrites import optimize, share_common_selects
-from repro.xquery import translate_query
 from tests.conftest import canonical_sorted
 
 
@@ -49,20 +47,9 @@ TEXTS = pytest.mark.parametrize(
 
 
 @TEXTS
-def test_selects_meeting_at_a_join_are_not_shared(text):
-    _, log = optimize(translate_query(text).plan)
-    assert log.shared_selects == 0
-
-
-@TEXTS
 def test_optimized_answers_equal_plain(xmark_engine, text):
     plain = xmark_engine.run(text)
     optimized = xmark_engine.run(text, optimize=True)
     assert len(plain) > 0
     assert canonical_sorted(optimized) == canonical_sorted(plain)
 
-
-def test_a_sub_plan_read_twice_is_scanned_once(union_plan):
-    """The Union's two identical Selects are one duplicate, however
-    many consumers read the Union."""
-    assert share_common_selects(UnionOp([union_plan, union_plan])) == 1

@@ -8,7 +8,6 @@ from repro.rewrites import (
     find_flatten_sites,
     find_illuminate_sites,
     optimize,
-    share_common_selects,
 )
 from repro.xquery import translate_query
 
@@ -191,18 +190,3 @@ class TestEquivalence:
         result = evaluate(plan, Context(tiny_db))
         assert len(result) == 3
 
-
-class TestReuse:
-    def test_identical_leaf_selects_shared(self, union_plan):
-        eliminated = share_common_selects(union_plan)
-        assert eliminated == 1
-        leaves = {
-            id(op)
-            for op in union_plan.walk()
-            if isinstance(op, SelectOp) and op.apt.root.lc_ref is None
-        }
-        assert len(leaves) == 1
-
-    def test_different_patterns_not_shared(self):
-        plan = translate_query(Q1).plan
-        assert share_common_selects(plan) == 0

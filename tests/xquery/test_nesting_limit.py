@@ -1,10 +1,12 @@
-"""Hostile nesting: past ``MAX_NESTING`` levels the parser raises
-``XQuerySyntaxError`` — never ``RecursionError`` — and at the limit a
-query still translates, lints, evaluates and serialises."""
+"""Hostile nesting: past ``MAX_NESTING`` levels, or ``MAX_NESTING``
+steps in one path, the parser raises ``XQuerySyntaxError`` — never
+``RecursionError`` — and at the limit a query still translates, lints,
+evaluates and serialises."""
 
 import pytest
 
-from repro.analysis import lint_plan
+from repro import Engine
+from repro.analysis import analyze
 from repro.errors import XQuerySyntaxError
 from repro.xmark import QUERIES
 from repro.xquery import parse_query
@@ -104,7 +106,7 @@ def test_prepare_at_and_past_the_limit(service, build):
 )
 def test_every_stage_runs_at_the_limit(xmark_engine, build, optimize):
     text = build(MAX_NESTING)
-    lint_plan(xmark_engine.plan(text, optimize=optimize).plan)
+    analyze(xmark_engine.plan(text, optimize=optimize).plan)
     result = xmark_engine.run(text, optimize=optimize)
     assert isinstance(result.to_xml(), str)
 
@@ -134,3 +136,46 @@ def test_every_compile_cold_text_still_prepares(service):
         texts += sample_queries(300, seed)
     for text in texts:
         service.prepare(text, optimize=True)
+
+
+# ---------------------------------------------------------------------
+# long paths: each step nests one pattern node under the last
+# ---------------------------------------------------------------------
+DEEP = 100  # levels of the deep document
+
+
+def long_path(steps):
+    return 'for $x in document("d.xml")' + "/a" * steps + " return $x"
+
+
+@pytest.fixture(scope="module")
+def deep_engine():
+    engine = Engine()
+    engine.load_xml("d.xml", "<a>" * DEEP + "</a>" * DEEP)
+    return engine
+
+
+@pytest.mark.parametrize("steps", [MAX_NESTING + 1, 600, 3000])
+def test_a_path_past_the_limit_is_a_syntax_error(deep_engine, steps):
+    with pytest.raises(XQuerySyntaxError, match="path longer than"):
+        parse_query(long_path(steps))
+    svc = deep_engine.service(threads=1)
+    try:
+        with pytest.raises(XQuerySyntaxError, match="path longer than"):
+            svc.execute(long_path(steps))
+    finally:
+        svc.close()
+
+
+@pytest.mark.parametrize(
+    "engine, optimize",
+    [("tlc", False), ("tlc", True), ("nav", False), ("tax", False),
+     ("gtp", False)],
+    ids=["tlc", "tlc-O", "nav", "tax", "gtp"],
+)
+def test_a_path_at_the_limit_runs_everywhere(deep_engine, engine, optimize):
+    text = long_path(MAX_NESTING)
+    assert len(deep_engine.run(text, engine=engine, optimize=optimize)) == 1
+    if engine == "tlc":
+        analysis = analyze(deep_engine.plan(text, "tlc", optimize).plan)
+        assert analysis.diagnostics == [], analysis.render()
