@@ -228,7 +228,6 @@ def _profile_spans(args: argparse.Namespace, engine, query: str) -> int:
     import json
 
     from .service import QueryService
-    from .telemetry.hooks import instrument
     from .telemetry.spans import to_chrome_trace
 
     if args.json or args.dot:
@@ -249,7 +248,6 @@ def _profile_spans(args: argparse.Namespace, engine, query: str) -> int:
         )
         result = handle.result()
         capture = svc.span_store.tail(1)[0]
-    instrument("spans.export")
     print(json.dumps(to_chrome_trace([capture]), indent=2, sort_keys=True))
     print(
         f"-- trace {capture.trace_id}: {len(capture.spans)} spans over "

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..columns.batch import as_tree_sequence
 from ..model.sequence import TreeSequence
 from ..storage.database import Database
-from ..telemetry import hooks as telemetry
 from .base import Context, Operator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -65,10 +64,6 @@ def evaluate(
     cache = ctx.scan_cache
     if cache is not None:
         cache.begin_query(ctx.db)
-    # one boolean test per evaluation: telemetry never touches the
-    # per-operator loop, only the whole-plan boundary
-    telemetry_on = telemetry.enabled()
-    walk_started = time.perf_counter() if telemetry_on else 0.0
     try:
         if tracer is None:
             while stack:
@@ -116,14 +111,7 @@ def evaluate(
             cache.end_query()
     # the plan's consumer expects trees; the final conversion is the
     # inherent boundary of the batch runtime, not a fallback
-    result = as_tree_sequence(memo[id(plan)], ctx.metrics)
-    if telemetry_on:
-        telemetry.instrument("evaluator.run")
-        telemetry.instrument(
-            "evaluator.seconds", time.perf_counter() - walk_started
-        )
-        telemetry.instrument("evaluator.trees", len(result))
-    return result
+    return as_tree_sequence(memo[id(plan)], ctx.metrics)
 
 
 def evaluate_on(plan: Operator, db: Database) -> TreeSequence:

@@ -38,7 +38,6 @@ from ..model.value import compare
 from ..physical.structural_join import child_columns, probe
 from ..storage.database import Database
 from ..storage.postings import is_flat
-from ..telemetry import hooks as telemetry
 from .apt import APT, APTEdge, APTNode
 from .predicates import NodeTest
 from .scan_cache import Candidates, ScanCache
@@ -135,15 +134,7 @@ class PatternMatcher:
                 limits.tick()
             _flatten_variant(mtree, apt.root, columns, len(tags), -1)
             offsets.append(len(tags))
-        out = ColumnBatch(offsets, *columns)
-        self._note_match(out)
-        return out
-
-    def _note_match(self, out) -> None:
-        """Telemetry boundary of one match/extend call (witness count)."""
-        if telemetry.enabled():
-            telemetry.instrument("matcher.match")
-            telemetry.instrument("matcher.trees", len(out))
+        return ColumnBatch(offsets, *columns)
 
     # ------------------------------------------------------------------
     # extension matching (pattern-tree reuse)
@@ -260,7 +251,6 @@ class PatternMatcher:
                     )
                 )
                 self.db.metrics.trees_built += 1
-        self._note_match(out)
         return out
 
     def extend_batch(
@@ -434,9 +424,7 @@ class PatternMatcher:
                         ]
                     )
                 offsets.append(len(tags))
-        out = ColumnBatch(offsets, *columns)
-        self._note_match(out)
-        return out
+        return ColumnBatch(offsets, *columns)
 
     def count_below(
         self, apt: APT, anchors: Sequence[NodeId]

@@ -64,7 +64,6 @@ from typing import (
 )
 
 from ..storage.stats import Metrics
-from ..telemetry import hooks as telemetry
 
 #: Cache key: (document name, tag test, content comparisons).
 ScanKey = Tuple[Hashable, ...]
@@ -235,8 +234,6 @@ class ScanCache:
         if hit is not None:
             if self.metrics is not None:
                 self.metrics.scan_cache_hits += 1
-            if telemetry.enabled():
-                telemetry.instrument("scan_cache.hit")
         return hit
 
     def candidates(
@@ -254,8 +251,6 @@ class ScanCache:
             return hit
         value = build()
         self._entries[key] = value
-        if telemetry.enabled():
-            telemetry.instrument("scan_cache.miss")
         return value
 
     def __len__(self) -> int:

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from ..storage.stats import Metrics
-from ..telemetry import hooks as telemetry
 from ..xquery.translator import TranslationResult
 
 #: Default number of prepared plans kept resident.
@@ -172,17 +171,14 @@ class PlanCache:
                     self._hits += 1
                     if self.metrics is not None:
                         self.metrics.plan_cache_hits += 1
-                    telemetry.instrument("plan_cache.hit")
                     return entry[1]
                 del self._entries[key]
                 self._evictions += 1
                 if self.metrics is not None:
                     self.metrics.plan_cache_evictions += 1
-                telemetry.instrument("plan_cache.eviction")
             self._misses += 1
             if self.metrics is not None:
                 self.metrics.plan_cache_misses += 1
-            telemetry.instrument("plan_cache.miss")
             return None
 
     def put(
@@ -200,7 +196,6 @@ class PlanCache:
                 self._evictions += 1
                 if self.metrics is not None:
                     self.metrics.plan_cache_evictions += 1
-                telemetry.instrument("plan_cache.eviction")
 
     def get_or_compile(
         self,

@@ -35,14 +35,13 @@ multi-argument constructors that break ``pickle`` round-trips — so
 of the structured errors, and the dispatcher re-raises the real
 exception types.
 
-**Why /metrics stays exact.**  Each result ships two deltas: the
+**Why /metrics stays exact.**  Each result ships one delta: the
 worker database's :class:`~repro.storage.stats.Metrics` window (exact —
-a worker process runs one request at a time on one thread) and the
-worker's telemetry-registry window
-(:func:`~repro.telemetry.registry.diff_states` between export
-snapshots).  The dispatcher folds both into its own database metrics /
-process registry, so the ``/metrics`` endpoint reports the same totals
-it would have had the work run locally.
+a worker process runs one request at a time on one thread).  The
+dispatcher folds it into its own database metrics, and everything else
+``/metrics`` serves — request counts, latencies, spans — is counted
+dispatcher-side, so the endpoint reports the same totals it would have
+had the work run locally.
 """
 
 from __future__ import annotations
@@ -71,8 +70,6 @@ from ..model.sequence import TreeSequence
 from ..storage.database import Database
 from ..storage.persist import SnapshotHandle, open_snapshot, write_snapshot
 from ..storage.seal import bulk_load
-from ..telemetry import hooks as telemetry
-from ..telemetry.registry import MetricsRegistry, diff_states
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .service import PreparedQuery
@@ -116,8 +113,7 @@ class WorkerResult:
     exception type, which the dispatcher re-raises (the exception
     object itself never crosses the boundary — multi-argument
     ``__init__`` signatures do not survive pickling).  ``counters`` is
-    the worker database's exact per-request Metrics window and
-    ``telemetry`` the worker registry's window, both merged
+    the worker database's exact per-request Metrics window, merged
     dispatcher-side.
     """
 
@@ -127,7 +123,6 @@ class WorkerResult:
     error_args: Tuple[Any, ...] = ()
     error_text: str = ""
     counters: Dict[str, int] = field(default_factory=dict)
-    telemetry: Optional[Dict[str, Any]] = None
     pid: int = 0
     #: Per-worker introspection snapshot (requests served, plans seen
     #: by plan hash, snapshot load ms, last heartbeat) — piggybacked on
@@ -199,9 +194,6 @@ def _init_worker(
             _WORKER_STATE["requests"] = 0
             _WORKER_STATE["plan_hashes"] = {}
             _WORKER_STATE["last_heartbeat"] = time.time()
-        # a fresh registry: fork-inherited parent history must not be
-        # re-shipped to the dispatcher inside this worker's deltas
-        telemetry.set_registry(MetricsRegistry())
     # snapshot load ms is materialization plus the seal (for a fork
     # worker: the token lookup plus the seal); the indexes are built by
     # the load itself, so there is no separate warm-up.  The freeze
@@ -277,8 +269,6 @@ def _execute_item(item: WorkItem) -> WorkerResult:
     _note_request(query_hash(item.prepared.key.text))
     limits = ExecutionLimits(deadline=item.deadline, max_trees=item.max_trees)
     counters_before = db.metrics.local_snapshot()
-    registry = telemetry.get_registry()
-    telemetry_before = registry.export_state()
     status = "ok"
     result: Optional[TreeSequence] = None
     error_type = ""
@@ -318,7 +308,6 @@ def _execute_item(item: WorkItem) -> WorkerResult:
             for k, v in db.metrics.local_diff(counters_before).items()
             if v
         },
-        telemetry=diff_states(telemetry_before, registry.export_state()),
         pid=os.getpid(),
         worker_info=_worker_info_snapshot(),
     )

@@ -67,9 +67,12 @@ from ..errors import (
 )
 from ..model.sequence import TreeSequence
 from ..storage.database import Database
-from ..telemetry import hooks as telemetry
 from ..telemetry import spans as spanlib
-from ..telemetry.hooks import new_latency_histogram
+from ..telemetry.histogram import (
+    Histogram,
+    HistogramSnapshot,
+    new_latency_histogram,
+)
 from ..telemetry.querylog import (
     DEFAULT_SLOW_CAPACITY,
     QueryLog,
@@ -80,7 +83,6 @@ from ..telemetry.querylog import (
     query_hash,
 )
 from ..telemetry.spans import SpanRecorder, SpanStore, bind_recorder
-from ..telemetry.registry import Histogram
 from ..xquery.translator import TranslationResult
 from .cache import CacheStats, PlanCache, PlanCacheKey, normalize_query
 from .pool import START_METHODS
@@ -193,6 +195,9 @@ class ServiceStats:
     ``counters`` is the database's merged :class:`Metrics` snapshot —
     exact under concurrency (the counters are thread-striped), and in
     process mode inclusive of every worker delta merged so far.
+    ``requests`` counts finished requests by engine, then by status
+    (``ok``/``timeout``/``resource``/``cancelled``/``error``; a request
+    cancelled while still queued never ran and is not among them).
     ``latency`` maps query classes (``all`` plus one
     ``engine:queryhash`` entry per distinct prepared query, bounded at
     :data:`MAX_QUERY_CLASSES`) to their p50/p95/p99 percentiles.
@@ -208,6 +213,7 @@ class ServiceStats:
     spans: bool = False
     cache: CacheStats = field(default_factory=CacheStats)
     counters: Dict[str, int] = field(default_factory=dict)
+    requests: Dict[str, Dict[str, int]] = field(default_factory=dict)
     latency: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -351,9 +357,15 @@ class QueryService:
         self._timeouts = 0
         self._cancelled = 0
         self._slow_queries = 0
+        #: (engine, status) -> finished requests
+        self._requests: Dict[Tuple[str, str], int] = {}
         #: request-latency distributions backing the percentile stats:
-        #: the ``all`` aggregate plus one histogram per query class
+        #: the ``all`` aggregate, one per engine (/metrics) and one per
+        #: query class (/stats)
         self._latency_all = new_latency_histogram()
+        self._engine_hists: Dict[str, Histogram] = {
+            engine: new_latency_histogram() for engine in SERVICE_ENGINES
+        }
         self._class_lock = threading.Lock()
         self._class_hists: Dict[str, Tuple[str, Histogram]] = {}
 
@@ -570,12 +582,6 @@ class QueryService:
             else:
                 status = "error"
             error_text = f"{type(error).__name__}: {error}"
-            with self._lock:
-                self._failed += 1
-                if status == "timeout":
-                    self._timeouts += 1
-                elif status == "cancelled":
-                    self._cancelled += 1
             raise
         finally:
             elapsed = time.perf_counter() - started
@@ -590,9 +596,17 @@ class QueryService:
                 recorder=recorder,
             )
             # counted last so an ``executed == N`` stats read implies the
-            # telemetry for all N requests is already in the registry
+            # log events and latencies of all N requests are recorded
             with self._lock:
                 self._executed += 1
+                key = (prepared.engine, status)
+                self._requests[key] = self._requests.get(key, 0) + 1
+                if status != "ok":
+                    self._failed += 1
+                    if status == "timeout":
+                        self._timeouts += 1
+                    elif status == "cancelled":
+                        self._cancelled += 1
 
     def _evaluate(
         self,
@@ -625,8 +639,8 @@ class QueryService:
         cancel event: a worker task cannot be interrupted mid-plan, so
         a cancelled request unblocks the caller immediately and the
         stray result — bounded by its worker-side deadline — is
-        absorbed by a done-callback that merges its counters and
-        telemetry (totals stay exact; the result itself is dropped).
+        absorbed by a done-callback that merges its counters (totals
+        stay exact; the result itself is dropped).
         """
         assert self._worker_pool is not None
         from .pool import WorkItem
@@ -768,8 +782,6 @@ class QueryService:
             self._worker_pool.note_worker(wr.worker_info)
         if wr.counters:
             self.db.metrics.merge(wr.counters)
-        if wr.telemetry is not None and telemetry.enabled():
-            telemetry.get_registry().merge_state(wr.telemetry)
         if wr.status == "ok":
             assert wr.result is not None
             return wr.result
@@ -786,9 +798,9 @@ class QueryService:
 
         Runs on the executor's result thread once the worker finishes.
         The request was already reported cancelled; only the side
-        effects are kept — counters and telemetry merge (into this
-        callback thread's cell: global totals stay exact) so abandoned
-        work never goes missing from ``/metrics``.
+        effects are kept — counters merge (into this callback thread's
+        cell: global totals stay exact) so abandoned work never goes
+        missing from ``/metrics``.
         """
         try:
             if future.cancelled() or future.exception() is not None:
@@ -801,8 +813,6 @@ class QueryService:
                 self._worker_pool.note_worker(wr.worker_info)
             if wr.counters:
                 self.db.metrics.merge(wr.counters)
-            if wr.telemetry is not None and telemetry.enabled():
-                telemetry.get_registry().merge_state(wr.telemetry)
         except Exception:  # pragma: no cover - defensive
             pass
 
@@ -832,7 +842,7 @@ class QueryService:
         trace_id: Optional[str] = None,
         recorder: Optional[SpanRecorder] = None,
     ) -> None:
-        """Record one finished request: log event, metrics, latency.
+        """Record one finished request: log event, spans, latency.
 
         Runs in the worker thread *after* the result future resolves;
         it must never raise into the caller (a telemetry bug must not
@@ -851,7 +861,6 @@ class QueryService:
             if slow:
                 with self._lock:
                     self._slow_queries += 1
-                telemetry.instrument("service.slow")
                 # capture a full EXPLAIN ANALYZE once per query hash:
                 # re-running a *slow* query is expensive, so the ring's
                 # dedup check keeps a hot slow query from being traced
@@ -859,12 +868,9 @@ class QueryService:
                 if status == "ok" and self.slow_log.should_capture(qhash):
                     trace_payload = self._capture_slow(prepared)
             if recorder is not None:
-                capture = recorder.finish(status=status, slow=slow)
-                self.span_store.put(capture)
-                if telemetry.enabled():
-                    telemetry.instrument("spans.request")
-                    if slow:
-                        telemetry.instrument("spans.slow")
+                self.span_store.put(
+                    recorder.finish(status=status, slow=slow)
+                )
             event = QueryLogEvent(
                 trace_id=trace_id if trace_id is not None else new_trace_id(),
                 query_hash=qhash,
@@ -882,17 +888,8 @@ class QueryService:
             )
             if slow:
                 self.slow_log.record(event)
-            if telemetry.enabled():
-                telemetry.instrument(
-                    "service.request",
-                    labels={"engine": prepared.engine, "status": status},
-                )
-                telemetry.instrument(
-                    "service.seconds",
-                    elapsed,
-                    labels={"engine": prepared.engine},
-                )
             self._latency_all.observe(elapsed)
+            self._engine_hists[prepared.engine].observe(elapsed)
             hist = self._class_hist(
                 prepared.engine, qhash, excerpt(prepared.text)
             )
@@ -906,25 +903,29 @@ class QueryService:
     def _capture_slow(self, prepared: PreparedQuery) -> Optional[dict]:
         """Re-run a slow query under the tracer; JSON trace or None.
 
-        The re-run happens with telemetry suppressed on this thread so
-        the capture does not double-count the query in the exact
-        registry totals, and under the service's default budgets so a
-        pathological query cannot wedge a worker twice.
+        The re-run runs wholly on this thread, so resetting the thread's
+        counter cell afterwards takes its work back out of the
+        ``Metrics`` totals: they count client-visible executions only.
+        It runs under the service's default budgets so a pathological
+        query cannot wedge a worker twice.
         """
         from ..trace import Tracer, trace_to_json
 
+        metrics = self.db.metrics
+        before = metrics.local_snapshot()
         try:
-            with telemetry.disabled():
-                limits = ExecutionLimits(
-                    deadline=self.default_deadline,
-                    max_trees=self.default_max_trees,
-                )
-                ctx = Context(self.db, scan_cache=True, limits=limits)
-                tracer = Tracer(ctx.metrics)
-                evaluate(prepared.plan, ctx, tracer)
-                return trace_to_json(tracer.finish(prepared.plan))
+            limits = ExecutionLimits(
+                deadline=self.default_deadline,
+                max_trees=self.default_max_trees,
+            )
+            ctx = Context(self.db, scan_cache=True, limits=limits)
+            tracer = Tracer(ctx.metrics)
+            evaluate(prepared.plan, ctx, tracer)
+            return trace_to_json(tracer.finish(prepared.plan))
         except Exception:
             return None
+        finally:
+            metrics.local_restore(before)
 
     def _class_hist(self, engine: str, qhash: str, query: str) -> Histogram:
         """The latency histogram for one query class (bounded set).
@@ -967,6 +968,9 @@ class QueryService:
                 entry["query"] = query
             latency[key] = entry
         with self._lock:
+            requests: Dict[str, Dict[str, int]] = {}
+            for (engine, status), count in sorted(self._requests.items()):
+                requests.setdefault(engine, {})[status] = count
             return ServiceStats(
                 executed=self._executed,
                 failed=self._failed,
@@ -978,8 +982,17 @@ class QueryService:
                 spans=self.spans,
                 cache=self.cache.stats(),
                 counters=self.db.metrics.snapshot(),
+                requests=requests,
                 latency=latency,
             )
+
+    def engine_latency(self) -> Dict[str, HistogramSnapshot]:
+        """Request-latency snapshots of every engine that served one."""
+        snapshots = {
+            engine: hist.snapshot()
+            for engine, hist in self._engine_hists.items()
+        }
+        return {e: snap for e, snap in snapshots.items() if snap.count}
 
     @property
     def start_method(self) -> Optional[str]:

@@ -149,6 +149,16 @@ class Metrics(threading.local):
             for name in COUNTER_FIELDS
         }
 
+    def local_restore(self, before: dict) -> None:
+        """Set the calling thread's counters back to ``before``.
+
+        Takes the work done on this thread since ``before`` (a local
+        snapshot) out of the totals — for work that must not count,
+        like the slow-query capture's traced re-run.
+        """
+        for name in COUNTER_FIELDS:
+            setattr(self, name, before.get(name, 0))
+
     # ------------------------------------------------------------------
     # maintenance and aggregation
     # ------------------------------------------------------------------

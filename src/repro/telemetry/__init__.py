@@ -1,39 +1,31 @@
-"""Unified telemetry: metrics registry, query log, slow-query capture.
+"""Unified telemetry: query log, slow-query capture, spans, exposition.
 
-The observability layer of the reproduction (DESIGN.md §12).  Three
-pieces, all stdlib-only:
+The observability layer of the reproduction (DESIGN.md §12), all
+stdlib-only.  It keeps no counter system of its own: the work the
+paper measures is counted exactly in
+:class:`~repro.storage.stats.Metrics`, and the query service counts its
+requests, outcomes and latencies.  On top of that:
 
-* a process-wide :class:`MetricsRegistry` of counters, gauges and
-  log2-bucketed :class:`Histogram` distributions (p50/p95/p99),
-  updated through the :func:`instrument` hook layer that the
-  evaluator, pattern matcher, scan cache, prepared-plan cache and
-  service request path call;
 * a structured :class:`QueryLog` — one JSON event per service request
   (trace id, query hash, engine, cache outcome, status, latency,
   ``Metrics`` counter deltas) — ring-buffered with an optional JSONL
   sink file;
 * a :class:`SlowQueryLog` that holds full EXPLAIN ANALYZE captures of
-  requests over the slow threshold, bounded to a small ring.
+  requests over the slow threshold, bounded to a small ring;
+* request spans (:class:`SpanRecorder`, :class:`SpanStore`), exported
+  as Chrome-trace JSON;
+* log2-bucketed :class:`Histogram` distributions (p50/p95/p99) behind
+  the service's latency figures.
 
-Exposition: Prometheus text via :func:`render_prometheus` and the
-embedded :class:`TelemetryServer` (``/metrics``, ``/stats``,
-``/healthz``, ``/slow`` on the ``serve`` subcommand), JSON via
-``MetricsRegistry.snapshot`` and the ``repro stats`` / ``repro tail``
-CLI.
+Exposition: Prometheus text via :func:`render_prometheus`, built at
+scrape time by the embedded :class:`TelemetryServer` (``/metrics``,
+``/stats``, ``/healthz``, ``/slow``, ``/trace``, ``/workers`` on the
+``serve`` subcommand), and the ``repro stats`` / ``repro tail`` CLI.
 """
 
 from .exposition import CONTENT_TYPE, render_prometheus
+from .histogram import Histogram, HistogramSnapshot
 from .http import TelemetryServer
-from .hooks import (
-    SITES,
-    disabled,
-    enabled,
-    get_registry,
-    instrument,
-    set_enabled,
-    set_registry,
-    use_registry,
-)
 from .querylog import (
     QueryLog,
     QueryLogEvent,
@@ -41,13 +33,6 @@ from .querylog import (
     excerpt,
     new_trace_id,
     query_hash,
-)
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramSnapshot,
-    MetricsRegistry,
 )
 from .spans import (
     Span,
@@ -66,14 +51,10 @@ from .spans import (
 
 __all__ = [
     "CONTENT_TYPE",
-    "Counter",
-    "Gauge",
     "Histogram",
     "HistogramSnapshot",
-    "MetricsRegistry",
     "QueryLog",
     "QueryLogEvent",
-    "SITES",
     "SlowQueryLog",
     "Span",
     "SpanCapture",
@@ -83,20 +64,13 @@ __all__ = [
     "bind_recorder",
     "check_chrome_trace",
     "current_recorder",
-    "disabled",
-    "enabled",
     "excerpt",
-    "get_registry",
-    "instrument",
     "new_trace_id",
     "query_hash",
     "render_prometheus",
-    "set_enabled",
-    "set_registry",
     "set_spans",
     "span",
     "spans_enabled",
     "to_chrome_trace",
-    "use_registry",
     "use_spans",
 ]

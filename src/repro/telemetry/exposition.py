@@ -1,26 +1,31 @@
-"""Prometheus text-format exposition of a metrics registry.
+"""Prometheus text-format exposition of metric families.
 
-Renders the registry (plus any extra single-value families, e.g. the
-``Metrics`` work counters read at scrape time) in the Prometheus
-text exposition format 0.0.4: ``# HELP`` / ``# TYPE`` headers, one
-sample per line, histograms as cumulative ``_bucket{le=...}`` series
-with ``_sum`` and ``_count``.  The companion parser in
-``tools/promformat.py`` (stdlib only) validates exactly this output in
-CI's telemetry smoke job.
+Every family is built at scrape time from state the program already
+keeps (the ``Metrics`` work counters, the service's request counts and
+latency histograms, the span store) and rendered here in the
+Prometheus text exposition format 0.0.4: ``# HELP`` / ``# TYPE``
+headers, one sample per line, histograms as cumulative
+``_bucket{le=...}`` series with ``_sum`` and ``_count``.  The companion
+parser in ``tools/promformat.py`` (stdlib only) validates exactly this
+output in CI's telemetry smoke job.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .registry import HistogramSnapshot, LabelSet, MetricsRegistry
+from .histogram import HistogramSnapshot
 
 #: Content type the /metrics endpoint serves.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: One extra family: (name, help, type, [(labels, value), ...]).
-ExtraFamily = Tuple[
-    str, str, str, Sequence[Tuple[Optional[Dict[str, str]], float]]
+#: One family: (name, help, type, [(labels, value), ...]); a
+#: ``histogram`` family's values are histogram snapshots.
+Family = Tuple[
+    str,
+    str,
+    str,
+    Sequence[Tuple[Optional[Dict[str, str]], Union[float, HistogramSnapshot]]],
 ]
 
 
@@ -36,8 +41,11 @@ def _escape_label(value: str) -> str:
     )
 
 
-def _labels_text(labelset: LabelSet, extra: str = "") -> str:
-    parts = [f'{k}="{_escape_label(v)}"' for k, v in labelset]
+def _labels_text(labels: Optional[Dict[str, str]], extra: str = "") -> str:
+    parts = [
+        f'{k}="{_escape_label(str(v))}"'
+        for k, v in sorted((labels or {}).items())
+    ]
     if extra:
         parts.append(extra)
     if not parts:
@@ -53,74 +61,38 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def render_prometheus(
-    registry: MetricsRegistry,
-    extras: Sequence[ExtraFamily] = (),
-) -> str:
-    """The registry (and extras) as Prometheus exposition text."""
+def render_prometheus(families: Sequence[Family]) -> str:
+    """The families as Prometheus exposition text."""
     lines: List[str] = []
-
-    def header(name: str, help: str, kind: str) -> None:
+    for name, help, kind, series in families:
         lines.append(f"# HELP {name} {_escape_help(help)}")
         lines.append(f"# TYPE {name} {kind}")
-
-    grouped_counters: Dict[str, List[Tuple[LabelSet, float]]] = {}
-    for name, labelset, value in registry.counters():
-        grouped_counters.setdefault(name, []).append((labelset, value))
-    for name, series in grouped_counters.items():
-        header(name, registry.help_for(name), "counter")
-        for labelset, value in series:
-            lines.append(
-                f"{name}{_labels_text(labelset)} {_format_value(value)}"
-            )
-
-    grouped_gauges: Dict[str, List[Tuple[LabelSet, float]]] = {}
-    for name, labelset, value in registry.gauges():
-        grouped_gauges.setdefault(name, []).append((labelset, value))
-    for name, series in grouped_gauges.items():
-        header(name, registry.help_for(name), "gauge")
-        for labelset, value in series:
-            lines.append(
-                f"{name}{_labels_text(labelset)} {_format_value(value)}"
-            )
-
-    grouped_hists: Dict[str, List[Tuple[LabelSet, HistogramSnapshot]]] = {}
-    for name, labelset, snap in registry.histograms():
-        grouped_hists.setdefault(name, []).append((labelset, snap))
-    for name, hist_series in grouped_hists.items():
-        header(name, registry.help_for(name), "histogram")
-        for labelset, snap in hist_series:
-            for bound, cumulative in snap.cumulative():
-                le = _format_value(bound)
-                labels = _labels_text(labelset, f'le="{le}"')
-                lines.append(f"{name}_bucket{labels} {cumulative}")
-            labels = _labels_text(labelset)
-            lines.append(f"{name}_sum{labels} {_format_value(snap.sum)}")
-            lines.append(
-                f"{name}_count{labels} {_format_value(snap.count)}"
-            )
-
-    for name, help, kind, series2 in extras:
-        header(name, help, kind)
-        for labels_dict, value in series2:
-            labelset: LabelSet = tuple(sorted(
-                (str(k), str(v)) for k, v in (labels_dict or {}).items()
-            ))
-            lines.append(
-                f"{name}{_labels_text(labelset)} {_format_value(value)}"
-            )
-
+        for labels, value in series:
+            if not isinstance(value, HistogramSnapshot):
+                lines.append(
+                    f"{name}{_labels_text(labels)} {_format_value(value)}"
+                )
+                continue
+            for bound, cumulative in value.cumulative():
+                le = f'le="{_format_value(bound)}"'
+                lines.append(
+                    f"{name}_bucket{_labels_text(labels, le)} {cumulative}"
+                )
+            plain = _labels_text(labels)
+            lines.append(f"{name}_sum{plain} {_format_value(value.sum)}")
+            lines.append(f"{name}_count{plain} {_format_value(value.count)}")
     return "\n".join(lines) + "\n"
 
 
-def work_counter_families(counters: Dict[str, int]) -> List[ExtraFamily]:
+def work_counter_families(counters: Dict[str, int]) -> List[Family]:
     """The ``Metrics`` snapshot as one-sample counter families.
 
-    The shared work counters (pages read, structural joins, scan-cache
-    hits, …) are read at scrape time rather than mirrored per
-    increment — they live on the storage hot path where even a sharded
-    lock would be felt.  They are thread-striped and exact under
-    concurrency; see :class:`~repro.storage.stats.Metrics`.
+    The shared work counters (pages read, structural joins, pattern
+    matches, scan-cache hits, plan-cache outcomes, …) are read at
+    scrape time rather than mirrored per increment — they live on the
+    storage hot path where even a sharded lock would be felt.  They are
+    thread-striped and exact under concurrency; see
+    :class:`~repro.storage.stats.Metrics`.
     """
     return [
         (

@@ -3,10 +3,11 @@
 A tiny stdlib ``ThreadingHTTPServer`` running on a daemon thread next
 to a :class:`~repro.service.QueryService`.  It serves:
 
-* ``GET /metrics`` — the process-wide registry plus the ``Metrics``
-  work counters, Prometheus text format (scrape this);
+* ``GET /metrics`` — Prometheus text format (scrape this): the
+  service's request counts and latencies, the ``Metrics`` work
+  counters and the span counts, all read when scraped;
 * ``GET /stats``   — JSON: service lifetime counters, plan-cache
-  snapshot, per-query-class latency percentiles, registry snapshot;
+  snapshot, per-query-class latency percentiles;
 * ``GET /healthz`` — liveness: ``{"status": "ok", ...}``;
 * ``GET /slow``    — JSON: the slow-query ring, newest last, each
   entry carrying its captured per-operator trace;
@@ -30,9 +31,12 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .exposition import CONTENT_TYPE, render_prometheus
-from .exposition import work_counter_families
-from .hooks import get_registry, instrument
+from .exposition import (
+    CONTENT_TYPE,
+    Family,
+    render_prometheus,
+    work_counter_families,
+)
 from .spans import to_chrome_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,75 +59,122 @@ class TelemetryServer:
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
         self._started = time.time()
+        self._exports = 0
 
     # ------------------------------------------------------------------
     # payload builders (also used by tests without a socket)
     # ------------------------------------------------------------------
     def metrics_text(self) -> str:
-        extras = work_counter_families(
-            self.service.db.metrics.snapshot()
-        )
-        extras.append(
+        service = self.service
+        stats = service.stats()
+        store = service.span_store
+        with self._lock:
+            exports = self._exports
+        runtime = _runtime_payload()
+        workers = service.workers()
+
+        def single(name: str, help: str, kind: str, value: float) -> Family:
+            return (name, help, kind, [(None, float(value))])
+
+        families: List[Family] = [
             (
+                "repro_requests_total",
+                "Service requests by engine and outcome",
+                "counter",
+                [
+                    ({"engine": engine, "status": status}, float(count))
+                    for engine, by_status in stats.requests.items()
+                    for status, count in by_status.items()
+                ],
+            ),
+            (
+                "repro_request_seconds",
+                "End-to-end service request latency",
+                "histogram",
+                [
+                    ({"engine": engine}, snapshot)
+                    for engine, snapshot in sorted(
+                        service.engine_latency().items()
+                    )
+                ],
+            ),
+            single(
+                "repro_plan_executions_total",
+                "Requests the service evaluated to a result",
+                "counter",
+                sum(s.get("ok", 0) for s in stats.requests.values()),
+            ),
+            single(
+                "repro_slow_queries_total",
+                "Requests over the slow-query threshold",
+                "counter",
+                stats.slow_queries,
+            ),
+            single(
+                "repro_span_requests_total",
+                "Requests recorded as full span trees",
+                "counter",
+                store.stored,
+            ),
+            single(
+                "repro_span_slow_captures_total",
+                "Span captures auto-retained by the slow-query threshold",
+                "counter",
+                store.slow_stored,
+            ),
+            single(
+                "repro_span_exports_total",
+                "Chrome-trace exports rendered by /trace/<id>",
+                "counter",
+                exports,
+            ),
+            *work_counter_families(stats.counters),
+            single(
                 "repro_service_threads",
                 "Worker threads of the query service pool",
                 "gauge",
-                [(None, float(self.service.threads))],
-            )
-        )
-        extras.append(
-            (
+                service.threads,
+            ),
+            single(
                 "repro_plan_cache_size",
                 "Prepared plans currently resident in the LRU",
                 "gauge",
-                [(None, float(len(self.service.cache)))],
-            )
-        )
-        extras.append(
-            (
+                len(service.cache),
+            ),
+            single(
                 "repro_slow_log_size",
                 "Captures currently held by the slow-query ring",
                 "gauge",
-                [(None, float(len(self.service.slow_log)))],
-            )
-        )
-        extras.append(
-            (
+                len(service.slow_log),
+            ),
+            single(
                 "repro_span_store_size",
                 "Span captures currently resident behind /trace",
                 "gauge",
-                [(None, float(len(self.service.span_store)))],
-            )
-        )
-        runtime = _runtime_payload()
-        extras.append(
-            (
+                len(store),
+            ),
+            single(
                 "repro_store_sealed_objects",
                 "Objects in the collector's permanent generation "
                 "(the sealed store)",
                 "gauge",
-                [(None, float(runtime["store_sealed_objects"]))],
-            )
-        )
-        extras.append(
-            (
+                runtime["store_sealed_objects"],
+            ),
+            single(
                 "repro_gc_gen2_collections_total",
                 "Full (generation-2) collections run by this process",
                 "counter",
-                [(None, float(runtime["gc_gen2_collections"]))],
-            )
-        )
-        workers = self.service.workers()
-        extras.append(
-            (
+                runtime["gc_gen2_collections"],
+            ),
+            single(
                 "repro_workers_in_flight",
                 "Requests currently dispatched to worker processes",
                 "gauge",
-                [(None, float(workers["in_flight"]))],
-            )
-        )
+                workers["in_flight"],
+            ),
+        ]
         if workers["workers"]:
-            extras.append(
+            families.append(
                 (
                     "repro_worker_requests",
                     "Requests served, per worker process",
@@ -137,7 +188,7 @@ class TelemetryServer:
                     ],
                 )
             )
-            extras.append(
+            families.append(
                 (
                     "repro_worker_snapshot_load_ms",
                     "Database materialization time per worker process",
@@ -151,12 +202,11 @@ class TelemetryServer:
                     ],
                 )
             )
-        return render_prometheus(get_registry(), extras)
+        return render_prometheus(families)
 
     def stats_payload(self) -> dict:
         return {
             "service": self.service.stats().to_dict(),
-            "registry": get_registry().snapshot(),
             "runtime": _runtime_payload(),
             "uptime_seconds": round(time.time() - self._started, 3),
         }
@@ -189,7 +239,8 @@ class TelemetryServer:
         capture = self.service.span_store.get(trace_id)
         if capture is None:
             return None
-        instrument("spans.export")
+        with self._lock:
+            self._exports += 1
         return to_chrome_trace([capture])
 
     def workers_payload(self) -> dict:

@@ -22,11 +22,11 @@ wall-clock skew can reorder nothing.  The reconciliation is identical
 under ``fork`` and ``spawn`` — neither start method shares a monotonic
 epoch with the parent.
 
-**Overhead model.**  Like the metric hooks, spans sit behind one
-process-wide flag: with spans disabled the service's per-request cost
-is a single boolean test (no recorder is allocated); what armed spans
-cost is the ``telemetry.spans_overhead_ratio`` row of
-``benchmarks/layers`` (workload ``serve_thread``).
+**Overhead model.**  Spans sit behind one process-wide flag: with
+spans disabled the service's per-request cost is a single boolean test
+(no recorder is allocated); what armed spans cost is the
+``telemetry.spans_overhead_ratio`` row of ``benchmarks/layers``
+(workload ``serve_thread``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ DEFAULT_SLOW_SPAN_CAPACITY = 32
 _ENV_FLAG = "REPRO_SPANS"
 
 _enabled = os.environ.get(_ENV_FLAG, "0").lower() in ("1", "true", "yes")
-#: Guards rebinds of the flag (readers stay lock-free, like hooks.py).
+#: Guards rebinds of the flag (readers stay lock-free).
 _state_lock = threading.Lock()
 
 _tls = threading.local()
@@ -389,6 +389,7 @@ class SpanStore:
         self._captures: "OrderedDict[str, SpanCapture]" = OrderedDict()
         self._slow: "OrderedDict[str, SpanCapture]" = OrderedDict()
         self._stored = 0
+        self._slow_stored = 0
         self._dropped = 0
 
     def put(self, capture: SpanCapture) -> None:
@@ -399,6 +400,7 @@ class SpanStore:
                 self._captures.popitem(last=False)
                 self._dropped += 1
             if capture.slow:
+                self._slow_stored += 1
                 self._slow[capture.trace_id] = capture
                 while len(self._slow) > self.slow_capacity:
                     self._slow.popitem(last=False)
@@ -426,6 +428,12 @@ class SpanStore:
     def stored(self) -> int:
         with self._lock:
             return self._stored
+
+    @property
+    def slow_stored(self) -> int:
+        """Captures ever retained by the slow-query threshold."""
+        with self._lock:
+            return self._slow_stored
 
     @property
     def dropped(self) -> int:

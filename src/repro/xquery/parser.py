@@ -12,7 +12,8 @@ WHERE subexpression opens one nesting level; past :data:`MAX_NESTING` open
 levels, or past :data:`MAX_NESTING` steps in one path (each step nests
 one pattern node under the last), the parser raises
 :class:`XQuerySyntaxError` instead of letting hostile input exhaust the
-interpreter stack.
+interpreter stack.  Paths chained through variables graft onto one
+pattern; the translator holds that pattern to the same depth.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 _AGGREGATES = ("count", "sum", "avg", "min", "max")
 _COMPARE_OPS = ("!=", "<=", ">=", "=", "<", ">")
 
-#: Most nesting levels open at once, and most steps in one path.
+#: Most nesting levels open at once, most steps in one path, and most
+#: steps on one root-to-leaf path of a translated pattern.
 #: Translation, analysis, pattern matching, evaluation and serialisation
 #: all recurse over the same structure, and each still fits the default
 #: recursion limit at this depth.

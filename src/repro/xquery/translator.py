@@ -56,7 +56,7 @@ from ..core.join import JoinOp
 from ..core.project import ProjectOp
 from ..core.select import SelectOp
 from ..core.sort_op import SortOp
-from ..errors import TranslationError
+from ..errors import TranslationError, XQuerySyntaxError
 from ..patterns.apt import APT, APTNode
 from ..patterns.logical_class import LCLAllocator
 from ..patterns.predicates import NodeTest
@@ -75,7 +75,7 @@ from .ast_nodes import (
     TextLiteral,
     ValueJoin,
 )
-from .parser import parse_query
+from .parser import MAX_NESTING, parse_query
 from .paths import FLIPPED_OP, graft_steps
 
 
@@ -844,7 +844,32 @@ class TLCTranslator:
         var_lcls = {
             var: binding.label for var, binding in block.bindings.items()
         }
-        return TranslationResult(block.finish(), var_lcls, self.class_tags)
+        plan = block.finish()
+        _check_pattern_depth(plan)
+        return TranslationResult(plan, var_lcls, self.class_tags)
+
+
+def _check_pattern_depth(plan: Operator) -> None:
+    """Refuse a pattern more than :data:`MAX_NESTING` steps deep.
+
+    The parser bounds each path to that many steps, but paths chained
+    through FOR/LET variables graft onto one pattern, and the matcher
+    and the process pool's pickling both recurse once per level.
+    """
+    for op in plan.walk():
+        apt = getattr(op, "apt", None)
+        if apt is None:
+            continue
+        stack = [(apt.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > MAX_NESTING:
+                raise XQuerySyntaxError(
+                    f"pattern deeper than {MAX_NESTING} steps "
+                    "(paths chained through variables graft onto one "
+                    "pattern)"
+                )
+            stack.extend((edge.child, depth + 1) for edge in node.edges)
 
 
 def translate_query(text: str) -> TranslationResult:

@@ -14,7 +14,10 @@ measurement whose subject is gone), every
 * Python file named — ``name.py``, ``dir/name.py``, a ``bench_*.py``
   script — must exist under ``src/repro``, ``benchmarks``, ``tests``,
   ``tools`` or ``examples``, or at the repository root (a name matches
-  any file whose path it ends).
+  any file whose path it ends);
+* ``repro_*`` metric family named in README.md or docs/OBSERVABILITY.md
+  must be served by ``/metrics`` (``repro_work_<name>_total`` stands for
+  one family per ``Metrics`` counter).
 
 A deleted toggle, subcommand, flag or module that a page still
 advertises fails here, next to the CLI.md execution check and the link
@@ -23,9 +26,20 @@ check.
 
 import argparse
 import re
+import sys
 from pathlib import Path
 
+import pytest
+
+from repro import Engine
 from repro.__main__ import build_parser
+from repro.service import QueryService
+from repro.storage.stats import COUNTER_FIELDS
+from repro.telemetry import TelemetryServer
+from tests.conftest import TINY_AUCTION
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+from promformat import parse_exposition  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[2]
 PAGES = [
@@ -172,3 +186,55 @@ def test_checker_flags_stale_names_outside_historical_sections():
         "python -m repro serve --no-such-flag",
         "src/repro/physical/gone.py",
     ]
+
+
+_FAMILY = re.compile(r"\brepro_[a-z0-9_]*(?:<name>[a-z0-9_]*)?")
+
+
+def documented_families(markdown):
+    """Metric families a page names, ``repro_work_<name>_total``
+    expanded over the ``Metrics`` counters."""
+    names = set()
+    for name in _FAMILY.findall(current_text(markdown)):
+        if "<name>" in name:
+            names.update(name.replace("<name>", f) for f in COUNTER_FIELDS)
+        elif not name.endswith("_"):  # a prefix such as ``repro_work_*``
+            names.add(name)
+    return names
+
+
+@pytest.fixture(scope="module")
+def served_families():
+    """Families ``/metrics`` serves from a thread-mode and a process-mode
+    service, each with spans on and every request slow."""
+    served = set()
+    for mode in ("thread", "process"):
+        engine = Engine()
+        engine.load_xml("auction.xml", TINY_AUCTION)
+        with QueryService(
+            engine, threads=1, mode=mode, slow_threshold=0.0, spans=True
+        ) as svc:
+            svc.execute(
+                'FOR $p IN document("auction.xml")//person RETURN $p/name'
+            )
+            text = TelemetryServer(svc).metrics_text()
+        served.update(parse_exposition(text))
+    return served
+
+
+@pytest.mark.parametrize("page", ["README.md", "docs/OBSERVABILITY.md"])
+def test_every_documented_family_is_served(served_families, page):
+    documented = documented_families((REPO / page).read_text())
+    assert documented, f"{page} names no metric family"
+    assert sorted(documented - served_families) == []
+
+
+def test_family_names_skip_historical_sections_and_expand_work_counters():
+    page = (
+        "# T\n\n`repro_requests_total{engine}`, `repro_work_*_total`,\n"
+        "`repro_work_<name>_total`\n"
+        "## Gone (historical)\n\n`repro_eval_seconds`\n"
+    )
+    assert documented_families(page) == {"repro_requests_total"} | {
+        f"repro_work_{field}_total" for field in COUNTER_FIELDS
+    }

@@ -10,7 +10,7 @@ import pytest
 
 from repro import Engine
 from repro.service import QueryService
-from repro.telemetry import MetricsRegistry, TelemetryServer, use_registry
+from repro.telemetry import TelemetryServer
 from tests.conftest import TINY_AUCTION
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
@@ -24,12 +24,11 @@ def served():
     """A service with two executed queries behind a live HTTP server."""
     engine = Engine()
     engine.load_xml("auction.xml", TINY_AUCTION)
-    with use_registry(MetricsRegistry()):
-        with QueryService(engine, threads=2, slow_threshold=0.0) as svc:
-            svc.execute(QUERY)
-            svc.execute(QUERY)
-            with TelemetryServer(svc) as server:
-                yield server
+    with QueryService(engine, threads=2, slow_threshold=0.0) as svc:
+        svc.execute(QUERY)
+        svc.execute(QUERY)
+        with TelemetryServer(svc) as server:
+            yield server
 
 
 def _get(server, path):
@@ -53,6 +52,24 @@ class TestEndpoints:
         assert families["repro_store_sealed_objects"].samples[0][2] > 0
         assert families["repro_gc_gen2_collections_total"].kind == "counter"
 
+    def test_metrics_read_the_service_and_work_counters(self, served):
+        text, _ = _get(served, "/metrics")
+        families = parse_exposition(text)
+
+        def value(name):
+            (sample,) = families[name].samples
+            return sample[2]
+
+        (sample,) = families["repro_requests_total"].samples
+        assert sample[1:] == ({"engine": "tlc", "status": "ok"}, 2.0)
+        assert value("repro_plan_executions_total") == 2
+        assert value("repro_slow_queries_total") == 2
+        counters = served.service.stats().counters
+        assert value("repro_work_pattern_matches_total") == (
+            counters["pattern_matches"]
+        ) > 0
+        assert value("repro_work_plan_cache_hits_total") == 1
+
     def test_stats_reports_service_and_registry(self, served):
         text, headers = _get(served, "/stats")
         assert headers["Content-Type"] == "application/json"
@@ -60,7 +77,9 @@ class TestEndpoints:
         assert payload["service"]["executed"] == 2
         assert payload["service"]["latency"]["all"]["count"] == 2
         assert "p95_ms" in payload["service"]["latency"]["all"]
-        assert "counters" in payload["registry"]
+        assert payload["service"]["requests"] == {"tlc": {"ok": 2}}
+        assert payload["service"]["counters"]["pattern_matches"] > 0
+        assert "registry" not in payload
         assert payload["uptime_seconds"] >= 0
         assert payload["runtime"]["store_sealed_objects"] > 0
         assert payload["runtime"]["gc_gen2_collections"] >= 0

@@ -1,4 +1,4 @@
-"""Unit tests for the sharded metrics registry and its exposition."""
+"""Unit tests for the latency histograms and the Prometheus exposition."""
 
 import sys
 import threading
@@ -6,55 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.telemetry import (
-    Histogram,
-    MetricsRegistry,
-    render_prometheus,
-    use_registry,
-)
-from repro.telemetry import hooks
+from repro.telemetry import Histogram, render_prometheus
 from repro.telemetry.exposition import work_counter_families
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 from promformat import parse_exposition  # noqa: E402
-
-
-class TestCounter:
-    def test_increments_accumulate(self):
-        counter = MetricsRegistry().counter("c")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().counter("c").inc(-1)
-
-    def test_concurrent_increments_are_exact(self):
-        """Sharded locks lose nothing: N threads x M incs == N*M."""
-        counter = MetricsRegistry().counter("c")
-        threads_n, per_thread = 8, 5000
-
-        def work():
-            for _ in range(per_thread):
-                counter.inc()
-
-        threads = [threading.Thread(target=work) for _ in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter.value == threads_n * per_thread
-
-    def test_label_sets_are_distinct_series(self):
-        registry = MetricsRegistry()
-        registry.counter("c", {"engine": "tlc"}).inc()
-        registry.counter("c", {"engine": "tax"}).inc(2)
-        series = {
-            labels: value for _, labels, value in registry.counters()
-        }
-        assert series[(("engine", "tlc"),)] == 1
-        assert series[(("engine", "tax"),)] == 2
 
 
 class TestHistogram:
@@ -140,87 +96,27 @@ class TestHistogram:
         assert triple["p50_ms"] == pytest.approx(2.0, rel=0.5)
 
 
-class TestRegistry:
-    def test_get_or_create_returns_same_handle(self):
-        registry = MetricsRegistry()
-        assert registry.counter("c") is registry.counter("c")
-        assert registry.histogram("h") is registry.histogram("h")
-        assert registry.gauge("g") is registry.gauge("g")
-
-    def test_snapshot_flattens_labels(self):
-        registry = MetricsRegistry()
-        registry.counter("c", {"engine": "tlc"}).inc()
-        registry.gauge("g").set(2)
-        registry.histogram("h").observe(0.5)
-        snap = registry.snapshot()
-        assert snap["counters"] == {"c{engine=tlc}": 1.0}
-        assert snap["gauges"] == {"g": 2.0}
-        assert snap["histograms"]["h"]["count"] == 1
-
-    def test_help_text_registered_once(self):
-        registry = MetricsRegistry()
-        registry.counter("c", help="first wins")
-        registry.counter("c", help="ignored")
-        assert registry.help_for("c") == "first wins"
-
-
-class TestHooks:
-    def test_instrument_writes_catalog_metric(self):
-        with use_registry(MetricsRegistry()) as registry:
-            hooks.instrument("evaluator.run")
-            hooks.instrument("evaluator.run")
-            snap = registry.snapshot()
-        assert snap["counters"]["repro_plan_executions_total"] == 2.0
-
-    def test_unknown_site_raises(self):
-        with use_registry(MetricsRegistry()):
-            with pytest.raises(KeyError):
-                hooks.instrument("no.such.site")
-
-    def test_disabled_context_suppresses_this_thread(self):
-        with use_registry(MetricsRegistry()) as registry:
-            with hooks.disabled():
-                hooks.instrument("evaluator.run")
-            hooks.instrument("evaluator.run")
-        snap = registry.snapshot()
-        assert snap["counters"]["repro_plan_executions_total"] == 1.0
-
-    def test_disabled_is_thread_local(self):
-        recorded = []
-
-        def other_thread():
-            recorded.append(hooks.enabled())
-
-        with use_registry(MetricsRegistry()):
-            with hooks.disabled():
-                thread = threading.Thread(target=other_thread)
-                thread.start()
-                thread.join()
-                assert not hooks.enabled()
-        assert recorded == [True]
-
-    def test_set_enabled_global_switch(self):
-        with use_registry(MetricsRegistry()) as registry:
-            previous = hooks.set_enabled(False)
-            try:
-                hooks.instrument("evaluator.run")
-            finally:
-                hooks.set_enabled(previous)
-        assert registry.snapshot()["counters"] == {}
-
-
 class TestExposition:
     def test_render_validates_and_counts(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_x_total", help="x ops").inc(3)
-        registry.counter(
-            "repro_requests_total", {"engine": "tlc", "status": "ok"}
-        ).inc()
-        registry.gauge("repro_up", help="liveness").set(1)
-        hist = registry.histogram("repro_seconds", help="latency")
+        hist = Histogram()
         for value in (0.001, 0.004, 2.0):
             hist.observe(value)
-        text = render_prometheus(registry)
+        text = render_prometheus([
+            ("repro_x_total", "x ops", "counter", [(None, 3.0)]),
+            (
+                "repro_requests_total",
+                "requests",
+                "counter",
+                [({"engine": "tlc", "status": "ok"}, 1.0)],
+            ),
+            ("repro_up", "liveness", "gauge", [(None, 1.0)]),
+            (
+                "repro_seconds",
+                "latency",
+                "histogram",
+                [({"engine": "tlc"}, hist.snapshot())],
+            ),
+        ])
         families = parse_exposition(text)
         assert families["repro_x_total"].kind == "counter"
         assert families["repro_x_total"].samples[0][2] == 3.0
@@ -229,11 +125,12 @@ class TestExposition:
         assert labels == {"engine": "tlc", "status": "ok"}
 
     def test_histogram_bucket_lines_are_cumulative(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", base=1.0, buckets=3)
+        hist = Histogram(base=1.0, buckets=3)
         for value in (0.5, 1.5, 100.0):
             hist.observe(value)
-        text = render_prometheus(registry)
+        text = render_prometheus(
+            [("h", "", "histogram", [(None, hist.snapshot())])]
+        )
         bucket_lines = [
             line for line in text.splitlines() if "h_bucket" in line
         ]
@@ -242,9 +139,7 @@ class TestExposition:
         parse_exposition(text)  # cumulative + count invariants
 
     def test_work_counter_families_rendered(self):
-        registry = MetricsRegistry()
         extras = work_counter_families({"pages_read": 7, "nest_joins": 0})
-        text = render_prometheus(registry, extras)
-        families = parse_exposition(text)
+        families = parse_exposition(render_prometheus(extras))
         assert families["repro_work_pages_read_total"].samples[0][2] == 7.0
         assert families["repro_work_nest_joins_total"].samples[0][2] == 0.0

@@ -10,10 +10,8 @@ import json
 import threading
 import urllib.request
 
-from repro.telemetry.hooks import set_enabled, set_registry, use_registry
 from repro.telemetry.http import TelemetryServer
 from repro.telemetry.querylog import QueryLog, QueryLogEvent
-from repro.telemetry.registry import MetricsRegistry
 
 
 def event(index=0):
@@ -102,51 +100,3 @@ class TestTelemetryServerLifecycle:
             assert json.loads(body)["status"] == "ok"
             hammer([server.close] * 4)
             assert server._httpd is None and server._thread is None
-
-
-class TestHookSetterRaces:
-    def test_racing_registry_swaps_settle_on_one_registry(self):
-        original = set_registry(MetricsRegistry())
-        try:
-            registries = [MetricsRegistry() for _ in range(8)]
-            hammer([lambda r=r: set_registry(r) for r in registries])
-            from repro.telemetry import hooks
-
-            assert hooks._registry in registries
-        finally:
-            set_registry(original)
-
-    def test_racing_enable_toggles_leave_a_boolean(self):
-        previous = set_enabled(True)
-        try:
-            hammer(
-                [lambda f=f: set_enabled(f) for f in (True, False) * 8]
-            )
-            from repro.telemetry import hooks
-
-            assert hooks._enabled in (True, False)
-        finally:
-            set_enabled(previous)
-
-    def test_use_registry_restores_on_exit(self):
-        fresh = MetricsRegistry()
-        from repro.telemetry import hooks
-
-        before = hooks._registry
-        with use_registry(fresh) as active:
-            assert active is fresh
-        assert hooks._registry is before
-
-
-class TestDescribeUnderLock:
-    def test_help_text_registration_is_lock_guarded(self):
-        registry = MetricsRegistry()
-
-        def register(i):
-            counter = registry.counter(f"c_{i % 4}", help="help text")
-            counter.inc()
-
-        hammer([lambda i=i: register(i) for i in range(16)])
-        assert registry.help_for("c_0") == "help text"
-        assert len(registry.counters()) == 4
-

@@ -5,9 +5,8 @@ import os
 import pytest
 
 from repro import Engine
+import repro.__main__ as cli
 from repro.__main__ import main
-from repro.telemetry.hooks import use_registry
-from repro.telemetry.registry import MetricsRegistry
 from repro.xmark import QUERIES
 from tests.conftest import TINY_AUCTION
 
@@ -53,18 +52,24 @@ class TestQuery:
         assert "trees in" in captured.err
         assert "sjoins=" in captured.err
 
-    def test_one_query_is_one_run(self, xml_file, capsys):
+    def test_one_query_is_one_run(self, xml_file, capsys, monkeypatch):
         """A CLI query adds exactly one run's pattern matches (it was
         once measured and then run again)."""
-        key = "repro_pattern_matches_total"
         engine = Engine()
         engine.load_xml("auction.xml", TINY_AUCTION)
-        with use_registry(MetricsRegistry()) as registry:
-            engine.run(QUERY)
-            once = registry.snapshot()["counters"][key]
-        with use_registry(MetricsRegistry()) as registry:
-            assert main(["query", xml_file, "-q", QUERY, "--stats"]) == 0
-            assert registry.snapshot()["counters"][key] == once > 0
+        engine.run(QUERY)
+        once = engine.db.metrics.snapshot()["pattern_matches"]
+        opened = []
+
+        def open_engine(source):
+            opened.append(real_open(source))
+            return opened[-1]
+
+        real_open = cli._open_engine
+        monkeypatch.setattr(cli, "_open_engine", open_engine)
+        assert main(["query", xml_file, "-q", QUERY, "--stats"]) == 0
+        (served,) = opened
+        assert served.db.metrics.snapshot()["pattern_matches"] == once > 0
         assert "2 trees in" in capsys.readouterr().err
 
     def test_optimize_flag(self, xml_file, capsys):

@@ -179,3 +179,58 @@ def test_a_path_at_the_limit_runs_everywhere(deep_engine, engine, optimize):
     if engine == "tlc":
         analysis = analyze(deep_engine.plan(text, "tlc", optimize).plan)
         assert analysis.diagnostics == [], analysis.render()
+
+
+# ---------------------------------------------------------------------
+# chained paths: variables graft every path onto one pattern
+# ---------------------------------------------------------------------
+def chained(*steps):
+    """One FOR clause per entry, each ``steps[i]`` steps below the last
+    clause's variable."""
+    text = 'for $v0 in document("d.xml")' + "/a" * steps[0]
+    for i, count in enumerate(steps[1:], 1):
+        text += f" for $v{i} in $v{i - 1}" + "/a" * count
+    return text + f" return $v{len(steps) - 1}"
+
+
+@pytest.fixture(scope="module")
+def chain_engine():
+    engine = Engine()
+    engine.load_xml("d.xml", "<a>" * 110 + "</a>" * 110)
+    return engine
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [(50, 51), (100,) * 6],
+    ids=["one-past", "six-chains"],
+)
+def test_a_chained_pattern_past_the_limit_is_a_syntax_error(
+    chain_engine, steps
+):
+    text = chained(*steps)
+    with pytest.raises(XQuerySyntaxError, match="pattern deeper than 100"):
+        chain_engine.run(text)
+    svc = chain_engine.service(threads=1)
+    try:
+        with pytest.raises(
+            XQuerySyntaxError, match="pattern deeper than 100"
+        ):
+            svc.execute(text)
+    finally:
+        svc.close()
+
+
+@pytest.mark.parametrize(
+    "engine, optimize",
+    [("tlc", False), ("tlc", True), ("tax", False), ("gtp", False)],
+    ids=["tlc", "tlc-O", "tax", "gtp"],
+)
+def test_a_chained_pattern_at_the_limit_runs(chain_engine, engine, optimize):
+    text = chained(50, 25, 25)
+    assert len(chain_engine.run(text, engine=engine, optimize=optimize)) == 1
+    svc = chain_engine.service(threads=1)
+    try:
+        assert len(svc.execute(text, engine=engine, optimize=optimize)) == 1
+    finally:
+        svc.close()

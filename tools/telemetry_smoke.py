@@ -8,7 +8,10 @@ endpoints, then feeds it queries and checks that:
 
 * ``/healthz`` answers ``{"status": "ok"}``;
 * ``/metrics`` is valid Prometheus exposition text (``promformat``)
-  and counts the served requests;
+  and counts the served requests, and the work the workers did reaches
+  it through the ``Metrics`` deltas each ``WorkerResult`` carries
+  (``repro_work_pattern_matches_total`` > 0,
+  ``repro_plan_executions_total`` >= the queries sent);
 * ``/stats`` reports the executions with latency percentiles;
 * ``/slow`` holds a capture with a per-operator trace (every request
   is slow at ``--slow-ms 0``);
@@ -136,6 +139,20 @@ def main() -> int:
         )
         if requests_total < len(QUERIES):
             print(f"smoke: repro_requests_total={requests_total} < 2")
+            return 1
+        executions = families["repro_plan_executions_total"].samples[0][2]
+        if executions < len(QUERIES):
+            print(
+                f"smoke: repro_plan_executions_total={executions} < "
+                f"{len(QUERIES)}"
+            )
+            return 1
+        matches = families.get("repro_work_pattern_matches_total")
+        if matches is None or matches.samples[0][2] <= 0:
+            print(
+                "smoke: worker pattern matches never reached /metrics "
+                "(repro_work_pattern_matches_total missing or 0)"
+            )
             return 1
 
         slow = json.loads(_get(base, "/slow"))
