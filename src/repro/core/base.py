@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from ..columns.batch import as_tree_sequence
 from ..errors import CardinalityError
@@ -143,8 +143,46 @@ class Operator(ABC):
         """Swap one input operator for another (used by rewrites)."""
         self.inputs = [new if op is old else op for op in self.inputs]
 
+    def __reduce__(self):
+        """Pickle the plan below this operator flat, without recursion.
+
+        Default pickling recurses through ``inputs`` once per operator
+        and runs out of stack on a deep plan (a hundred FLWORs, each
+        the FOR source of the next).  Instead the plan is listed in
+        post-order, a shared operator once, each as its class, its
+        state minus ``inputs`` and its inputs' list positions;
+        :func:`_rebuild_plan` restores the DAG in one loop.
+        """
+        position: Dict[int, int] = {}
+        entries = []
+        stack = [self]
+        while stack:
+            op = stack[-1]
+            pending = [c for c in op.inputs if id(c) not in position]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if id(op) not in position:
+                position[id(op)] = len(entries)
+                state = dict(op.__dict__)
+                inputs = [position[id(c)] for c in state.pop("inputs")]
+                entries.append((type(op), state, inputs))
+        return _rebuild_plan, (entries,)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.params()}>"
+
+
+def _rebuild_plan(entries) -> Operator:
+    """The plan :meth:`Operator.__reduce__` listed: its last entry."""
+    ops: List[Operator] = []
+    for cls, state, inputs in entries:
+        op = cls.__new__(cls)
+        op.__dict__.update(state)
+        op.inputs = [ops[index] for index in inputs]
+        ops.append(op)
+    return ops[-1]
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,8 @@ class SelectOp(Operator):
 
         Leaf Selects flatten match variants straight into a
         :class:`~repro.columns.batch.ColumnBatch`; extension Selects
-        splice branch segments into input rows.  Temporary anchors and
+        write each output row once, the input row plus the branches
+        their anchored join's alternatives name.  Temporary anchors and
         in-memory matching keep a per-tree escape hatch through the
         base fallback semantics.
         """

@@ -59,10 +59,6 @@ class TNode:
         self.children.append(child)
         return child
 
-    def add_children(self, children: Iterable["TNode"]) -> None:
-        """Append every tree node in ``children`` in order."""
-        self.children.extend(children)
-
     def remove_child(self, child: "TNode") -> None:
         """Remove ``child`` by identity."""
         self.children = [c for c in self.children if c is not child]

@@ -20,13 +20,17 @@ scan's candidates are a column view, every edge's structural join reads
 candidate *positions* and columns, and a match-variant object is built
 only for a candidate every edge kept — its leaf-pattern children staying
 ``(view, lo, hi)`` runs of the child scan's columns until a witness tree
-or a batch row copies them out.
+or a batch row copies them out.  An extension's anchors get no variant
+at all: their per-edge alternatives are written straight into output
+rows, or built into branches the output trees share.
 """
 
 from __future__ import annotations
 
 import itertools
-from itertools import repeat
+from bisect import bisect_left
+from itertools import islice, repeat
+from operator import attrgetter, lt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..columns.batch import ColumnBatch
@@ -51,10 +55,6 @@ Alternative = object
 Columns = Tuple[List[str], list, list, List[int], List[int]]
 
 
-def _nid(variant: _MTree) -> object:
-    return variant.nid
-
-
 def _cluster_alternatives(
     members: List[_MTree], keyer
 ) -> List[List[_MTree]]:
@@ -75,6 +75,35 @@ def _cluster_alternatives(
     if all(len(groups[key]) == 1 for key in order):
         return [members]
     return [list(combo) for combo in itertools.product(*(groups[k] for k in order))]
+
+
+def _distinct_anchors(
+    nids: Sequence[NodeId],
+) -> Tuple[Sequence[int], List[Sequence[NodeId]]]:
+    """The distinct ids of ``nids``, in document order, per document.
+
+    Returns ``ref`` — for each of ``nids`` the position of its id among
+    the distinct ones, found by ``(doc, start)`` key and never by
+    hashing an id — and the distinct ids split by document.  Rows
+    straight from a match are distinct and in document order already.
+    """
+    keys = [(nid.doc, nid.start) for nid in nids]
+    if all(map(lt, keys, islice(keys, 1, None))):
+        ref: Sequence[int] = range(len(keys))
+        distinct, distinct_keys = nids, keys
+    else:
+        by_key = dict(zip(keys, nids))
+        distinct_keys = sorted(by_key)
+        distinct = [by_key[key] for key in distinct_keys]
+        where = {key: index for index, key in enumerate(distinct_keys)}
+        ref = [where[key] for key in keys]
+    documents = []
+    first = 0
+    while first < len(distinct):
+        stop = bisect_left(distinct_keys, (distinct_keys[first][0] + 1,))
+        documents.append(distinct[first:stop])
+        first = stop
+    return ref, documents
 
 
 class PatternMatcher:
@@ -120,9 +149,8 @@ class PatternMatcher:
         """All witness rows of ``apt``, no tree objects built.
 
         Match variants flatten straight into a
-        :class:`~repro.columns.batch.ColumnBatch` — the ``_build`` walk
-        and its per-node ``TNode`` construction are skipped entirely;
-        downstream batch operators (or the eventual materialisation
+        :class:`~repro.columns.batch.ColumnBatch` — no ``TNode`` is
+        built; downstream batch operators (or the eventual materialisation
         boundary) decide if trees are ever needed.
         """
         offsets = [0]
@@ -148,18 +176,14 @@ class PatternMatcher:
         attached (stored anchors) or with existing nodes marked into the
         new classes (temporary anchors, matched in memory).
 
-        All stored anchors are matched in one *batch*.  Pass 1 collects
-        each tree's anchors and the set of distinct stored anchor ids.
-        Every edge then runs a single merge-style structural join over
-        the document-ordered distinct anchors (the skip cursor advances
-        monotonically across them) and the variant list is memoised per
-        anchor id — input trees sharing an anchor (or repeating one) get
-        the shared, immutable variants — instead of an independent join
-        cascade per anchor per input tree, which paid the per-call join
-        overhead thousands of times on extension-heavy plans.  Pass 2
-        emits the grafted output trees in the original input order.
-        Temporary anchors are still matched per tree against their
-        in-memory host.
+        All stored anchors are matched in one *batch*: pass 1 collects
+        each tree's anchors, one anchored join
+        (:meth:`_anchor_alternatives`) answers every edge for all of
+        them at once, and the branches of each combination of a distinct
+        anchor's alternatives are built once and shared by every tree
+        that holds the anchor.  Pass 2 emits the grafted output trees in
+        the original input order.  Temporary anchors are still matched
+        per tree against their in-memory host.
         """
         root = apt.root
         if root.lc_ref is None:
@@ -169,38 +193,37 @@ class PatternMatcher:
         edges = root.edges
         mandatory = any(e.mspec in ("-", "+") for e in edges)
         check_content = bool(root.test.comparisons)
-        #: anchors per input tree; None marks an anchor-less tree and
-        #: False a tree dropped by the root content test
-        entries: List[Tuple[XTree, object]] = []
-        db_anchors: Dict[NodeId, Tuple[str, object]] = {}
+        #: per input tree, its anchors — None marks an anchor-less tree
+        #: and False a tree dropped by the root content test — and the
+        #: index of its first stored anchor in ``stored``
+        entries: List[Tuple[XTree, object, int]] = []
+        stored: List[NodeId] = []
         for tree in trees:
             anchors = tree.class_nodes(root.lc_ref)
             if not anchors:
-                entries.append((tree, None))
-                continue
-            if check_content and not all(
+                anchors = None
+            elif check_content and not all(
                 root.test.matches_content(a.value) for a in anchors
             ):
-                entries.append((tree, False))
-                continue
-            entries.append((tree, anchors))
-            for anchor in anchors:
-                if isinstance(anchor.nid, NodeId):
-                    db_anchors.setdefault(
-                        anchor.nid, (anchor.tag, anchor.value)
-                    )
-        #: per stored anchor, the branches of each of its variants, built
-        #: once and shared by every graft of this batch (see
-        #: :meth:`_graft_shared`)
-        branches_by_nid = {
-            nid: [_build_branches(variant, edges) for variant in variants]
-            for nid, variants in self._batch_anchor_variants(
-                db_anchors, edges
-            ).items()
-        }
+                anchors = False
+            entries.append((tree, anchors, len(stored)))
+            stored.extend(
+                a.nid for a in anchors or () if isinstance(a.nid, NodeId)
+            )
+        ref, per_anchor = self._anchor_alternatives(stored, edges)
+        #: per distinct stored anchor, the branches of each combination
+        #: of its alternatives, built once and shared by every graft of
+        #: this batch (see :meth:`_graft_shared`)
+        branches = [
+            [] if alternatives is None else [
+                _build_branches(combo, edges)
+                for combo in itertools.product(*alternatives)
+            ]
+            for alternatives in per_anchor
+        ]
         out = TreeSequence()
         limits = self.limits
-        for tree, anchors in entries:
+        for tree, anchors, next_stored in entries:
             if limits is not None:
                 limits.tick()
             if anchors is None:
@@ -210,66 +233,61 @@ class PatternMatcher:
                 continue
             if anchors is False:
                 continue
-            per_anchor: List[list] = []
-            dead = False
+            per_tree: List[list] = []
             for anchor in anchors:
                 if isinstance(anchor.nid, NodeId):
-                    variants = branches_by_nid[anchor.nid]
+                    variants = branches[ref[next_stored]]
+                    next_stored += 1
                 else:
-                    variants = _match_tree_variants(
-                        _MTree(
-                            anchor.nid, anchor.tag, anchor.value, ref=anchor
-                        ),
-                        edges,
-                    )
+                    variants = _match_tree_node(root, anchor)
                 if not variants:
-                    dead = True
                     break
-                per_anchor.append(variants)
-            if dead:
-                continue
-            # the output LC index can be derived from the input's when
-            # grafts only *append* below stored, non-nested anchors
-            # (and the pattern's classes are fresh to the tree, which
-            # ``adopt_index`` checks): existing entries keep their
-            # pre-order positions (remapped through the copies) and new
-            # entries arrive in anchor/edge/match order, which *is*
-            # output pre-order among themselves
-            derive = tree._lc_index is not None and all(
-                isinstance(a.nid, NodeId) for a in anchors
-            )
-            spine, nested = _graft_spine(tree, anchors)
-            for combo in itertools.product(*per_anchor):
-                out.append(
-                    self._graft_shared(
-                        tree,
-                        spine,
-                        anchors,
-                        combo,
-                        edges,
-                        derive and not nested,
-                    )
+                per_tree.append(variants)
+            else:
+                # the output LC index can be derived from the input's
+                # when grafts only *append* below stored, non-nested
+                # anchors (and the pattern's classes are fresh to the
+                # tree, which ``adopt_index`` checks): existing entries
+                # keep their pre-order positions (remapped through the
+                # copies) and new entries arrive in anchor/edge/match
+                # order, which *is* output pre-order among themselves
+                derive = tree._lc_index is not None and all(
+                    isinstance(a.nid, NodeId) for a in anchors
                 )
-                self.db.metrics.trees_built += 1
+                spine, nested = _graft_spine(tree, anchors)
+                for combo in itertools.product(*per_tree):
+                    out.append(
+                        self._graft_shared(
+                            tree,
+                            spine,
+                            anchors,
+                            combo,
+                            edges,
+                            derive and not nested,
+                        )
+                    )
+                    self.db.metrics.trees_built += 1
         return out
 
     def extend_batch(
         self, apt: APT, batch: ColumnBatch
     ) -> Optional[ColumnBatch]:
-        """Columnar :meth:`extend`: splice matched branches into rows.
+        """Columnar :meth:`extend`: write each output row once.
 
-        The anchored-variant machinery of :meth:`extend` runs unchanged
-        (one structural join per edge across all distinct anchors); what
-        changes is the output assembly.  Instead of grafting copies of
-        witness *trees*, each match variant's branches flatten once into
-        a column *segment* (once per distinct anchor), and every
-        output row is the input row with each anchor's segment spliced
-        in at the end of the anchor's subtree slice — pre-order stays
-        pre-order, and parents are row-relative, so everything in front
-        of the first splice point is copied as five column slices and
-        only what follows one needs arithmetic.  In the common row — the
-        anchor is the row root, or its subtree closes the row — nothing
-        follows one.
+        The anchored join of :meth:`extend` runs unchanged (one
+        structural join per edge across all distinct anchors) and yields
+        each anchor's per-edge alternatives; no match variant or tree is
+        built for an anchor.  An output row is the input row with one
+        alternative per anchor and edge written in at the end of the
+        anchor's subtree slice: a leaf child's run is copied as column
+        slices, a non-leaf child's variants flatten in place.  Pre-order
+        stays pre-order and parents are row-relative, so when every
+        anchor's subtree closes the row — always when the anchor is the
+        row root — the row is the base row with the branches appended;
+        only base nodes after a splice point need their parents shifted.
+        Rows multiply (``itertools.product``) only where an edge offers
+        several alternatives — a ``-``/``?`` edge that matched more than
+        once.
 
         Returns ``None`` when any anchor is a temporary node (in-memory
         matching marks existing nodes, which needs real trees); the
@@ -279,23 +297,23 @@ class PatternMatcher:
         if root.lc_ref is None:
             raise PatternError("extension pattern must reference a class")
         apt.validate()
-        edges = root.edges
-        mandatory = any(e.mspec in ("-", "+") for e in edges)
+        children = [edge.child for edge in root.edges]
+        mandatory = any(e.mspec in ("-", "+") for e in root.edges)
         check_content = bool(root.test.comparisons)
         src_tags, src_values, src_nids = batch.tags, batch.values, batch.nids
         src_labels, src_parents = batch.labels, batch.parents
         src_offsets = batch.offsets
         # every anchor of the batch in one pass over the label column,
-        # then split by row: ``anchor_cols[lo:hi]`` are one row's
+        # then split by row
         lc_ref = root.lc_ref
         anchor_cols = [
             j for j, label in enumerate(src_labels) if label == lc_ref
         ]
-        #: anchor positions per row; None marks an anchor-less row and
-        #: False a row dropped by the root content test (mirrors
-        #: ``entries`` of :meth:`extend`)
+        #: per row, the range of ``anchors`` that holds its anchors'
+        #: positions; None marks an anchor-less row and False a row
+        #: dropped by the root content test (mirrors :meth:`extend`)
         entries: List[object] = []
-        db_anchors: Dict[NodeId, Tuple[str, object]] = {}
+        anchors: List[int] = []
         hi, total = 0, len(anchor_cols)
         for row in range(len(batch)):
             lo, end = hi, src_offsets[row + 1]
@@ -303,56 +321,68 @@ class PatternMatcher:
                 hi += 1
             if lo == hi:
                 entries.append(None)
-                continue
-            positions = anchor_cols[lo:hi]
-            if check_content and not all(
-                root.test.matches_content(src_values[p]) for p in positions
+            elif check_content and not all(
+                root.test.matches_content(src_values[p])
+                for p in anchor_cols[lo:hi]
             ):
                 entries.append(False)
-                continue
-            entries.append(positions)
-            for p in positions:
-                nid = src_nids[p]
-                if not isinstance(nid, NodeId):
-                    # temporary anchor: in-memory matching needs trees
-                    return None
-                db_anchors.setdefault(nid, (src_tags[p], src_values[p]))
+            else:
+                entries.append((len(anchors), len(anchors) + hi - lo))
+                anchors.extend(anchor_cols[lo:hi])
+        anchor_nids = [src_nids[p] for p in anchors]
+        if not all(isinstance(nid, NodeId) for nid in anchor_nids):
+            return None  # temporary anchor: in-memory matching needs trees
         self.db.metrics.pattern_matches += 1
-        #: per anchor, the flattened branch segment of each of its
-        #: variants — the columnar counterpart of the grafts' built
-        #: branches, flattened once however many rows splice it in
-        segments = {
-            nid: [_segment(variant, edges) for variant in variants]
-            for nid, variants in self._batch_anchor_variants(
-                db_anchors, edges
-            ).items()
-        }
+        ref, per_anchor = self._anchor_alternatives(anchor_nids, root.edges)
         offsets = [0]
         columns: Columns = ([], [], [], [], [])
         tags, values, nids, labels, parents = columns
-        data = columns[:4]
-        sources = (src_tags, src_values, src_nids, src_labels)
+        width = len(children)
 
-        def copy_base(first: int, stop: int) -> None:
-            for column, source in zip(data, sources):
-                column.extend(source[first:stop])
+        def copy_base(first: int, stop: int, shift=None) -> None:
+            tags.extend(src_tags[first:stop])
+            values.extend(src_values[first:stop])
+            nids.extend(src_nids[first:stop])
+            labels.extend(src_labels[first:stop])
+            parents.extend(
+                src_parents[first:stop] if shift is None else [
+                    parent + shift[parent]
+                    for parent in src_parents[first:stop]
+                ]
+            )
 
         limits = self.limits
-        for row, positions in enumerate(entries):
+        for row, entry in enumerate(entries):
             if limits is not None:
                 limits.tick()
             start, end = src_offsets[row], src_offsets[row + 1]
-            if positions is None:
+            if entry is None:
                 if not mandatory:
                     copy_base(start, end)
-                    parents.extend(src_parents[start:end])
                     offsets.append(len(tags))
                 continue
-            if positions is False:
+            if entry is False:
                 continue
-            per_anchor = [segments[src_nids[p]] for p in positions]
-            if not all(per_anchor):
+            lo, hi = entry
+            chosen = [per_anchor[ref[k]] for k in range(lo, hi)]
+            if None in chosen:
                 continue  # an anchor some mandatory edge dropped
+            slots = [alts for alternatives in chosen for alts in alternatives]
+            if sum(map(len, slots)) > len(slots):
+                combos = itertools.product(*slots)
+            else:
+                combos = ([alts[0] for alts in slots],)
+                if hi - lo == 1 and anchors[lo] == start:
+                    # the row root is the one anchor: the base row, then
+                    # its branches
+                    row_base = len(tags)
+                    copy_base(start, end)
+                    for child, alternative in zip(children, combos[0]):
+                        _flatten_matches(
+                            alternative, child, columns, row_base, 0
+                        )
+                    offsets.append(len(tags))
+                    continue
             n = end - start
             # splice points: the end of each anchor's subtree (the row's
             # end for its root; otherwise the first later node whose
@@ -360,69 +390,41 @@ class PatternMatcher:
             # anchor's branches come first (its subtree closes inside
             # the shallower one's)
             points = []
-            for p in positions:
-                anchor = p - start
+            for k in range(lo, hi):
+                anchor = anchors[k] - start
                 stop = anchor + 1 if anchor else n
                 while stop < n and src_parents[start + stop] >= anchor:
                     stop += 1
                 points.append((stop, -anchor))
-            order = sorted(range(len(points)), key=points.__getitem__)
+            order = sorted(range(hi - lo), key=points.__getitem__)
             first_point = points[order[0]][0]
-            for combo in itertools.product(*per_anchor):
-                # base node j lands at j + shift[j], where shift is the
-                # total segment length spliced in before j; nothing is
-                # spliced in before the first point, so shift is only
-                # tabulated when base nodes follow it
-                shift = None
-                if first_point < n:
-                    shift = [0] * n
-                    shifted = 0
-                    for index in order:
-                        shifted += len(combo[index][0])
-                        ins = points[index][0]
-                        shift[ins:] = [shifted] * (n - ins)
+            for combo in combos:
                 row_base = len(tags)
                 copy_base(start, start + first_point)
-                parents.extend(src_parents[start:start + first_point])
+                # base node j lands at j + shift[j]: the count of branch
+                # nodes written in front of it, filled in as each splice
+                # point is passed (nothing is written before the first)
+                shift = [0] * n if first_point < n else None
                 cursor = first_point
                 for index in order:
                     ins, neg_anchor = points[index]
-                    seg = combo[index]
                     if cursor < ins:
-                        copy_base(start + cursor, start + ins)
-                        parents.extend(
-                            [
-                                parent + shift[parent]
-                                for parent in src_parents[
-                                    start + cursor:start + ins
-                                ]
-                            ]
-                        )
+                        copy_base(start + cursor, start + ins, shift)
                         cursor = ins
-                    seg_base = len(tags) - row_base
                     anchor_new = -neg_anchor
                     if shift is not None:
                         anchor_new += shift[anchor_new]
-                    for column, seg_column in zip(data, seg):
-                        column.extend(seg_column)
-                    if seg[5]:
-                        parents.extend(repeat(anchor_new, len(seg[0])))
-                    else:
-                        parents.extend(
-                            [
-                                seg_base + parent if parent >= 0
-                                else anchor_new
-                                for parent in seg[4]
-                            ]
+                    for child, alternative in zip(
+                        children, combo[index * width:(index + 1) * width]
+                    ):
+                        _flatten_matches(
+                            alternative, child, columns, row_base, anchor_new
                         )
+                    if shift is not None:
+                        shifted = len(tags) - row_base - ins
+                        shift[ins:] = repeat(shifted, n - ins)
                 if cursor < n:
-                    copy_base(start + cursor, end)
-                    parents.extend(
-                        [
-                            parent + shift[parent]
-                            for parent in src_parents[start + cursor:end]
-                        ]
-                    )
+                    copy_base(start + cursor, end, shift)
                 offsets.append(len(tags))
         return ColumnBatch(offsets, *columns)
 
@@ -441,60 +443,56 @@ class PatternMatcher:
         (edge,) = apt.root.edges
         metrics = self.db.metrics
         metrics.pattern_matches += 1
-        by_doc: Dict[int, List[NodeId]] = {}
-        for nid in dict.fromkeys(anchors):
-            by_doc.setdefault(nid.doc, []).append(nid)
-        sizes: Dict[NodeId, int] = {}
-        for nids in by_doc.values():
-            nids.sort(key=lambda n: n.start)
+        ref, documents = _distinct_anchors(anchors)
+        sizes: List[int] = []
+        for ids in documents:
             starts, levels = self._count_columns(
-                edge.child, self.db.owner(nids[0]).name
+                edge.child, self.db.owner(ids[0]).name
             )
             metrics.structural_joins += 1
             metrics.nest_joins += 1
             flat_starts = (
-                [(nid.doc, nid.start) for nid in nids]
-                if is_flat(nids) else None
+                [(nid.doc, nid.start) for nid in ids]
+                if is_flat(ids) else None
             )
+            found = [0] * len(ids)
             for position, matched in probe(
-                nids, starts, levels, edge.axis, False, flat_starts
+                ids, starts, levels, edge.axis, False, flat_starts
             ):
-                sizes[nids[position]] = len(matched)
-        return [sizes.get(nid, 0) for nid in anchors]
+                found[position] = len(matched)
+            sizes.extend(found)
+        return [sizes[index] for index in ref]
 
-    def _batch_anchor_variants(
-        self,
-        db_anchors: Dict[NodeId, Tuple[str, object]],
-        edges: List[APTEdge],
-    ) -> Dict[NodeId, List[_MTree]]:
-        """Match variants for every distinct stored anchor, in one batch.
+    def _anchor_alternatives(
+        self, nids: Sequence[NodeId], edges: List[APTEdge]
+    ) -> Tuple[Sequence[int], List[Optional[List[List[Alternative]]]]]:
+        """Every edge's alternatives below each stored anchor, in one batch.
 
-        The per-anchor alternatives of one edge depend only on the
-        anchor's node id, so the distinct anchors of each document,
-        sorted in document order, are one candidate view and each edge
-        is answered by a single structural join over it — the merge
-        cursor then probes the shared child columns strictly forward.
-        An anchor's variants are the cross product of its per-edge
-        alternatives (later edges vary fastest).
+        The alternatives of one edge depend only on the anchor's node
+        id, so the distinct anchors of each document, in document
+        order, are one candidate view and each edge is answered by a
+        single structural join over it — the merge cursor then probes
+        the shared child columns strictly forward.  Returns
+        :func:`_distinct_anchors`' ``ref`` and, per distinct anchor, its
+        per-edge alternatives as :func:`_edge_alternatives` yields them
+        (``None`` when a mandatory edge dropped it).  No match variant
+        is built here.
         """
-        result: Dict[NodeId, List[_MTree]] = {nid: [] for nid in db_anchors}
-        memo: Dict[int, Candidates] = {}
-        by_doc: Dict[int, List[NodeId]] = {}
-        for nid in db_anchors:
-            by_doc.setdefault(nid.doc, []).append(nid)
-        for nids in by_doc.values():
-            nids.sort(key=lambda n: n.start)
-            described = [db_anchors[nid] for nid in nids]
-            view = Candidates(
-                nids,
-                [tag for tag, _ in described],
-                [value for _, value in described],
-                flat=is_flat(nids),
+        ref, documents = _distinct_anchors(nids)
+        per_anchor: List[Optional[List[List[Alternative]]]] = []
+        for ids in documents:
+            # a fresh match memo per document: child matches are bound
+            # to the document they were matched in
+            per_anchor.extend(
+                self._join_edges(
+                    Candidates(ids, flat=is_flat(ids)),
+                    edges,
+                    self.db.owner(ids[0]).name,
+                    {},
+                    True,
+                )
             )
-            doc_name = self.db.owner(nids[0]).name
-            for variant in self._variants(view, edges, doc_name, memo, True):
-                result[variant.nid].append(variant)
-        return result
+        return ref, per_anchor
 
     # ------------------------------------------------------------------
     # internals: database-side matching
@@ -612,36 +610,51 @@ class PatternMatcher:
         """All match variants of a pattern subtree, document order.
 
         A leaf pattern's result *is* its scan's view; a node with edges
-        wraps the variants its joins kept.
+        wraps the variants its joins kept: per kept candidate, the cross
+        product of its alternatives (later edges vary fastest).
         """
         key = id(node)
         if key in memo:
             return memo[key]
         matches = self._candidates(node, doc_name)
         if node.edges:
+            ids, tags, values = matches.ids, matches.tag, matches.values
+            one_tag = isinstance(tags, str)
             matches = Candidates.of(
-                self._variants(matches, node.edges, doc_name, memo, False)
+                [
+                    _MTree(
+                        ids[position],
+                        tags if one_tag else tags[position],
+                        values[position],
+                        list(combo),
+                    )
+                    for position, slots in enumerate(
+                        self._join_edges(
+                            matches, node.edges, doc_name, memo, False
+                        )
+                    )
+                    if slots is not None
+                    for combo in itertools.product(*slots)
+                ]
             )
         memo[key] = matches
         return matches
 
-    def _variants(
+    def _join_edges(
         self,
         view: Candidates,
         edges: List[APTEdge],
         doc_name: str,
         memo: Dict[int, Candidates],
         anchored: bool,
-    ) -> List[_MTree]:
-        """Join a candidate view with every edge; build what survives.
+    ) -> List[Optional[List[List[Alternative]]]]:
+        """Join a candidate view with every edge.
 
         Each edge, in source order, is one structural join over the
         candidate *positions* still alive — a mandatory edge prunes them
         for the edges after it — and yields, per position, the edge's
-        alternatives.  A candidate's variants are the cross product of
-        its alternatives (later edges vary fastest), enumerated in
-        candidate order, with no variant built for a candidate some
-        edge drops.
+        alternatives.  Returns per candidate its per-edge alternatives,
+        or ``None`` when some edge dropped it.
 
         ``anchored`` marks an extension batch, whose joins have always
         metered their child columns as reused.
@@ -689,17 +702,10 @@ class PatternMatcher:
             if edge.mspec in ("-", "+"):
                 alive = list(found)
             alternatives.append(found)
-        tags, values = view.tag, view.values
-        one_tag = isinstance(tags, str)
-        out: List[_MTree] = []
+        slots: List[Optional[List[List[Alternative]]]] = [None] * len(ids)
         for position in range(len(ids)) if alive is None else alive:
-            nid, value = ids[position], values[position]
-            tag = tags if one_tag else tags[position]
-            for combo in itertools.product(
-                *[found[position] for found in alternatives]
-            ):
-                out.append(_MTree(nid, tag, value, list(combo)))
-        return out
+            slots[position] = [found[position] for found in alternatives]
+        return slots
 
     # ------------------------------------------------------------------
     # internals: grafting for extension patterns
@@ -727,8 +733,8 @@ class PatternMatcher:
 
         ``combo`` holds, per anchor, what to apply: for a stored anchor
         the ``(branches, records)`` :func:`_build_branches` built for
-        one of its variants — the same node objects in every output
-        tree that applies that variant, which is safe because built
+        one combination of its alternatives — the same node objects in
+        every output tree that applies it, which is safe because built
         nodes are never mutated in place (marking and shadowing always
         copy first); for a temporary anchor an in-memory match variant,
         whose nodes' tree-private copies are marked.
@@ -798,7 +804,8 @@ def _edge_alternatives(
                 else [children[idx] for idx in matched]
             )
             out[position] = (
-                _cluster_alternatives(cluster, _nid) if expand else [cluster]
+                _cluster_alternatives(cluster, attrgetter("nid"))
+                if expand else [cluster]
             )
     return out
 
@@ -837,19 +844,14 @@ def _build_matches(
     return built
 
 
-def _build(mtree: _MTree, pattern: APTNode) -> TNode:
-    """Materialise one match variant as a witness tree."""
-    return _build_matches([mtree], pattern)[0]
-
-
 def _build_branches(
-    variant: _MTree, edges: List[APTEdge]
+    combo: Sequence[Alternative], edges: List[APTEdge]
 ) -> Tuple[List[TNode], List[Tuple[int, TNode]]]:
-    """The branches an anchor's variant grafts, with their records."""
+    """The branches one alternative per edge grafts, with their records."""
     recs: List[Tuple[int, TNode]] = []
     branches = [
         built
-        for edge, matches in zip(edges, variant.slots)
+        for edge, matches in zip(edges, combo)
         for built in _build_matches(matches, edge.child, recs)
     ]
     return branches, recs
@@ -912,7 +914,7 @@ def _flatten_variant(
 ) -> None:
     """Append one match variant to column builders, pre-order.
 
-    The columnar counterpart of :func:`_build`: node first, then each
+    The columnar counterpart of :func:`_build_matches`: node first, then each
     edge's matches in slot order — the exact order ``add_child`` would
     have produced.  ``base`` is the row's first column, so recorded
     parents are row-relative.
@@ -959,20 +961,6 @@ def _flatten_matches(
         _flatten_variant(child, pattern, columns, base, parent_rel)
 
 
-def _segment(variant: _MTree, edges: List[APTEdge]) -> tuple:
-    """Flatten a variant's *branches* into a reusable column segment.
-
-    Segment parents are segment-relative, with ``-1`` marking the
-    branch roots (they attach to the anchor at splice time); the sixth
-    entry says every node is one.
-    """
-    columns: Columns = ([], [], [], [], [])
-    for edge, matches in zip(edges, variant.slots):
-        _flatten_matches(matches, edge.child, columns, 0, -1)
-    parents = columns[4]
-    return (*columns, parents.count(-1) == len(parents))
-
-
 # ----------------------------------------------------------------------
 # in-memory matching
 # ----------------------------------------------------------------------
@@ -990,56 +978,31 @@ def _tree_candidates(
 
 
 def _match_tree_node(pattern: APTNode, candidate: TNode) -> List[_MTree]:
-    """Match variants of a pattern subtree rooted at one tree node."""
-    partials = [
-        _MTree(candidate.nid, candidate.tag, candidate.value, ref=candidate)
-    ]
-    return _match_tree_variants(partials[0], pattern.edges)
-
-
-def _match_tree_variants(
-    base: _MTree, edges: List[APTEdge]
-) -> List[_MTree]:
-    """Expand ``base`` with match variants for each pattern edge in turn."""
-    partials = [base]
-    scope = base.ref
-    assert scope is not None
-    for edge in edges:
-        child_nodes = _tree_candidates(scope, edge.child.test, edge.axis)
-        child_variants: List[_MTree] = []
-        for node in child_nodes:
-            child_variants.extend(_match_tree_node(edge.child, node))
-        if edge.mspec in ("-", "?"):
-            alternatives: List[List[_MTree]] = [
-                [variant] for variant in child_variants
-            ]
-            if edge.mspec == "?" and not alternatives:
-                alternatives = [[]]
+    """Match variants of a pattern subtree rooted at one tree node: the
+    cross product of its edges' alternatives (later edges vary fastest)."""
+    per_edge: List[List[List[_MTree]]] = []
+    for edge in pattern.edges:
+        found = [
+            variant
+            for node in _tree_candidates(candidate, edge.child.test, edge.axis)
+            for variant in _match_tree_node(edge.child, node)
+        ]
+        if not found:
+            alternatives = [[]] if edge.mspec in ("?", "*") else []
+        elif edge.nested:
+            alternatives = _cluster_alternatives(found, lambda m: id(m.ref))
         else:
-            if child_variants:
-                alternatives = _cluster_alternatives(
-                    child_variants, lambda m: id(m.ref)
-                )
-            elif edge.mspec == "*":
-                alternatives = [[]]
-            else:
-                alternatives = []
-        new_partials: List[_MTree] = []
-        for partial in partials:
-            for alt in alternatives:
-                new_partials.append(
-                    _MTree(
-                        partial.nid,
-                        partial.tag,
-                        partial.value,
-                        partial.slots + [alt],
-                        partial.ref,
-                    )
-                )
-        partials = new_partials
-        if not partials:
-            break
-    return partials
+            alternatives = [[variant] for variant in found]
+        if not alternatives:
+            return []
+        per_edge.append(alternatives)
+    return [
+        _MTree(
+            candidate.nid, candidate.tag, candidate.value, list(combo),
+            candidate,
+        )
+        for combo in itertools.product(*per_edge)
+    ]
 
 
 def match_in_tree(apt: APT, tree: XTree) -> TreeSequence:
@@ -1059,5 +1022,5 @@ def match_in_tree(apt: APT, tree: XTree) -> TreeSequence:
     ]
     for candidate in candidates:
         for variant in _match_tree_node(apt.root, candidate):
-            out.append(XTree(_build(variant, apt.root)))
+            out.append(XTree(_build_matches([variant], apt.root)[0]))
     return out

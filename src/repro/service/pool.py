@@ -21,8 +21,9 @@ serial execution (the 23-query XMark sweep is the oracle).
   :func:`~repro.storage.persist.write_snapshot` and ships the tiny
   :class:`~repro.storage.persist.SnapshotHandle`; each worker loads and
   sha256-verifies its private copy at start.  Plans cross the hop by
-  pickle: the test suite round-trips every benchmark plan and an
-  instance of every operator class.
+  pickle — flat, operator by operator, so a deep plan costs no stack
+  (``Operator.__reduce__``): the test suite round-trips every
+  benchmark plan and an instance of every operator class.
 
 **Why results stay exact.**  Everything request-scoped in thread mode
 stays request-scoped here: each worker builds a fresh ``Context`` (and

@@ -21,7 +21,8 @@ node for node and class for class, and leave every ``Metrics`` counter
 where the eager matcher leaves it.  ``extend_batch`` is additionally
 pinned to the per-tree ``extend`` on rows with no, one and several
 anchors, nested anchors, anchors below the row root and several
-variants per anchor.
+variants per anchor, with the rows in document order, reversed, and
+each twice.
 """
 
 import itertools
@@ -587,6 +588,14 @@ def _rows(anchor_shape):
     return APT(root, DOC)
 
 
+#: The row orders an extension sees, as row indexes of ``n`` rows.
+ROW_ORDERS = (
+    lambda n: list(range(n)),  # as a match emits them: document order
+    lambda n: list(range(n))[::-1],  # reversed, as a Sort may emit them
+    lambda n: list(range(n)) * 2,  # each twice, as after a Join
+)
+
+
 @pytest.mark.parametrize(
     "anchor_shape",
     ["root-of-row", "several-nested", "below-with-siblings", "none"],
@@ -609,9 +618,50 @@ def test_extend_batch_equals_per_tree_extend(anchor_shape, data):
     base = _rows(anchor_shape)
     trees, batch = matcher.match(base), matcher.match_batch(base)
     assert len(trees) > 0
-    want = matcher.extend(extension, trees)
-    got = matcher.extend_batch(extension, batch)
-    assert _shape(got.materialize()) == _shape(want)
+    eager = EagerMatcher(db, cached=False)
+    for rows in ROW_ORDERS:
+        order = rows(len(trees))
+        ordered = TreeSequence(trees[i] for i in order)
+        want = matcher.extend(extension, ordered)
+        got = matcher.extend_batch(extension, batch.select_rows(order))
+        assert _shape(got.materialize()) == _shape(want)
+        # both forms share the anchored join: pin it to the reference
+        reference, _ = _observe(
+            db, lambda: eager.extend(extension, list(ordered))
+        )
+        assert _shape(want) == _shape(reference)
+
+
+def test_extend_batch_with_nested_anchors_in_one_row():
+    """A row whose anchors nest (matching never builds one, but rows are
+    only columns): both splice at the same point, the inner anchor's
+    branches first, and the base node after them moves up."""
+    db = _DBS["nested"]
+    document = db.document(DOC)
+    nodes = list(zip(document.ids, document.tags, document.values))
+    item = next(node for node in nodes if node[1] == "item")
+    outer, inner = [node for node in nodes if node[1] == "listitem"][:2]
+    assert outer[0].contains(inner[0])
+    name = next(node for node in nodes if node[1] == "name")
+    row = [item, outer, inner, name]
+    batch = ColumnBatch(
+        [0, len(row)],
+        [tag for _, tag, _ in row],
+        [value for _, _, value in row],
+        [nid for nid, _, _ in row],
+        [2, 9, 9, 3],
+        [-1, 0, 1, 0],
+    )
+    for mspec in MSPECS:
+        ext_root = pattern_node(None, 0, lc_ref=9)
+        ext_root.add_edge(pattern_node("text", 20), "ad", mspec)
+        ext_root.add_edge(pattern_node("keyword", 21), "ad", "?")
+        extension = APT(ext_root)
+        matcher = PatternMatcher(db)
+        want = matcher.extend(extension, batch.materialize())
+        got = matcher.extend_batch(extension, batch)
+        assert len(want) > 1
+        assert _shape(got.materialize()) == _shape(want)
 
 
 def test_temporary_anchors_send_the_batch_to_the_tree_path():

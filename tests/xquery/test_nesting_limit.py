@@ -111,6 +111,17 @@ def test_every_stage_runs_at_the_limit(xmark_engine, build, optimize):
     assert isinstance(result.to_xml(), str)
 
 
+def test_binding_flwors_at_the_limit_cross_to_a_worker(xmark_engine):
+    """A process-mode worker receives the plan pickled: a hundred
+    nested FLWORs (some 300 operators deep) must cross and run there,
+    byte for byte as in thread mode."""
+    text = binding_flwors(MAX_NESTING)
+    with xmark_engine.service(threads=1) as svc:
+        expected = svc.execute(text).to_xml()
+    with xmark_engine.service(threads=1, mode="process") as svc:
+        assert svc.execute(text).to_xml() == expected
+
+
 @pytest.mark.parametrize(
     "text",
     [

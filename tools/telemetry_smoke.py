@@ -247,9 +247,30 @@ def main() -> int:
         )
         return 0
     finally:
-        if proc.poll() is None:
-            proc.kill()
+        _stop(proc)
         query_log.unlink(missing_ok=True)
+
+
+def _stop(proc: subprocess.Popen) -> None:
+    """End ``serve`` as a passing run does: EOF on its stdin lets it
+    shut its worker pool down.  Only if it hangs do SIGTERM and then
+    SIGKILL follow; either leaves the pool's workers running."""
+    if proc.poll() is not None:
+        return
+    try:
+        proc.stdin.close()
+    except OSError:
+        pass  # serve already closed its end
+    try:
+        proc.wait(timeout=30)
+        return
+    except subprocess.TimeoutExpired:
+        proc.terminate()
+    try:
+        proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
 
 
 if __name__ == "__main__":
