@@ -38,6 +38,8 @@ Every command is documented with copy-pasteable invocations in
 from __future__ import annotations
 
 import argparse
+import contextlib
+import signal
 import sys
 import time
 from pathlib import Path
@@ -289,6 +291,25 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _sigterm_exits():
+    """SIGTERM raises ``SystemExit`` for the scope, so it unwinds like
+    SIGINT or stdin EOF and closing the service stops the pool workers
+    (its default action skips every ``with`` and ``finally``)."""
+
+    def exit_(signum, frame):
+        raise SystemExit(128 + signum)
+
+    previous = signal.signal(signal.SIGTERM, exit_)
+    try:
+        yield
+    finally:
+        signal.signal(
+            signal.SIGTERM,
+            previous if previous is not None else signal.SIG_DFL,
+        )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     from .service import QueryService
     from .telemetry.querylog import QueryLog
@@ -302,7 +323,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     workers = args.workers if args.workers is not None else args.threads
     failures = 0
-    with QueryService(
+    with _sigterm_exits(), QueryService(
         engine,
         threads=workers,
         mode=args.mode,

@@ -6,9 +6,23 @@ callers can catch library failures without masking programming errors.
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
+
+
+class PicklesByArguments:
+    """Mixin: pickle as ``type(*arguments)``, not ``type(*self.args)``
+    (``args`` holds the formatted message).  A subclass names its
+    constructor arguments in ``_arguments``, each kept as an attribute.
+    """
+
+    _arguments: Tuple[str, ...] = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._arguments)
 
 
 class StorageError(ReproError):
@@ -78,13 +92,15 @@ class EvaluationError(ReproError):
     """Raised when plan evaluation fails at runtime."""
 
 
-class ExecutionLimitError(EvaluationError):
+class ExecutionLimitError(PicklesByArguments, EvaluationError):
     """Base class for cooperative aborts of a running query.
 
     Raised by the evaluator's per-operator limit check (see
     :class:`repro.core.limits.ExecutionLimits`) when a query exceeds a
     budget it was given.  Catching this class covers every structured
     abort: deadline, output-cardinality, and explicit cancellation.
+    Each subclass pickles by its constructor arguments, so a worker
+    process ships the abort itself.
     """
 
 
@@ -96,6 +112,8 @@ class QueryTimeoutError(ExecutionLimitError):
     matches — so the query is aborted shortly after the budget elapses
     instead of hanging indefinitely.
     """
+
+    _arguments = ("budget_seconds", "elapsed_seconds")
 
     def __init__(self, budget_seconds: float, elapsed_seconds: float):
         super().__init__(
@@ -113,6 +131,8 @@ class ResourceLimitError(ExecutionLimitError):
     final result: a query whose Join explodes past the budget is aborted
     at the Join instead of running to completion and failing at the root.
     """
+
+    _arguments = ("limit", "produced", "operator")
 
     def __init__(self, limit: int, produced: int, operator: str):
         super().__init__(
@@ -149,22 +169,39 @@ class ServiceError(ReproError):
     """Raised for query-service misuse (closed service, bad config)."""
 
 
-class WorkerError(ServiceError):
-    """Raised when a pool worker fails in a way the dispatcher cannot map
-    back onto a structured error.
+class WorkerError(PicklesByArguments, ServiceError):
+    """Raised when a pool worker fails outside the structured aborts.
 
-    Exceptions do not cross the process boundary as objects (many carry
-    multi-argument constructors that break pickling); workers ship a
-    ``(type name, message)`` pair instead, and failures outside the
-    structured set — a worker that died mid-request, a snapshot that
-    failed verification at worker start, an unexpected evaluator bug in
-    the child — surface to the caller as this error, with the worker-side
-    type preserved in :attr:`worker_error_type`.
+    A worker ships a structured abort (:class:`ExecutionLimitError`) as
+    itself; any other failure it ships as this error, built from the
+    original's type name and message, because an arbitrary exception
+    need not survive pickling.  The dispatcher raises both as it
+    receives them.  Failures without a worker result — a worker that
+    died mid-request, a snapshot that failed verification at worker
+    start — surface as this error too, with the original type preserved
+    in :attr:`worker_error_type`.
     """
+
+    _arguments = ("worker_error_type", "message")
 
     def __init__(self, worker_error_type: str, message: str):
         super().__init__(f"worker failed with {worker_error_type}: {message}")
         self.worker_error_type = worker_error_type
+        self.message = message
+
+
+def request_status(error: Optional[BaseException]) -> str:
+    """The status the service counts and logs for a request that
+    raised ``error`` (``None``: it succeeded)."""
+    if error is None:
+        return "ok"
+    if isinstance(error, QueryTimeoutError):
+        return "timeout"
+    if isinstance(error, QueryCancelledError):
+        return "cancelled"
+    if isinstance(error, ResourceLimitError):
+        return "resource"
+    return "error"
 
 
 class PlanValidationError(ReproError):

@@ -25,16 +25,22 @@ serial execution (the 23-query XMark sweep is the oracle).
   (``Operator.__reduce__``): the test suite round-trips every
   benchmark plan and an instance of every operator class.
 
+**One wire.**  The dispatcher pickles each :class:`WorkItem` itself
+and ships the blob; the worker (:func:`_execute_blob`) returns the
+pickled :class:`WorkerResult` plus four span records timing its
+deserialize / execute / result-serialize phases.  A traced request
+turns those records into worker spans; an untraced one drops them.
+
 **Why results stay exact.**  Everything request-scoped in thread mode
 stays request-scoped here: each worker builds a fresh ``Context`` (and
 with it a fresh ScanCache) per plan, cooperative
 :class:`~repro.core.limits.ExecutionLimits` are rebuilt worker-side
-from the *remaining* budget the dispatcher measured at dispatch.
-Exceptions never cross the boundary as objects — several carry
-multi-argument constructors that break ``pickle`` round-trips — so
-:class:`WorkerResult` carries a status plus the constructor arguments
-of the structured errors, and the dispatcher re-raises the real
-exception types.
+from the *remaining* budget the dispatcher measured at dispatch.  A
+structured abort (:class:`~repro.errors.ExecutionLimitError`) crosses
+the boundary as itself — it pickles by its constructor arguments —
+and any other failure as a :class:`~repro.errors.WorkerError` carrying
+the original type name and message; the dispatcher raises what it
+receives.
 
 **Why /metrics stays exact.**  Each result ships one delta: the
 worker database's :class:`~repro.storage.stats.Metrics` window (exact —
@@ -51,6 +57,7 @@ import gc
 import multiprocessing
 import os
 import pickle
+import signal
 import tempfile
 import threading
 import time
@@ -62,10 +69,10 @@ from ..core.base import Context
 from ..core.evaluator import evaluate
 from ..core.limits import ExecutionLimits
 from ..errors import (
-    QueryCancelledError,
-    QueryTimeoutError,
-    ResourceLimitError,
+    ExecutionLimitError,
     ServiceError,
+    WorkerError,
+    request_status,
 )
 from ..model.sequence import TreeSequence
 from ..storage.database import Database
@@ -108,21 +115,15 @@ class WorkItem:
 class WorkerResult:
     """What a worker ships back for one :class:`WorkItem`.
 
-    ``status`` is one of ``ok`` / ``timeout`` / ``resource`` /
-    ``cancelled`` / ``error``; for the structured statuses,
-    ``error_args`` are the constructor arguments of the corresponding
-    exception type, which the dispatcher re-raises (the exception
-    object itself never crosses the boundary — multi-argument
-    ``__init__`` signatures do not survive pickling).  ``counters`` is
-    the worker database's exact per-request Metrics window, merged
-    dispatcher-side.
+    Exactly one of ``result`` and ``error`` is set.  ``error`` is a
+    structured abort as raised, or a :class:`~repro.errors.WorkerError`
+    standing for any other failure; the dispatcher raises it.
+    ``counters`` is the worker database's exact per-request Metrics
+    window, merged dispatcher-side.
     """
 
-    status: str
     result: Optional[TreeSequence] = None
-    error_type: str = ""
-    error_args: Tuple[Any, ...] = ()
-    error_text: str = ""
+    error: Optional[BaseException] = None
     counters: Dict[str, int] = field(default_factory=dict)
     pid: int = 0
     #: Per-worker introspection snapshot (requests served, plans seen
@@ -172,6 +173,9 @@ def _init_worker(
     is frozen: collector passes in the worker then write no GC headers
     into the copy-on-write pages it shares with the dispatcher.
     """
+    # a fork child inherits the dispatcher's signal handlers; a worker
+    # ends on SIGTERM, whatever its parent does with it
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     load_started = time.perf_counter()
     with bulk_load():
         if fork_token is not None:
@@ -255,55 +259,28 @@ def _ping(hold_seconds: float = 0.0) -> Tuple[int, int, Dict[str, Any]]:
 
 
 def _execute_item(item: WorkItem) -> WorkerResult:
-    """The worker body: evaluate one plan, ship result plus deltas."""
+    """Evaluate one plan; the result or the error, plus deltas."""
     with _WORKER_STATE_LOCK:
-        db = _WORKER_STATE.get("db")
-    if db is None:
-        return WorkerResult(
-            status="error",
-            error_type="ServiceError",
-            error_text="worker has no database (initializer did not run)",
-            pid=os.getpid(),
-        )
+        db = _WORKER_STATE["db"]
     from ..telemetry.querylog import query_hash
 
     _note_request(query_hash(item.prepared.key.text))
     limits = ExecutionLimits(deadline=item.deadline, max_trees=item.max_trees)
     counters_before = db.metrics.local_snapshot()
-    status = "ok"
     result: Optional[TreeSequence] = None
-    error_type = ""
-    error_text = ""
-    error_args: Tuple[Any, ...] = ()
+    error: Optional[BaseException] = None
     try:
         # a fresh Context per request, exactly as in thread mode: its
         # ScanCache is request-scoped and asserts the lifetime contract
         ctx = Context(db, scan_cache=True, limits=limits)
         result = evaluate(item.prepared.plan, ctx)
-    except QueryTimeoutError as error:
-        status = "timeout"
-        error_type = type(error).__name__
-        error_text = str(error)
-        error_args = (error.budget_seconds, error.elapsed_seconds)
-    except ResourceLimitError as error:
-        status = "resource"
-        error_type = type(error).__name__
-        error_text = str(error)
-        error_args = (error.limit, error.produced, error.operator)
-    except QueryCancelledError as error:
-        status = "cancelled"
-        error_type = type(error).__name__
-        error_text = str(error)
-    except BaseException as error:
-        status = "error"
-        error_type = type(error).__name__
-        error_text = str(error)
+    except ExecutionLimitError as abort:
+        error = abort
+    except BaseException as failure:
+        error = WorkerError(type(failure).__name__, str(failure))
     return WorkerResult(
-        status=status,
         result=result,
-        error_type=error_type,
-        error_args=error_args,
-        error_text=error_text,
+        error=error,
         counters={
             k: v
             for k, v in db.metrics.local_diff(counters_before).items()
@@ -315,12 +292,12 @@ def _execute_item(item: WorkItem) -> WorkerResult:
 
 
 def _execute_blob(blob: bytes) -> Tuple[bytes, List[Dict[str, Any]]]:
-    """Traced worker body: time every wire phase the dispatcher cannot.
+    """The worker body: time every wire phase the dispatcher cannot.
 
-    The spans-enabled dispatch path ships the pickled :class:`WorkItem`
-    as an opaque blob so *this* function owns both pickle hops and can
-    time them: payload deserialize, plan execution, result serialize.
-    Each phase is reported as a wall-anchored span record — the worker
+    The dispatcher ships the pickled :class:`WorkItem` as an opaque
+    blob so *this* function owns both pickle hops and can time them:
+    payload deserialize, plan execution, result serialize.  Each phase
+    is reported as a wall-anchored span record — the worker
     pins one ``(perf_counter, time.time())`` pair at entry and converts
     its monotonic readings through it, which is what lets the
     dispatcher reconcile worker-relative clocks onto the request
@@ -340,13 +317,14 @@ def _execute_blob(blob: bytes) -> Tuple[bytes, List[Dict[str, Any]]]:
     t_executed = time.perf_counter()
     payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
     t_serialized = time.perf_counter()
+    status = request_status(result.error)
     records: List[Dict[str, Any]] = [
         {
             "name": "worker",
             "start": wall0,
             "end": wall(t_serialized),
             "parent": None,
-            "tags": {"pid": os.getpid(), "status": result.status},
+            "tags": {"pid": os.getpid(), "status": status},
         },
         {
             "name": "worker.deserialize",
@@ -437,32 +415,23 @@ class WorkerPool:
             initargs=initargs,
         )
 
-    def _track(self, future: "Future[Any]") -> None:
-        with self._registry_lock:
-            self._in_flight += 1
-            self._dispatched += 1
-        future.add_done_callback(self._untrack)
-
     def _untrack(self, future: "Future[Any]") -> None:
         with self._registry_lock:
             self._in_flight -= 1
 
-    def submit(self, item: WorkItem) -> "Future[WorkerResult]":
-        """Queue one request on the worker processes."""
-        future = self._executor.submit(_execute_item, item)
-        self._track(future)
-        return future
+    def submit(
+        self, blob: bytes
+    ) -> "Future[Tuple[bytes, List[Dict[str, Any]]]]":
+        """Queue one pickled :class:`WorkItem` on the worker processes.
 
-    def submit_blob(self, blob: bytes) -> "Future[Tuple[bytes, List[Dict[str, Any]]]]":
-        """Queue one pre-pickled request on the traced wire path.
-
-        The spans-enabled dispatcher pickles the :class:`WorkItem`
-        itself (timing the hop) and ships the blob; the worker times
-        its own deserialize / execute / result-serialize phases — see
-        :func:`_execute_blob`.
+        The future resolves to the pickled :class:`WorkerResult` plus
+        the worker's span records (see :func:`_execute_blob`).
         """
         future = self._executor.submit(_execute_blob, blob)
-        self._track(future)
+        with self._registry_lock:
+            self._in_flight += 1
+            self._dispatched += 1
+        future.add_done_callback(self._untrack)
         return future
 
     def note_worker(self, info: Optional[Dict[str, Any]]) -> None:

@@ -45,6 +45,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import asdict, dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -61,9 +62,9 @@ from ..engine import Engine
 from ..errors import (
     QueryCancelledError,
     QueryTimeoutError,
-    ResourceLimitError,
     ServiceError,
     WorkerError,
+    request_status,
 )
 from ..model.sequence import TreeSequence
 from ..storage.database import Database
@@ -134,6 +135,39 @@ class PreparedQuery:
     def explain(self) -> str:
         """Readable rendering of the compiled plan."""
         return self.translation.explain()
+
+
+def _record_wire(
+    recorder: SpanRecorder,
+    dispatch_sid: int,
+    records: List[Dict[str, Any]],
+    pid: int,
+    t_sent: float,
+    t_recv: float,
+) -> None:
+    """Put a worker's span records and the IPC gaps under ``dispatch``.
+
+    ``add_remote`` maps the worker's wall-anchored records onto the
+    recorder's timeline, clamped into the ``dispatch`` span so bounded
+    clock skew cannot escape the phase.  The gaps between our
+    send/receive instants and the worker's outermost record become the
+    ``ipc_send`` / ``ipc_recv`` spans — executor queueing plus both
+    pickle hops over the pipe.
+    """
+    window = (recorder.start_of(dispatch_sid), recorder.now())
+    recorder.add_remote(records, parent=dispatch_sid, pid=pid, window=window)
+    if not records:
+        return
+    w_start = min(
+        max(recorder.wall_to_timeline(float(records[0]["start"])), t_sent),
+        t_recv,
+    )
+    w_end = min(
+        max(recorder.wall_to_timeline(float(records[0]["end"])), w_start),
+        t_recv,
+    )
+    recorder.record("ipc_send", t_sent, w_start, parent=dispatch_sid)
+    recorder.record("ipc_recv", w_end, t_recv, parent=dispatch_sid)
 
 
 class QueryHandle:
@@ -573,14 +607,7 @@ class QueryService:
             result_trees = len(result)
             return result
         except BaseException as error:
-            if isinstance(error, QueryTimeoutError):
-                status = "timeout"
-            elif isinstance(error, QueryCancelledError):
-                status = "cancelled"
-            elif isinstance(error, ResourceLimitError):
-                status = "resource"
-            else:
-                status = "error"
+            status = request_status(error)
             error_text = f"{type(error).__name__}: {error}"
             raise
         finally:
@@ -635,12 +662,19 @@ class QueryService:
 
         The limits are anchored *before* dispatch and the worker gets
         the remaining budget, so queue wait counts against the deadline
-        exactly as it does in thread mode.  The wait loop polls the
-        cancel event: a worker task cannot be interrupted mid-plan, so
-        a cancelled request unblocks the caller immediately and the
+        exactly as it does in thread mode.  The dispatcher pickles the
+        :class:`~repro.service.pool.WorkItem` itself and ships the blob;
+        the worker returns its pickled result plus span records timing
+        its own deserialize / execute / result-serialize phases (see
+        :func:`~repro.service.pool._execute_blob`).  The wait loop polls
+        the cancel event: a worker task cannot be interrupted mid-plan,
+        so a cancelled request unblocks the caller immediately and the
         stray result — bounded by its worker-side deadline — is
         absorbed by a done-callback that merges its counters (totals
         stay exact; the result itself is dropped).
+
+        With a recorder, every wire phase becomes a span under
+        ``dispatch``; without one, the worker's records are dropped.
         """
         assert self._worker_pool is not None
         from .pool import WorkItem
@@ -658,47 +692,10 @@ class QueryService:
             deadline=remaining,
             max_trees=limits.max_trees,
         )
-        if recorder is not None:
-            return self._dispatch_traced(item, limits, recorder)
-        try:
-            future = self._worker_pool.submit(item)
-        except Exception as error:
-            raise WorkerError(type(error).__name__, str(error)) from error
-        while True:
-            try:
-                worker_result = future.result(_DISPATCH_POLL_SECONDS)
-                break
-            except FuturesTimeoutError:
-                if limits.cancelled:
-                    future.add_done_callback(self._absorb_abandoned)
-                    raise QueryCancelledError() from None
-            except Exception as error:
-                # the future failed without a WorkerResult: a worker
-                # process died mid-request, or the pool broke
-                raise WorkerError(type(error).__name__, str(error)) from error
-        return self._merge_worker_result(worker_result)
-
-    def _dispatch_traced(
-        self,
-        item: "object",
-        limits: ExecutionLimits,
-        recorder: SpanRecorder,
-    ) -> TreeSequence:
-        """The traced twin of the dispatch loop: measure the wire.
-
-        The dispatcher pickles the :class:`~repro.service.pool.WorkItem`
-        itself (so payload serialization is a real, timed span) and
-        ships the blob through
-        :meth:`~repro.service.pool.WorkerPool.submit_blob`; the worker
-        side times deserialize / execute / result-serialize against its
-        own perf clock anchored to the wall, and ``add_remote`` maps
-        those records back onto this recorder's timeline, clamped into
-        the ``dispatch`` span so bounded clock skew cannot escape the
-        phase.  The gaps between our send/receive instants and the
-        worker's window become the ``ipc_send`` / ``ipc_recv`` spans —
-        executor queueing plus both pickle hops over the pipe.
-        """
-        assert self._worker_pool is not None
+        if recorder is None:
+            blob = pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
+            result_blob, _ = self._dispatch(blob, limits)
+            return self._merge_worker_result(pickle.loads(result_blob))
         dispatch_sid = recorder.begin("dispatch")
         try:
             with recorder.span("serialize") as sid:
@@ -708,92 +705,63 @@ class QueryService:
             # timeline (wall-vs-perf drift must not reorder dispatcher
             # spans); only the worker's endpoints need the wall bridge
             t_sent = recorder.now()
-            try:
-                future = self._worker_pool.submit_blob(blob)
-            except Exception as error:
-                raise WorkerError(
-                    type(error).__name__, str(error)
-                ) from error
-            while True:
-                try:
-                    payload = future.result(_DISPATCH_POLL_SECONDS)
-                    break
-                except FuturesTimeoutError:
-                    if limits.cancelled:
-                        future.add_done_callback(self._absorb_abandoned)
-                        raise QueryCancelledError() from None
-                except Exception as error:
-                    raise WorkerError(
-                        type(error).__name__, str(error)
-                    ) from error
+            result_blob, wire_records = self._dispatch(blob, limits)
             t_recv = recorder.now()
-            result_blob, wire_records = payload
             with recorder.span("result_deserialize") as sid:
                 worker_result = pickle.loads(result_blob)
             recorder.annotate(sid, bytes=len(result_blob))
-            window = (recorder.start_of(dispatch_sid), recorder.now())
-            recorder.add_remote(
+            _record_wire(
+                recorder,
+                dispatch_sid,
                 wire_records,
-                parent=dispatch_sid,
-                pid=worker_result.pid,
-                window=window,
+                worker_result.pid,
+                t_sent,
+                t_recv,
             )
-            if wire_records:
-                # the worker's outermost record brackets its whole stay;
-                # the gaps against our send/receive instants are the IPC
-                # spans (executor queueing + both pipe pickle hops)
-                w_start = min(
-                    max(
-                        recorder.wall_to_timeline(
-                            float(wire_records[0]["start"])
-                        ),
-                        t_sent,
-                    ),
-                    t_recv,
-                )
-                w_end = min(
-                    max(
-                        recorder.wall_to_timeline(
-                            float(wire_records[0]["end"])
-                        ),
-                        w_start,
-                    ),
-                    t_recv,
-                )
-                recorder.record(
-                    "ipc_send", t_sent, w_start, parent=dispatch_sid
-                )
-                recorder.record(
-                    "ipc_recv", w_end, t_recv, parent=dispatch_sid
-                )
             with recorder.span("merge"):
                 return self._merge_worker_result(worker_result)
         finally:
             recorder.end(dispatch_sid)
 
+    def _dispatch(
+        self, blob: bytes, limits: ExecutionLimits
+    ) -> Tuple[bytes, List[Dict[str, Any]]]:
+        """Submit one pickled request; wait for its reply or a cancel."""
+        assert self._worker_pool is not None
+        try:
+            future = self._worker_pool.submit(blob)
+        except Exception as error:
+            raise WorkerError(type(error).__name__, str(error)) from error
+        while True:
+            try:
+                return future.result(_DISPATCH_POLL_SECONDS)
+            except FuturesTimeoutError:
+                if limits.cancelled:
+                    future.add_done_callback(self._absorb_abandoned)
+                    raise QueryCancelledError() from None
+            except Exception as error:
+                # the future failed without a reply: a worker process
+                # died mid-request, or the pool broke
+                raise WorkerError(type(error).__name__, str(error)) from error
+
     def _merge_worker_result(self, wr: "WorkerResult") -> TreeSequence:
-        """Fold a worker's deltas into this process; return or re-raise.
+        """Fold a worker's deltas into this process; return or raise.
 
         Counters merge into the *calling thread's* cell, inside the
         ``_run`` window that is timing this request — so the query-log
-        row attributes the remote work to the right request.
+        row attributes the remote work to the right request.  A worker
+        error is raised as the worker shipped it.
         """
         if wr.worker_info and self._worker_pool is not None:
             self._worker_pool.note_worker(wr.worker_info)
         if wr.counters:
             self.db.metrics.merge(wr.counters)
-        if wr.status == "ok":
-            assert wr.result is not None
-            return wr.result
-        if wr.status == "timeout":
-            raise QueryTimeoutError(*wr.error_args)
-        if wr.status == "resource":
-            raise ResourceLimitError(*wr.error_args)
-        if wr.status == "cancelled":
-            raise QueryCancelledError()
-        raise WorkerError(wr.error_type or "Exception", wr.error_text)
+        if wr.error is not None:
+            raise wr.error
+        assert wr.result is not None
+        return wr.result
 
-    def _absorb_abandoned(self, future: "Future[WorkerResult]") -> None:
+    def _absorb_abandoned(self, future: "Future[Tuple[bytes, list]]") -> None:
         """Done-callback for a worker task its request abandoned.
 
         Runs on the executor's result thread once the worker finishes.
@@ -805,15 +773,10 @@ class QueryService:
         try:
             if future.cancelled() or future.exception() is not None:
                 return
-            wr = future.result()
-            if isinstance(wr, tuple):
-                # traced dispatch ships (result blob, wire records)
-                wr = pickle.loads(wr[0])
-            if wr.worker_info and self._worker_pool is not None:
-                self._worker_pool.note_worker(wr.worker_info)
-            if wr.counters:
-                self.db.metrics.merge(wr.counters)
-        except Exception:  # pragma: no cover - defensive
+            self._merge_worker_result(pickle.loads(future.result()[0]))
+        except Exception:
+            # the worker's own error belongs to a request that was
+            # already answered as cancelled
             pass
 
     def _count_queue_cancel(self) -> None:

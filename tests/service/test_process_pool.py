@@ -100,48 +100,68 @@ class TestProcessExecution:
         assert delta["pattern_matches"] > 0
         assert delta["trees_built"] > 0
 
+    # the error tests run once per wire bookkeeping, spans off and on:
+    # a loop rather than a parameter keeps their test ids
     def test_timeout_crosses_the_process_boundary(
         self, engine, start_method
     ):
-        with QueryService(
-            engine, threads=1, mode="process", start_method=start_method
-        ) as svc:
-            svc.prime(timeout=60)
-            with pytest.raises(QueryTimeoutError):
-                svc.execute(QUERY, deadline=1e-9)
-            assert svc.stats().timeouts == 1
+        for spans in (False, True):
+            with QueryService(
+                engine,
+                threads=1,
+                mode="process",
+                start_method=start_method,
+                spans=spans,
+            ) as svc:
+                svc.prime(timeout=60)
+                with pytest.raises(QueryTimeoutError):
+                    svc.execute(QUERY, deadline=1e-9)
+                assert svc.stats().timeouts == 1
 
     def test_resource_limit_crosses_the_process_boundary(
         self, engine, start_method
     ):
-        with QueryService(
-            engine, threads=1, mode="process", start_method=start_method
-        ) as svc:
-            with pytest.raises(ResourceLimitError):
-                svc.execute(QUERY, max_trees=1)
+        for spans in (False, True):
+            with QueryService(
+                engine,
+                threads=1,
+                mode="process",
+                start_method=start_method,
+                spans=spans,
+            ) as svc:
+                with pytest.raises(ResourceLimitError):
+                    svc.execute(QUERY, max_trees=1)
 
     def test_missing_document_is_evaluated_once(self, engine, start_method):
         """An evaluation error is raised once, as itself — no retry."""
-        with QueryService(
-            engine, threads=2, mode="process", start_method=start_method
-        ) as svc:
-            with pytest.raises(WorkerError, match="nope.xml") as caught:
-                svc.execute(MISSING_DOCUMENT)
-            assert caught.value.worker_error_type == "StorageError"
-            # counted in the worker: its exact per-request counter window
-            # rides back on the result, and every evaluation attempt
-            # enters the pattern matcher exactly once before the lookup
-            # of the missing document fails
-            event = svc.query_log.tail(1)[0]
-            assert event.counters["pattern_matches"] == 1
-            stats = svc.stats()
-            assert stats.failed == 1
-            assert stats.executed == 1
-            # the untrack callback may trail the result by a moment
-            deadline = time.monotonic() + 5.0
-            while svc.workers()["in_flight"] and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert svc.workers()["in_flight"] == 0
+        for spans in (False, True):
+            with QueryService(
+                engine,
+                threads=2,
+                mode="process",
+                start_method=start_method,
+                spans=spans,
+            ) as svc:
+                with pytest.raises(WorkerError, match="nope.xml") as caught:
+                    svc.execute(MISSING_DOCUMENT)
+                assert caught.value.worker_error_type == "StorageError"
+                # counted in the worker: its exact per-request counter
+                # window rides back on the result, and every evaluation
+                # attempt enters the pattern matcher exactly once before
+                # the lookup of the missing document fails
+                event = svc.query_log.tail(1)[0]
+                assert event.counters["pattern_matches"] == 1
+                stats = svc.stats()
+                assert stats.failed == 1
+                assert stats.executed == 1
+                # the untrack callback may trail the result by a moment
+                deadline = time.monotonic() + 5.0
+                while (
+                    svc.workers()["in_flight"]
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                assert svc.workers()["in_flight"] == 0
 
 
 class TestConfiguration:

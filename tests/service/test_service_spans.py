@@ -168,6 +168,7 @@ class TestProcessModeSpans:
     def test_untraced_service_keeps_the_plain_wire_path(
         self, start_method
     ):
+        """Spans off: the same wire and bytes, and no capture kept."""
         expected = _xml(fresh_engine().run(QUERY))
         with QueryService(
             fresh_engine(),

@@ -1,6 +1,11 @@
 """Unit tests for the command-line interface."""
 
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,8 @@ import repro.__main__ as cli
 from repro.__main__ import main
 from repro.xmark import QUERIES
 from tests.conftest import TINY_AUCTION
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -328,3 +335,64 @@ class TestLint:
             assert code == 0
             assert "clean" in capsys.readouterr().out
 
+
+
+def _children(pid):
+    """Pids whose parent is ``pid`` (read from ``/proc``)."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie waiting to be reaped does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs /proc"
+)
+def test_serve_shuts_its_workers_down_on_sigterm():
+    """SIGTERM unwinds ``serve`` like stdin EOF: the pool closes and no
+    worker process outlives it."""
+    serve = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "xmark:0.002",
+            "--mode", "process", "--workers", "2",
+        ],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        stdin=subprocess.PIPE,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    workers = []
+    try:
+        for line in serve.stderr:
+            if "worker processes up" in line:
+                break
+        workers = _children(serve.pid)
+        assert workers, "serve announced its workers but has no children"
+        serve.send_signal(signal.SIGTERM)
+        assert serve.wait(timeout=30) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        if serve.poll() is None:
+            serve.kill()
+            serve.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
