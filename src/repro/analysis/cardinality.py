@@ -298,6 +298,7 @@ def _join_bound(op: JoinOp, ins: List[Interval]) -> Interval:
             left.hi, None if right.hi is None else max(right.hi, 1)
         )
         return Interval(left.lo, hi)
+    # the count form is a nest join: its bound is the nest variant's
     if mspec == "+":
         # nest: matching rights group under one output per left tree
         return Interval(0, left.hi)

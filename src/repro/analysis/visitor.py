@@ -332,9 +332,28 @@ def _join_env(
 ) -> LCEnv:
     left = in_envs[0] if in_envs else LCEnv()
     right = in_envs[1] if len(in_envs) > 1 else LCEnv()
-    env, merge_conflicts = merge_join(left, right)
-    for existing, incoming in merge_conflicts:
-        conflicts.append((op, existing, incoming))
+    if op.count_lcl:
+        # the count form emits no right tree: only the left side flows,
+        # plus the count node, a child of the join root
+        env = left.copy()
+        _add(
+            env,
+            ClassInfo(
+                op.count_lcl,
+                id(op),
+                describe_op(op),
+                "aggregate",
+                tag="count",
+                parent_label=op.root_lcl or None,
+                parent_known=True,
+            ),
+            op,
+            conflicts,
+        )
+    else:
+        env, merge_conflicts = merge_join(left, right)
+        for existing, incoming in merge_conflicts:
+            conflicts.append((op, existing, incoming))
     if op.root_lcl:
         # the fresh join_root becomes the root of every output tree
         _add(

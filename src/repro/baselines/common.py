@@ -305,6 +305,10 @@ class BaselineBlock(_Block):
         # no index counts: an aggregate counts its return path's branch
         return None
 
+    def _counts_only(self, var: str) -> bool:
+        # no counting joins: a LET's items are built and counted
+        return False
+
 
 class BaselineTranslator(TLCTranslator):
     """Translates queries in the TAX or GTP style."""

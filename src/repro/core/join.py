@@ -15,6 +15,17 @@ compare every pair; the output is then re-sorted by the node id of the
 left input's root to restore document order.  The nest variants take
 their clusters straight from the join.
 
+The **count form** (``count_lcl``, a nest join only) emits no cluster:
+per left tree, one ``count`` node holding the cluster's size, labelled
+``count_lcl``, stitched under the ``join_root`` beside the left tree.
+The translator chooses it for a LET whose every use is ``count($v)``
+(DESIGN §5), so the right side is the nested block's tuples before its
+RETURN and the constructed items are never built.  Output trees sort as
+the tree form's would: by the left root, then by the first cluster
+member's position in the right input, empty clusters last.  Either side
+may be a :class:`~repro.columns.batch.ColumnBatch`, read off its
+columns; a batch left side makes the output a batch too.
+
 Output trees share their input trees' roots, and their LC indexes are
 concatenated from the inputs' (DESIGN §10, the path-copy rule), so no
 reader re-walks a stitched tree.
@@ -24,7 +35,9 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..errors import AlgebraError
+from ..columns.batch import ColumnBatch
+from ..errors import AlgebraError, CardinalityError
+from ..model.node_id import new_temp_id
 from ..model.sequence import TreeSequence
 from ..model.tree import (
     IndexState,
@@ -44,6 +57,11 @@ from .base import (
 )
 
 
+def _id_key(nid) -> str:
+    """A node-identity join key."""
+    return "#" + ":".join(str(part) for part in nid.order_key)
+
+
 def _key_fn(lcl: int, by_id: bool):
     """Join-key extractor: class content, or a node-identity string."""
     if not by_id:
@@ -51,21 +69,40 @@ def _key_fn(lcl: int, by_id: bool):
 
     def key(tree):
         nid = class_node_id(tree, lcl, "Join")
-        if nid is None:
-            return None
-        return "#" + ":".join(str(part) for part in nid.order_key)
+        return None if nid is None else _id_key(nid)
 
     return key
 
 
-def _pair_test(pred: JoinPredicate):
+def _position_key(side, lcl: int, by_id: bool):
+    """:func:`_key_fn` over one side's positions, for a tree sequence or
+    a batch (whose rows carry no shadowed nodes)."""
+    if not isinstance(side, ColumnBatch):
+        key = _key_fn(lcl, by_id)
+        return lambda at: key(side[at])
+    column = side.nids if by_id else side.values
+
+    def row_key(row: int):
+        found = side.class_positions(row, lcl)
+        if not found:
+            return None
+        if len(found) > 1:
+            raise CardinalityError(lcl, len(found), "Join")
+        value = column[found[0]]
+        return _id_key(value) if by_id else value
+
+    return row_key
+
+
+def _pair_test(pred: JoinPredicate, lkey=None, rkey=None):
     """A secondary predicate as a test on one ``(left, right)`` pair.
 
-    NULL never matches: an empty class pairs with nothing, by content
-    or by id (two empty classes are not the same node).
+    ``lkey``/``rkey`` read the items (trees by default).  NULL never
+    matches: an empty class pairs with nothing, by content or by id
+    (two empty classes are not the same node).
     """
-    lkey = _key_fn(pred.left_lcl, pred.by_id)
-    rkey = _key_fn(pred.right_lcl, pred.by_id)
+    lkey = lkey or _key_fn(pred.left_lcl, pred.by_id)
+    rkey = rkey or _key_fn(pred.right_lcl, pred.by_id)
     if pred.by_id:
         def test(left: XTree, right: XTree) -> bool:
             key = lkey(left)
@@ -76,7 +113,11 @@ def _pair_test(pred: JoinPredicate):
 
 
 class JoinOp(Operator):
-    """Value (or cartesian) join of two tree sequences."""
+    """Value (or cartesian) join of two tree sequences.
+
+    With ``count_lcl`` it is the count form of a nest join (see the
+    module docstring).
+    """
 
     name = "Join"
 
@@ -87,19 +128,26 @@ class JoinOp(Operator):
         predicates: Sequence[JoinPredicate] = (),
         root_lcl: int = 0,
         right_mspec: str = "-",
+        count_lcl: int = 0,
     ) -> None:
         super().__init__([left, right])
         if right_mspec not in ("-", "?", "+", "*"):
             raise AlgebraError(f"invalid join mspec {right_mspec!r}")
+        if count_lcl and right_mspec not in ("+", "*"):
+            raise AlgebraError("only a nest join ('+' or '*') counts")
         self.predicates: List[JoinPredicate] = list(predicates)
         self.root_lcl = root_lcl
         self.right_mspec = right_mspec
+        #: the class of the count node the count form emits, or 0
+        self.count_lcl = count_lcl
 
     # ------------------------------------------------------------------
     def execute(
         self, ctx: Context, inputs: List[TreeSequence]
     ) -> TreeSequence:
         left, right = inputs
+        if self.count_lcl:
+            return self._count(ctx, left, right)
         nest = self.right_mspec in ("+", "*")
         if not self.predicates:
             if nest:
@@ -134,6 +182,110 @@ class JoinOp(Operator):
         for test in tests:
             pairs = [(l, r) for l, r in pairs if test(l, r)]
         return self._stitch(ctx, left, pairs)
+
+    def execute_batch(self, ctx: Context, inputs: list):
+        """The count form reads batches off their columns; the tree
+        forms take the materialising fallback."""
+        if not self.count_lcl:
+            return super().execute_batch(ctx, inputs)
+        out = self._count(ctx, *inputs)
+        if isinstance(out, ColumnBatch):
+            self.note_batch(ctx, out)
+        return out
+
+    # ------------------------------------------------------------------
+    def _clusters(self, ctx: Context, left, right) -> List[List[int]]:
+        """Per left position, the right positions of its cluster, in
+        right order: the tree form's clusters, by position."""
+        if not self.predicates:
+            everything = list(range(len(right)))
+            return [everything for _ in range(len(left))]
+        first, rest = self.predicates[0], self.predicates[1:]
+        left_key = _position_key(left, first.left_lcl, first.by_id)
+        right_key = _position_key(right, first.right_lcl, first.by_id)
+        left_keys = [left_key(at) for at in range(len(left))]
+        right_keys = [right_key(at) for at in range(len(right))]
+        # joins never pair trees with NULL join values
+        lefts = [at for at, key in enumerate(left_keys) if key is not None]
+        rights = [at for at, key in enumerate(right_keys) if key is not None]
+        clusters: List[List[int]] = [[] for _ in left_keys]
+        found = theta_clusters(
+            lefts, rights, first.op, left_keys.__getitem__,
+            right_keys.__getitem__, ctx.metrics,
+        )
+        for at, cluster in zip(lefts, found):
+            clusters[at] = cluster
+        for pred in rest:
+            test = _pair_test(
+                pred,
+                _position_key(left, pred.left_lcl, pred.by_id),
+                _position_key(right, pred.right_lcl, pred.by_id),
+            )
+            clusters = [
+                [r for r in cluster if test(at, r)]
+                for at, cluster in enumerate(clusters)
+            ]
+        return clusters
+
+    def _count(self, ctx: Context, left, right):
+        """The count form: each left tree with its cluster's size."""
+        outer = self.right_mspec == "*"
+        batch = isinstance(left, ColumnBatch)
+        order = left.row_order_key if batch else (lambda at: left[at].order_key)
+        # a position past every right one: empty clusters sort last
+        last = len(right)
+        decorated = [
+            (order(at), cluster[0] if cluster else last, at, len(cluster))
+            for at, cluster in enumerate(self._clusters(ctx, left, right))
+            if cluster or outer
+        ]
+        ctx.metrics.nest_joins += 1
+        ctx.metrics.sort_ops += 1
+        decorated.sort(key=lambda item: (item[0], item[1]))
+        if batch:
+            return self._count_batch(left, decorated)
+        result = TreeSequence()
+        for _, _, at, size in decorated:
+            count = TNode("count", size, lcls={self.count_lcl})
+            index = {self.count_lcl: [count]}
+            result.append(
+                self._make_tree(left[at], [count], (index, index, False))
+            )
+            ctx.metrics.trees_built += 1
+        return result
+
+    def _count_batch(self, left: ColumnBatch, decorated: list) -> ColumnBatch:
+        """Rows of ``join_root``, the left row's slice and the count."""
+        src_offsets = left.offsets
+        src_tags, src_values = left.tags, left.values
+        src_nids, src_labels = left.nids, left.labels
+        src_parents = left.parents
+        offsets = [0]
+        tags: List[str] = []
+        values: list = []
+        nids: list = []
+        labels: List[int] = []
+        parents: List[int] = []
+        for _, _, row, size in decorated:
+            start, end = src_offsets[row], src_offsets[row + 1]
+            tags.append("join_root")
+            values.append(None)
+            nids.append(new_temp_id())
+            labels.append(self.root_lcl)
+            parents.append(-1)
+            tags.extend(src_tags[start:end])
+            values.extend(src_values[start:end])
+            nids.extend(src_nids[start:end])
+            labels.extend(src_labels[start:end])
+            # one node in front: the left root (-1) lands on join_root
+            parents.extend([parent + 1 for parent in src_parents[start:end]])
+            tags.append("count")
+            values.append(size)
+            nids.append(None)
+            labels.append(self.count_lcl)
+            parents.append(0)
+            offsets.append(len(tags))
+        return ColumnBatch(offsets, tags, values, nids, labels, parents)
 
     # ------------------------------------------------------------------
     def _stitch(
@@ -224,7 +376,7 @@ class JoinOp(Operator):
         return result
 
     def lc_produced(self):
-        return {self.root_lcl} if self.root_lcl else set()
+        return {lcl for lcl in (self.root_lcl, self.count_lcl) if lcl}
 
     def lc_consumed(self):
         out = set()
@@ -235,4 +387,8 @@ class JoinOp(Operator):
 
     def params(self) -> str:
         preds = ", ".join(p.describe() for p in self.predicates) or "cartesian"
-        return f"[{preds}] mspec={self.right_mspec!r} root_lcl={self.root_lcl}"
+        count = f" count -> ({self.count_lcl})" if self.count_lcl else ""
+        return (
+            f"[{preds}] mspec={self.right_mspec!r}{count} "
+            f"root_lcl={self.root_lcl}"
+        )

@@ -29,6 +29,12 @@ per-reduction cases:
   inner construct are widened so deferred join classes and
   outer-referenced classes survive (Figure 8's Project 5 keeping (9),
   Project 11 keeping (12)).
+* **Counted LETs** (ours, not the paper's): a LET over a nested FLWOR
+  whose RETURN is one element constructor, used only as ``count($v)``
+  in the WHERE and RETURN of its block, joins through the count form of
+  the nest Join.  The nested plan stops before its RETURN, and the join
+  emits the count node an Aggregate over the constructed items would
+  have made, under that Aggregate's label.
 
 Deviations from the figure, documented in DESIGN.md: OR is implemented as
 optional (``*``/``?``) grafts plus one disjunctive filter rather than a
@@ -39,7 +45,7 @@ in Figure 8, would drop join partners).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.aggregate import AggregateOp
@@ -126,9 +132,17 @@ class _FlworSource:
     block: "_Block"
     mspec_join: str  # "-" for FOR, "*" for LET / RETURN
     branch_builders: List = field(default_factory=list)
+    #: a LET used only as ``count($v)``, which may join by the count form
+    counted: bool = False
+    #: the count form's class, allocated by the first ``count($v)``
+    count_lcl: int = 0
 
     def build(self) -> Operator:
         top = self.block.finish()
+        if self.count_lcl:
+            # finish() still runs: it keeps the deferred join classes in
+            # the Project below the tuples
+            top = self.block.tuples
         for builder in self.branch_builders:
             top = builder(top)
         return top
@@ -173,6 +187,9 @@ class _Block:
         self.extra_keep: List[int] = []  # classes Project must retain
         self.return_joins: List[_FlworSource] = []
         self.construct_spec = None  # set by finish()
+        #: the plan before the RETURN (set by finish()): one tree per
+        #: result item, which is what a counting join counts
+        self.tuples: Optional[Operator] = None
         self._finished: Optional[Operator] = None
 
     def graft(
@@ -231,9 +248,51 @@ class _Block:
 
     def _bind_nested(self, var: str, inner: FLWOR, mspec: str) -> None:
         inner_block = self.translator.translate_block(inner, parent=self)
-        self.sources.append(_FlworSource(inner_block, mspec))
+        counted = (
+            mspec == "*"
+            and bool(self.sources)  # joined, not the first source
+            and isinstance(inner.ret, ElementConstructor)
+            and not inner_block.return_joins
+            and self._counts_only(var)
+        )
+        self.sources.append(_FlworSource(inner_block, mspec, counted=counted))
         root_lcl = inner_block.output_root_lcl()
         self.bindings[var] = _Binding(len(self.sources) - 1, lcl=root_lcl)
+
+    def _counts_only(self, var: str) -> bool:
+        """Whether this block reads ``$var`` only as ``count($var)``.
+
+        That is: some ``count($var)`` in the WHERE (under AND only) or
+        the RETURN (outside nested FLWORs), and no other mention of the
+        name anywhere in the block, nested FLWORs included.
+        """
+        counts: list = []  # the aggregates a count($var) may be
+
+        def where(expr) -> None:
+            if isinstance(expr, BoolExpr) and expr.op == "and":
+                where(expr.left)
+                where(expr.right)
+            elif isinstance(expr, AggrPredicate):
+                counts.append(expr)
+
+        def ret(expr) -> None:
+            if isinstance(expr, AggrExpr):
+                counts.append(expr)
+            elif isinstance(expr, ElementConstructor):
+                for _, value in expr.attrs:
+                    ret(value)
+                for child in expr.children:
+                    ret(child)
+
+        where(self.flwor.where)
+        ret(self.flwor.ret)
+        uses = [
+            aggr for aggr in counts
+            if aggr.fname == "count" and aggr.path.var == var
+            and not aggr.path.steps
+        ]
+        mentions = sum(path.var == var for path in _paths(self.flwor))
+        return bool(uses) and len(uses) == mentions
 
     # ------------------------------------------------------------------
     # WHERE
@@ -279,6 +338,13 @@ class _Block:
 
     # -- aggregate predicate ---------------------------------------------
     def _aggr_predicate(self, pred: AggrPredicate) -> None:
+        counted = self._count_class(pred.fname, pred.path)
+        if counted:
+            predicate = ClassPredicate(counted, pred.op, pred.value)
+            self.post_join.append(
+                lambda top, p=predicate: FilterOp(p, "ALO", top)
+            )
+            return
         owner, binding = self.lookup(var_of(pred.path))
         if owner is not self:
             raise TranslationError(
@@ -559,6 +625,7 @@ class _Block:
 
         if self.flwor.order is not None:
             top = self._apply_order(top)
+        self.tuples = top
 
         for source in self.return_joins:
             top = self._join_with(top, source)
@@ -630,8 +697,10 @@ class _Block:
         source: Union[_DocSource, _FlworSource],
     ) -> Operator:
         """Join one source's plan onto the block: one edge of its mspec."""
+        count_lcl = getattr(source, "count_lcl", 0)
         return JoinOp(
-            top, right, preds, root_lcl=root_lcl, right_mspec=source.mspec_join
+            top, right, preds, root_lcl=root_lcl,
+            right_mspec=source.mspec_join, count_lcl=count_lcl,
         )
 
     def _project_keep(self, ret_spec) -> List[int]:
@@ -736,6 +805,9 @@ class _Block:
     def _value_ref(self, expr, spec, text: bool) -> CClassRef:
         """Class reference for one path/aggregate value in the return."""
         if isinstance(expr, AggrExpr):
+            counted = self._count_class(expr.fname, expr.path)
+            if counted:
+                return CClassRef(counted, text_only=True)
             pattern = self._count_pattern(expr, spec)
             if pattern is None:
                 counted = self._value_ref(expr.path, spec, text=False).lcl
@@ -778,6 +850,25 @@ class _Block:
         spec["keep"].append(lcl)
         return CClassRef(lcl, text_only=text)
 
+    def _count_class(self, fname: str, path: PathExpr) -> int:
+        """The class a counting join gives ``count($v)`` (0 otherwise).
+
+        The first use allocates it — where the Aggregate would have
+        allocated its result — and the LET binding points at it.
+        """
+        if fname != "count" or path.steps or path.var is None:
+            return 0
+        binding = self.bindings.get(path.var)
+        if binding is None:
+            return 0
+        source = self.sources[binding.source_index]
+        if not isinstance(source, _FlworSource) or not source.counted:
+            return 0
+        if not source.count_lcl:
+            source.count_lcl = binding.lcl = self.lcls.allocate()
+            self.class_tags[source.count_lcl] = "count"
+        return source.count_lcl
+
     def _count_pattern(self, expr: AggrExpr, spec) -> Optional[APT]:
         """The one-edge ``*`` pattern an index count of ``expr`` probes.
 
@@ -800,6 +891,18 @@ class _Block:
         self.graft(root, path.steps, "*")
         spec["keep"].append(binding.label)
         return APT(root)
+
+
+def _paths(node):
+    """Every :class:`PathExpr` of an AST subtree, in no particular order."""
+    if isinstance(node, PathExpr):
+        yield node
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _paths(item)
+    elif is_dataclass(node):
+        for item in fields(node):
+            yield from _paths(getattr(node, item.name))
 
 
 def owner_block_resolve(

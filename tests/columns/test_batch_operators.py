@@ -22,6 +22,8 @@ from repro.core import (
     Context,
     DedupOp,
     FilterOp,
+    JoinOp,
+    JoinPredicate,
     ProjectOp,
     SortOp,
     UnionOp,
@@ -168,6 +170,42 @@ def test_aggregate_equivalence(seed, fname):
     batch, trees = batch_and_trees(rng, rows=rng.randint(1, 5))
     assert_equivalent(AggregateOp(fname, rng.choice((1, 2, 3)), 9),
                       batch, trees)
+
+
+def singleton_batch_and_trees(rng):
+    """:func:`batch_and_trees` with each label on at most one node per
+    row (later repeats unlabelled): rows a join can key."""
+    built = random_forest(rng, rng.randint(0, 8))
+    offsets, labels = built[0], built[4]
+    for row in range(len(offsets) - 1):
+        seen = {0}
+        for j in range(offsets[row], offsets[row + 1]):
+            if labels[j] in seen:
+                labels[j] = 0
+            seen.add(labels[j])
+    batch = ColumnBatch(*[list(c) for c in built])
+    return batch, ColumnBatch(*[list(c) for c in built]).materialize()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("op", ("=", ">", "!="))
+@pytest.mark.parametrize("second", (False, True), ids=("one", "two"))
+@pytest.mark.parametrize("rows", ("any", "keyed"))
+def test_counting_join_equivalence(seed, op, second, rows):
+    """The count form over batches, per side, against its tree body."""
+    rng = random.Random(seed)
+    forest = batch_and_trees if rows == "any" else singleton_batch_and_trees
+    left, left_trees = forest(rng)
+    right, right_trees = forest(rng)
+    preds = [JoinPredicate(1, op, 2)]
+    if second:
+        preds.append(JoinPredicate(3, "<=", 4))
+    join = JoinOp(None, None, preds, 9, "*", count_lcl=20)
+    assert_equivalent(join, left, left_trees, extra=[right])
+    ctx = Context(Database())
+    assert outcome(join, ctx, [left, right_trees], batched=True) == \
+        outcome(join, ctx, [left_trees, right], batched=True) == \
+        outcome(join, ctx, [left_trees, right_trees], batched=False)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -2,9 +2,20 @@
 
 import pytest
 
-from repro.core import Context, JoinOp, JoinPredicate, SelectOp, evaluate
+from repro.core import (
+    AggregateOp,
+    ConstructOp,
+    Context,
+    JoinOp,
+    JoinPredicate,
+    ProjectOp,
+    SelectOp,
+    evaluate,
+)
+from repro.core.construct import CClassRef, CElement
 from repro.errors import AlgebraError, CardinalityError
 from repro.patterns import APT, pattern_node
+from tests.conftest import assert_cached_state_exact
 
 
 def person_select() -> SelectOp:
@@ -195,3 +206,133 @@ class TestThetaAndContracts:
         )
         result = evaluate(plan, Context(tiny_db))
         assert len(result) == 0
+
+
+# ----------------------------------------------------------------------
+# the count form: a nest join that emits each cluster's size
+# ----------------------------------------------------------------------
+def aged_person_select() -> SelectOp:
+    """Persons (2) with their age (3) when they have one (Bob has none)."""
+    root = pattern_node("doc_root", 1)
+    person = pattern_node("person", 2)
+    root.add_edge(person, "ad", "-")
+    person.add_edge(pattern_node("age", 3), "ad", "?")
+    return SelectOp(APT(root, "auction.xml"))
+
+
+def initial_select() -> SelectOp:
+    root = pattern_node("doc_root", 4)
+    auction = pattern_node("open_auction", 5)
+    root.add_edge(auction, "ad", "-")
+    auction.add_edge(pattern_node("initial", 6), "pc", "-")
+    return SelectOp(APT(root, "auction.xml"))
+
+
+def tuples(select: SelectOp) -> ProjectOp:
+    """A nested block's tuples: one tree per (auction, class 6) pair."""
+    return ProjectOp([5, 6], select)
+
+
+def items(tuples_op: ProjectOp) -> ConstructOp:
+    """The items the tree form builds from them: one element each, with
+    the correlation class riding hidden (Figure 8's Construct 8)."""
+    ctree = CElement("tr", 30, children=[CClassRef(6, hidden=True)])
+    return ConstructOp(ctree, tuples_op)
+
+
+def counts(result):
+    """(left node, count) per output tree, in output order."""
+    return [
+        (
+            tree.class_nodes(2)[0].nid,
+            [node.value for node in tree.class_nodes(20)],
+        )
+        for tree in result
+    ]
+
+
+COUNT_CASES = {
+    "equal": (person_select, ref_select, [JoinPredicate(3, "=", 6)]),
+    "greater": (person_select, ref_select, [JoinPredicate(3, ">", 6)]),
+    "not-equal": (person_select, ref_select, [JoinPredicate(3, "!=", 6)]),
+    "two-predicates": (
+        person_select, ref_select,
+        [JoinPredicate(3, ">=", 6), JoinPredicate(3, "!=", 6)],
+    ),
+    "no-matches": (person_select, ref_select, [JoinPredicate(3, "=", 5)]),
+    "left-without-path": (
+        aged_person_select, initial_select, [JoinPredicate(3, ">", 6)],
+    ),
+    "cartesian": (person_select, ref_select, []),
+}
+
+
+class TestCountForm:
+    @pytest.mark.parametrize("mspec", ["*", "+"])
+    @pytest.mark.parametrize("case", sorted(COUNT_CASES))
+    def test_counts_what_the_aggregate_counts(self, tiny_db, case, mspec):
+        left, right, preds = COUNT_CASES[case]
+        counting = JoinOp(
+            left(), tuples(right()), preds, root_lcl=9, right_mspec=mspec,
+            count_lcl=20,
+        )
+        building = AggregateOp(
+            "count", 30, 20,
+            JoinOp(left(), items(tuples(right())), preds, 9, mspec),
+        )
+        counted = evaluate(counting, Context(tiny_db))
+        assert counts(counted) == counts(evaluate(building, Context(tiny_db)))
+        seqs = [tree.root.nid.seq for tree in counted]
+        assert seqs == sorted(seqs)  # join roots in output order
+        # the per-tree body over the same inputs
+        per_tree = counting.execute(
+            Context(tiny_db),
+            [evaluate(op, Context(tiny_db)) for op in counting.inputs],
+        )
+        assert [t.to_xml() for t in per_tree] == [
+            t.to_xml() for t in counted
+        ]
+        assert counts(per_tree) == counts(counted)
+        for tree in per_tree:
+            assert_cached_state_exact(tree)
+
+    def test_empty_clusters_count_zero_or_drop(self, tiny_db):
+        def plan(mspec):
+            return JoinOp(
+                aged_person_select(), tuples(initial_select()),
+                [JoinPredicate(3, ">", 6)], 9, mspec, count_lcl=20,
+            )
+
+        # ages 30 and 40 each exceed one initial (10); Bob has no age
+        star = evaluate(plan("*"), Context(tiny_db))
+        assert sorted(v for _, (v,) in counts(star)) == [0, 1, 1]
+        plus = evaluate(plan("+"), Context(tiny_db))
+        assert [v for _, (v,) in counts(plus)] == [1, 1]
+
+    def test_multi_valued_class_raises(self, tiny_db):
+        root = pattern_node("doc_root", 1)
+        auction = pattern_node("open_auction", 2)
+        increase = pattern_node("increase", 3)
+        root.add_edge(auction, "ad", "-")
+        auction.add_edge(increase, "ad", "*")  # class 3 is a cluster
+        plan = JoinOp(
+            SelectOp(APT(root, "auction.xml")), tuples(ref_select()),
+            [JoinPredicate(3, "=", 6)], 9, "*", count_lcl=20,
+        )
+        with pytest.raises(CardinalityError) as caught:
+            evaluate(plan, Context(tiny_db))
+        assert (caught.value.lcl, caught.value.operator) == (3, "Join")
+
+    def test_only_nest_joins_count(self):
+        with pytest.raises(AlgebraError):
+            JoinOp(person_select(), ref_select(), [], 9, "-", count_lcl=20)
+
+    def test_explain_names_the_count_class(self):
+        plan = JoinOp(
+            person_select(), ref_select(), [JoinPredicate(3, "=", 6)],
+            9, "*", count_lcl=20,
+        )
+        assert plan.params() == (
+            "[(3) = (6)] mspec='*' count -> (20) root_lcl=9"
+        )
+        assert plan.lc_produced() == {9, 20}

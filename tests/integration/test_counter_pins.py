@@ -17,7 +17,9 @@ test_counter_pins.py --regen``) is legitimate only when a PR
 only fall, and the PR description says which and why.  Regenerate at the
 commit whose counts are the new contract, never to make a red test green.
 The regeneration prints ``old -> new`` for every (query, counter) that
-moved and refuses to write the file when any pinned count rose.
+moved and refuses to write the file when any pinned count rose — or,
+for the batch-coverage counters (:data:`COVERAGE_FIELDS`, where more
+operators on their batch forms is the gain), fell.
 """
 
 import json
@@ -38,6 +40,9 @@ PINNED_FIELDS = tuple(
     name for name in COUNTER_FIELDS if not name.startswith("plan_cache_")
 )
 
+
+#: counters that meter batch-form coverage, not work: they may only rise
+COVERAGE_FIELDS = ("batch_ops", "batch_rows")
 
 #: the Section 6.1 competitors pinned next to TLC
 BASELINES = ("tax", "gtp")
@@ -142,13 +147,15 @@ if __name__ == "__main__":
     )
     for name, field, was, now in changes:
         print(f"{name:9} {field:22} {was} -> {now}")
-    risen = [
-        change for change in changes
-        if change[2] is not None and change[3] > change[2]
+    worse = [
+        (name, field, was, now) for name, field, was, now in changes
+        if was is not None
+        and (now < was if field in COVERAGE_FIELDS else now > was)
     ]
-    if risen:
+    if worse:
         sys.exit(
-            f"refusing to write {PINS_PATH}: {len(risen)} counter(s) rose"
+            f"refusing to write {PINS_PATH}: {len(worse)} counter(s) "
+            "moved the wrong way"
         )
     PINS_PATH.write_text(json.dumps(swept, indent=1, sort_keys=True) + "\n")
     print(f"wrote {PINS_PATH} ({len(changes)} change(s))")

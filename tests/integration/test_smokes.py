@@ -1,5 +1,8 @@
 """CI's smoke scripts, run as subprocesses with their own flags.
 
+``benchmarks/layers/run.py --quick`` drives all five benchmark
+workloads end to end and verifies every result against a reference
+engine (NAV or GTP) computed at run time;
 ``benchmarks/bench_smoke.py`` sweeps the 23 queries through a 2-worker
 process pool under each start method, with and without request spans,
 and checks every result byte-for-byte against serial;
@@ -8,6 +11,7 @@ process`` and validates every endpoint.  Each script asserts by itself
 and exits 0 only when every check passed.
 """
 
+import json
 import multiprocessing
 import os
 import subprocess
@@ -37,6 +41,16 @@ def _run(*argv):
         timeout=300,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+def test_layered_benchmark_quick(tmp_path):
+    report = tmp_path / "quick.json"
+    _run("benchmarks/layers/run.py", "--quick", "--out", str(report))
+    workloads = json.loads(report.read_text())["workloads"]
+    assert len(workloads) == 5
+    assert {name: r["correct"] for name, r in workloads.items()} == {
+        name: True for name in workloads
+    }
 
 
 @pytest.mark.parametrize("spans", [[], ["--spans"]], ids=["plain", "spans"])

@@ -5,6 +5,7 @@ start methods the platform offers, so the fork token handoff and the
 digest-verified snapshot handshake are both exercised where available.
 """
 
+import dataclasses
 import multiprocessing
 import tempfile
 import time
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import Engine
+from repro.core.base import Operator
 from repro.errors import (
     QueryTimeoutError,
     ResourceLimitError,
@@ -42,6 +44,31 @@ AVAILABLE = [
     m for m in START_METHODS
     if m in multiprocessing.get_all_start_methods()
 ]
+
+
+#: the request budget of the worker-side timeout test: ample for a
+#: primed pool to dispatch, and the worker stalls until it is spent
+STALL_DEADLINE = 0.3
+
+
+class Stall(Operator):
+    """Passes its input through once the request's deadline is spent,
+    then makes the evaluator's cooperative check, which raises."""
+
+    name = "Stall"
+
+    def __init__(self, plan):
+        super().__init__([plan])
+
+    def execute(self, ctx, inputs):
+        return self.execute_batch(ctx, inputs)
+
+    def execute_batch(self, ctx, inputs):
+        while ctx.limits.remaining():
+            time.sleep(0.01)
+        time.sleep(0.01)
+        ctx.limits.check(self.name)
+        return inputs[0]
 
 
 @pytest.fixture
@@ -114,8 +141,17 @@ class TestProcessExecution:
                 spans=spans,
             ) as svc:
                 svc.prime(timeout=60)
+                prepared = svc.prepare(QUERY)
+                stalled = dataclasses.replace(
+                    prepared,
+                    translation=dataclasses.replace(
+                        prepared.translation, plan=Stall(prepared.plan)
+                    ),
+                )
                 with pytest.raises(QueryTimeoutError):
-                    svc.execute(QUERY, deadline=1e-9)
+                    svc.execute(stalled, deadline=STALL_DEADLINE)
+                # the deadline ran out in the worker, not before dispatch
+                assert svc.workers()["dispatched"] == 1
                 assert svc.stats().timeouts == 1
 
     def test_resource_limit_crosses_the_process_boundary(

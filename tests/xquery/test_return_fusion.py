@@ -81,13 +81,14 @@ class TestXMarkShapes:
         assert len(labels) == len(set(labels)) == 18
         select.apt.validate()
 
-    def test_x11_aggregate_sits_directly_on_the_extension(self):
+    def test_x11_return_is_one_extension_over_the_counting_join(self):
         plan = translate_query(QUERIES["x11"].text).plan
-        aggregate, select = return_ops(plan)
-        assert isinstance(aggregate, AggregateOp)
-        assert aggregate.inputs[0] is select
+        (select,) = return_ops(plan)
         assert select.params().startswith("extend")
         assert edge_paths(select) == ["name"]
+        # the count($l) comes from the join's clusters, not an Aggregate
+        (join,) = [op for op in plan.walk() if op.name == "Join"]
+        assert join.count_lcl and join.right_mspec == "*"
 
     def test_no_xmark_block_chains_selects_over_one_class(self):
         for name, query in QUERIES.items():
