@@ -81,6 +81,20 @@ class TestXMarkShapes:
         assert len(labels) == len(set(labels)) == 18
         select.apt.validate()
 
+    def test_x11_aggregate_sits_directly_on_the_extension(self):
+        # returning $l as well as count($l) keeps the LET off the counting
+        # join, so count($l) is an Aggregate over the constructed items
+        text = QUERIES["x11"].text.replace("{count($l)}", "{count($l)}{$l}")
+        assert text != QUERIES["x11"].text
+        plan = translate_query(text).plan
+        aggregate, select = return_ops(plan)
+        assert isinstance(aggregate, AggregateOp)
+        assert aggregate.inputs[0] is select
+        assert select.params().startswith("extend")
+        assert edge_paths(select) == ["name"]
+        (join,) = [op for op in plan.walk() if op.name == "Join"]
+        assert not join.count_lcl
+
     def test_x11_return_is_one_extension_over_the_counting_join(self):
         plan = translate_query(QUERIES["x11"].text).plan
         (select,) = return_ops(plan)
